@@ -36,15 +36,10 @@ def _global_telemetry():
     if os.environ.get("REPRO_TELEMETRY") != "1":
         yield
         return
-    from repro.obs import TELEMETRY
-    from repro.obs.telemetry import Telemetry
+    from repro import obs
 
-    previous = TELEMETRY.telemetry
-    TELEMETRY.install(Telemetry())
-    try:
+    with obs.isolated(telemetry=True, tracer=False, metrics=False):
         yield
-    finally:
-        TELEMETRY.install(previous)
 
 
 @pytest.fixture

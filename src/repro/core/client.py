@@ -24,8 +24,7 @@ import numpy as np
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
 from ..fsmodel import ChangeKind, FolderWatcher
-from ..obs import METRICS, TELEMETRY, TRACE
-from ..obs.tracer import ctx_attrs as _ctx_attrs
+from ..obs import OBS
 from ..simkernel import Simulator
 from .config import UniDriveConfig
 from .degrade import DegradeController
@@ -218,48 +217,31 @@ class UniDriveClient:
             self._budget = self.degrade.round_budget(self.sim)
             self.lock.budget = self._budget
         span = None
-        if TRACE.enabled:
+        if OBS.enabled:
             # The round is the root of this device's causal tree: every
             # batch, block transfer, lock acquisition and netsim flow it
             # spawns carries (trace_id, parent) back to this span.
-            sid = TRACE.tracer.next_id()
-            span = TRACE.begin("sync_round", t=self.sim.now,
-                               track=self.device, trace_id=sid, sid=sid)
-            self._trace_ctx = (sid, sid)
+            # ``trace_id=None`` holds that attr's slot ahead of ``sid``.
+            span, self._trace_ctx = OBS.begin(
+                "sync_round", t=self.sim.now, track=self.device,
+                ctx=None, trace_id=None,
+            )
             self.lock.trace_ctx = self._trace_ctx
         meta0, blocks0 = self.metadata_bytes, self.block_bytes
+        error = None
         try:
             yield from self._sync_round(report)
+            report.finished_at = self.sim.now
         except BaseException as exc:
-            if span is not None:
-                TRACE.end(span, t=self.sim.now, error=type(exc).__name__)
-                self._trace_ctx = None
-                self.lock.trace_ctx = None
-            if TELEMETRY.enabled:
-                TELEMETRY.sync_round(self.device, report.started_at,
-                                     self.sim.now, ok=False)
-            self._account_round(meta0, blocks0)
-            self._budget = None
-            self.lock.budget = None
+            error = type(exc).__name__
             raise
-        report.finished_at = self.sim.now
-        if span is not None:
-            TRACE.end(
-                span, t=self.sim.now,
-                uploaded=len(report.uploaded_files),
-                downloaded=len(report.downloaded_files),
-                deleted=len(report.deleted_files),
-                conflicts=len(report.conflicts),
-                version=report.committed_version,
-            )
-            self._trace_ctx = None
-            self.lock.trace_ctx = None
-        if TELEMETRY.enabled:
-            TELEMETRY.sync_round(self.device, report.started_at,
-                                 self.sim.now, ok=True)
-        self._account_round(meta0, blocks0)
-        self._budget = None
-        self.lock.budget = None
+        finally:
+            if OBS.enabled:
+                OBS.round_done(span, report, self.sim.now, error,
+                               self.metadata_bytes - meta0,
+                               self.block_bytes - blocks0)
+            self._trace_ctx = self.lock.trace_ctx = None
+            self._budget = self.lock.budget = None
         return report
 
     def _sync_round(self, report: SyncReport):
@@ -291,17 +273,6 @@ class UniDriveClient:
             )
         if report.changed_anything or report.committed_version is not None:
             yield from self._publish_heartbeat()
-
-    def _account_round(self, meta0: int, blocks0: int) -> None:
-        """Fold this round's byte-counter deltas into the metrics hub."""
-        if not METRICS.enabled:
-            return
-        if self.metadata_bytes > meta0:
-            METRICS.inc("metadata_bytes", self.metadata_bytes - meta0,
-                        device=self.device)
-        if self.block_bytes > blocks0:
-            METRICS.inc("block_bytes", self.block_bytes - blocks0,
-                        device=self.device)
 
     def run_forever(self):
         """Periodic sync loop (interval τ plus small jitter).
@@ -382,17 +353,13 @@ class UniDriveClient:
         self.journal.begin(self.image.version.counter, plan["new_records"])
         # Data blocks travel before any metadata becomes visible.
         if uploads:
-            span = None
-            batch_ctx = None
-            if TRACE.enabled:
-                sid = TRACE.tracer.next_id()
-                attrs = _ctx_attrs(self._trace_ctx, sid)
-                span = TRACE.begin(
+            span = batch_ctx = None
+            if OBS.enabled:
+                span, batch_ctx = OBS.begin(
                     "upload_batch", t=self.sim.now, track=self.device,
-                    files=len(uploads),
-                    bytes=sum(u.size for u in uploads), **attrs,
+                    ctx=self._trace_ctx, files=len(uploads),
+                    bytes=sum(u.size for u in uploads),
                 )
-                batch_ctx = (attrs.get("trace_id", sid), sid)
             scheduler = UploadScheduler(
                 self.sim, self.connections, self.pipeline, self.config,
                 estimator=self.estimator, retry_policy=self.retry,
@@ -406,7 +373,7 @@ class UniDriveClient:
             upload_report = yield from scheduler.run_batch(uploads)
             self._active_upload = None
             if span is not None:
-                TRACE.end(
+                OBS.end(
                     span, t=self.sim.now,
                     failed_requests=upload_report.failed_requests,
                 )
@@ -512,18 +479,10 @@ class UniDriveClient:
                     f"{record.n} blocks placed, floor is {floor}"
                 )
             record.debt = missing
-            if METRICS.enabled:
-                METRICS.inc(
-                    "debt_recorded", len(missing), device=self.device
-                )
-            if TELEMETRY.enabled:
-                TELEMETRY.debt(
-                    self.sim.now, record.segment_id, len(missing)
-                )
-            if TRACE.enabled:
-                TRACE.event(
-                    "brownout_commit", t=self.sim.now, track=self.device,
-                    seg=record.segment_id[:12], owed=len(missing),
+            if OBS.enabled:
+                OBS.debt_recorded(
+                    self.device, self.sim.now, record.segment_id,
+                    len(missing),
                 )
 
     def _build_local_image(
@@ -647,14 +606,12 @@ class UniDriveClient:
         reconstructs at least ``expect``, the round fails with
         :class:`SyncError` and retries later rather than regressing.
         """
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "metadata_fetch", t=self.sim.now, track=self.device,
                 expect=expect,
             )
-            if TRACE.enabled
-            else None
-        )
         last_error: Optional[object] = None
         for conn in self.connections:
             if self._budget is not None and self._budget.expired:
@@ -673,8 +630,8 @@ class UniDriveClient:
                 )
             except CloudError as exc:
                 last_error = exc
-                if TRACE.enabled:
-                    TRACE.event(
+                if OBS.enabled:
+                    OBS.event(
                         "metadata_skip", t=self.sim.now,
                         track=conn.cloud_id, reason=type(exc).__name__,
                     )
@@ -692,8 +649,8 @@ class UniDriveClient:
                 delta_blob = None
             except CloudError as exc:
                 last_error = exc
-                if TRACE.enabled:
-                    TRACE.event(
+                if OBS.enabled:
+                    OBS.event(
                         "metadata_skip", t=self.sim.now,
                         track=conn.cloud_id, reason=type(exc).__name__,
                     )
@@ -710,14 +667,9 @@ class UniDriveClient:
                         f"(base v{image.version.counter}, delta extends "
                         f"v{marker})"
                     )
-                    if TRACE.enabled:
-                        TRACE.event(
-                            "metadata_skip", t=self.sim.now,
-                            track=conn.cloud_id, reason="corrupt-pair",
-                        )
-                    if METRICS.enabled:
-                        METRICS.inc("metadata_skips", cloud=conn.cloud_id,
-                                    reason="corrupt-pair")
+                    if OBS.enabled:
+                        OBS.metadata_skip(conn.cloud_id, self.sim.now,
+                                          "corrupt-pair")
                     continue
                 delta.apply_to(image)
             if expect is not None and image.version.counter < expect:
@@ -725,22 +677,16 @@ class UniDriveClient:
                     f"{conn.cloud_id}: stale metadata "
                     f"(v{image.version.counter} < expected v{expect})"
                 )
-                if TRACE.enabled:
-                    TRACE.event(
-                        "metadata_skip", t=self.sim.now,
-                        track=conn.cloud_id, reason="stale",
-                    )
-                if METRICS.enabled:
-                    METRICS.inc("metadata_skips", cloud=conn.cloud_id,
-                                reason="stale")
+                if OBS.enabled:
+                    OBS.metadata_skip(conn.cloud_id, self.sim.now, "stale")
                 continue
             recompute_refcounts(image)
             if span is not None:
-                TRACE.end(span, t=self.sim.now, served_by=conn.cloud_id,
-                          version=image.version.counter)
+                OBS.end(span, t=self.sim.now, served_by=conn.cloud_id,
+                        version=image.version.counter)
             return image
         if span is not None:
-            TRACE.end(span, t=self.sim.now, error="SyncError")
+            OBS.end(span, t=self.sim.now, error="SyncError")
         raise SyncError(f"{self.device}: no cloud served metadata ({last_error})")
 
     def _seal_round(self, ops: List[dict], counter: int) -> List[dict]:
@@ -974,16 +920,12 @@ class UniDriveClient:
             wants.append(FileDownload(path=path, segments=records))
         if not wants:
             return
-        span = None
-        batch_ctx = None
-        if TRACE.enabled:
-            sid = TRACE.tracer.next_id()
-            attrs = _ctx_attrs(self._trace_ctx, sid)
-            span = TRACE.begin(
+        span = batch_ctx = None
+        if OBS.enabled:
+            span, batch_ctx = OBS.begin(
                 "download_batch", t=self.sim.now, track=self.device,
-                files=len(wants), **attrs,
+                ctx=self._trace_ctx, files=len(wants),
             )
-            batch_ctx = (attrs.get("trace_id", sid), sid)
         scheduler = DownloadScheduler(
             self.sim, self.connections, self.pipeline, self.config,
             estimator=self.estimator, retry_policy=self.retry,
@@ -995,7 +937,7 @@ class UniDriveClient:
             self.hedges_fired += scheduler.hedges_fired
             self.hedged_bytes += scheduler.hedged_bytes
         if span is not None:
-            TRACE.end(
+            OBS.end(
                 span, t=self.sim.now,
                 failed_requests=batch.failed_requests,
             )
@@ -1221,12 +1163,8 @@ class UniDriveClient:
                 swept += 1
         if deletions:
             yield from gather_safe(self.sim, deletions)
-        if swept:
-            if METRICS.enabled:
-                METRICS.inc("orphans_swept", swept, device=self.device)
-            if TRACE.enabled:
-                TRACE.event("journal_sweep", t=self.sim.now,
-                            track=self.device, orphans=swept)
+        if swept and OBS.enabled:
+            OBS.journal_sweep(self.device, self.sim.now, swept)
         self.journal.commit()
 
     # -- garbage collection --------------------------------------------------
@@ -1337,14 +1275,11 @@ class UniDriveClient:
                 pending, digests
             ):
                 if digest != expected:
-                    if METRICS.enabled:
-                        METRICS.inc("corrupt_detected", cloud=cloud_id)
-                    if TRACE.enabled:
+                    if OBS.enabled:
                         # t is the sim time the rotten block finished
                         # downloading — detection is host CPU work.
-                        TRACE.event(
-                            "corrupt_block", t=t, track=cloud_id,
-                            seg=record.segment_id[:12], block=index,
+                        OBS.corrupt_detected(
+                            cloud_id, t, record.segment_id, index
                         )
                     continue
                 blocks[index] = block

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import TELEMETRY, TRACE
+from ..obs import OBS
 from .config import UniDriveConfig
 
 __all__ = [
@@ -101,8 +101,8 @@ class CircuitBreaker:
         if to_state == self.state:
             return
         self.transitions.append((t, self.state, to_state))
-        if TRACE.enabled:
-            TRACE.event(
+        if OBS.enabled:
+            OBS.event(
                 "breaker_transition", t=t, track=self.cloud_id,
                 src=self.state, dst=to_state,
             )
@@ -247,8 +247,8 @@ class DegradeController:
             return False
         if (
             self.health_gate
-            and TELEMETRY.enabled
-            and TELEMETRY.health_pinned(cloud_id)
+            and OBS.enabled
+            and OBS.health_pinned(cloud_id)
         ):
             # The scoreboard is inside an authoritative outage window
             # for this cloud — don't burn a fresh failure budget

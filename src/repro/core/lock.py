@@ -26,8 +26,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..cloud import CloudAPI
-from ..obs import METRICS, TRACE
-from ..obs.tracer import ctx_attrs as _ctx_attrs
+from ..obs import OBS
 from ..simkernel import Interrupt, Simulator
 from .config import UniDriveConfig
 from .retry import RetryPolicy
@@ -132,14 +131,11 @@ class QuorumLock:
             timeout = self.budget.clamp(timeout)
         deadline = self.sim.now + timeout
         span = None
-        if TRACE.enabled:
-            sid = TRACE.tracer.next_id()
-            attrs = _ctx_attrs(self.trace_ctx, sid)
-            span = TRACE.begin(
+        if OBS.enabled:
+            span, self._op_ctx = OBS.begin(
                 "lock_acquire", t=self.sim.now, track=self.device,
-                **attrs,
+                ctx=self.trace_ctx,
             )
-            self._op_ctx = (attrs.get("trace_id", sid), sid)
         attempt = 0
         try:
             while True:
@@ -147,26 +143,16 @@ class QuorumLock:
                 if locked >= self.quorum:
                     self.held = True
                     self._refresher = self.sim.process(self._refresh_loop())
-                    if span is not None:
-                        TRACE.end(span, t=self.sim.now,
-                                  rounds=attempt + 1, locked=locked)
-                    if METRICS.enabled:
-                        METRICS.inc("lock_acquired", device=self.device)
-                        if attempt:
-                            METRICS.inc("lock_contention_cycles", attempt,
-                                        device=self.device)
+                    if OBS.enabled:
+                        OBS.lock_settled(span, self.device, self.sim.now,
+                                         attempt, locked)
                     return
                 yield from self._withdraw()
                 if self.sim.now >= deadline:
                     self._op_ctx = None
-                    if span is not None:
-                        TRACE.end(span, t=self.sim.now,
-                                  rounds=attempt + 1, error="LockTimeout")
-                    if METRICS.enabled:
-                        METRICS.inc("lock_timeouts", device=self.device)
-                        if attempt:
-                            METRICS.inc("lock_contention_cycles", attempt,
-                                        device=self.device)
+                    if OBS.enabled:
+                        OBS.lock_settled(span, self.device, self.sim.now,
+                                         attempt, None)
                     raise LockTimeout(
                         f"{self.device}: no quorum within {timeout:.0f}s"
                     )
@@ -185,8 +171,8 @@ class QuorumLock:
             # flag lets the owner clean up on resume.)
             self._op_ctx = None
             if span is not None:
-                TRACE.end(span, t=self.sim.now,
-                          rounds=attempt + 1, error="aborted")
+                OBS.end(span, t=self.sim.now,
+                        rounds=attempt + 1, error="aborted")
             yield from self._withdraw()
             raise
 
@@ -250,16 +236,9 @@ class QuorumLock:
                 if self.sim.now - first > self.config.lock_stale_seconds:
                     # Obsolete lock from a crashed device: break it.
                     breakers.append(conn.delete(entry.path))
-                    if TRACE.enabled:
-                        TRACE.event(
-                            "lock_break",
-                            t=self.sim.now,
-                            track=conn.cloud_id,
-                            victim=entry.name,
-                            breaker=self.device,
-                        )
-                    if METRICS.enabled:
-                        METRICS.inc("lock_breaks", cloud=conn.cloud_id)
+                    if OBS.enabled:
+                        OBS.lock_break(conn.cloud_id, self.sim.now,
+                                       entry.name, self.device)
                 else:
                     contenders += 1
             if mine and contenders == 0:

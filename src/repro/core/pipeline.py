@@ -20,7 +20,7 @@ import numpy as np
 
 from ..chunking import Segment, Segmenter, SegmentView
 from ..codec import EncodeState, ReedSolomonCode
-from ..obs import METRICS, TRACE
+from ..obs import OBS
 from .config import UniDriveConfig
 from .metadata import SegmentRecord
 from .placement import max_block_count
@@ -215,29 +215,25 @@ class BlockPipeline:
         """
         state = self._encode_cache.get(segment_id)
         if state is None:
-            if TRACE.enabled:
+            if OBS.enabled:
                 # Encoding is host CPU work, not simulated time: the span
                 # sits at the tracer clock (zero sim width) and carries
                 # the wall-clock cost as an attribute instead.
-                span = TRACE.begin(
+                span, _ = OBS.begin(
                     "encode", track="codec",
                     seg=segment_id[:12], bytes=len(data),
                 )
                 wall = time.perf_counter()
                 state = self.code.prepare(data)
-                TRACE.end(
-                    span, wall_ms=(time.perf_counter() - wall) * 1e3
-                )
+                OBS.encoded(span, (time.perf_counter() - wall) * 1e3)
             else:
                 state = self.code.prepare(data)
-            if METRICS.enabled:
-                METRICS.inc("encode_cache", result="miss")
             self._encode_cache[segment_id] = state
             while len(self._encode_cache) > self._encode_cache_segments:
                 self._encode_cache.popitem(last=False)
         else:
-            if METRICS.enabled:
-                METRICS.inc("encode_cache", result="hit")
+            if OBS.enabled:
+                OBS.inc("encode_cache", result="hit")
             self._encode_cache.move_to_end(segment_id)
         return state
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import TRACE
+from ..obs import OBS
 
 __all__ = ["ThroughputEstimator", "UPLOAD", "DOWNLOAD"]
 
@@ -54,16 +54,8 @@ class ThroughputEstimator:
         self._samples[key] = self._samples.get(key, 0) + 1
         if now is not None:
             self._updated[key] = now
-        if TRACE.enabled:
-            TRACE.event(
-                "estimator_update",
-                t=now,
-                track=cloud_id,
-                direction=direction,
-                kind="sample",
-                estimate=self._estimates[key],
-                samples=self._samples[key],
-            )
+        if OBS.enabled:
+            self._trace_update(key, now, "sample")
 
     def record_failure(self, cloud_id: str, direction: str,
                        now: Optional[float] = None) -> None:
@@ -92,16 +84,16 @@ class ThroughputEstimator:
             self._estimates[key] = current * (1 - self.alpha)
         if now is not None:
             self._updated[key] = now
-        if TRACE.enabled:
-            TRACE.event(
-                "estimator_update",
-                t=now,
-                track=cloud_id,
-                direction=direction,
-                kind="failure",
-                estimate=self._estimates[key],
-                samples=self._samples.get(key, 0),
-            )
+        if OBS.enabled:
+            self._trace_update(key, now, "failure")
+
+    def _trace_update(self, key: Tuple[str, str], now: Optional[float],
+                      kind: str) -> None:
+        OBS.event(
+            "estimator_update", t=now, track=key[0], direction=key[1],
+            kind=kind, estimate=self._estimates[key],
+            samples=self._samples.get(key, 0),
+        )
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Observable state: per ``cloud:direction`` channel, the current

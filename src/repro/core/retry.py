@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Tuple, Type
 
 from ..cloud import CloudError
-from ..obs import METRICS, TELEMETRY, TRACE
+from ..obs import OBS
 
 __all__ = ["RetryPolicy", "RETRY", "FAIL_FAST", "GIVE_UP"]
 
@@ -136,49 +136,26 @@ class RetryPolicy:
                 exhausted = attempt >= self.max_attempts or (
                     budget is not None and budget.expired
                 )
-                if action is not RETRY or exhausted:
-                    outcome = action if action is not RETRY else "exhausted"
-                    if METRICS.enabled:
-                        METRICS.inc(
-                            "retry_outcome",
-                            outcome=outcome,
-                            error=type(exc).__name__,
-                        )
-                    if TELEMETRY.enabled:
-                        TELEMETRY.retry(
-                            sim.now, outcome,
-                            cloud=getattr(exc, "cloud_id", None),
-                        )
+                outcome = action
+                if action is RETRY and exhausted:
+                    outcome = "exhausted"
+                if OBS.enabled:
+                    OBS.retry_outcome(sim.now, outcome, exc)
+                if outcome is not RETRY:
                     raise
-                if METRICS.enabled:
-                    METRICS.inc(
-                        "retry_outcome",
-                        outcome=RETRY,
-                        error=type(exc).__name__,
-                    )
-                if TELEMETRY.enabled:
-                    TELEMETRY.retry(
-                        sim.now, RETRY,
-                        cloud=getattr(exc, "cloud_id", None),
-                    )
                 if on_failure is not None:
                     on_failure(exc, attempt)
                 delay = self.backoff(attempt - 1, rng)
                 if delay > 0:
-                    span = (
-                        TRACE.begin(
-                            "retry_wait",
-                            t=sim.now,
-                            track="retry",
-                            attempt=attempt,
-                            error=type(exc).__name__,
+                    span = None
+                    if OBS.enabled:
+                        span, _ = OBS.begin(
+                            "retry_wait", t=sim.now, track="retry",
+                            attempt=attempt, error=type(exc).__name__,
                         )
-                        if TRACE.enabled
-                        else None
-                    )
                     yield sim.timeout(delay)
                     if span is not None:
-                        TRACE.end(span, t=sim.now)
+                        OBS.end(span, t=sim.now)
                 attempt += 1
                 continue
             return value

@@ -32,11 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import math
-
 from ..cloud import CloudAPI, CloudError, NotFoundError
-from ..obs import METRICS, TELEMETRY, TRACE
-from ..obs.tracer import ctx_attrs as _ctx_attrs
+from ..obs import OBS
 from ..simkernel import AllOf, AnyOf, Simulator
 from .config import UniDriveConfig
 from .degrade import DeadlineBudget, DegradeController
@@ -58,50 +55,33 @@ __all__ = [
 ]
 
 
-def _record_block_metrics(estimator, conn, cloud_id, direction, nbytes,
-                          is_fair, now):
-    """Per-completed-block metrics (callers guard on ``METRICS.enabled``).
-
-    ``estimator_rel_error`` compares the EWMA per-connection estimate
-    against the *raw* simulated link rate at completion time — a
-    diagnostic for estimator drift, not an exact residual, since the
-    true per-connection share also depends on concurrent transfer count.
-    """
-    METRICS.inc(
-        "bytes_up" if direction == UPLOAD else "bytes_down",
-        nbytes, cloud=cloud_id,
-    )
-    if direction == UPLOAD and not is_fair:
-        METRICS.inc("redundant_blocks", cloud=cloud_id)
-        METRICS.inc("redundant_bytes", nbytes, cloud=cloud_id)
+def _block_done(span, estimator, conn, cloud_id, direction, nbytes, now,
+                tenant, redundant=False):
+    """Report one completed block (callers guard on ``OBS.enabled``),
+    pairing the estimator's view of the link with its true rate."""
     engine = getattr(
         conn, "uplink" if direction == UPLOAD else "downlink", None
     )
     bandwidth = getattr(engine, "bandwidth", None)
+    estimate = true_rate = None
     if bandwidth is not None:
         true_rate = bandwidth.rate_at(now)
-        est = estimator.estimate(cloud_id, direction)
-        if true_rate > 0 and math.isfinite(est):
-            METRICS.observe(
-                "estimator_rel_error",
-                abs(est - true_rate) / true_rate,
-                direction=direction,
-            )
+        estimate = estimator.estimate(cloud_id, direction)
+    OBS.transfer_done(span, cloud_id, now, direction, nbytes, tenant,
+                      redundant, estimate, true_rate)
 
 
-def _telemetry_estimator(estimator, conn, cloud_id, direction, now):
-    """Feed estimate-vs-true-link gauges to the telemetry windows
-    (callers guard on ``TELEMETRY.enabled``)."""
-    engine = getattr(
-        conn, "uplink" if direction == UPLOAD else "downlink", None
-    )
-    bandwidth = getattr(engine, "bandwidth", None)
-    if bandwidth is None:
-        return
-    true_rate = bandwidth.rate_at(now)
-    est = estimator.estimate(cloud_id, direction)
-    if math.isfinite(est):
-        TELEMETRY.estimator(cloud_id, now, direction, est, true_rate)
+def _retry_wait(sim, delay, cloud_id, direction, failures):
+    """Sit out one connection's back-off before its next attempt."""
+    wait = None
+    if OBS.enabled:
+        wait, _ = OBS.begin(
+            "retry_wait", t=sim.now, track=cloud_id, dir=direction,
+            attempt=failures[cloud_id],
+        )
+    yield sim.timeout(delay)
+    if wait is not None:
+        OBS.end(wait, t=sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +546,14 @@ class UploadScheduler:
             path = self.pipeline.block_path(state.record, index)
             self._inflight_total += 1
             start = self.sim.now
-            span = None
-            block_ctx = None
-            if TRACE.enabled:
-                sid = TRACE.tracer.next_id()
-                attrs = _ctx_attrs(self.trace_ctx, sid)
-                span = TRACE.begin(
-                    "transfer", t=start, track=cloud_id,
+            span = block_ctx = None
+            if OBS.enabled:
+                span, block_ctx = OBS.begin(
+                    "transfer", t=start, track=cloud_id, ctx=self.trace_ctx,
                     dir=UPLOAD, seg=state.record.segment_id[:12],
                     block=index, bytes=len(block), fair=task.is_fair,
-                    attempt=self._dead[cloud_id] + 1, **attrs,
+                    attempt=self._dead[cloud_id] + 1,
                 )
-                block_ctx = (attrs.get("trace_id", sid), sid)
             try:
                 yield from conn.upload(path, block, ctx=block_ctx)
             except CloudError as exc:
@@ -592,20 +568,10 @@ class UploadScheduler:
                 # timeout per attempt with no chance of success.
                 action = self.retry.classify(exc)
                 fatal = action is not RETRY
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now,
-                        error=type(exc).__name__, retry_action=action,
-                    )
-                if METRICS.enabled:
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=UPLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    TELEMETRY.transfer(
-                        cloud_id, self.sim.now, False, 0, UPLOAD,
-                        tenant=self.tenant, retry_action=action,
+                if OBS.enabled:
+                    OBS.transfer_failed(
+                        span, cloud_id, self.sim.now, UPLOAD,
+                        type(exc).__name__, action, self.tenant,
                     )
                 if self._degrade is not None:
                     self._degrade.on_failure(
@@ -624,18 +590,9 @@ class UploadScheduler:
                         self._dead[cloud_id] - 1, self.rng
                     )
                     if delay > 0:
-                        wait = (
-                            TRACE.begin(
-                                "retry_wait", t=self.sim.now,
-                                track=cloud_id, dir=UPLOAD,
-                                attempt=self._dead[cloud_id],
-                            )
-                            if TRACE.enabled
-                            else None
+                        yield from _retry_wait(
+                            self.sim, delay, cloud_id, UPLOAD, self._dead,
                         )
-                        yield self.sim.timeout(delay)
-                        if wait is not None:
-                            TRACE.end(wait, t=self.sim.now)
                 continue
             self._inflight_total -= 1
             self._dead[cloud_id] = 0
@@ -645,20 +602,11 @@ class UploadScheduler:
                 cloud_id, UPLOAD, len(block), self.sim.now - start,
                 now=self.sim.now,
             )
-            if span is not None:
-                TRACE.end(span, t=self.sim.now)
-            if METRICS.enabled:
-                _record_block_metrics(
-                    self.estimator, conn, cloud_id, UPLOAD,
-                    len(block), task.is_fair, self.sim.now,
-                )
-            if TELEMETRY.enabled:
-                TELEMETRY.transfer(
-                    cloud_id, self.sim.now, True, len(block), UPLOAD,
-                    tenant=self.tenant, redundant=not task.is_fair,
-                )
-                _telemetry_estimator(
-                    self.estimator, conn, cloud_id, UPLOAD, self.sim.now
+            if OBS.enabled:
+                _block_done(
+                    span, self.estimator, conn, cloud_id, UPLOAD,
+                    len(block), self.sim.now, self.tenant,
+                    redundant=not task.is_fair,
                 )
             state.complete(index, cloud_id, task.is_fair)
             if task.is_fair:
@@ -1356,8 +1304,8 @@ class DownloadScheduler:
                     self.estimator.record(
                         holder, DOWNLOAD, nbytes, now - since, now=now
                     )
-                    if METRICS.enabled:
-                        METRICS.inc("hedged_fetch", cloud=cloud_id)
+                    if OBS.enabled:
+                        OBS.inc("hedged_fetch", cloud=cloud_id)
                     return (state, index), None
                 if eta is None or ready_at < eta:
                     eta = ready_at
@@ -1387,20 +1335,15 @@ class DownloadScheduler:
         cloud_id = conn.cloud_id
         path = self.pipeline.block_path(state.record, index)
         start = self.sim.now
-        span = None
-        block_ctx = None
-        if TRACE.enabled:
-            sid = TRACE.tracer.next_id()
-            attrs = _ctx_attrs(self.trace_ctx, sid)
-            if hedge:
-                attrs = {**attrs, "hedge": True}
-            span = TRACE.begin(
-                "transfer", t=start, track=cloud_id,
+        span = block_ctx = None
+        if OBS.enabled:
+            span, block_ctx = OBS.begin(
+                "transfer", t=start, track=cloud_id, ctx=self.trace_ctx,
                 dir=DOWNLOAD, seg=state.record.segment_id[:12],
                 block=index, attempt=self._dead[cloud_id] + 1,
-                **attrs,
             )
-            block_ctx = (attrs.get("trace_id", sid), sid)
+            if hedge and span is not None:
+                span.attrs["hedge"] = True
         settled = False
         try:
             try:
@@ -1422,36 +1365,19 @@ class DownloadScheduler:
                 # the cloud died; transients count toward the threshold
                 # and pace this connection's next attempt.
                 action = self.retry.classify(exc)
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now,
-                        error=type(exc).__name__, retry_action=action,
+                missing = isinstance(exc, NotFoundError)
+                if OBS.enabled:
+                    OBS.transfer_failed(
+                        span, cloud_id, self.sim.now, DOWNLOAD,
+                        type(exc).__name__, action, self.tenant,
+                        missing=missing,
                     )
-                if METRICS.enabled:
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=DOWNLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    if isinstance(exc, NotFoundError):
-                        # Deterministic miss: this cloud simply doesn't
-                        # hold the block (raced GC / placement) — the
-                        # dispatcher refetches another replica.  Not a
-                        # health or SLO signal.
-                        TELEMETRY.missing_block(cloud_id, self.sim.now)
-                    else:
-                        TELEMETRY.transfer(
-                            cloud_id, self.sim.now, False, 0, DOWNLOAD,
-                            tenant=self.tenant, retry_action=action,
-                        )
-                if self._degrade is not None and not isinstance(
-                    exc, NotFoundError
-                ):
+                if self._degrade is not None and not missing:
                     self._degrade.on_failure(
                         cloud_id, self.sim.now,
                         fatal=action is not RETRY,
                     )
-                if action is not RETRY and not isinstance(exc, NotFoundError):
+                if action is not RETRY and not missing:
                     self._dead[cloud_id] = max(
                         self._dead[cloud_id],
                         self.config.cloud_failure_threshold,
@@ -1465,18 +1391,9 @@ class DownloadScheduler:
                         self._dead[cloud_id] - 1, self.rng
                     )
                     if delay > 0:
-                        wait = (
-                            TRACE.begin(
-                                "retry_wait", t=self.sim.now,
-                                track=cloud_id, dir=DOWNLOAD,
-                                attempt=self._dead[cloud_id],
-                            )
-                            if TRACE.enabled
-                            else None
+                        yield from _retry_wait(
+                            self.sim, delay, cloud_id, DOWNLOAD, self._dead,
                         )
-                        yield self.sim.timeout(delay)
-                        if wait is not None:
-                            TRACE.end(wait, t=self.sim.now)
                 return
             settled = True
             self._inflight_total -= 1
@@ -1497,21 +1414,10 @@ class DownloadScheduler:
                 state.inflight.pop(index, None)
                 state.exhausted.add((index, cloud_id))
                 self._dead[cloud_id] += 1
-                if span is not None:
-                    TRACE.end(
-                        span, t=self.sim.now, bytes=len(block),
-                        error="CorruptBlock", retry_action="give-up",
-                    )
-                if METRICS.enabled:
-                    METRICS.inc("corrupt_detected", cloud=cloud_id)
-                    METRICS.inc(
-                        "scheduler_redispatch",
-                        cloud=cloud_id, direction=DOWNLOAD,
-                    )
-                if TELEMETRY.enabled:
-                    TELEMETRY.transfer(
-                        cloud_id, self.sim.now, False, 0, DOWNLOAD,
-                        tenant=self.tenant, retry_action="give-up",
+                if OBS.enabled:
+                    OBS.transfer_corrupt(
+                        span, cloud_id, self.sim.now, DOWNLOAD,
+                        len(block), self.tenant,
                     )
                 if self._degrade is not None:
                     self._degrade.on_failure(cloud_id, self.sim.now)
@@ -1524,20 +1430,10 @@ class DownloadScheduler:
                 cloud_id, DOWNLOAD, len(block), self.sim.now - start,
                 now=self.sim.now,
             )
-            if span is not None:
-                TRACE.end(span, t=self.sim.now, bytes=len(block))
-            if METRICS.enabled:
-                _record_block_metrics(
-                    self.estimator, conn, cloud_id, DOWNLOAD,
-                    len(block), True, self.sim.now,
-                )
-            if TELEMETRY.enabled:
-                TELEMETRY.transfer(
-                    cloud_id, self.sim.now, True, len(block), DOWNLOAD,
-                    tenant=self.tenant,
-                )
-                _telemetry_estimator(
-                    self.estimator, conn, cloud_id, DOWNLOAD, self.sim.now
+            if OBS.enabled:
+                _block_done(
+                    span, self.estimator, conn, cloud_id, DOWNLOAD,
+                    len(block), self.sim.now, self.tenant,
                 )
             state.inflight.pop(index, None)
             state.blocks[index] = block
@@ -1557,7 +1453,7 @@ class DownloadScheduler:
                 state.inflight_since.pop(index, None)
                 state.inflight_proc.pop(index, None)
                 if span is not None:
-                    TRACE.end(
+                    OBS.end(
                         span, t=self.sim.now, error="HedgeCancelled",
                         retry_action="cancelled",
                     )

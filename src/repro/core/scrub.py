@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
-from ..obs import METRICS, TELEMETRY, TRACE
+from ..obs import OBS
 from .lock import QuorumLock
 from .pipeline import block_hash, block_hash_many
 from .placement import (
@@ -248,14 +248,10 @@ class Scrubber:
     def _flag_corrupt(self, report, segment_id, index, cloud_id,
                       t: Optional[float] = None) -> None:
         report.corrupt.append((segment_id, index, cloud_id))
-        if METRICS.enabled:
-            METRICS.inc("corrupt_detected", cloud=cloud_id)
-        if TRACE.enabled:
-            TRACE.event(
-                "corrupt_block",
-                t=self.client.sim.now if t is None else t,
-                track=cloud_id,
-                seg=segment_id[:12], block=index,
+        if OBS.enabled:
+            OBS.corrupt_detected(
+                cloud_id, self.client.sim.now if t is None else t,
+                segment_id, index,
             )
 
     # -- repair ------------------------------------------------------------
@@ -282,9 +278,9 @@ class Scrubber:
                 out.orphans_deleted += 1
         if deletions:
             yield from gather_safe(client.sim, deletions)
-            if METRICS.enabled:
-                METRICS.inc("orphans_swept", out.orphans_deleted,
-                            device=client.device)
+            if OBS.enabled:
+                OBS.inc("orphans_swept", out.orphans_deleted,
+                        device=client.device)
         damaged: Dict[str, List[Tuple[int, str]]] = {}
         for segment_id, index, cloud_id in report.missing + report.corrupt:
             damaged.setdefault(segment_id, []).append((index, cloud_id))
@@ -294,14 +290,12 @@ class Scrubber:
             record = client.image.segments.get(segment_id)
             if record is None:
                 continue
-            span = (
-                TRACE.begin(
+            span = None
+            if OBS.enabled:
+                span, _ = OBS.begin(
                     "repair", t=client.sim.now, track=client.device,
                     seg=segment_id[:12], blocks=len(damaged[segment_id]),
                 )
-                if TRACE.enabled
-                else None
-            )
             try:
                 blocks = yield from client._fetch_blocks(
                     record, record.k, client.connections
@@ -309,7 +303,7 @@ class Scrubber:
             except SyncError:
                 out.unrecoverable.append(segment_id)
                 if span is not None:
-                    TRACE.end(span, t=client.sim.now, error="unrecoverable")
+                    OBS.end(span, t=client.sim.now, error="unrecoverable")
                 continue
             content = client.pipeline.decode_segment(record, blocks)
             state = client.pipeline.encode_state(record.segment_id, content)
@@ -326,11 +320,11 @@ class Scrubber:
                 except CloudError:
                     continue  # still damaged; a later scrub retries
                 out.repaired.append((segment_id, index, cloud_id))
-                if METRICS.enabled:
-                    METRICS.inc("blocks_repaired", cloud=cloud_id)
+                if OBS.enabled:
+                    OBS.inc("blocks_repaired", cloud=cloud_id)
             if span is not None:
-                TRACE.end(span, t=client.sim.now,
-                          repaired=len(damaged[segment_id]))
+                OBS.end(span, t=client.sim.now,
+                        repaired=len(damaged[segment_id]))
         out.finished_at = client.sim.now
         return out
 
@@ -397,15 +391,13 @@ class Scrubber:
         repaid_any = False
         for segment_id in self.owed_segments():
             record = client.image.segments[segment_id]
-            span = (
-                TRACE.begin(
+            span = None
+            if OBS.enabled:
+                span, _ = OBS.begin(
                     "repair", t=client.sim.now, track=client.device,
                     kind="debt", seg=segment_id[:12],
                     owed=len(record.debt),
                 )
-                if TRACE.enabled
-                else None
-            )
             try:
                 blocks = yield from client._fetch_blocks(
                     record, record.k, client.connections
@@ -413,8 +405,7 @@ class Scrubber:
             except SyncError:
                 out.unrecoverable.append(segment_id)
                 if span is not None:
-                    TRACE.end(span, t=client.sim.now,
-                              error="unrecoverable")
+                    OBS.end(span, t=client.sim.now, error="unrecoverable")
                 continue
             content = client.pipeline.decode_segment(record, blocks)
             state = client.pipeline.encode_state(segment_id, content)
@@ -442,15 +433,12 @@ class Scrubber:
                 client.image.set_block_location(segment_id, index, target)
                 out.repaired.append((segment_id, index, target))
                 repaid_any = True
-                if METRICS.enabled:
-                    METRICS.inc("debt_repaid", cloud=target)
-            if TELEMETRY.enabled:
-                TELEMETRY.debt(
-                    client.sim.now, segment_id, len(record.debt)
+                if OBS.enabled:
+                    OBS.inc("debt_repaid", cloud=target)
+            if OBS.enabled:
+                OBS.debt_remaining(
+                    span, client.sim.now, segment_id, len(record.debt)
                 )
-            if span is not None:
-                TRACE.end(span, t=client.sim.now,
-                          remaining=len(record.debt))
         if commit and repaid_any:
             yield from client._commit_rebalanced_image()
         out.finished_at = client.sim.now
@@ -464,14 +452,12 @@ class Scrubber:
         into the returned report.  Returns
         ``(ScrubReport, RepairReport | None)``.
         """
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "scrub_round", t=self.client.sim.now,
                 track=self.client.device, deep=deep,
             )
-            if TRACE.enabled
-            else None
-        )
         audit = yield from self.audit(deep=deep)
         fixed: Optional[RepairReport] = None
         if repair and not audit.clean:
@@ -484,15 +470,13 @@ class Scrubber:
                 fixed.repaired.extend(debt_fixed.repaired)
                 fixed.unrecoverable.extend(debt_fixed.unrecoverable)
                 fixed.finished_at = debt_fixed.finished_at
-        if span is not None:
-            TRACE.end(
-                span, t=self.client.sim.now,
+        if OBS.enabled:
+            OBS.scrub_round_done(
+                span, self.client.device, self.client.sim.now,
                 missing=len(audit.missing), corrupt=len(audit.corrupt),
                 orphans=audit.orphan_count,
                 repaired=fixed.blocks_repaired if fixed else 0,
             )
-        if METRICS.enabled:
-            METRICS.inc("scrub_rounds", device=self.client.device)
         return audit, fixed
 
     # -- cloud membership --------------------------------------------------
@@ -519,14 +503,12 @@ class Scrubber:
         if len(remaining) == len(client.connections):
             raise ValueError(f"{cloud_id} is not an enrolled cloud")
         client.config.validate(len(remaining))
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "repair", t=client.sim.now, track=client.device,
                 kind="decommission", cloud=cloud_id,
             )
-            if TRACE.enabled
-            else None
-        )
         # Shed over-provisioned extras first so the survivors only have
         # to absorb the fair-share minimum.
         yield from client.gc_over_provisioned()
@@ -564,8 +546,8 @@ class Scrubber:
                         client.pipeline.block_path(record, index), block
                     )
                     moved_total += 1
-                    if METRICS.enabled:
-                        METRICS.inc("blocks_repaired", cloud=target)
+                    if OBS.enabled:
+                        OBS.inc("blocks_repaired", cloud=target)
             record.locations = new_locations
         if wipe:
             departing = client._connection(cloud_id)
@@ -585,7 +567,7 @@ class Scrubber:
         )
         yield from client._commit_rebalanced_image()
         if span is not None:
-            TRACE.end(span, t=client.sim.now, moved=moved_total)
+            OBS.end(span, t=client.sim.now, moved=moved_total)
 
     def integrate(self, connection: CloudAPI):
         """Enroll a new cloud: it adopts its fair share of every segment.
@@ -600,14 +582,12 @@ class Scrubber:
         all_connections = client.connections + [connection]
         client.config.validate(len(all_connections))
         all_ids = [c.cloud_id for c in all_connections]
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "repair", t=client.sim.now, track=client.device,
                 kind="integrate", cloud=connection.cloud_id,
             )
-            if TRACE.enabled
-            else None
-        )
         adopted_total = 0
         for segment_id in sorted(client.image.segments):
             record = client.image.segments[segment_id]
@@ -655,4 +635,4 @@ class Scrubber:
         )
         yield from client._commit_rebalanced_image()
         if span is not None:
-            TRACE.end(span, t=client.sim.now, adopted=adopted_total)
+            OBS.end(span, t=client.sim.now, adopted=adopted_total)

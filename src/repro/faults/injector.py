@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..obs import TELEMETRY, TRACE
+from ..obs import OBS
 
 __all__ = ["FaultInjector", "PinnedStress", "ForcedFailures", "FaultEvent"]
 
@@ -95,14 +95,8 @@ class FaultInjector:
 
     def _log(self, kind: str, target: str) -> None:
         self.events.append(FaultEvent(self.sim.now, kind, target))
-        # Mirror every firing into the shared tracer (when enabled), so
-        # injected windows land on the affected cloud's track next to
-        # the transfers they perturb.  The Chrome exporter stitches
-        # ``<stem>-begin`` / ``<stem>-end`` pairs back into window spans.
-        if TRACE.enabled:
-            TRACE.event("fault", t=self.sim.now, track=target, kind=kind)
-        if TELEMETRY.enabled:
-            TELEMETRY.fault(target, self.sim.now, kind)
+        if OBS.enabled:
+            OBS.fault(target, self.sim.now, kind)
 
     def windows(self, kind: str, target: Optional[str] = None):
         """Closed [begin, end] windows reconstructed from the log.

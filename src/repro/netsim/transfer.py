@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..obs import TRACE
-from ..obs.tracer import ctx_attrs as _ctx_attrs
+from ..obs import OBS
 from ..simkernel import Event, Simulator
 
 __all__ = ["TransferEngine", "Transfer", "SharedNic"]
@@ -192,11 +191,10 @@ class TransferEngine:
             transfer.finished_at = self.sim.now
             transfer.event.succeed(transfer)
             return transfer
-        if TRACE.enabled and self.trace_track is not None:
-            sid = TRACE.tracer.next_id()
-            transfer.span = TRACE.begin(
+        if OBS.enabled and self.trace_track is not None:
+            transfer.span, _ = OBS.begin(
                 self.trace_name, t=self.sim.now, track=self.trace_track,
-                bytes=transfer.nbytes, **_ctx_attrs(ctx, sid),
+                ctx=ctx, bytes=transfer.nbytes,
             )
         self._advance()
         self._active.append(transfer)

@@ -16,7 +16,8 @@ Typical use::
 code never calls ``logging.basicConfig`` (or touches the root logger) —
 an optional ``log_level`` here attaches one stream handler to the
 ``"repro"`` logger for ad-hoc diagnostics, and everything structured
-flows through the tracer/metrics hubs instead.
+flows through the one hub, :data:`OBS` (see :mod:`repro.obs.hub`),
+instead.
 """
 
 from __future__ import annotations
@@ -27,19 +28,12 @@ from typing import Any, Callable, Optional, Tuple, Union
 
 from . import export, health, slo, timeseries
 from .health import HealthScoreboard
-from .metrics import DEFAULT_BUCKETS, METRICS, Metrics, MetricsHub, merge_snapshots
+from .hub import OBS, ObsHub
+from .metrics import DEFAULT_BUCKETS, Metrics, merge_snapshots
 from .slo import SLO, SLOEngine
-from .telemetry import TELEMETRY, Telemetry, TelemetryHub
+from .telemetry import Telemetry
 from .timeseries import TimeSeries, merge_window_snapshots
-from .tracer import (
-    NULL_SPAN,
-    EventRecord,
-    SpanRecord,
-    TRACE,
-    TraceHub,
-    Tracer,
-    ctx_attrs,
-)
+from .tracer import NULL_SPAN, EventRecord, SpanRecord, Tracer, ctx_attrs
 
 __all__ = [
     "configure",
@@ -48,15 +42,11 @@ __all__ = [
     "get_tracer",
     "get_metrics",
     "get_telemetry",
-    "TRACE",
-    "METRICS",
-    "TELEMETRY",
+    "OBS",
+    "ObsHub",
     "Tracer",
     "Metrics",
     "Telemetry",
-    "TraceHub",
-    "MetricsHub",
-    "TelemetryHub",
     "TimeSeries",
     "HealthScoreboard",
     "SLO",
@@ -106,17 +96,16 @@ def configure(
     callable wins over ``sim``.  ``telemetry`` opts into the streaming
     subsystem (windows + health scoreboard + SLO engine): pass ``True``
     for a stock :class:`Telemetry` pipeline or a configured instance;
-    the default ``None`` leaves the telemetry hub untouched so existing
-    callers keep their exact behaviour.  Returns ``(tracer, metrics)``
-    — the installed instances — or ``(None, None)`` when
-    ``enabled=False`` (which also uninstalls telemetry).
+    the default ``None`` leaves the installed pipeline untouched so
+    existing callers keep their exact behaviour.  Returns
+    ``(tracer, metrics)`` — the installed instances — or
+    ``(None, None)`` when ``enabled=False`` (which also uninstalls
+    telemetry).
     """
     if log_level is not None:
         _configure_logging(log_level)
     if not enabled:
-        TRACE.install(None)
-        METRICS.install(None)
-        TELEMETRY.install(None)
+        OBS.install()
         return None, None
     if clock is None and sim is not None:
         clock = lambda: sim.now  # noqa: E731 - tiny closure over the sim
@@ -126,35 +115,32 @@ def configure(
         tracer.clock = clock
     if metrics is None:
         metrics = Metrics()
-    TRACE.install(tracer)
-    METRICS.install(metrics)
-    if telemetry is not None:
-        if telemetry is True:
-            TELEMETRY.install(Telemetry())
-        elif telemetry is False:
-            TELEMETRY.install(None)
-        else:
-            TELEMETRY.install(telemetry)
+    if telemetry is None:
+        telemetry = OBS.telemetry
+    elif telemetry is True:
+        telemetry = Telemetry()
+    elif telemetry is False:
+        telemetry = None
+    OBS.install(tracer, metrics, telemetry)
     return tracer, metrics
 
 
 def disable() -> None:
-    """Uninstall tracer, metrics and telemetry; guards go back to False."""
-    TRACE.install(None)
-    METRICS.install(None)
-    TELEMETRY.install(None)
+    """Uninstall tracer, metrics and telemetry; the guard goes back to
+    False."""
+    OBS.install()
 
 
 def get_tracer() -> Optional[Tracer]:
-    return TRACE.tracer
+    return OBS.tracer
 
 
 def get_metrics() -> Optional[Metrics]:
-    return METRICS.metrics
+    return OBS.metrics
 
 
 def get_telemetry() -> Optional[Telemetry]:
-    return TELEMETRY.telemetry
+    return OBS.telemetry
 
 
 @contextmanager
@@ -162,19 +148,28 @@ def isolated(
     sim: Optional[Any] = None,
     clock: Optional[Callable[[], float]] = None,
     telemetry: Union[bool, Telemetry, None] = None,
+    tracer: bool = True,
+    metrics: bool = True,
 ):
-    """Install a fresh tracer+metrics pair for the dynamic extent of the
-    block, restoring whatever was installed before.  Used by the parallel
-    campaign runner (each worker cell gets its own buffer) and by tests.
-    ``telemetry`` follows :func:`configure`'s convention (``None`` keeps
-    the surrounding hub installed; ``True``/an instance isolates one).
-    Yields ``(tracer, metrics)``."""
-    prev_tracer = TRACE.tracer
-    prev_metrics = METRICS.metrics
-    prev_telemetry = TELEMETRY.telemetry
+    """Install fresh sinks for the dynamic extent of the block,
+    restoring whatever was installed before (also on an exception).
+    Used by the parallel campaign runner (each worker cell gets its own
+    buffer), by tools and by tests.
+
+    By default a fresh tracer+metrics pair is installed; ``tracer=False``
+    / ``metrics=False`` keep the surrounding sink instead (counters-only
+    and telemetry-only installs).  ``telemetry`` follows
+    :func:`configure`'s convention (``None`` keeps the surrounding
+    pipeline installed; ``True``/an instance isolates one).  Yields the
+    installed ``(tracer, metrics)``."""
+    previous = (OBS.tracer, OBS.metrics, OBS.telemetry)
     try:
-        yield configure(sim=sim, clock=clock, telemetry=telemetry)
+        configure(sim=sim, clock=clock, telemetry=telemetry)
+        OBS.install(
+            OBS.tracer if tracer else previous[0],
+            OBS.metrics if metrics else previous[1],
+            OBS.telemetry,
+        )
+        yield OBS.tracer, OBS.metrics
     finally:
-        TRACE.install(prev_tracer)
-        METRICS.install(prev_metrics)
-        TELEMETRY.install(prev_telemetry)
+        OBS.install(*previous)

@@ -25,8 +25,8 @@ remains ``unavailable`` until the score itself recovers — a cloud is
 not trusted again the instant its provider says so.
 
 The scoreboard is pure bookkeeping: it never draws randomness, never
-touches the simulator, and is only fed when the telemetry hub is
-enabled, so simulation results are byte-identical with or without it.
+touches the simulator, and is only fed when a telemetry pipeline is
+installed, so simulation results are byte-identical with or without it.
 Each transition is mirrored as a ``health_transition`` trace event on
 the cloud's track (when tracing is enabled), which is also how
 :func:`HealthScoreboard.from_records` and the Chrome exporter's score
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from .tracer import TRACE
+from .hub import OBS
 
 __all__ = ["HealthScoreboard", "CloudHealth", "HEALTHY", "DEGRADED",
            "UNAVAILABLE"]
@@ -219,8 +219,8 @@ class HealthScoreboard:
         entry.transitions.append(record)
         entry.state = to
         entry.since = t
-        if TRACE.enabled:
-            TRACE.event(
+        if OBS.enabled:
+            OBS.event(
                 "health_transition", t=t, track=entry.cloud,
                 **{k: v for k, v in record.items() if k != "t"},
             )

@@ -1,8 +1,7 @@
 """Metrics registry: labelled counters, gauges, fixed-bucket histograms.
 
-Same overhead contract as the tracer (see :mod:`repro.obs.tracer`):
-library call sites guard with ``if METRICS.enabled:`` so a disabled
-registry costs one attribute read; the registry itself never touches
+Library code feeds the registry through the process-global hub
+(:data:`repro.obs.hub.OBS`); the registry itself never touches
 randomness or the simulator, so enabling metrics cannot perturb
 simulation results.
 
@@ -13,9 +12,9 @@ order so snapshots are directly comparable across runs and processes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
-__all__ = ["Metrics", "MetricsHub", "METRICS", "DEFAULT_BUCKETS", "merge_snapshots"]
+__all__ = ["Metrics", "DEFAULT_BUCKETS", "merge_snapshots"]
 
 #: Default histogram bucket upper bounds — geometric ladder wide enough
 #: for both durations (seconds) and dimensionless ratios.
@@ -157,34 +156,3 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "gauges": dict(sorted(gauges.items())),
         "histograms": dict(sorted(histograms.items())),
     }
-
-
-class MetricsHub:
-    """Process-global dispatch point mirroring :class:`TraceHub`."""
-
-    __slots__ = ("enabled", "metrics")
-
-    def __init__(self):
-        self.enabled = False
-        self.metrics: Optional[Metrics] = None
-
-    def install(self, metrics: Optional[Metrics]) -> None:
-        self.metrics = metrics
-        self.enabled = metrics is not None
-
-    def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
-        if self.enabled:
-            self.metrics.inc(name, value, **labels)
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.metrics.gauge(name, value, **labels)
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.metrics.observe(name, value, **labels)
-
-
-#: The process-global metrics hub.  Disabled by default; install a
-#: registry with :func:`repro.obs.configure`.
-METRICS = MetricsHub()

@@ -1,31 +1,30 @@
-"""The streaming-telemetry hub: windows + health + SLOs behind one guard.
+"""The streaming-telemetry sink: windows + health + SLOs.
 
 :class:`Telemetry` bundles the three continuous subsystems —
 :class:`~repro.obs.timeseries.TimeSeries` windows,
 :class:`~repro.obs.health.HealthScoreboard`, and the
-:class:`~repro.obs.slo.SLOEngine` — and :data:`TELEMETRY` is the
-process-global dispatch point, mirroring :data:`~repro.obs.tracer.TRACE`
-exactly: hot paths pay one attribute read (``if TELEMETRY.enabled:``)
-when telemetry is off, and recording never draws randomness, schedules
-simulator events, or mutates domain state, so simulation results are
+:class:`~repro.obs.slo.SLOEngine`.  The process-global hub
+(:data:`repro.obs.hub.OBS`) calls its write methods directly when one
+is installed; recording never draws randomness, schedules simulator
+events, or mutates domain state, so simulation results are
 byte-identical with telemetry enabled, disabled, or absent.
 
-Queries are safe while disabled and return optimistic defaults
-(``health_state`` says ``healthy``): a scheduler may consult the signal
-unconditionally without perturbing un-instrumented runs.  This is the
-read side the future asyncio service's admission control and
-backpressure will hang off.
+The hub's queries (``health_state``, ``health_pinned``, ``alerts``, …)
+are safe while no pipeline is installed and return optimistic
+defaults: a scheduler may consult the signal unconditionally without
+perturbing un-instrumented runs.  This is the read side the future
+asyncio service's admission control and backpressure will hang off.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from .health import HEALTHY, HealthScoreboard
+from .health import HealthScoreboard
 from .slo import SLO, SLOEngine
 from .timeseries import TimeSeries
 
-__all__ = ["Telemetry", "TelemetryHub", "TELEMETRY"]
+__all__ = ["Telemetry"]
 
 UPLOAD = "up"
 
@@ -122,85 +121,3 @@ class Telemetry:
             "latency_target": self.slo.latency_target,
             "last_t": self.last_t,
         }
-
-
-class TelemetryHub:
-    """Process-global dispatch point mirroring :class:`TraceHub`."""
-
-    __slots__ = ("enabled", "telemetry")
-
-    def __init__(self):
-        self.enabled = False
-        self.telemetry: Optional[Telemetry] = None
-
-    def install(self, telemetry: Optional[Telemetry]) -> None:
-        self.telemetry = telemetry
-        self.enabled = telemetry is not None
-
-    # -- guarded writes ---------------------------------------------------
-
-    def transfer(self, cloud: str, t: float, ok: bool, nbytes: float,
-                 direction: str, tenant: Optional[str] = None,
-                 redundant: bool = False,
-                 retry_action: Optional[str] = None) -> None:
-        if self.enabled:
-            self.telemetry.transfer(cloud, t, ok, nbytes, direction,
-                                    tenant, redundant, retry_action)
-
-    def sync_round(self, tenant: str, t0: float, t1: float,
-                   ok: bool = True) -> None:
-        if self.enabled:
-            self.telemetry.sync_round(tenant, t0, t1, ok)
-
-    def missing_block(self, cloud: str, t: float) -> None:
-        if self.enabled:
-            self.telemetry.missing_block(cloud, t)
-
-    def retry(self, t: float, outcome: str,
-              cloud: Optional[str] = None) -> None:
-        if self.enabled:
-            self.telemetry.retry(t, outcome, cloud)
-
-    def estimator(self, cloud: str, t: float, direction: str,
-                  estimate: float, true_rate: float) -> None:
-        if self.enabled:
-            self.telemetry.estimator(cloud, t, direction, estimate,
-                                     true_rate)
-
-    def fault(self, target: str, t: float, kind: str) -> None:
-        if self.enabled:
-            self.telemetry.fault(target, t, kind)
-
-    def debt(self, t: float, segment: str, owed: int) -> None:
-        if self.enabled:
-            self.telemetry.debt(t, segment, owed)
-
-    # -- safe-while-disabled queries --------------------------------------
-
-    def health_state(self, cloud: str) -> str:
-        if not self.enabled:
-            return HEALTHY
-        return self.telemetry.health.state(cloud)
-
-    def health_score(self, cloud: str) -> float:
-        if not self.enabled:
-            return 1.0
-        return self.telemetry.health.score(cloud)
-
-    def health_pinned(self, cloud: str) -> bool:
-        if not self.enabled:
-            return False
-        return self.telemetry.health.pinned(cloud)
-
-    def alerts(self) -> List[Dict[str, Any]]:
-        if not self.enabled:
-            return []
-        return self.telemetry.slo.alerts(self.telemetry.last_t)
-
-    def snapshot(self) -> Optional[Dict[str, Any]]:
-        return self.telemetry.snapshot() if self.enabled else None
-
-
-#: The process-global telemetry hub.  Disabled (no-op) by default;
-#: install a pipeline with ``repro.obs.configure(telemetry=True)``.
-TELEMETRY = TelemetryHub()

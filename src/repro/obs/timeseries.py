@@ -13,9 +13,9 @@ Per window, three instrument kinds mirror the flat registry:
 * **gauges** — last-writer-wins *by observation time* (ties resolved
   toward the later submission), so merged snapshots agree with a single
   stream;
-* **log histograms** — fixed-size base-2 histograms (the
-  :class:`~repro.workloads.reduce.LogHistogram` idiom) with approximate
-  quantiles, merging by vector addition.
+* **log histograms** — fixed-size base-2 histograms (:class:`LogHist`,
+  shared with the campaign reducers in ``repro/workloads``) with
+  approximate quantiles, merging by vector addition.
 
 Snapshots follow the PR-7 reducer laws (see ``repro/workloads/reduce.py``):
 absorbing observations one at a time equals batch absorption, and
@@ -73,11 +73,7 @@ class LogHist:
         if value is None or value <= 0.0 or not math.isfinite(value):
             self.nulls += 1
             return
-        index = int(math.floor(math.log2(value))) + self._OFFSET
-        if index < 0:
-            index = 0
-        elif index >= self._BUCKETS:
-            index = self._BUCKETS - 1
+        index = self.bucket_index(value)
         self.counts[index] = self.counts.get(index, 0) + 1
         self.total += 1
         self.sum += value
@@ -104,7 +100,7 @@ class LogHist:
 
     @classmethod
     def bucket_index(cls, value: float) -> int:
-        """The bucket a positive finite value lands in (for tests)."""
+        """The bucket a positive finite value lands in."""
         index = int(math.floor(math.log2(value))) + cls._OFFSET
         return min(max(index, 0), cls._BUCKETS - 1)
 

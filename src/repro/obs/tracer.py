@@ -5,16 +5,10 @@ virtual clock (``Simulator.now``), so a multi-cloud sync round can be
 inspected as a timeline — which cloud stalled a batch, how long the
 quorum lock spun, where the fault injector opened an outage window.
 
-Design constraints (the "overhead contract", see DESIGN.md):
+Library code never holds a :class:`Tracer`: it reports through the
+process-global hub (:data:`repro.obs.hub.OBS`), which states the
+overhead contract.  What the tracer itself guarantees:
 
-* **Zero-overhead when disabled.**  All library instrumentation goes
-  through the process-global :data:`TRACE` hub and is guarded by a
-  single attribute read (``if TRACE.enabled:``).  When no tracer is
-  installed the guard is False and the hot path pays one dict-free
-  attribute load — nothing else.  Convenience entry points
-  (:meth:`TraceHub.event`, :meth:`TraceHub.span`) early-out to a shared
-  no-op span so un-guarded call sites still cost O(1) with no
-  allocation.
 * **No side effects on the simulation.**  Recording never draws
   randomness, never schedules simulator events, and never mutates
   domain state, so simulation outputs are byte-identical with tracing
@@ -32,8 +26,6 @@ __all__ = [
     "SpanRecord",
     "EventRecord",
     "Tracer",
-    "TraceHub",
-    "TRACE",
     "NULL_SPAN",
     "ctx_attrs",
 ]
@@ -87,15 +79,6 @@ class SpanRecord:
     def duration(self) -> Optional[float]:
         return None if self.t1 is None else self.t1 - self.t0
 
-    # Allow ``with tracer.begin(...)``-style use through the hub's
-    # context-manager helper; the null span mirrors this protocol.
-    def __enter__(self) -> "SpanRecord":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        # Closed by the owning _SpanContext (which knows the clock).
-        return False
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "type": "span",
@@ -145,7 +128,8 @@ Record = Union[SpanRecord, EventRecord]
 
 
 class _NullSpan:
-    """Shared no-op span handed out while tracing is disabled."""
+    """Shared no-op span ``Simulator.span`` hands out while no tracer is
+    installed."""
 
     __slots__ = ()
 
@@ -260,56 +244,3 @@ class Tracer:
         """Detach and return the buffered records."""
         records, self.records = self.records, []
         return records
-
-
-class TraceHub:
-    """Process-global dispatch point for instrumentation.
-
-    ``enabled`` is the only attribute hot paths read; it is True iff a
-    :class:`Tracer` is installed.  All methods are safe to call while
-    disabled (they no-op / return :data:`NULL_SPAN`), but guarded call
-    sites should prefer ``if TRACE.enabled:`` to skip argument
-    evaluation entirely.
-    """
-
-    __slots__ = ("enabled", "tracer")
-
-    def __init__(self):
-        self.enabled = False
-        self.tracer: Optional[Tracer] = None
-
-    def install(self, tracer: Optional[Tracer]) -> None:
-        self.tracer = tracer
-        self.enabled = tracer is not None
-
-    # -- delegating API --------------------------------------------------
-
-    def begin(self, name: str, t: Optional[float] = None,
-              track: str = "client", **attrs: Any):
-        if not self.enabled:
-            return NULL_SPAN
-        return self.tracer.begin(name, t, track, **attrs)
-
-    def end(self, span, t: Optional[float] = None, **attrs: Any) -> None:
-        if span is NULL_SPAN:
-            return
-        tracer = self.tracer
-        clock = _zero_clock if tracer is None else tracer.clock
-        span.finish(clock() if t is None else t, **attrs)
-
-    def span(self, name: str, t: Optional[float] = None,
-             track: str = "client",
-             clock: Optional[Callable[[], float]] = None, **attrs: Any):
-        if not self.enabled:
-            return NULL_SPAN
-        return self.tracer.span(name, t, track, clock=clock, **attrs)
-
-    def event(self, name: str, t: Optional[float] = None,
-              track: str = "client", **attrs: Any) -> None:
-        if self.enabled:
-            self.tracer.event(name, t, track, **attrs)
-
-
-#: The process-global tracing hub.  Disabled (no-op) by default; install
-#: a tracer with :func:`repro.obs.configure`.
-TRACE = TraceHub()

@@ -27,6 +27,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+from ..obs import NULL_SPAN, OBS
+
 __all__ = [
     "Event",
     "Timeout",
@@ -426,24 +428,21 @@ class Simulator:
     # -- observability helpers ------------------------------------------
     #
     # Convenience bridges to :mod:`repro.obs` with this simulator's
-    # clock.  The import is deferred so the kernel keeps zero import-time
-    # dependencies beyond the stdlib; both calls are no-ops (returning a
-    # shared null span) while tracing is disabled.
+    # clock; both are no-ops (``span`` returning the shared null span)
+    # while no tracer is installed.
 
     def span(self, name: str, track: str = "sim", **attrs: Any):
         """Context manager tracing a section against ``self.now``."""
-        from ..obs.tracer import NULL_SPAN, TRACE
-
-        if not TRACE.enabled:
+        tracer = OBS.tracer
+        if tracer is None:
             return NULL_SPAN
-        return TRACE.span(name, track=track, clock=lambda: self._now, **attrs)
+        return tracer.span(name, track=track, clock=lambda: self._now,
+                           **attrs)
 
     def trace_event(self, name: str, track: str = "sim", **attrs: Any) -> None:
         """Record a point event at the current virtual time."""
-        from ..obs.tracer import TRACE
-
-        if TRACE.enabled:
-            TRACE.event(name, t=self._now, track=track, **attrs)
+        if OBS.enabled:
+            OBS.event(name, t=self._now, track=track, **attrs)
 
     # -- scheduling -----------------------------------------------------
 

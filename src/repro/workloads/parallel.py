@@ -50,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import METRICS
+from ..obs import OBS
 
 __all__ = [
     "Cell",
@@ -317,11 +317,11 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
     merged = reducer.init() if streaming else None
 
     def _note_progress(indices: Tuple[int, ...]) -> None:
-        if METRICS.enabled:
-            METRICS.inc("cells_done", value=len(indices))
+        if OBS.enabled:
+            OBS.inc("cells_done", value=len(indices))
             users = sum(_cell_users(cells[i]) for i in indices)
             if users:
-                METRICS.inc("users_simulated", value=users)
+                OBS.inc("users_simulated", value=users)
 
     if workers <= 1:
         # Cell at a time, whatever the chunk layout: chunking exists to

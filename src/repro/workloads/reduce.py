@@ -40,13 +40,14 @@ import math
 import zlib
 from typing import Any, Callable, Dict, List, Optional
 
+from ..obs.timeseries import LogHist
+
 __all__ = [
     "Reducer",
     "MaterializeReducer",
     "CountReducer",
     "SummaryReducer",
     "ReservoirSample",
-    "LogHistogram",
 ]
 
 
@@ -97,67 +98,6 @@ class CountReducer(Reducer):
 
     def finalize(self, state):
         return {"count": state[0], "succeeded": state[1]}
-
-
-class LogHistogram:
-    """Fixed-size base-2 log histogram of positive floats.
-
-    64 buckets spanning 2**-32 .. 2**32 (underflow and overflow clamp
-    to the end buckets); zero/None observations land in a separate
-    ``null`` counter.  Two histograms merge by vector addition, so the
-    reduction laws hold trivially.
-    """
-
-    __slots__ = ("counts", "nulls")
-
-    _OFFSET = 32
-    _BUCKETS = 64
-
-    def __init__(self):
-        self.counts = [0] * self._BUCKETS
-        self.nulls = 0
-
-    def add(self, value: Optional[float]) -> None:
-        if value is None or value <= 0.0 or not math.isfinite(value):
-            self.nulls += 1
-            return
-        index = int(math.floor(math.log2(value))) + self._OFFSET
-        if index < 0:
-            index = 0
-        elif index >= self._BUCKETS:
-            index = self._BUCKETS - 1
-        self.counts[index] += 1
-
-    def update(self, other: "LogHistogram") -> None:
-        counts = self.counts
-        for index, n in enumerate(other.counts):
-            counts[index] += n
-        self.nulls += other.nulls
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Approximate quantile: geometric midpoint of the q-th bucket."""
-        total = self.total
-        if total == 0:
-            return None
-        want = min(max(q, 0.0), 1.0) * total
-        seen = 0
-        for index, n in enumerate(self.counts):
-            seen += n
-            if seen >= want and n:
-                return 2.0 ** (index - self._OFFSET + 0.5)
-        return 2.0 ** (self._BUCKETS - 1 - self._OFFSET + 0.5)
-
-    def __eq__(self, other):
-        return (isinstance(other, LogHistogram)
-                and self.counts == other.counts
-                and self.nulls == other.nulls)
-
-    def __repr__(self):
-        return f"LogHistogram(total={self.total}, nulls={self.nulls})"
 
 
 class ReservoirSample:
@@ -247,7 +187,7 @@ class SummaryReducer(Reducer):
     def absorb(self, state, item):
         entry = state.get(self.key(item))
         if entry is None:
-            entry = [0, 0, 0.0, math.inf, -math.inf, LogHistogram()]
+            entry = [0, 0, 0.0, math.inf, -math.inf, LogHist()]
             state[self.key(item)] = entry
         entry[0] += 1
         duration = getattr(item, "duration", None)

@@ -22,7 +22,7 @@ from ..core import (
     UniDriveTransfer,
 )
 from ..core.baselines import NATIVE_CONNECTIONS
-from ..obs import TRACE
+from ..obs import OBS
 from ..simkernel import Simulator
 from .generator import random_bytes
 from .locations import CLOUD_IDS, connect_location, make_clouds, make_stress
@@ -135,19 +135,17 @@ class Testbed:
         """Upload a fresh random file through one approach; time it."""
         content = random_bytes(self._rng, size)
         path = self._fresh_path(approach)
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "probe", t=self.sim.now, track=approach,
                 dir="up", size=size, location=self.location,
             )
-            if TRACE.enabled
-            else None
-        )
         outcome = self.sim.run_process(
             self._client(approach).upload(path, content)
         )
         if span is not None:
-            TRACE.end(span, t=self.sim.now, ok=outcome.succeeded)
+            OBS.end(span, t=self.sim.now, ok=outcome.succeeded)
         return self._record(approach, "up", size, outcome)
 
     def measure_download(self, approach: str, size: int,
@@ -162,20 +160,18 @@ class Testbed:
             up = self.sim.run_process(client.upload(path, content))
             if not up.succeeded:
                 return self._record(approach, "down", size, up)
-        span = (
-            TRACE.begin(
+        span = None
+        if OBS.enabled:
+            span, _ = OBS.begin(
                 "probe", t=self.sim.now, track=approach,
                 dir="down", size=size, location=self.location,
             )
-            if TRACE.enabled
-            else None
-        )
         if isinstance(client, MultiCloudBenchmark):
             outcome = self.sim.run_process(client.download(path))
         else:
             outcome = self.sim.run_process(client.download(path, size))
         if span is not None:
-            TRACE.end(span, t=self.sim.now, ok=outcome.succeeded)
+            OBS.end(span, t=self.sim.now, ok=outcome.succeeded)
         return self._record(approach, "down", size, outcome)
 
     def seed_file(self, approach: str, size: int):

@@ -50,7 +50,7 @@ from ..core.lock import LockTimeout
 from ..core.scrub import Scrubber
 from ..faults import FaultInjector
 from ..fsmodel import VirtualFileSystem
-from ..obs import METRICS, TELEMETRY, Telemetry
+from ..obs import OBS, isolated
 from ..simkernel import Simulator
 from .parallel import derive_seed
 
@@ -307,13 +307,10 @@ def run_shared(scenario: SharedScenario,
     ``result.telemetry``; simulated outcomes are byte-identical either
     way (the overhead contract).
     """
-    prev_telemetry = TELEMETRY.telemetry
-    if telemetry:
-        TELEMETRY.install(Telemetry())
-    try:
+    if not telemetry:
         return _run_shared(scenario)
-    finally:
-        TELEMETRY.install(prev_telemetry)
+    with isolated(telemetry=True, tracer=False, metrics=False):
+        return _run_shared(scenario)
 
 
 def _run_shared(scenario: SharedScenario) -> SharedResult:
@@ -515,9 +512,9 @@ def _run_shared(scenario: SharedScenario) -> SharedResult:
 
     lost = _find_lost_updates(ledger, live)
     windows = _divergence_windows(ledger, live)
-    if METRICS.enabled:
+    if OBS.enabled:
         for span in windows.values():
-            METRICS.observe("divergence_window", span)
+            OBS.observe("divergence_window", span)
     breaker_transitions: Dict[str, int] = {}
     for device in live:
         if device.client.degrade is None:
@@ -527,9 +524,8 @@ def _run_shared(scenario: SharedScenario) -> SharedResult:
                 breaker_transitions.get(cloud_id, 0),
                 len(breaker.transitions),
             )
-    telemetry_snapshot = None
-    if TELEMETRY.enabled:
-        telemetry_snapshot = TELEMETRY.snapshot()
+    telemetry_snapshot = OBS.snapshot()
+    if telemetry_snapshot is not None:
         telemetry_snapshot["estimators"] = {
             d.name: d.client.estimator.snapshot() for d in live
         }

@@ -56,7 +56,7 @@ from .locations import (
     make_clouds,
     make_stress,
 )
-from .reduce import LogHistogram, Reducer, ReservoirSample
+from .reduce import LogHist, Reducer, ReservoirSample
 
 __all__ = [
     "TrialRecord",
@@ -327,7 +327,7 @@ class FleetSummary:
     days: float
     by_bucket: Dict[str, dict] = field(default_factory=dict)
     by_day: Dict[int, dict] = field(default_factory=dict)
-    throughput_hist: Optional[LogHistogram] = None
+    throughput_hist: Optional[LogHist] = None
     sample: Optional[ReservoirSample] = None
 
     @property
@@ -359,7 +359,7 @@ class TrialFleetStats(Reducer):
             "users": 0, "uploads": 0, "succeeded": 0,
             "api_requests": 0, "api_failures": 0, "days": 0.0,
             "bucket": {}, "day": {},
-            "hist": LogHistogram(),
+            "hist": LogHist(),
             "sample": ReservoirSample(self.reservoir),
         }
 
@@ -374,7 +374,7 @@ class TrialFleetStats(Reducer):
         state["uploads"] += 1
         throughput = item.throughput_mbps
         bucket = state["bucket"].setdefault(
-            item.bucket, {"count": 0, "ok": 0, "hist": LogHistogram()}
+            item.bucket, {"count": 0, "ok": 0, "hist": LogHist()}
         )
         day = state["day"].setdefault(item.day, {"count": 0, "ok": 0})
         bucket["count"] += 1

@@ -14,7 +14,7 @@ mid-incident SLO evaluations after the run.
 
 import pytest
 
-from repro.obs import TELEMETRY
+from repro import obs
 from repro.obs.health import HEALTHY, UNAVAILABLE
 from repro.obs.telemetry import Telemetry
 from repro.workloads.shared import SharedScenario, run_shared
@@ -33,11 +33,8 @@ SCENARIO = SharedScenario(
 def chaos():
     """Run the campaign once; every test reads the same evidence."""
     telemetry = Telemetry()
-    TELEMETRY.install(telemetry)
-    try:
+    with obs.isolated(telemetry=telemetry, tracer=False, metrics=False):
         result = run_shared(SCENARIO)
-    finally:
-        TELEMETRY.install(None)
     return result, telemetry
 
 

@@ -132,6 +132,25 @@ def test_transition_emits_trace_event():
     assert events[0].attrs["forced"] is True
 
 
+def test_hub_read_side_defaults_then_delegates():
+    """Schedulers may consult the hub unconditionally: optimistic
+    answers with no pipeline installed, the scoreboard's otherwise."""
+    obs.disable()
+    hub = obs.OBS
+    assert hub.health_state("c0") == HEALTHY
+    assert hub.health_score("c0") == 1.0
+    assert not hub.health_pinned("c0")
+    assert hub.alerts() == [] and hub.snapshot() is None
+    with obs.isolated(telemetry=True, tracer=False, metrics=False):
+        hub.fault("c0", 7.0, "outage-begin")
+        assert hub.health_state("c0") == UNAVAILABLE
+        assert hub.health_score("c0") == 0.0
+        assert hub.health_pinned("c0")
+        assert hub.snapshot()["health"]["c0"]["pinned"] is True
+        assert hub.alerts() == obs.get_telemetry().slo.alerts(7.0)
+    assert hub.health_state("c0") == HEALTHY
+
+
 def test_invalid_thresholds_rejected():
     with pytest.raises(ValueError):
         HealthScoreboard(alpha=0.0)

@@ -4,7 +4,7 @@ determinism, and cross-process snapshot merging."""
 import pytest
 
 from repro import obs
-from repro.obs import METRICS, Metrics, merge_snapshots
+from repro.obs import OBS, Metrics, merge_snapshots
 
 
 def test_counter_labels_are_order_insensitive():
@@ -73,16 +73,15 @@ def test_merge_snapshots_rejects_mismatched_bounds():
 
 def test_disabled_hub_drops_everything():
     obs.disable()
-    assert not METRICS.enabled
-    METRICS.inc("n")
-    METRICS.gauge("g", 1.0)
-    METRICS.observe("h", 0.5)
+    assert not OBS.enabled
+    OBS.inc("n")
+    OBS.observe("h", 0.5)
     assert obs.get_metrics() is None
 
 
 def test_isolated_hub_collects_then_restores():
     obs.disable()
     with obs.isolated() as (_tracer, metrics):
-        METRICS.inc("n", 4)
+        OBS.inc("n", 4)
         assert metrics.counter_value("n") == 4
-    assert not METRICS.enabled
+    assert not OBS.enabled

@@ -4,7 +4,7 @@ the disabled-mode no-op contract."""
 import pickle
 
 from repro import obs
-from repro.obs import NULL_SPAN, TRACE, EventRecord, SpanRecord, Tracer
+from repro.obs import NULL_SPAN, OBS, EventRecord, SpanRecord, Tracer
 from repro.simkernel import Simulator
 
 
@@ -96,29 +96,82 @@ def test_event_records_point_in_time():
 
 def test_disabled_hub_is_noop():
     obs.disable()
-    assert not TRACE.enabled
-    span = TRACE.begin("x", t=0.0)
-    assert span is NULL_SPAN
-    TRACE.end(span, t=1.0)  # must not raise
-    TRACE.event("x", t=0.0)
-    with TRACE.span("x", t=0.0) as inner:
-        assert inner is NULL_SPAN
+    assert not OBS.enabled
+    span, ctx = OBS.begin("x", t=0.0, ctx=None)
+    assert span is None and ctx is None
+    OBS.end(span, t=1.0)  # must not raise
+    OBS.event("x", t=0.0)
     sim = Simulator()
-    assert sim.span("x") is NULL_SPAN
+    with sim.span("x") as inner:
+        assert inner is NULL_SPAN
     sim.trace_event("x")
+
+
+def test_begin_links_spans_into_one_trace():
+    with obs.isolated() as (tracer, _metrics):
+        plain, no_ctx = OBS.begin("plain", t=0.0, size=1)
+        root, root_ctx = OBS.begin("root", t=0.0, ctx=None)
+        child, child_ctx = OBS.begin("child", t=1.0, ctx=root_ctx, size=2)
+    # An unlinked span takes no id; linked ones carry sid + ancestry
+    # after their own attrs.
+    assert no_ctx is None and plain.attrs == {"size": 1}
+    assert root.attrs == {"sid": 1, "trace_id": 1}
+    assert root_ctx == (1, 1)
+    assert list(child.attrs.items()) == [
+        ("size", 2), ("sid", 2), ("trace_id", 1), ("parent", 1),
+    ]
+    assert child_ctx == (1, 2)
+    assert tracer.records == [plain, root, child]
+
+
+def test_metrics_only_sink_allocates_no_span():
+    """With only a counters registry installed the one guard is up, but
+    a traced site gets no span, no id and no record."""
+    obs.disable()
+    with obs.isolated(tracer=False) as (tracer, metrics):
+        assert tracer is None and OBS.enabled
+        assert OBS.begin("x", t=0.0) == (None, None)
+        assert OBS.begin("x", t=0.0, ctx=None) == (None, None)
+        OBS.event("x", t=0.0)
+        sim = Simulator()
+        assert sim.span("x") is NULL_SPAN
+        # A fan-out fact still reaches the sink that is there.
+        OBS.lock_break("cloud0", 1.0, victim="lock_a", breaker="b")
+        assert metrics.counter_value("lock_breaks", cloud="cloud0") == 1
+    assert not OBS.enabled
 
 
 def test_isolated_restores_previous_state():
     obs.disable()
     with obs.isolated() as (tracer, metrics):
-        assert TRACE.enabled
+        assert OBS.enabled
         assert obs.get_tracer() is tracer
         assert obs.get_metrics() is metrics
         with obs.isolated() as (nested, _):
             assert obs.get_tracer() is nested
         assert obs.get_tracer() is tracer
-    assert not TRACE.enabled
+    assert not OBS.enabled
     assert obs.get_tracer() is None
+
+
+def test_isolated_selects_sinks_and_restores_on_error():
+    obs.disable()
+    with obs.isolated() as (tracer, metrics):
+        # Counters only: the surrounding tracer stays, metrics are fresh.
+        with obs.isolated(tracer=False) as (same_tracer, fresh):
+            assert same_tracer is tracer and fresh is not metrics
+        # Telemetry only: both surrounding sinks stay.
+        try:
+            with obs.isolated(telemetry=True, tracer=False, metrics=False):
+                assert obs.get_tracer() is tracer
+                assert obs.get_metrics() is metrics
+                assert obs.get_telemetry() is not None
+                raise RuntimeError("boom")
+        except RuntimeError:
+            pass
+        assert obs.get_telemetry() is None
+        assert obs.get_metrics() is metrics
+    assert not OBS.enabled
 
 
 def test_drain_detaches_buffer():
@@ -145,7 +198,7 @@ def test_configure_binds_sim_clock():
     try:
         def worker():
             yield sim.timeout(3.0)
-            TRACE.event("tick")  # no explicit t: tracer clock used
+            OBS.event("tick")  # no explicit t: tracer clock used
 
         sim.run_process(worker())
         (event,) = tracer.drain()

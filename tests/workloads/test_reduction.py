@@ -16,6 +16,8 @@ runner-level tests then pin the same identity end-to-end across worker
 counts {1, 2, 8} x chunk sizes {1, 7, 64} and on cohorted trials.
 """
 
+import math
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.timeseries import LogHist
 from repro.workloads import (
     ApiCounters,
     CountReducer,
-    LogHistogram,
     MaterializeReducer,
     ReservoirSample,
     SummaryReducer,
@@ -147,7 +149,7 @@ def test_partition_invariance(make, strategy, data):
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False)), max_size=80),
     cut=st.integers(min_value=0, max_value=80))
 def test_log_histogram_merge_is_vector_addition(values, cut):
-    whole, left, right = LogHistogram(), LogHistogram(), LogHistogram()
+    whole, left, right = LogHist(), LogHist(), LogHist()
     for value in values:
         whole.add(value)
     for value in values[:cut]:
@@ -156,6 +158,51 @@ def test_log_histogram_merge_is_vector_addition(values, cut):
         right.add(value)
     left.update(right)
     assert left == whole
+
+
+def _dense_quantile(values, q):
+    """The quantile of the campaign reducers' former private histogram
+    (a dense 64-slot list scanned from the bottom), kept as the
+    reference for the shared :class:`LogHist`."""
+    counts = [0] * 64
+    for value in values:
+        if value is None or value <= 0.0 or not math.isfinite(value):
+            continue
+        counts[min(max(int(math.floor(math.log2(value))) + 32, 0), 63)] += 1
+    total = sum(counts)
+    if total == 0:
+        return None
+    want = min(max(q, 0.0), 1.0) * total
+    seen = 0
+    for index, n in enumerate(counts):
+        seen += n
+        if seen >= want and n:
+            return 2.0 ** (index - 32 + 0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(stream=st.lists(trial_items, max_size=200),
+       cut=st.integers(min_value=0, max_value=200))
+def test_fleet_stats_histograms_survive_pickle_and_merge(stream, cut):
+    """Cohort states ride back from workers pickled and are merged in
+    submission order: the merged histograms must read the quantiles a
+    single dense histogram over the whole stream gives."""
+    reducer = TrialFleetStats()
+    merged = reducer.init()
+    for part in (stream[:cut], stream[cut:]):
+        state = pickle.loads(pickle.dumps(_fold(reducer, part)))
+        merged = reducer.merge(merged, state)
+    summary = reducer.finalize(merged)
+    assert repr(summary) == repr(reducer.finalize(_fold(reducer, stream)))
+    records = [item for item in stream if isinstance(item, TrialRecord)]
+    throughputs = [record.throughput_mbps for record in records]
+    for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+        assert summary.throughput_hist.quantile(q) == \
+            _dense_quantile(throughputs, q)
+    for label, entry in summary.by_bucket.items():
+        assert entry["median_mbps"] == _dense_quantile(
+            [r.throughput_mbps for r in records if r.bucket == label], 0.5
+        )
 
 
 @settings(max_examples=50, deadline=None)

@@ -53,7 +53,7 @@ The ``obs`` suite (results in ``BENCH_obs.json``) guards the tracing /
 metrics layer's overhead contract:
 
 * ``guards``   — per-call cost of the disabled-mode instrumentation
-                 (the ``if TRACE.enabled:`` attribute read and the
+                 (the one ``if OBS.enabled:`` attribute read and the
                  early-out hub methods), measured against an empty loop.
 * ``overhead`` — the end-to-end scheduler batch with tracing disabled
                  vs enabled: results must be byte-identical, and the
@@ -79,10 +79,10 @@ The ``telemetry`` suite (results in ``BENCH_telemetry.json``) guards
 the streaming-telemetry layer (windows + health scoreboard + SLO
 engine) the same way ``obs`` guards tracing:
 
-* ``guards``   — disabled-mode per-call cost of the telemetry hub (the
-                 ``if TELEMETRY.enabled:`` guard, the early-out hub
-                 call, the safe-while-disabled query) plus the enabled
-                 fan-out unit costs.
+* ``guards``   — disabled-mode per-call cost of a fan-out fact on the
+                 hub (the same ``if OBS.enabled:`` guard, the early-out
+                 named call, the safe-while-disabled query) plus the
+                 enabled fan-out unit costs.
 * ``overhead``   — the scheduler batch disabled vs telemetry-enabled vs
                    fully instrumented: byte-identical results required,
                    analytic disabled-overhead estimate <= 2% (sites
@@ -1102,12 +1102,12 @@ def bench_obs_guards(quick):
 
     Measures, against an empty loop over the same range, the three
     shapes library code uses: the guarded hot-path form
-    (``if TRACE.enabled: ...`` — one attribute read when disabled), the
+    (``if OBS.enabled: ...`` — one attribute read when disabled), the
     unguarded hub event call (early-out inside the method), and the
     unguarded counter increment.
     """
     from repro import obs
-    from repro.obs import METRICS, TRACE
+    from repro.obs import OBS
 
     obs.disable()
     n = 200_000 if quick else 1_000_000
@@ -1119,20 +1119,20 @@ def bench_obs_guards(quick):
             pass
 
     def loop_guard():
-        trace = TRACE
+        hub = OBS
         for _ in span:
-            if trace.enabled:
-                trace.event("bench", t=0.0)
+            if hub.enabled:
+                hub.event("bench", t=0.0)
 
     def loop_event():
-        trace = TRACE
+        hub = OBS
         for _ in span:
-            trace.event("bench", t=0.0)
+            hub.event("bench", t=0.0)
 
     def loop_inc():
-        metrics = METRICS
+        hub = OBS
         for _ in span:
-            metrics.inc("bench")
+            hub.inc("bench")
 
     base = _best_of(loop_empty, rounds)
 
@@ -1257,14 +1257,14 @@ def bench_telemetry_guards(quick):
     """Per-call cost of the telemetry paths, disabled and enabled.
 
     The disabled side is the contract: library code crosses one
-    ``if TELEMETRY.enabled:`` attribute read (or one early-out hub
-    method) per telemetry site, so those must stay ns-scale.  The
+    ``if OBS.enabled:`` attribute read (or one early-out hub method)
+    per reported fact, so those must stay ns-scale.  The
     enabled side prices the full fan-out (window inc + health EWMA +
     SLO accounting) per recording call — informative, and the unit cost
     behind the enabled-overhead estimate below.
     """
     from repro import obs
-    from repro.obs import TELEMETRY, Telemetry
+    from repro.obs import OBS, Telemetry
 
     obs.disable()
     n = 200_000 if quick else 1_000_000
@@ -1276,20 +1276,20 @@ def bench_telemetry_guards(quick):
             pass
 
     def loop_guard():
-        telemetry = TELEMETRY
+        hub = OBS
         for _ in span:
-            if telemetry.enabled:
-                telemetry.transfer("c", 0.0, True, 1.0, "up")
+            if hub.enabled:
+                hub.fault("c", 0.0, "outage-begin")
 
     def loop_call():
-        telemetry = TELEMETRY
+        hub = OBS
         for _ in span:
-            telemetry.transfer("c", 0.0, True, 1.0, "up")
+            hub.fault("c", 0.0, "outage-begin")
 
     def loop_query():
-        telemetry = TELEMETRY
+        hub = OBS
         for _ in span:
-            telemetry.health_state("c")
+            hub.health_state("c")
 
     base = _best_of(loop_empty, rounds)
 
@@ -1353,27 +1353,20 @@ def _counting_telemetry():
 
 
 def _telemetry_batch(count, mode):
-    """One batch under ``mode``: ``"off"``, ``"telemetry"`` (hub only),
-    or ``"full"`` (tracing + metrics + telemetry); returns
+    """One batch under ``mode``: ``"off"``, ``"telemetry"`` (that sink
+    only), or ``"full"`` (tracing + metrics + telemetry); returns
     ``(digest, wall_seconds, snapshot, calls)``."""
     from repro import obs
-    from repro.obs import TELEMETRY
 
+    obs.disable()
     if mode == "off":
-        obs.disable()
         digest, wall = _batch_scenario(count)
         return digest, wall, None, 0
     telemetry = _counting_telemetry()
-    if mode == "telemetry":
-        obs.disable()
-        TELEMETRY.install(telemetry)
-        try:
-            digest, wall = _batch_scenario(count)
-        finally:
-            TELEMETRY.install(None)
-    else:
-        with obs.isolated(telemetry=telemetry):
-            digest, wall = _batch_scenario(count)
+    only = mode == "telemetry"
+    with obs.isolated(telemetry=telemetry, tracer=not only,
+                      metrics=not only):
+        digest, wall = _batch_scenario(count)
     return digest, wall, telemetry.snapshot(), telemetry.calls
 
 
@@ -1437,7 +1430,7 @@ def bench_telemetry_end_to_end(quick, guards=None):
     unit cost, over the plain wall: an upper bound immune to the
     scheduler jitter that swamps a measured A/B at this scale.
     """
-    from repro.obs import TELEMETRY
+    from repro import obs
     from repro.workloads.shared import SharedScenario, run_shared
 
     guards = guards or bench_telemetry_guards(quick)
@@ -1457,13 +1450,10 @@ def bench_telemetry_end_to_end(quick, guards=None):
     wall_off = time.perf_counter() - start
 
     telemetry = _counting_telemetry()
-    TELEMETRY.install(telemetry)
-    try:
+    with obs.isolated(telemetry=telemetry, tracer=False, metrics=False):
         start = time.perf_counter()
         instrumented = run_shared(scenario())
         wall_on = time.perf_counter() - start
-    finally:
-        TELEMETRY.install(None)
 
     estimate = (
         telemetry.calls * guards["enabled_transfer_ns"] * 1e-9 / wall_off

@@ -33,6 +33,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -45,8 +46,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.obs import METRICS  # noqa: E402
-from repro.obs.metrics import Metrics  # noqa: E402
+from repro import obs  # noqa: E402
 from repro.workloads import (  # noqa: E402
     APPROACHES,
     TrialFleetStats,
@@ -136,26 +136,24 @@ def _run_trial_cli(args) -> int:
           f"on {workers} worker(s), payload={args.payload}")
     # Counters only — installing a tracer would also span-instrument
     # every encode inside inline cells.
-    metrics = Metrics()
-    METRICS.install(metrics)
-    start = time.perf_counter()
-    with _Progress(metrics, cells, users) if args.progress \
-            else _null_context():
-        summary = run_trial(
-            n_users=users,
-            days=args.days,
-            uploads_per_user=args.uploads_per_user,
-            seed=args.seed or 0,
-            locations=args.locations or None,
-            reducer=TrialFleetStats(),
-            cohort_size=cohort if cohort < users else None,
-            payload=args.payload,
-            max_workers=workers,
-            chunk_size=args.chunk_size,
-        )
-    elapsed = time.perf_counter() - start
-    counters = metrics.snapshot()["counters"]
-    METRICS.install(None)
+    with obs.isolated(tracer=False) as (_, metrics):
+        start = time.perf_counter()
+        with _Progress(metrics, cells, users) if args.progress \
+                else _null_context():
+            summary = run_trial(
+                n_users=users,
+                days=args.days,
+                uploads_per_user=args.uploads_per_user,
+                seed=args.seed or 0,
+                locations=args.locations or None,
+                reducer=TrialFleetStats(),
+                cohort_size=cohort if cohort < users else None,
+                payload=args.payload,
+                max_workers=workers,
+                chunk_size=args.chunk_size,
+            )
+        elapsed = time.perf_counter() - start
+        counters = metrics.snapshot()["counters"]
 
     print(f"users: {summary.users}   uploads: {summary.uploads}   "
           f"days: {summary.days:g}")
@@ -460,14 +458,13 @@ def main(argv=None):
     workers = (default_workers(len(cells)) if args.workers is None
                else args.workers)
     print(f"{len(cells)} cell(s) on {workers} worker(s)")
-    if args.progress:
-        progress_metrics = Metrics()
-        METRICS.install(progress_metrics)
-        reporter = _Progress(progress_metrics, len(cells), 0)
-    else:
-        reporter = _null_context()
-    start = time.perf_counter()
-    with reporter:
+    with contextlib.ExitStack() as stack:
+        if args.progress:
+            _, progress_metrics = stack.enter_context(
+                obs.isolated(tracer=False)
+            )
+            stack.enter_context(_Progress(progress_metrics, len(cells), 0))
+        start = time.perf_counter()
         if args.trace:
             results, records, metrics = run_cells(
                 cells, max_workers=workers, chunk_size=args.chunk_size,
@@ -476,9 +473,7 @@ def main(argv=None):
         else:
             results = run_cells(cells, max_workers=workers,
                                 chunk_size=args.chunk_size)
-    elapsed = time.perf_counter() - start
-    if args.progress:
-        METRICS.install(None)
+        elapsed = time.perf_counter() - start
 
     if args.trace:
         from repro.obs import export as obs_export
