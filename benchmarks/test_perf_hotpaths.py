@@ -7,7 +7,8 @@ encode throughput on 4 MB segments with n >= 10 (the fused pair-table
 kernel's conservative floor; ``tools/bench.py`` holds the tighter
 300/500 MB/s bars), streaming chunking within 2x of batch over the
 same bytes with identical cut points, and dispatch scans per block
-flat (within 2x) from a 10-file to a 200-file batch.
+flat (within 2x) from a 10-file to a 200-file upload batch and from a
+10- to a 640-segment download on 5/10/20/40/80 Mbps links.
 
 Run with ``BENCH_QUICK=1`` for the CI-sized variant.
 """
@@ -100,8 +101,18 @@ def test_dispatch_scans_flat(run_once, report, fmt_cell):
                 f"{fmt_cell(result['cursor_flatness'])}x")
     rows.append(f"{'reference growth':<18}"
                 f"{fmt_cell(result['reference_growth'])}x")
-    report("Upload dispatch cost vs batch size", rows)
+    for key in ("download_small", "download_large"):
+        run = result[key]
+        rows.append(
+            f"{key:<18}{run['segments']:>6} segs "
+            f"{fmt_cell(run['scans_per_block'])} scans/block"
+            f"{fmt_cell(run['blocks_per_s'], 12, 0)} blocks/s"
+        )
+    rows.append(f"{'download flatness':<18}"
+                f"{fmt_cell(result['download_flatness'])}x")
+    report("Dispatch cost vs batch size", rows)
     assert result["cursor_flatness"] < 2.0
+    assert result["download_flatness"] < 2.0
 
 
 def test_end_to_end_sync(run_once, report, fmt_cell):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
@@ -978,11 +979,14 @@ class _SegmentDownloadState:
         self.inflight_since: Dict[int, float] = {}
         self.inflight_proc: Dict[int, object] = {}
         self.hedged: set = set()
-        # Cursor-dispatch bookkeeping (see DownloadScheduler): position
-        # in the flattened scan order, the per-cloud block-index lists
-        # frozen at batch start (locations do not change mid-download),
-        # and the progress-counter flag.
+        # Dispatch bookkeeping (see DownloadScheduler._next_ready):
+        # position in the flattened scan order (the ready heaps' key),
+        # the clouds whose dispatcher parked this segment until its
+        # next mutation, the per-cloud block-index lists frozen at
+        # batch start (locations do not change mid-download), and the
+        # progress-counter flag.
         self.position = 0
+        self.parked: List[str] = []
         self.cloud_indices: Dict[str, List[int]] = {}
         self.counted_complete = False
 
@@ -1010,10 +1014,10 @@ class _SegmentDownloadState:
         Returns ``(index, exhausted)``: ``exhausted`` is True when every
         block this cloud holds is already fetched or failed — a
         *permanent* condition (both sets only grow), letting the
-        dispatch cursor skip this state forever.  An index blocked only
-        by an in-flight request is temporary (the cursor must not
-        advance past it): the flight resolves to fetched or failed
-        either way, but until then the state must stay scannable.
+        dispatcher drop this state for this cloud for good.  An index
+        blocked only by an in-flight request is temporary: the flight
+        resolves to fetched, failed or cancelled, and that mutation
+        re-queues the state.
         """
         pending = False
         for index in self.cloud_indices.get(cloud_id, ()):
@@ -1076,11 +1080,18 @@ class DownloadScheduler:
         self._dead: Dict[str, int] = {}
         self._failed_requests = 0
         self._wake = None
-        # Cursor-dispatch structures (see _next_request).
+        # Dispatch structures (see _next_ready): segments in scan
+        # order, each cloud's heap of ready scan positions, the
+        # positions each cloud parked on a defer verdict together with
+        # the faster-cloud set that verdict was computed under, and the
+        # segments with a fetch in flight (the hedge candidates).
         self._ordered: List[_SegmentDownloadState] = []
         self._state_files: Dict[str, List[str]] = {}
-        self._cloud_states: Dict[str, List[_SegmentDownloadState]] = {}
-        self._cloud_ptr: Dict[str, int] = {}
+        self._holders: List[str] = []
+        self._ready: Dict[str, List[int]] = {}
+        self._deferred: Dict[str, set] = {}
+        self._faster: Dict[str, Tuple[str, ...]] = {}
+        self._flying: Dict[int, _SegmentDownloadState] = {}
         self._pending_complete: Dict[str, int] = {}
         self._complete_flush: List[str] = []
         self._dispatch_scans = 0  # state visits, for the perf harness
@@ -1110,8 +1121,13 @@ class DownloadScheduler:
         self._complete_flush = []
         self._dispatch_scans = 0
         cloud_ids = [c.cloud_id for c in self.connections]
-        self._cloud_states = {cid: [] for cid in cloud_ids}
-        self._cloud_ptr = {cid: 0 for cid in cloud_ids}
+        # Positions are appended in increasing order, so each ready
+        # list starts out a valid heap.
+        self._ready = {cid: [] for cid in cloud_ids}
+        self._deferred = {cid: set() for cid in cloud_ids}
+        self._faster = {}
+        self._flying = {}
+        holders = dict.fromkeys(cloud_ids)
         for file in self._files:
             self._reports[file.path] = FileDownloadReport(
                 path=file.path, size=file.size, started_at=self.sim.now
@@ -1125,16 +1141,20 @@ class DownloadScheduler:
                     self._states[record.segment_id] = state
                     self._ordered.append(state)
                     self._state_files[record.segment_id] = []
+                    holders.update(
+                        dict.fromkeys(record.locations.values())
+                    )
                     for cid in cloud_ids:
                         indices = record.blocks_on(cid)
                         if indices:
                             state.cloud_indices[cid] = indices
-                            self._cloud_states[cid].append(state)
+                            self._ready[cid].append(state.position)
                 files_of = self._state_files[record.segment_id]
                 if file.path not in files_of:
                     files_of.append(file.path)
                 states.append(state)
             self._file_segments[file.path] = states
+        self._holders = list(holders)
         self._pending_complete = {}
         for file in self._files:
             unique = {id(s) for s in self._file_segments[file.path]}
@@ -1231,6 +1251,7 @@ class DownloadScheduler:
             state.inflight[index] = cloud_id
             state.inflight_since[index] = self.sim.now
             self._inflight_total += 1
+            self._touch(state)
             if self._degrade is None:
                 yield from self._fetch_block(conn, state, index)
             else:
@@ -1267,8 +1288,9 @@ class DownloadScheduler:
             return None, None
         now = self.sim.now
         eta = None
-        for state in self._cloud_states[cloud_id]:
-            if state.complete or not state.inflight:
+        for position in sorted(self._flying):
+            state = self._flying[position]
+            if state.complete:
                 continue
             index, _exhausted = state.candidate_for(cloud_id)
             if index is None:
@@ -1356,6 +1378,7 @@ class DownloadScheduler:
                 state.inflight_since.pop(index, None)
                 state.inflight_proc.pop(index, None)
                 state.exhausted.add((index, cloud_id))
+                self._touch(state)
                 self.estimator.record_failure(
                     cloud_id, DOWNLOAD, now=self.sim.now
                 )
@@ -1413,6 +1436,7 @@ class DownloadScheduler:
                 self._failed_requests += 1
                 state.inflight.pop(index, None)
                 state.exhausted.add((index, cloud_id))
+                self._touch(state)
                 self._dead[cloud_id] += 1
                 if OBS.enabled:
                     OBS.transfer_corrupt(
@@ -1437,6 +1461,7 @@ class DownloadScheduler:
                 )
             state.inflight.pop(index, None)
             state.blocks[index] = block
+            self._touch(state)
             self.fetch_latencies.append(self.sim.now - start)
             self._note_block_completed(state)
             if self._degrade is not None and state.complete:
@@ -1445,13 +1470,14 @@ class DownloadScheduler:
         finally:
             if not settled:
                 # Killed mid-flight (the other side of the hedge race
-                # won): settle the books so _done() and the cursor
-                # dispatcher see a consistent world.
+                # won): settle the books so _done() and the dispatcher
+                # see a consistent world.
                 self._inflight_total -= 1
                 if state.inflight.get(index) == cloud_id:
                     state.inflight.pop(index, None)
                 state.inflight_since.pop(index, None)
                 state.inflight_proc.pop(index, None)
+                self._touch(state)
                 if span is not None:
                     OBS.end(
                         span, t=self.sim.now, error="HedgeCancelled",
@@ -1459,15 +1485,12 @@ class DownloadScheduler:
                     )
 
     def _next_request(self, cloud_id: str):
-        """Pick the next (state, block index) for an idle connection.
+        """Pick the next (state, block index) for an idle connection,
+        or None when this cloud has nothing requestable right now.
 
-        Dynamic mode walks this cloud's own candidate list (only the
-        segments it holds blocks of) from a cursor that permanently
-        skips the completed/exhausted prefix — amortized O(1) per block.
-        Temporarily blocked states (saturated by in-flight requests, or
-        deferred to faster clouds) do not advance the cursor, because
-        they can become requestable again.  The static baseline keeps
-        the reference file-gated scan.
+        Admission (abort, breaker, dead cloud) is decided here; the
+        choice of block is :meth:`_next_ready` in dynamic mode and the
+        file-gated reference scan for the static baseline.
         """
         if self._aborted:
             return None
@@ -1477,42 +1500,98 @@ class DownloadScheduler:
             # Breaker open or scoreboard-pinned unavailable: no regular
             # dispatch; bounded half-open probes pass through admits().
             return None
-        if not self.dynamic:
-            return self._next_request_reference(cloud_id)
         if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
             return None
-        states = self._cloud_states[cloud_id]
-        count = len(states)
-        position = self._cloud_ptr[cloud_id]
-        advancing = True
-        while position < count:
-            state = states[position]
+        if not self.dynamic:
+            return self._next_request_reference(cloud_id)
+        return self._next_ready(cloud_id)
+
+    def _next_ready(self, cloud_id: str):
+        """The first segment in scan order this cloud may request from.
+
+        Each cloud keeps a min-heap of the scan positions whose verdict
+        is unknown.  Evaluating the head either drops it for good
+        (complete, or every block this cloud holds fetched or failed —
+        both monotone), *parks* it (candidate only in flight, saturated,
+        or deferred to faster clouds), or returns it, leaving it at the
+        head.  A parked segment is never evaluated again until an input
+        of its verdict changes: its own ``blocks``/``inflight``/
+        ``exhausted`` (every mutation site calls :meth:`_touch`), or —
+        for a defer verdict — the set of live clouds strictly faster
+        than this one, re-derived on entry (while any segment is parked
+        on one) so that estimator updates from anywhere (this batch, a
+        hedge's outrun probe, another batch sharing the estimator) and
+        ``_dead`` flips in either direction are all seen.  The ready
+        segments are therefore a superset of the requestable ones, and
+        the smallest requestable position is what
+        :meth:`_next_request_reference` returns; host work per block is
+        O(clouds · log segments) where rescanning the blocked tail was
+        O(segments).
+        """
+        ready = self._ready[cloud_id]
+        deferred = self._deferred[cloud_id]
+        if deferred and (
+            self._faster_clouds(cloud_id) != self._faster[cloud_id]
+        ):
+            for position in deferred:
+                self._ordered[position].parked.remove(cloud_id)
+                heappush(ready, position)
+            deferred.clear()
+        while ready:
+            state = self._ordered[ready[0]]
             self._dispatch_scans += 1
-            position += 1
             if state.complete:
-                if advancing:
-                    self._cloud_ptr[cloud_id] = position
+                heappop(ready)
                 continue
             index, exhausted = state.candidate_for(cloud_id)
             if index is None:
-                if exhausted:
-                    if advancing:
-                        self._cloud_ptr[cloud_id] = position
-                else:
-                    advancing = False
+                heappop(ready)
+                if not exhausted:
+                    state.parked.append(cloud_id)
                 continue
-            if state.saturated:
-                advancing = False
-                continue
-            if self._defer_to_faster(state, cloud_id):
-                advancing = False
-                continue
-            return (state, index)
+            if not state.saturated:
+                if not self._defer_to_faster(state, cloud_id):
+                    return (state, index)
+                if not deferred:
+                    self._faster[cloud_id] = self._faster_clouds(cloud_id)
+                deferred.add(state.position)
+            heappop(ready)
+            state.parked.append(cloud_id)
         return None
+
+    def _faster_clouds(self, cloud_id: str) -> Tuple[str, ...]:
+        """The live clouds whose download estimate strictly beats
+        ``cloud_id``'s — with a segment's own state, the only input of
+        :meth:`_defer_to_faster` (ties, e.g. two unprobed clouds at
+        ``+inf``, are not faster)."""
+        threshold = self.config.cloud_failure_threshold
+        estimate = self.estimator.estimate
+        dead = self._dead
+        mine = estimate(cloud_id, DOWNLOAD)
+        return tuple(
+            holder for holder in self._holders
+            if holder != cloud_id
+            and dead.get(holder, 0) < threshold
+            and estimate(holder, DOWNLOAD) > mine
+        )
+
+    def _touch(self, state: _SegmentDownloadState) -> None:
+        """``state``'s blocks/inflight/exhausted just changed: re-queue
+        it for every cloud that parked it, and keep the in-flight index
+        :meth:`_next_hedge` walks in step."""
+        position = state.position
+        if state.inflight:
+            self._flying[position] = state
+        else:
+            self._flying.pop(position, None)
+        for cloud_id in state.parked:
+            heappush(self._ready[cloud_id], position)
+            self._deferred[cloud_id].discard(position)
+        state.parked.clear()
 
     def _next_request_reference(self, cloud_id: str):
         """The original O(files x segments) scan — the executable
-        specification the cursor dispatcher must match (the equivalence
+        specification :meth:`_next_ready` must match (the equivalence
         tests swap it in), and still the static baseline's path."""
         if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
             return None
@@ -1542,8 +1621,6 @@ class DownloadScheduler:
         off whenever strictly-faster clouds can still supply all the
         blocks this segment is missing."""
         needed = state.k - len(state.blocks) - len(state.inflight)
-        if needed <= 0:
-            return True
         mine = self.estimator.estimate(cloud_id, DOWNLOAD)
         faster_supply = 0
         for index, holder in state.record.locations.items():

@@ -1,27 +1,33 @@
-"""Cursor dispatcher ⇔ reference decision ladder equivalence.
+"""Production dispatcher ⇔ reference decision ladder equivalence.
 
-The cursor-based dispatchers in :mod:`repro.core.scheduler` must be
+The dispatchers in :mod:`repro.core.scheduler` (upload: phase cursors;
+download: per-cloud ready heaps with parked segments) must be
 *behavior-preserving*: for any seeded batch they must pick exactly the
 blocks the original O(files x segments) ladder picked, in the same
 order, yielding byte-identical batch reports (placements, timestamps,
 degraded flags).  These tests run the same seeded scenario twice — once
-with the cursor dispatcher, once with the retained reference
-implementation swapped in — and compare everything observable.
+with the production dispatcher, once with the retained reference
+implementation swapped in — and compare everything observable; the
+download arm compares the full pick log.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import CloudConnection, SimulatedCloud
-from repro.cloud.errors import NotFoundError
+from repro.cloud.errors import NotFoundError, RequestFailedError
 from repro.core.config import UniDriveConfig
+from repro.core.degrade import DegradeController
 from repro.core.pipeline import BlockPipeline
-from repro.core.probing import ThroughputEstimator
+from repro.core.probing import DOWNLOAD, ThroughputEstimator
 from repro.core.scheduler import (
     DownloadScheduler,
     FileDownload,
     FileUpload,
     UploadScheduler,
 )
+from repro.faults import FaultInjector
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
 
@@ -29,12 +35,14 @@ CONFIG = UniDriveConfig(theta=64 * 1024)
 N_CLOUDS = 5
 
 
-def profile(up_mbps, failure_rate=0.0):
-    return LinkProfile(
+def profile(up_mbps, failure_rate=0.0, **overrides):
+    params = dict(
         up_mbps=up_mbps, down_mbps=2 * up_mbps, rtt_seconds=0.05,
         latency_jitter=0.0, failure_rate=failure_rate, volatility=0.0,
         fade_probability=0.0, diurnal_amplitude=0.0,
     )
+    params.update(overrides)
+    return LinkProfile(**params)
 
 
 def make_env(up_speeds, failure_rates=None, seed=0):
@@ -52,14 +60,15 @@ def make_env(up_speeds, failure_rates=None, seed=0):
     return sim, clouds, conns, pipeline
 
 
-def make_batch(pipeline, count=6, seed=3):
-    """A batch with varied sizes, one shared-content pair, and one
-    zero-byte file (zero segments) to cover the vacuous-progress edge."""
+def make_batch(pipeline, count=6, seed=3, size=None):
+    """A batch with varied sizes (or one-segment files of ``size``
+    bytes), one shared-content pair, and one zero-byte file (zero
+    segments) to cover the vacuous-progress edge."""
     rng = np.random.default_rng(seed)
     files = []
     for i in range(count):
-        size = int(rng.integers(30 * 1024, 250 * 1024))
-        content = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        nbytes = size or int(rng.integers(30 * 1024, 250 * 1024))
+        content = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
         segments = [
             (pipeline.make_record(seg), seg.data)
             for seg in pipeline.segment_file(content)
@@ -157,7 +166,67 @@ def test_upload_equivalence_dead_cloud():
     assert any(degraded)  # the abandon/degraded path was exercised
 
 
-def download_snapshot(batch):
+#: 5/10/20/40/80 Mbps downlinks (``profile`` doubles the uplink figure):
+#: the paper's skewed regime, where slow clouds defer most candidates.
+SKEWED = [2.5, 5, 10, 20, 40]
+
+
+def log_dispatches(down):
+    """Record every dispatch of ``down`` as ``(sim time, cloud, segment,
+    index, hedge)`` and, as each fetch starts and settles, what the
+    dispatcher decides on besides the segments themselves: ``(sim time,
+    download estimate per cloud, failure count per cloud)``.  Each look
+    also checks the hedge index against the states it summarizes."""
+    picks, world = [], []
+    fetch = down._fetch_block
+    cloud_ids = [c.cloud_id for c in down.connections]
+
+    def look():
+        assert sorted(down._flying) == [
+            s.position for s in down._ordered if s.inflight
+        ]
+        world.append((
+            down.sim.now,
+            tuple(down.estimator.estimate(cid, DOWNLOAD)
+                  for cid in cloud_ids),
+            tuple(down._dead[cid] for cid in cloud_ids),
+        ))
+
+    def watched(fetching):
+        try:
+            yield from fetching
+        finally:
+            look()
+
+    def logged(conn, state, index, hedge=False):
+        picks.append((down.sim.now, conn.cloud_id,
+                      state.record.segment_id, index, hedge))
+        look()
+        return watched(fetch(conn, state, index, hedge=hedge))
+
+    down._fetch_block = logged
+    return picks, world
+
+
+class DropFirst:
+    """A connection whose first ``count`` downloads fail 10 ms in."""
+
+    def __init__(self, conn, count):
+        self._conn = conn
+        self.remaining = count
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def download(self, path, ctx=None):
+        if self.remaining > 0:
+            self.remaining -= 1
+            yield self._conn.sim.timeout(0.01)
+            raise RequestFailedError(self.cloud_id, "scripted drop")
+        return (yield from self._conn.download(path, ctx=ctx))
+
+
+def download_snapshot(batch, down, picks, world):
     return {
         "batch": (batch.started_at, batch.finished_at,
                   batch.failed_requests),
@@ -166,49 +235,73 @@ def download_snapshot(batch):
              None if r.content is None else hash(r.content))
             for r in batch.files
         ],
+        "picks": picks,
+        "world": world,
+        "hedges": (down.hedges_fired, down.hedged_bytes),
     }
 
 
 def run_download_scenario(reference, down_failure_rates=None,
-                          kill_clouds=(), prime=None, seed=0):
+                          kill_clouds=(), prime=None, seed=0, count=6,
+                          size=None, down_speeds=None, link=None,
+                          config=CONFIG, disturb=None):
+    """Upload ``count`` files on equal links, then fetch them back.
+
+    The download links may differ from the upload's (``down_speeds``,
+    ``down_failure_rates``, ``link`` = extra ``LinkProfile`` fields);
+    ``prime`` seeds the download estimates (Mbps per cloud); ``config``
+    is the download scheduler's (degradation plane, failure threshold);
+    ``disturb(sim, conns, estimator)`` arranges scripted trouble just
+    before the batch starts (it may replace entries of ``conns``).
+    """
     sim, clouds, conns, pipeline = make_env(
         [20.0] * N_CLOUDS, seed=seed
     )
     estimator = ThroughputEstimator()
     up = UploadScheduler(sim, conns, pipeline, CONFIG, estimator=estimator)
-    files = make_batch(pipeline)
+    files = make_batch(pipeline, count=count, size=size)
     sim.run_process(up.run_batch(files))
     for cloud_index in kill_clouds:
         clouds[cloud_index].set_available(False)
-    if down_failure_rates:
-        # LinkProfile is frozen; wrap the same clouds in fresh,
-        # failure-prone connections for the download phase.
+    if down_failure_rates or down_speeds or link:
+        # LinkProfile is frozen; wrap the same clouds in fresh
+        # connections for the download phase.
+        speeds = down_speeds or [20.0] * N_CLOUDS
+        rates = down_failure_rates or [0.0] * N_CLOUDS
         conns = [
-            CloudConnection(sim, cloud, profile(20.0, rate),
+            CloudConnection(sim, cloud, profile(up, rate, **(link or {})),
                             np.random.default_rng(seed + 100 + i))
-            for i, (cloud, rate) in enumerate(
-                zip(clouds, down_failure_rates)
+            for i, (cloud, up, rate) in enumerate(
+                zip(clouds, speeds, rates)
             )
         ]
     if prime:
         for conn, mbps in zip(conns, prime):
             estimator.record(conn.cloud_id, "down", int(mbps * 125000), 1.0)
+    if disturb is not None:
+        disturb(sim, conns, estimator)
+    controller = None
+    if config.degrade_enabled:
+        controller = DegradeController(config, health_gate=False)
     down = DownloadScheduler(
-        sim, conns, pipeline, CONFIG, estimator=estimator
+        sim, conns, pipeline, config, estimator=estimator,
+        degrade=controller,
     )
     if reference:
-        down._next_request = down._next_request_reference
+        down._next_ready = down._next_request_reference
+    picks, world = log_dispatches(down)
     requests = [
         FileDownload(f.path, [record for record, _ in f.segments])
         for f in files
     ]
     batch = sim.run_process(down.run_batch(requests))
-    return download_snapshot(batch), down
+    return download_snapshot(batch, down, picks, world), down
 
 
 def assert_download_equivalent(**kwargs):
     fast, fast_sched = run_download_scenario(reference=False, **kwargs)
     ref, ref_sched = run_download_scenario(reference=True, **kwargs)
+    assert fast["picks"] == ref["picks"]
     assert fast == ref
     assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
     return fast
@@ -233,3 +326,154 @@ def test_download_equivalence_flaky():
         down_failure_rates=[0.0, 0.3, 0.0, 0.4, 0.2], seed=13
     )
     assert snapshot["batch"][2] > 0
+
+
+def test_download_equivalence_skewed_many_segments():
+    snapshot = assert_download_equivalent(
+        down_speeds=SKEWED, count=60, seed=17
+    )
+    assert len({seg for _t, _c, seg, _i, _h in snapshot["picks"]}) >= 100
+
+
+def strict_orders(world, a, b):
+    """The strict orders seen between two clouds' estimates."""
+    return {
+        (est[a] > est[b]) - (est[a] < est[b]) for _t, est, _dead in world
+    } - {0}
+
+
+def test_download_equivalence_estimate_order_flips():
+    # Two equal-mean volatile links: their EWMA estimates keep crossing,
+    # so what cloud0 defers to cloud1 (and back) changes mid-batch.
+    snapshot = assert_download_equivalent(
+        down_speeds=[10, 10, 2.5, 20, 40], count=40, seed=19,
+        link={"volatility": 0.6, "epoch_seconds": 0.25},
+    )
+    assert strict_orders(snapshot["world"], 0, 1) == {-1, 1}
+
+
+def test_download_equivalence_dead_cloud_revived():
+    # cloud3's first two fetches drop at once (dead at the
+    # threshold) while its other three connections are still in flight;
+    # their late success resets the count and the cloud serves again.
+    config = UniDriveConfig(theta=CONFIG.theta, cloud_failure_threshold=2)
+
+    def disturb(sim, conns, estimator):
+        conns[3] = DropFirst(conns[3], count=2)
+
+    snapshot = assert_download_equivalent(
+        down_speeds=SKEWED, prime=[5, 10, 20, 160, 80], count=30, seed=23,
+        config=config, disturb=disturb,
+    )
+    died = [
+        t for t, _est, dead in snapshot["world"]
+        if dead[3] >= config.cloud_failure_threshold
+    ]
+    assert died
+    assert any(
+        cloud == "cloud3" and t > died[-1]
+        for t, cloud, *_ in snapshot["picks"]
+    )
+
+
+def test_download_equivalence_hedging():
+    # Healthy history, then cloud1 browns out 25x: hedges race its
+    # outrun fetches, cancel the losers and re-probe the estimator.
+    def disturb(sim, conns, estimator):
+        FaultInjector(sim).slow_cloud(conns[1], factor=25.0)
+
+    snapshot = assert_download_equivalent(
+        prime=[40] * N_CLOUDS, count=20, seed=29, disturb=disturb,
+        config=UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True),
+    )
+    assert snapshot["hedges"][0] > 0
+    assert any(hedge for *_, hedge in snapshot["picks"])
+
+
+def test_download_equivalence_estimator_moved_from_outside():
+    # The injected estimator is shared: something else (another
+    # client's batch) keeps rewriting the download estimates while this
+    # batch runs, at instants where the scheduler itself does nothing.
+    def disturb(sim, conns, estimator):
+        def other_batch():
+            for step in range(40):
+                yield sim.timeout(0.07)
+                slow, fast = (0, 4) if step % 2 else (4, 0)
+                estimator.record(f"cloud{slow}", DOWNLOAD, 1e4, 1.0)
+                estimator.record(f"cloud{fast}", DOWNLOAD, 1e8, 1.0)
+
+        sim.process(other_batch())
+
+    snapshot = assert_download_equivalent(
+        down_speeds=SKEWED, count=40, seed=31, disturb=disturb
+    )
+    assert strict_orders(snapshot["world"], 0, 4) == {-1, 1}
+
+
+@st.composite
+def download_scripts(draw):
+    clouds = st.integers(min_value=0, max_value=N_CLOUDS - 1)
+    return {
+        "count": draw(st.integers(min_value=1, max_value=14)),
+        "down_speeds": draw(st.lists(
+            st.sampled_from([1, 2.5, 5, 10, 20, 40]),
+            min_size=N_CLOUDS, max_size=N_CLOUDS,
+        )),
+        "kill_clouds": tuple(draw(st.sets(clouds, max_size=2))),
+        "drops": draw(st.lists(
+            st.integers(min_value=0, max_value=4),
+            min_size=N_CLOUDS, max_size=N_CLOUDS,
+        )),
+        "pokes": draw(st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=0.5),
+                clouds,
+                st.sampled_from([1e3, 1e5, 1e7, 1e9]),
+            ),
+            max_size=6,
+        )),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(download_scripts())
+def test_download_pick_log_matches_reference(script):
+    """Any segment count, link speeds and failure script (outages,
+    scripted drops, estimates rewritten from outside): the
+    ready-heap dispatcher picks what the reference scan picks."""
+
+    def disturb(sim, conns, estimator):
+        conns[:] = [
+            DropFirst(conn, count)
+            for conn, count in zip(conns, script["drops"])
+        ]
+
+        def pokes():
+            for gap, cloud, rate in script["pokes"]:
+                yield sim.timeout(gap)
+                estimator.record(f"cloud{cloud}", DOWNLOAD, rate, 1.0)
+
+        sim.process(pokes())
+
+    assert_download_equivalent(
+        count=script["count"], down_speeds=script["down_speeds"],
+        kill_clouds=script["kill_clouds"], seed=script["seed"],
+        disturb=disturb,
+    )
+
+
+def test_download_dispatch_scans_per_block_flat():
+    # Parked segments are not rescanned: with a stable estimate order
+    # (equal-size segments on skewed links) the states evaluated per
+    # dispatched block must not grow with the batch.  Rescanning the
+    # blocked tail grew ~linearly: 27 -> 1 164 from 10 to 640 segments.
+    per_block = {}
+    for count in (10, 320):
+        snapshot, down = run_download_scenario(
+            reference=False, down_speeds=SKEWED, count=count,
+            size=48 * 1024, seed=37,
+        )
+        assert len(down._ordered) == count
+        per_block[count] = down._dispatch_scans / len(snapshot["picks"])
+    assert per_block[320] <= 2 * per_block[10]

@@ -377,17 +377,25 @@ CONFIG = UniDriveConfig(theta=64 * 1024)
 N_CLOUDS = 5
 
 
-def _make_env(seed=0):
+#: The paper's skewed regime (downlink Mbps per cloud), where slow
+#: clouds defer most of their candidates to faster ones.
+SKEWED_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
+
+
+def _make_env(seed=0, down_mbps=(40.0,) * N_CLOUDS):
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(N_CLOUDS)]
-    profile = LinkProfile(
-        up_mbps=20.0, down_mbps=40.0, rtt_seconds=0.05, latency_jitter=0.0,
-        failure_rate=0.0, volatility=0.0, fade_probability=0.0,
-        diurnal_amplitude=0.0,
-    )
     conns = [
-        CloudConnection(sim, cloud, profile, np.random.default_rng(seed + i))
-        for i, cloud in enumerate(clouds)
+        CloudConnection(
+            sim, cloud,
+            LinkProfile(
+                up_mbps=down / 2, down_mbps=down, rtt_seconds=0.05,
+                latency_jitter=0.0, failure_rate=0.0, volatility=0.0,
+                fade_probability=0.0, diurnal_amplitude=0.0,
+            ),
+            np.random.default_rng(seed + i),
+        )
+        for i, (cloud, down) in enumerate(zip(clouds, down_mbps))
     ]
     pipeline = BlockPipeline(CONFIG, N_CLOUDS)
     return sim, conns, pipeline
@@ -432,9 +440,40 @@ def _run_upload(count, reference):
     }
 
 
+def _run_download(count):
+    """Fetch ``count`` one-segment files back over skewed links."""
+    sim, conns, pipeline = _make_env(down_mbps=SKEWED_MBPS)
+    estimator = ThroughputEstimator()
+    files = _make_files(pipeline, count)
+    up = UploadScheduler(sim, conns, pipeline, CONFIG, estimator=estimator)
+    sim.run_process(up.run_batch(files))
+    down = DownloadScheduler(sim, conns, pipeline, CONFIG,
+                             estimator=estimator)
+    requests = [
+        FileDownload(f.path, [record for record, _ in f.segments])
+        for f in files
+    ]
+    start = time.perf_counter()
+    batch = sim.run_process(down.run_batch(requests))
+    elapsed = time.perf_counter() - start
+    assert all(r.content is not None for r in batch.files)
+    blocks = len(down.fetch_latencies)
+    return {
+        "segments": sum(len(f.segments) for f in files),
+        "blocks": blocks,
+        "scans": down._dispatch_scans,
+        "scans_per_block": down._dispatch_scans / blocks,
+        "wall_seconds": elapsed,
+        "blocks_per_s": blocks / elapsed,
+    }
+
+
 def bench_dispatch(quick):
     small, large = (10, 40) if quick else (10, 200)
+    down_small, down_large = (10, 160) if quick else (10, 640)
     out = {
+        "download_small": _run_download(down_small),
+        "download_large": _run_download(down_large),
         "cursor_small": _run_upload(small, reference=False),
         "cursor_large": _run_upload(large, reference=False),
         "reference_small": _run_upload(small, reference=True),
@@ -443,6 +482,10 @@ def bench_dispatch(quick):
     out["cursor_flatness"] = (
         out["cursor_large"]["scans_per_block"]
         / out["cursor_small"]["scans_per_block"]
+    )
+    out["download_flatness"] = (
+        out["download_large"]["scans_per_block"]
+        / out["download_small"]["scans_per_block"]
     )
     out["reference_growth"] = (
         out["reference_large"]["scans_per_block"]
@@ -1782,6 +1825,8 @@ def run_all(quick=False):
             results["chunking"]["stream_cuts_identical"],
         "dispatch_flat_within_2x":
             results["dispatch"]["cursor_flatness"] < 2.0,
+        "download_dispatch_flat_within_2x":
+            results["dispatch"]["download_flatness"] < 2.0,
     }
     results["checks"] = checks
     return results
@@ -1812,6 +1857,16 @@ def _print_hotpaths(results):
           f"{dispatch['cursor_large']['files']} files, "
           f"flatness {dispatch['cursor_flatness']:.2f}x; reference grows "
           f"{dispatch['reference_growth']:.2f}x)")
+    down_small, down_large = (
+        dispatch["download_small"], dispatch["download_large"]
+    )
+    print(f"download:   {down_small['scans_per_block']:.2f} -> "
+          f"{down_large['scans_per_block']:.2f} scans/block "
+          f"({down_small['segments']} -> {down_large['segments']} "
+          f"segments on 5/10/20/40/80 Mbps, flatness "
+          f"{dispatch['download_flatness']:.2f}x; "
+          f"{down_large['wall_seconds']:.2f} s wall at "
+          f"{down_large['segments']})")
     print(f"end-to-end: "
           f"{results['end_to_end']['payload_mb_per_s']:8.1f} MB/s sync "
           f"({results['end_to_end']['files_per_s']:.1f} file ops/s)")
