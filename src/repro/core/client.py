@@ -49,6 +49,7 @@ from .merge import (
 )
 from .metadata import (
     FileSnapshot,
+    MetadataError,
     SegmentRecord,
     SyncFolderImage,
     VersionStamp,
@@ -173,6 +174,14 @@ class UniDriveClient:
         # *fresh* cloud to extend the delta from.  None = unreachable or
         # unparseable at poll time.
         self._poll_counters: Dict[str, Optional[int]] = {}
+        #: This device's decoded metadata, one slot per cloud file:
+        #: ``"base" -> (blob, SyncFolderImage)``, ``"delta" -> (blob,
+        #: DeltaLog)``.  Keyed by the blob *bytes* this device downloaded
+        #: or published — never by a version stamp, which an untrusted
+        #: cloud could pair with other bytes — so a hit is exactly "I
+        #: have decoded these bytes before".  Volatile, never shared
+        #: between devices; see :meth:`_decode`.
+        self._held: Dict[str, Tuple[bytes, object]] = {}
         #: Crash-resume journal.  Pass a restored journal (see
         #: SyncJournal.from_bytes) to resume a round a previous
         #: incarnation of this device died in the middle of.
@@ -566,8 +575,8 @@ class UniDriveClient:
                 continue
             try:
                 stamp = deserialize_version(blob)
-            except Exception:
-                continue
+            except (ValueError, KeyError, TypeError):
+                continue  # not a version file: a cloud we cannot poll
             self.metadata_bytes += len(blob)
             poll[conn.cloud_id] = stamp.counter
             if best is None or stamp.counter > best.counter:
@@ -636,7 +645,14 @@ class UniDriveClient:
                         track=conn.cloud_id, reason=type(exc).__name__,
                     )
                 continue
-            image = deserialize_image(base_blob, self.config.metadata_key)
+            try:
+                image = self._decode("base", base_blob)
+            except MetadataError as exc:
+                last_error = exc
+                if OBS.enabled:
+                    OBS.metadata_skip(conn.cloud_id, self.sim.now,
+                                      "undecodable")
+                continue
             self.metadata_bytes += len(base_blob)
             try:
                 delta_blob = yield from self.retry.run(
@@ -657,11 +673,19 @@ class UniDriveClient:
                 continue
             if delta_blob:
                 self.metadata_bytes += len(delta_blob)
-                delta = DeltaLog.from_bytes(
-                    delta_blob, self.config.metadata_key
-                )
-                marker = delta.base_marker()
-                if marker >= 0 and marker != image.version.counter:
+                try:
+                    delta = self._decode("delta", delta_blob)
+                    marker = delta.base_marker()
+                    paired = marker < 0 or marker == image.version.counter
+                    if paired:
+                        delta.apply_to(image)
+                except MetadataError as exc:
+                    last_error = exc
+                    if OBS.enabled:
+                        OBS.metadata_skip(conn.cloud_id, self.sim.now,
+                                          "undecodable")
+                    continue
+                if not paired:
                     last_error = (
                         f"{conn.cloud_id}: base/delta pair mismatch "
                         f"(base v{image.version.counter}, delta extends "
@@ -671,7 +695,6 @@ class UniDriveClient:
                         OBS.metadata_skip(conn.cloud_id, self.sim.now,
                                           "corrupt-pair")
                     continue
-                delta.apply_to(image)
             if expect is not None and image.version.counter < expect:
                 last_error = (
                     f"{conn.cloud_id}: stale metadata "
@@ -688,6 +711,26 @@ class UniDriveClient:
         if span is not None:
             OBS.end(span, t=self.sim.now, error="SyncError")
         raise SyncError(f"{self.device}: no cloud served metadata ({last_error})")
+
+    def _decode(self, slot: str, blob: bytes):
+        """A private copy of what the ``slot`` file's ``blob`` decodes to.
+
+        The cipher and the parser run only for bytes this device does
+        not already hold (:attr:`_held`): between folds every fetch
+        downloads the same base and pays one copy for it, and the delta
+        a committer extends is far more often than not the one it
+        published last round.  A blob that does not decode raises
+        :class:`MetadataError` and is not kept.
+        """
+        held = self._held.get(slot)
+        if held is None or held[0] != blob:
+            decode = (
+                deserialize_image if slot == "base" else DeltaLog.from_bytes
+            )
+            held = self._held[slot] = (
+                blob, decode(blob, self.config.metadata_key)
+            )
+        return held[1].copy()
 
     def _seal_round(self, ops: List[dict], counter: int) -> List[dict]:
         """Stamp a round's ops with its version for publication.
@@ -715,17 +758,20 @@ class UniDriveClient:
         :meth:`_fetch_metadata`).
         """
         base_blob = serialize_image(image, self.config.metadata_key)
-        empty_delta = DeltaLog(
-            [op_base_version(image.version.counter)]
-        ).to_bytes(self.config.metadata_key)
+        fresh_delta = DeltaLog([op_base_version(image.version.counter)])
+        delta_blob = fresh_delta.to_bytes(self.config.metadata_key)
         version_blob = serialize_version(image.version)
         yield from self._replicate(
             [
                 (self._base_path, base_blob),
-                (self._delta_path, empty_delta),
+                (self._delta_path, delta_blob),
                 (self._version_path, version_blob),
             ]
         )
+        # What we sealed ourselves we need not unseal when it comes back
+        # (the caller goes on to mutate ``image``, hence the copy).
+        self._held["base"] = (base_blob, image.copy())
+        self._held["delta"] = (delta_blob, fresh_delta)
 
     def _publish_delta(self, image: SyncFolderImage, ops: List[dict]):
         """Append ops to the cloud delta, or fold into a new base at λ.
@@ -758,10 +804,13 @@ class UniDriveClient:
                     lambda c=conn: c.download(self._delta_path),
                     rng=self.rng,
                 )
-                candidate = DeltaLog.from_bytes(
-                    blob, self.config.metadata_key
-                )
+                candidate = self._decode("delta", blob)
             except CloudError:
+                continue
+            except MetadataError:
+                if OBS.enabled:
+                    OBS.metadata_skip(conn.cloud_id, self.sim.now,
+                                      "undecodable")
                 continue
             # Defense in depth: the pair must actually reconstruct the
             # previous commit (version files only witness the write).
@@ -790,19 +839,20 @@ class UniDriveClient:
             yield from self._publish_base(image)
             return
         existing.extend(ops)
-        delta_blob = existing.to_bytes(self.config.metadata_key)
-        version_blob = serialize_version(image.version)
         if base_size == 0 or should_merge(
-            base_size, len(delta_blob), self.config
+            base_size, existing.sealed_size(), self.config
         ):
             yield from self._publish_base(image)
             return
+        delta_blob = existing.to_bytes(self.config.metadata_key)
+        version_blob = serialize_version(image.version)
         yield from self._replicate(
             [
                 (self._delta_path, delta_blob),
                 (self._version_path, version_blob),
             ]
         )
+        self._held["delta"] = (delta_blob, existing)
 
     def _replicate(self, payloads: List[Tuple[str, bytes]]):
         """Upload each (path, blob) to every cloud; need a write quorum.
@@ -1142,6 +1192,7 @@ class UniDriveClient:
             refresher.kill()
         self.lock._refresher = None
         self.lock.held = False
+        self._held.clear()  # volatile: only the journal survives
 
     def _journal_sweep(self):
         """Delete journaled blocks the committed image does not

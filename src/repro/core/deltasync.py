@@ -13,12 +13,20 @@ of re-uploading the base (measured in the Figure 13 benchmark).
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..crypto import decrypt_cbc, encrypt_cbc
+from ..crypto.des import BLOCK_SIZE
 from .config import UniDriveConfig
-from .metadata import FileSnapshot, SegmentRecord, SyncFolderImage
+from .metadata import (
+    MALFORMED,
+    FileSnapshot,
+    MetadataError,
+    SegmentRecord,
+    SyncFolderImage,
+)
 
 __all__ = [
     "DeltaLog",
@@ -114,6 +122,15 @@ class DeltaLog:
 
     def __init__(self, ops: List[dict] = None):
         self.ops: List[dict] = list(ops) if ops else []
+        #: ``(key, plaintext, blob)`` of the last seal or unseal, so the
+        #: next :meth:`to_bytes` re-encrypts only what an append changed.
+        self._sealed: Optional[Tuple[bytes, bytes, bytes]] = None
+
+    def copy(self) -> "DeltaLog":
+        """An independent op list that still remembers the last seal."""
+        twin = DeltaLog(self.ops)
+        twin._sealed = self._sealed
+        return twin
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -128,10 +145,20 @@ class DeltaLog:
         self.ops.clear()
 
     def apply_to(self, image: SyncFolderImage) -> None:
-        """Replay every operation, in order, onto ``image`` (in place)."""
+        """Replay every operation, in order, onto ``image`` (in place).
+
+        A record that does not replay raises :class:`MetadataError` and
+        leaves ``image`` half-updated: replay onto a copy when the log
+        came from a cloud.
+        """
         seen_rounds: set = set()
-        for op in self.ops:
-            self._apply_op(image, op, seen_rounds)
+        try:
+            for op in self.ops:
+                self._apply_op(image, op, seen_rounds)
+        except MetadataError:
+            raise
+        except MALFORMED as exc:
+            raise MetadataError(f"malformed delta record: {exc!r}") from exc
 
     def _apply_op(self, image: SyncFolderImage, op: dict,
                   seen_rounds: set) -> None:
@@ -208,22 +235,69 @@ class DeltaLog:
 
     # -- wire format -----------------------------------------------------
 
-    def to_bytes(self, key: bytes) -> bytes:
-        """Encrypted JSON-lines encoding (one op per line)."""
-        lines = "\n".join(
+    def _encode(self) -> bytes:
+        return "\n".join(
             json.dumps(op, sort_keys=True, separators=(",", ":"))
             for op in self.ops
         ).encode()
-        import hashlib
 
-        iv = hashlib.sha1(lines).digest()[:8]
-        return encrypt_cbc(key, lines, iv)
+    def sealed_size(self) -> int:
+        """``len(self.to_bytes(key))`` without running the cipher."""
+        return BLOCK_SIZE * (len(self._encode()) // BLOCK_SIZE + 2)
+
+    def to_bytes(self, key: bytes) -> bytes:
+        """Encrypted JSON-lines encoding (one op per line).
+
+        The IV is the digest of the *first record* alone — in a cloud
+        delta, the ``base_version`` marker, which changes at every fold
+        and never in between.  Appending records therefore leaves every
+        ciphertext block before the old final one as it was, and a log
+        that remembers its last seal (it came from :meth:`from_bytes`,
+        or was sealed before) encrypts only from that block on, chained
+        off the previous ciphertext block.  The bytes are exactly those
+        of sealing from scratch, and any reader decrypts them statelessly.
+        """
+        lines = self._encode()
+        iv = hashlib.sha1(lines.partition(b"\n")[0]).digest()[:BLOCK_SIZE]
+        key = bytes(key)
+        head = iv  # the blob up to the first block that must be encrypted
+        if self._sealed is not None and self._sealed[0] == key:
+            _, old_lines, old_blob = self._sealed
+            # The old final block held padding, so it always changes.
+            stable = len(old_lines) // BLOCK_SIZE * BLOCK_SIZE
+            if (old_blob[:BLOCK_SIZE] == iv
+                    and lines.startswith(old_lines[:stable])):
+                head = old_blob[:BLOCK_SIZE + stable]
+        tail = encrypt_cbc(
+            key, lines[len(head) - BLOCK_SIZE:], head[-BLOCK_SIZE:]
+        )
+        blob = head + tail[BLOCK_SIZE:]
+        self._sealed = (key, lines, blob)
+        return blob
 
     @staticmethod
     def from_bytes(blob: bytes, key: bytes) -> "DeltaLog":
-        plaintext = decrypt_cbc(key, blob).decode()
-        ops = [json.loads(line) for line in plaintext.splitlines() if line]
-        return DeltaLog(ops)
+        """Decrypt and parse a delta fetched from a cloud.
+
+        Raises :class:`MetadataError` for anything but a well-formed log.
+        """
+        try:
+            lines = decrypt_cbc(key, blob)
+            ops = [
+                json.loads(line)
+                for line in lines.decode().splitlines() if line
+            ]
+            for op in ops:
+                if not isinstance(op["op"], str):
+                    raise TypeError(f"operation name {op['op']!r}")
+            log = DeltaLog(ops)
+            # The two counters a client reads before replaying must parse.
+            log.base_marker()
+            log.latest_version()
+        except MALFORMED as exc:
+            raise MetadataError(f"undecodable delta log: {exc!r}") from exc
+        log._sealed = (bytes(key), lines, bytes(blob))
+        return log
 
 
 def should_merge(base_size: int, delta_size: int,

@@ -18,12 +18,29 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = [
+    "MALFORMED",
+    "MetadataError",
     "FileSnapshot",
     "FileEntry",
     "SegmentRecord",
     "SyncFolderImage",
     "VersionStamp",
 ]
+
+
+class MetadataError(ValueError):
+    """A metadata blob fetched from a cloud does not decode.
+
+    Clouds are untrusted: bad padding, bad UTF-8, bad JSON and a
+    document of the wrong shape all surface as this one error, which
+    the client answers by trying the next replica.
+    """
+
+
+#: What decrypting and parsing untrusted bytes can raise before the
+#: shape checks are through (PaddingError, UnicodeDecodeError and
+#: JSONDecodeError are all ValueErrors).
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
 
 @dataclass

@@ -5,7 +5,9 @@ separators) so identical logical states produce identical bytes, then is
 DES-CBC encrypted before upload — no cloud provider can read the file
 hierarchy (paper §4).  The CBC IV is derived from the plaintext digest,
 making serialization fully deterministic (valuable for dedup of
-identical metadata and for reproducible tests).
+identical metadata and for reproducible tests).  Every call runs the
+cipher; a device that already holds a blob's decoded form skips the call
+(``UniDriveClient._decode``), nothing below this module remembers.
 
 The tiny version file is deliberately *not* encrypted: it contains only
 a counter and a device name and must stay as small as possible because
@@ -18,7 +20,7 @@ import hashlib
 import json
 
 from ..crypto import decrypt_cbc, encrypt_cbc
-from .metadata import SyncFolderImage, VersionStamp
+from .metadata import MALFORMED, MetadataError, SyncFolderImage, VersionStamp
 
 __all__ = [
     "serialize_image",
@@ -42,9 +44,15 @@ def serialize_image(image: SyncFolderImage, key: bytes) -> bytes:
 
 
 def deserialize_image(blob: bytes, key: bytes) -> SyncFolderImage:
-    """Decrypt and decode a SyncFolderImage fetched from a cloud."""
-    plaintext = decrypt_cbc(key, blob)
-    return SyncFolderImage.from_dict(json.loads(plaintext.decode()))
+    """Decrypt and decode a SyncFolderImage fetched from a cloud.
+
+    Raises :class:`MetadataError` for anything but a well-formed image.
+    """
+    try:
+        plaintext = decrypt_cbc(key, blob)
+        return SyncFolderImage.from_dict(json.loads(plaintext.decode()))
+    except MALFORMED as exc:
+        raise MetadataError(f"undecodable base image: {exc!r}") from exc
 
 
 def serialize_version(stamp: VersionStamp) -> bytes:

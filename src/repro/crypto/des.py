@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 __all__ = ["DES", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 8
@@ -172,6 +174,25 @@ _FP_TAB: List[List[int]] = [
 ]
 
 
+# The same tables as numpy rows, for :meth:`DES.decrypt_blocks`: one
+# ``take`` per lookup over a whole vector of blocks.  The Feistel halves
+# run as int64 (the 34-bit ``ext`` windows do not fit 32), the 64-bit
+# permutations as uint64.
+_SP_VEC = np.array(_SP, dtype=np.int64)
+_IP_VEC = np.array(_IP_TAB, dtype=np.uint64)
+_FP_VEC = np.array(_FP_TAB, dtype=np.uint64)
+_U64 = np.uint64
+
+
+def _permute64_vec(values: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    out = tables[0].take((values >> _U64(56)).astype(np.intp))
+    for i in range(1, 8):
+        out |= tables[i].take(
+            ((values >> _U64(56 - 8 * i)) & _U64(0xFF)).astype(np.intp)
+        )
+    return out
+
+
 def _permute64_tab(value: int, tables: List[List[int]]) -> int:
     return (
         tables[0][(value >> 56) & 0xFF]
@@ -204,6 +225,17 @@ class DES:
             for sk in self._subkeys
         ]
         self._subkeys6_rev = self._subkeys6[::-1]
+        # For the vector path: the even boxes' six-bit windows over
+        # ``ext`` do not overlap each other, nor do the odd boxes', so
+        # each round's subkey folds into two masks XORed in once instead
+        # of eight chunks XORed in per lookup.
+        self._subkey_masks_rev = [
+            (
+                (k[0] << 28) | (k[2] << 20) | (k[4] << 12) | (k[6] << 4),
+                (k[1] << 24) | (k[3] << 16) | (k[5] << 8) | k[7],
+            )
+            for k in self._subkeys6_rev
+        ]
 
     @staticmethod
     def _key_schedule(key64: int) -> List[int]:
@@ -253,6 +285,37 @@ class DES:
             left, right = right, left ^ f
         # Halves are swapped before the final permutation.
         return _permute64_tab((right << 32) | left, _FP_TAB)
+
+    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Decrypt a ``uint64`` vector of independent blocks at once.
+
+        The same table-driven rounds as :meth:`_crypt_block`, each
+        lookup one ``take`` over every block — ECB decryption is data-
+        parallel, and so is CBC *decryption* (``P_i = D(C_i) ^ C_{i-1}``;
+        :func:`repro.crypto.modes.decrypt_cbc`).  CBC encryption chains
+        through the previous ciphertext block and stays scalar.
+        """
+        value = _permute64_vec(blocks, _IP_VEC)
+        left = (value >> _U64(32)).astype(np.int64)
+        right = (value & _U64(0xFFFFFFFF)).astype(np.int64)
+        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP_VEC
+        for even_mask, odd_mask in self._subkey_masks_rev:
+            ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
+            even = ext ^ even_mask
+            odd = ext ^ odd_mask
+            f = sp0.take(even >> 28)
+            f ^= sp2.take((even >> 20) & 0x3F)
+            f ^= sp4.take((even >> 12) & 0x3F)
+            f ^= sp6.take((even >> 4) & 0x3F)
+            f ^= sp1.take((odd >> 24) & 0x3F)
+            f ^= sp3.take((odd >> 16) & 0x3F)
+            f ^= sp5.take((odd >> 8) & 0x3F)
+            f ^= sp7.take(odd & 0x3F)
+            left, right = right, left ^ f
+        # Halves are swapped before the final permutation.
+        swapped = right.astype(np.uint64) << _U64(32)
+        swapped |= left.astype(np.uint64)
+        return _permute64_vec(swapped, _FP_VEC)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 8-byte block."""

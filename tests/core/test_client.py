@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from repro.cloud import SimulatedCloud, make_instant_connection
+from repro.core import deltasync, serialization
 from repro.core.client import SyncError, UniDriveClient
 from repro.core.config import UniDriveConfig
 from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
+#: Fold thresholds out of reach: commits append to the delta.
+DELTA_CONFIG = UniDriveConfig(
+    theta=64 * 1024, lock_backoff_max=1.0,
+    delta_merge_ratio=1000.0, delta_merge_bytes=10 ** 9,
+)
 N_CLOUDS = 5
 
 
 class Env:
     """Shared multi-cloud plus any number of devices."""
 
-    def __init__(self, n_devices=1, seed=0):
+    def __init__(self, n_devices=1, seed=0, config=CONFIG):
         self.sim = Simulator()
         self.clouds = [
             SimulatedCloud(self.sim, f"cloud{i}") for i in range(N_CLOUDS)
@@ -33,7 +39,7 @@ class Env:
                 f"device{d}",
                 fs,
                 conns,
-                config=CONFIG,
+                config=config,
                 rng=np.random.default_rng(seed + d),
             )
             self.clients.append(client)
@@ -308,3 +314,106 @@ def test_sync_report_fields():
     assert report.device == "device0"
     assert report.duration >= 0
     assert report.changed_anything
+
+
+# -- per-device decoded-metadata cache ------------------------------------------
+
+
+def count_decrypts(monkeypatch, env):
+    """``paid(i)``: sync device ``i`` and return how many (base, delta)
+    blobs went through the decrypt_cbc bindings the tracer also wraps."""
+    calls = {"base": 0, "delta": 0}
+    for name, module in (("base", serialization), ("delta", deltasync)):
+        def counting(key, blob, real=module.decrypt_cbc, name=name):
+            calls[name] += 1
+            return real(key, blob)
+
+        monkeypatch.setattr(module, "decrypt_cbc", counting)
+
+    def paid(device):
+        before = dict(calls)
+        env.sync(device)
+        return calls["base"] - before["base"], calls["delta"] - before["delta"]
+
+    return paid
+
+
+def test_each_device_decrypts_for_itself_and_only_news(monkeypatch):
+    env = Env(n_devices=3, config=DELTA_CONFIG)
+    paid = count_decrypts(monkeypatch, env)
+    env.write(0, "/a", content_bytes(20))
+    assert paid(0) == (0, 0)  # nothing on the clouds yet
+    env.write(0, "/b", content_bytes(21))
+    assert paid(0) == (0, 0)  # extends the delta it sealed itself
+    # Devices 1 and 2 read the same two blobs in the same process: each
+    # pays for both, whatever the other has already seen.
+    assert paid(1) == (1, 1)
+    assert paid(2) == (1, 1)
+    env.write(0, "/c", content_bytes(22))
+    assert paid(0) == (0, 0)
+    assert paid(1) == (0, 1)  # same base bytes as last time: held
+    assert paid(1) == (0, 0)  # no news, no fetch
+    env.write(1, "/d", content_bytes(23))
+    assert paid(1) == (0, 0)  # the delta it fetched a moment ago
+    assert paid(0) == (0, 1)  # its own base back, device1's delta
+    assert paid(2) == (0, 1)
+    for client in env.clients:
+        for name, seed in (("/a", 20), ("/b", 21), ("/c", 22), ("/d", 23)):
+            assert client.fs.read_file(name) == content_bytes(seed)
+    held = [client._held for client in env.clients]
+    assert held[0] is not held[1] and held[1] is not held[2]
+    # Keyed by content: all three end up holding the clouds' bytes.
+    for name in ("base", "delta"):
+        on_cloud = env.clouds[0].store.get(f"/unidrive/meta/{name}")
+        assert [h[name][0] for h in held] == [on_cloud] * 3
+
+
+def test_fold_is_decrypted_once_per_reader(monkeypatch):
+    env = Env(n_devices=2)  # CONFIG: these tiny bases fold every commit
+    paid = count_decrypts(monkeypatch, env)
+    env.write(0, "/a", content_bytes(24))
+    assert paid(0) == (0, 0)
+    assert paid(1) == (1, 1)
+    env.write(0, "/a", content_bytes(25))
+    assert paid(0) == (0, 0)  # folded: publishes base + marker delta
+    assert paid(1) == (1, 1)  # both blobs are new bytes
+    assert env.clients[1].fs.read_file("/a") == content_bytes(25)
+
+
+def test_held_metadata_is_handed_out_as_copies():
+    env = Env(n_devices=2, config=DELTA_CONFIG)
+    env.write(0, "/a", content_bytes(26))
+    env.sync(0)
+    env.sync(1)
+    reader = env.clients[1]
+    base_blob, _ = reader._held["base"]
+    delta_blob, _ = reader._held["delta"]
+    image = reader._decode("base", base_blob)
+    image.files.clear()
+    image.segments.clear()
+    assert reader._decode("base", base_blob).files
+    log = reader._decode("delta", delta_blob)
+    log.append({"op": "delete_file", "path": "/a"})
+    assert len(reader._decode("delta", delta_blob)) == len(log) - 1
+    # The image the device lives on is no alias of the held one either.
+    assert reader.image is not reader._held["base"][1]
+    writer = env.clients[0]
+    assert writer.image is not writer._held["base"][1]
+    writer.image.files.clear()
+    assert writer._held["base"][1].files
+
+
+def test_version_poll_ignores_unparseable_version_files():
+    env = Env(n_devices=2)
+    env.write(0, "/a", content_bytes(27))
+    env.sync(0)
+    garbage = [b"\xff\xfe", b"[1, 2]", b'{"counter": 1}', b"7"]
+    for cloud, blob in zip(env.clouds, garbage):
+        cloud.store.put("/unidrive/meta/version", blob, mtime=0.0)
+    reader = env.clients[1]
+    stamp = env.sim.run_process(reader._check_cloud_update())
+    assert stamp.counter == 1
+    assert reader._poll_counters == {
+        "cloud0": None, "cloud1": None, "cloud2": None, "cloud3": None,
+        "cloud4": 1,
+    }

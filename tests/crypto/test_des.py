@@ -1,10 +1,27 @@
 """DES known-answer tests and property tests."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import DES
+
+#: (key, plaintext, ciphertext) known answers: the classic worked
+#: example plus rows of the NIST SP 800-17 variable-plaintext,
+#: permutation-operation and substitution-table tests.
+KNOWN_ANSWERS = [
+    ("133457799BBCDFF1", "0123456789ABCDEF", "85E813540F0AB405"),
+    ("10316E028C8F3B4A", "0000000000000000", "82DCBAFBDEAB6602"),
+    ("0101010101010101", "95F8A5E5DD31D900", "8000000000000000"),
+    ("0101010101010101", "8000000000000000", "95F8A5E5DD31D900"),
+    ("7CA110454A1A6E57", "01A1D6D039776742", "690F5B0D9A26939B"),
+    ("0131D9619DC1376E", "5CD54CA83DEF57DA", "7A389D10354BD271"),
+]
+
+
+def as_blocks(*hex_blocks):
+    return np.array([int(h, 16) for h in hex_blocks], dtype=np.uint64)
 
 
 def test_known_vector_classic():
@@ -34,6 +51,22 @@ def test_decrypt_inverts_known_vector():
     ciphertext = bytes.fromhex("85E813540F0AB405")
     expected = bytes.fromhex("0123456789ABCDEF")
     assert DES(key).decrypt_block(ciphertext) == expected
+
+
+@pytest.mark.parametrize("key,plaintext,ciphertext", KNOWN_ANSWERS)
+def test_known_vectors_all_paths(key, plaintext, ciphertext):
+    cipher = DES(bytes.fromhex(key))
+    assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex().upper() \
+        == ciphertext
+    assert cipher.decrypt_block(bytes.fromhex(ciphertext)).hex().upper() \
+        == plaintext
+    # The vector path, alone and with neighbours that must not bleed.
+    assert cipher.decrypt_blocks(as_blocks(ciphertext)).tolist() \
+        == [int(plaintext, 16)]
+    got = cipher.decrypt_blocks(
+        as_blocks("FFFFFFFFFFFFFFFF", ciphertext, "0000000000000000")
+    )
+    assert int(got[1]) == int(plaintext, 16)
 
 
 def test_parity_bits_ignored():
@@ -71,3 +104,24 @@ def test_encryption_changes_block(block):
     first = cipher.encrypt_block(block)
     second = cipher.encrypt_block(block)
     assert first == second
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.binary(min_size=8, max_size=8),
+    st.one_of(st.integers(1, 80), st.sampled_from([1000, 20_000])),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_vector_decrypt_matches_scalar(key, n_blocks, seed):
+    """decrypt_blocks == decrypt_block on every block, 1 … 20 k blocks
+    of arbitrary bits (so all-ones, high-bit and wraparound halves turn
+    up), under arbitrary keys."""
+    cipher = DES(key)
+    blocks = np.random.default_rng(seed).integers(
+        0, 2 ** 64, size=n_blocks, dtype=np.uint64
+    )
+    blocks[0] = np.uint64(2 ** 64 - 1)
+    got = cipher.decrypt_blocks(blocks)
+    assert got.dtype == np.uint64 and got.shape == blocks.shape
+    expected = [cipher._crypt_block(int(b), True) for b in blocks]
+    assert got.tolist() == expected

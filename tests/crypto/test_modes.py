@@ -1,10 +1,11 @@
 """Tests for CBC mode and PKCS#5 padding."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
+    DES,
     PaddingError,
     decrypt_cbc,
     encrypt_cbc,
@@ -14,6 +15,25 @@ from repro.crypto import (
 
 KEY = b"metakey1"
 IV = b"\x00\x01\x02\x03\x04\x05\x06\x07"
+
+
+def scalar_decrypt_cbc(key, blob):
+    """The block-at-a-time CBC decrypt the vector path replaced."""
+    cipher = DES(key)
+    out = []
+    for offset in range(8, len(blob), 8):
+        plain = cipher.decrypt_block(blob[offset:offset + 8])
+        out.append(bytes(
+            a ^ b for a, b in zip(plain, blob[offset - 8:offset])
+        ))
+    return unpad(b"".join(out))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PaddingError:
+        return PaddingError
 
 
 def test_pad_lengths():
@@ -92,3 +112,59 @@ def test_cbc_roundtrip_property(plaintext, key, iv):
     blob = encrypt_cbc(key, plaintext, iv)
     assert decrypt_cbc(key, blob) == plaintext
     assert len(blob) % 8 == 0
+
+
+def test_cbc_fips81_sample():
+    """FIPS PUB 81, Table C1: the standard's own CBC example."""
+    key = bytes.fromhex("0123456789abcdef")
+    iv = bytes.fromhex("1234567890abcdef")
+    plaintext = b"Now is the time for all "
+    expected = bytes.fromhex(
+        "e5c7cdde872bf27c" "43e934008c389c0f" "683788499a7c05f6"
+    )
+    blob = encrypt_cbc(key, plaintext, iv)
+    assert blob[8:32] == expected
+    assert decrypt_cbc(key, blob) == plaintext
+
+
+def test_cbc_decrypt_accepts_any_buffer():
+    blob = encrypt_cbc(KEY, b"metadata" * 5, IV)
+    assert decrypt_cbc(KEY, bytearray(blob)) == b"metadata" * 5
+    assert decrypt_cbc(bytearray(KEY), memoryview(blob)) == b"metadata" * 5
+
+
+def test_cbc_decrypt_runs_the_cipher_every_time(monkeypatch):
+    """No plaintext is remembered below the caller: two identical calls
+    are two trips through the block cipher."""
+    calls = []
+    real = DES.decrypt_blocks
+
+    def counting(self, blocks):
+        calls.append(len(blocks))
+        return real(self, blocks)
+
+    monkeypatch.setattr(DES, "decrypt_blocks", counting)
+    blob = encrypt_cbc(KEY, b"x" * 20, IV)
+    decrypt_cbc(KEY, blob)
+    decrypt_cbc(KEY, blob)
+    assert calls == [3, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.binary(min_size=8, max_size=8),
+    st.binary(min_size=8, max_size=8),
+    st.binary(min_size=0, max_size=600),
+    st.binary(min_size=8, max_size=8),
+)
+def test_cbc_vector_matches_scalar(key, other_key, plaintext, iv):
+    """Right key: the plaintext.  Wrong key: the *same* garbage or the
+    same PaddingError as decrypting one block at a time."""
+    blob = encrypt_cbc(key, plaintext, iv)
+    assert decrypt_cbc(key, blob) == plaintext
+    assert outcome(decrypt_cbc, other_key, blob) \
+        == outcome(scalar_decrypt_cbc, other_key, blob)
+    # ... and a ciphertext nobody produced (truncated mid-chain).
+    if len(blob) > 16:
+        assert outcome(decrypt_cbc, key, blob[:-8]) \
+            == outcome(scalar_decrypt_cbc, key, blob[:-8])

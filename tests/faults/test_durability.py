@@ -255,6 +255,28 @@ def test_client_crash_mid_upload_resumes_without_reuploading():
     assert reader.fs.read_file("/big") == data
 
 
+def test_crash_drops_decoded_metadata_and_keeps_the_journal():
+    """The decoded-metadata cache is process memory: a power loss takes
+    it, and the next incarnation decrypts what it reads again."""
+    sim = Simulator()
+    clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
+    writer = make_client(sim, clouds, "writer", seed=54)
+    writer.fs.write_file("/a", payload(62), mtime=sim.now)
+    sim.run_process(writer.sync())
+    reader = make_client(sim, clouds, "reader", seed=55)
+    sim.run_process(reader.sync())
+    assert set(writer._held) == set(reader._held) == {"base", "delta"}
+    journal = reader.journal
+    reader.crash()
+    writer.crash()
+    assert reader._held == {} and writer._held == {}
+    assert reader.journal is journal
+    writer.fs.write_file("/b", payload(63), mtime=sim.now)
+    sim.run_process(writer.sync())
+    sim.run_process(reader.sync())
+    assert reader.fs.read_file("/b") == payload(63)
+
+
 @chaos_smoke
 def test_crashed_holder_lock_break_then_scrub_converges():
     """A device dies holding the lock with half an upload batch on the

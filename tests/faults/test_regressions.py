@@ -13,15 +13,24 @@ fails on the pre-fix code:
 * ``_fetch_metadata`` adopted the first reachable cloud's image even
   when the version poll had already proven a newer version exists.
 
+* One rotted replica of ``meta/base`` (or ``meta/delta``) made every
+  reader's ``sync()`` raise ``UnicodeDecodeError`` out of
+  ``_fetch_metadata`` although four healthy replicas were a request
+  away: undecodable bytes were a crash, not a stale replica.
+
 (The ``ThroughputEstimator.record_failure`` no-op on unprobed clouds
 and the unbounded ``QuorumLock._first_seen`` growth are pinned in
 ``tests/core/test_probing.py`` and ``test_lock_crash.py``.)
 """
 
 import numpy as np
+import pytest
 
+from repro import obs
 from repro.cloud import SimulatedCloud, make_instant_connection
 from repro.core import UniDriveClient, UniDriveConfig
+from repro.core.client import SyncError
+from repro.core.metadata import MetadataError
 from repro.faults import FaultInjector
 from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
@@ -141,3 +150,80 @@ def test_fetch_metadata_skips_stale_cloud():
     image = sim.run_process(observer._fetch_metadata(expect=2))
     assert image.version.counter == 2
     assert "/two" in image.files
+
+
+def rot(cloud, path, offset=None, size=None):
+    """Flip one byte of a stored object (bit rot the provider missed)."""
+    blob = bytearray(cloud.store.get(path))
+    offset = len(blob) // 2 if offset is None else offset
+    blob[offset] ^= 0x5A
+    cloud.store.put(path, bytes(blob[:size]), mtime=0.0)
+
+
+@pytest.mark.parametrize("name", ["base", "delta"])
+def test_fetch_metadata_skips_undecodable_replica(name):
+    """A replica that no longer decrypts to metadata is a bad replica:
+    skip it (reason ``undecodable``) and read the next cloud."""
+    sim = Simulator()
+    clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
+    writer = make_client(sim, clouds, "writer", seed=7, config=DELTA_CONFIG)
+    writer.fs.write_file("/one", payload(60), mtime=sim.now)
+    sim.run_process(writer.sync())
+    writer.fs.write_file("/two", payload(61), mtime=sim.now)
+    sim.run_process(writer.sync())  # a real delta on top of the base
+    rot(clouds[0], f"/unidrive/meta/{name}")
+    reader = make_client(sim, clouds, "reader", seed=8, config=DELTA_CONFIG)
+    with obs.isolated(sim=sim) as (_tracer, metrics):
+        report = sim.run_process(reader.sync())
+        skips = metrics.counter_value(
+            "metadata_skips", cloud="c0", reason="undecodable"
+        )
+    assert sorted(report.downloaded_files) == ["/one", "/two"]
+    assert reader.fs.read_file("/two") == payload(61)
+    assert skips == 1
+    # What it kept is what decoded — the healthy replica's bytes.
+    assert reader._held[name][0] == clouds[1].store.get(
+        f"/unidrive/meta/{name}"
+    )
+
+
+def test_fetch_metadata_fails_typed_when_every_replica_is_rotten():
+    sim = Simulator()
+    clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
+    writer = make_client(sim, clouds, "writer", seed=9)
+    writer.fs.write_file("/one", payload(62), mtime=sim.now)
+    sim.run_process(writer.sync())
+    for cloud in clouds:
+        # Truncated to a misaligned length, garbled, emptied of padding.
+        rot(cloud, "/unidrive/meta/base", size=100 + int(cloud.cloud_id[1]))
+    reader = make_client(sim, clouds, "reader", seed=10)
+    with pytest.raises(SyncError, match="undecodable"):
+        sim.run_process(reader.sync())
+    assert "base" not in reader._held  # never cached
+
+
+def test_publish_delta_skips_undecodable_donor():
+    """The committer extends the first *decodable* fresh delta; a rotted
+    one neither crashes the commit nor lands in the cache."""
+    sim = Simulator()
+    clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
+    first = make_client(sim, clouds, "first", seed=11, config=DELTA_CONFIG)
+    first.fs.write_file("/one", payload(63), mtime=sim.now)
+    sim.run_process(first.sync())
+    first.fs.write_file("/two", payload(64), mtime=sim.now)
+    sim.run_process(first.sync())
+    second = make_client(sim, clouds, "second", seed=12, config=DELTA_CONFIG)
+    sim.run_process(second.sync())
+    rot(clouds[0], "/unidrive/meta/delta")
+    second.fs.write_file("/three", payload(65), mtime=sim.now)
+    report = sim.run_process(second.sync())
+    assert report.committed_version == 3
+    observer = make_client(sim, clouds, "observer", seed=13,
+                           config=DELTA_CONFIG)
+    sim.run_process(observer.sync())
+    assert sorted(observer.image.files) == ["/one", "/three", "/two"]
+    with pytest.raises(MetadataError):
+        second._decode("delta", b"\x00" * 24)
+    assert second._held["delta"][0] == clouds[0].store.get(
+        "/unidrive/meta/delta"
+    )  # still the blob it published, not the garbage
