@@ -255,26 +255,38 @@ class MultiCloudBenchmark:
         self.estimator = estimator
         self._records: Dict[str, list] = {}
 
+    def _uploader(self) -> UploadScheduler:
+        return UploadScheduler(
+            self.sim, self.connections, self.pipeline, self.config,
+            estimator=self.estimator,
+            over_provision=self.OVER_PROVISION, dynamic=self.DYNAMIC,
+        )
+
+    def _downloader(self) -> DownloadScheduler:
+        return DownloadScheduler(
+            self.sim, self.connections, self.pipeline, self.config,
+            estimator=self.estimator, dynamic=self.DYNAMIC,
+        )
+
+    @staticmethod
+    def _upload_outcome(path: str, size: int, batch) -> TransferOutcome:
+        report = batch.report_for(path)
+        return TransferOutcome(
+            path, size, batch.started_at,
+            report.available_at, report.available_at is not None,
+            reliable_at=report.reliable_at,
+        )
+
     def upload(self, path: str, content: bytes):
         segments = [
             (self.pipeline.make_record(seg), seg.data)
             for seg in self.pipeline.segment_file(content)
         ]
-        scheduler = UploadScheduler(
-            self.sim, self.connections, self.pipeline, self.config,
-            estimator=self.estimator,
-            over_provision=self.OVER_PROVISION, dynamic=self.DYNAMIC,
-        )
-        batch = yield from scheduler.run_batch(
+        batch = yield from self._uploader().run_batch(
             [FileUpload(path=path, segments=segments)]
         )
-        report = batch.report_for(path)
         self._records[path] = [record for record, _ in segments]
-        return TransferOutcome(
-            path, len(content), batch.started_at,
-            report.available_at, report.available_at is not None,
-            reliable_at=report.reliable_at,
-        )
+        return self._upload_outcome(path, len(content), batch)
 
     def upload_sized(self, path: str, size: int):
         """Upload ``size`` bytes of synthetic content (fleet trials).
@@ -305,20 +317,10 @@ class MultiCloudBenchmark:
                 k=self.pipeline.k,
             )
             segments.append((record, SyntheticPayload(span)))
-        scheduler = UploadScheduler(
-            self.sim, self.connections, self.pipeline, self.config,
-            estimator=self.estimator,
-            over_provision=self.OVER_PROVISION, dynamic=self.DYNAMIC,
-        )
-        batch = yield from scheduler.run_batch(
+        batch = yield from self._uploader().run_batch(
             [FileUpload(path=path, segments=segments)]
         )
-        report = batch.report_for(path)
-        return TransferOutcome(
-            path, size, batch.started_at,
-            report.available_at, report.available_at is not None,
-            reliable_at=report.reliable_at,
-        )
+        return self._upload_outcome(path, size, batch)
 
     def upload_batch(self, items):
         """Upload many (path, content) pairs in one scheduled batch."""
@@ -330,23 +332,14 @@ class MultiCloudBenchmark:
             ]
             self._records[path] = [record for record, _ in segments]
             files.append(FileUpload(path=path, segments=segments))
-        scheduler = UploadScheduler(
-            self.sim, self.connections, self.pipeline, self.config,
-            estimator=self.estimator,
-            over_provision=self.OVER_PROVISION, dynamic=self.DYNAMIC,
-        )
-        batch = yield from scheduler.run_batch(files)
+        batch = yield from self._uploader().run_batch(files)
         return batch
 
     def download(self, path: str, size: int = 0):
         records = self._records.get(path)
         if records is None:
             raise KeyError(f"{path} was not uploaded through this client")
-        scheduler = DownloadScheduler(
-            self.sim, self.connections, self.pipeline, self.config,
-            estimator=self.estimator, dynamic=self.DYNAMIC,
-        )
-        batch = yield from scheduler.run_batch(
+        batch = yield from self._downloader().run_batch(
             [FileDownload(path=path, segments=records)]
         )
         report = batch.report_for(path)
@@ -361,11 +354,7 @@ class MultiCloudBenchmark:
             FileDownload(path=path, segments=self._records[path])
             for path in paths
         ]
-        scheduler = DownloadScheduler(
-            self.sim, self.connections, self.pipeline, self.config,
-            estimator=self.estimator, dynamic=self.DYNAMIC,
-        )
-        batch = yield from scheduler.run_batch(wants)
+        batch = yield from self._downloader().run_batch(wants)
         return batch
 
 

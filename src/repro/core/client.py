@@ -16,6 +16,7 @@ copies retained.
 
 from __future__ import annotations
 
+import json
 import posixpath
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -1041,9 +1042,7 @@ class UniDriveClient:
         over-provisioned blocks (§6.2).  Best effort: a stale heartbeat
         only delays garbage collection, never correctness.
         """
-        import json as _json
-
-        blob = _json.dumps(
+        blob = json.dumps(
             {"device": self.device, "applied": self.image.version.counter}
         ).encode()
         yield from gather_safe(
@@ -1052,9 +1051,14 @@ class UniDriveClient:
         )
 
     def fleet_applied_versions(self):
-        """Read every device's heartbeat; returns {device: version}."""
-        import json as _json
+        """Read every device's heartbeat; returns {device: version}.
 
+        Each heartbeat is taken from the first cloud whose replica
+        downloads *and* parses — the cloud is untrusted, so a rotted
+        replica is skipped like an unreachable one.  A heartbeat that
+        is listed but readable nowhere maps its device to ``None``: the
+        device exists, what it has applied is unknown.
+        """
         listings = yield from gather_safe(
             self.sim,
             [conn.list_folder(self.config.meta_dir) for conn in self.connections],
@@ -1076,11 +1080,13 @@ class UniDriveClient:
                 except CloudError:
                     continue
                 try:
-                    payload = _json.loads(blob.decode())
-                    versions[payload["device"]] = payload["applied"]
-                except Exception:
-                    pass
+                    payload = json.loads(blob.decode())
+                    versions[payload["device"]] = int(payload["applied"])
+                except (ValueError, KeyError, TypeError):
+                    continue
                 break
+            else:
+                versions[name.removeprefix("device_")] = None
         return versions
 
     def gc_if_fully_synced(self):
@@ -1088,13 +1094,15 @@ class UniDriveClient:
         applied the current metadata version (paper §6.2).
 
         Returns True when the cleanup ran, False when some device still
-        lags (or no heartbeats are visible yet).
+        lags, its heartbeat is unreadable on every cloud (unknown is not
+        caught up), or no heartbeats are visible yet.
         """
         versions = yield from self.fleet_applied_versions()
         if not versions:
             return False
         current = self.image.version.counter
-        if any(applied < current for applied in versions.values()):
+        if any(applied is None or applied < current
+               for applied in versions.values()):
             return False
         yield from self.gc_over_provisioned()
         return True

@@ -40,10 +40,10 @@ def block_hash(block: bytes) -> str:
     fingerprint trades collision resistance for memory-bandwidth
     speed: every block rides the download hot path and every one is
     verified, which caps the affordable cost at a few percent of the
-    decode wall clock (``BENCH_durability.json`` enforces <= 5%
-    against the post-fusion data plane, and a SHA-1 here measures an
-    order of magnitude more).  The digest sums the little-endian
-    64-bit lanes mod 2**64 and appends the byte length: any change
+    decode wall clock (``tools/bench.py`` reports the cost per block;
+    a SHA-1 here measures an order of magnitude more).  The digest
+    sums the little-endian 64-bit lanes mod 2**64 and appends the
+    byte length: any change
     confined to one lane is always detected (a nonzero delta cannot
     vanish mod 2**64), truncation and padding games are caught by the
     length, and independent multi-lane rot escapes with probability

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..cloud import NotFoundError
 from ..obs import OBS
 
 __all__ = ["FaultInjector", "PinnedStress", "ForcedFailures", "FaultEvent"]
@@ -249,7 +250,7 @@ class FaultInjector:
                 yield self.sim.timeout(at - self.sim.now)
             try:
                 cloud.store.corrupt(path)
-            except Exception:
+            except NotFoundError:
                 self._log("corruption-miss", cloud.cloud_id)
             else:
                 self._log("corruption", cloud.cloud_id)

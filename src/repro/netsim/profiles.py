@@ -61,7 +61,7 @@ class LinkConditions:
     """Live stochastic processes for one client-to-cloud path."""
 
     #: Multiplier chunks retained per direction in lean mode — wide
-    #: enough for any replay/fast-forward span a trial-length sim can
+    #: enough for any look-back span a trial-length sim can
     #: produce (4 x 4096 epochs = ~11 days at the 60 s default epoch).
     LEAN_WINDOW_CHUNKS = 4
 

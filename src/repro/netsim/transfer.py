@@ -26,11 +26,6 @@ __all__ = ["TransferEngine", "Transfer", "SharedNic"]
 
 _EPSILON_BYTES = 1e-6
 
-#: Epoch boundaries one analytic fast-forward walk may plan past before
-#: realizing a live timer anyway (bounds plan memory; a fault-free
-#: transfer idling across more boundaries simply re-plans from there).
-_FF_MAX_EPOCHS = 512
-
 
 class Transfer:
     """One in-flight transfer: bookkeeping plus its completion event."""
@@ -115,7 +110,7 @@ class TransferEngine:
 
     def __init__(self, sim: Simulator, bandwidth, max_parallel: int = 5,
                  nic: "SharedNic" = None, trace_track: Optional[str] = None,
-                 trace_name: str = "flow", fast_forward: bool = True):
+                 trace_name: str = "flow"):
         if max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
         self.sim = sim
@@ -143,20 +138,6 @@ class TransferEngine:
         self._rate_in_effect = 0.0
         self.bytes_completed = 0.0
         self.transfers_completed = 0
-        #: Analytic fast-forward over fault-free epoch boundaries: when
-        #: no shared NIC couples this engine to siblings, the rate is a
-        #: pure function of virtual time, so boundaries where nothing
-        #: completes are *planned* arithmetically (see
-        #: :meth:`_plan_ahead`) instead of realized as timer events.
-        #: Bit-identical to event-by-event advancement by construction;
-        #: only ``sim.steps`` differs.  Settable for A/B testing.
-        self.fast_forward = fast_forward
-        # Planned intermediate boundaries between the last decision
-        # point and the live deadline, as (time, progressed, rate)
-        # triples; replayed onto real transfers by the next _advance /
-        # _on_timer, discarded by the next _reschedule.
-        self._plan: Optional[list] = None
-        self._plan_pos = 0
         if nic is not None:
             nic.attach(self)
 
@@ -228,8 +209,6 @@ class TransferEngine:
         decision point first, so the interval had exactly that rate.
         """
         now = self.sim.now
-        if self._plan is not None:
-            self._replay_plan(now)
         elapsed = now - self._last_update
         self._last_update = now
         if elapsed <= 0 or not self._active:
@@ -237,30 +216,6 @@ class TransferEngine:
         progressed = self._rate_in_effect * elapsed
         for transfer in self._active:
             transfer.remaining -= progressed
-
-    def _replay_plan(self, now: float) -> None:
-        """Apply planned epoch-boundary intervals up to ``now``.
-
-        Each entry holds exactly the ``progressed`` bytes and new rate
-        the event path's timer would have applied at that boundary, so
-        replaying them in order leaves every transfer's ``remaining``,
-        ``_last_update`` and ``_rate_in_effect`` bit-identical to
-        event-by-event advancement.
-        """
-        plan = self._plan
-        active = self._active
-        pos = self._plan_pos
-        end = len(plan)
-        while pos < end:
-            when, progressed, rate = plan[pos]
-            if when > now:
-                break
-            for transfer in active:
-                transfer.remaining -= progressed
-            self._last_update = when
-            self._rate_in_effect = rate
-            pos += 1
-        self._plan_pos = pos
 
     def _reschedule(self, notify_nic: bool = True,
                     progressed: float = 0.0) -> None:
@@ -274,7 +229,6 @@ class TransferEngine:
         survivor.
         """
         self._timer_deadline = math.nan  # invalidate any armed timer
-        self._plan = None
         active = self._active
         if not active:
             self._rate_in_effect = 0.0
@@ -335,20 +289,10 @@ class TransferEngine:
         self._rate_in_effect = rate
         completion_delay = shortest / rate if rate > 0 else math.inf
         epoch_delay = bandwidth.next_change_after(now) - now
-        if completion_delay < epoch_delay:
-            delay = completion_delay
-        else:
-            delay = epoch_delay
-            if (
-                self.fast_forward
-                and nic is None
-                and math.isfinite(epoch_delay)
-            ):
-                # The next event is a fault-free epoch boundary: walk
-                # the boundaries arithmetically and arm one timer at
-                # the first instant where something actually happens.
-                self._plan_ahead(now, rate, shortest, resolution, delay)
-                return
+        delay = (
+            completion_delay if completion_delay < epoch_delay
+            else epoch_delay
+        )
         if not math.isfinite(delay):  # pragma: no cover - defensive
             raise RuntimeError("transfer can never complete (zero rate)")
         # Guarantee the timer lands strictly after `now` in float time.
@@ -356,63 +300,6 @@ class TransferEngine:
         if delay < min_delay:
             delay = min_delay
         self._timer_deadline = sim.call_later(delay, self._fire)
-
-    def _plan_ahead(self, t: float, rate: float, shortest: float,
-                    resolution: float, delay: float) -> None:
-        """Plan past epoch boundaries where no transfer completes.
-
-        Replicates — operation for operation, on scalars — the float
-        arithmetic the event path performs at each boundary: the
-        ``now + delay`` deadline add, the progress subtraction, the
-        rate/threshold computation, the next-delay choice.  Uniform
-        progress preserves order among survivors (IEEE subtraction is
-        weakly monotone), so tracking the exact minimum ``shortest``
-        suffices to detect the first completion.  Only valid when the
-        rate is a pure function of virtual time: no shared NIC, and
-        any start/cancel is a decision point that discards the plan.
-        """
-        bandwidth = self.bandwidth
-        mp = self.max_parallel
-        n = len(self._active)
-        plan = []
-        rem = shortest
-        while True:
-            min_delay = resolution * 2
-            if delay < min_delay:
-                delay = min_delay
-            when = t + delay  # the exact add call_later would perform
-            # -- _on_timer + _reschedule arithmetic at `when` ----------
-            progressed = rate * (when - t)
-            rate_now = bandwidth.rate_at(when)
-            if n > mp:
-                rate_now = rate_now * mp / n
-            resolution = math.ulp(when if when > 1.0 else 1.0)
-            threshold = rate_now * resolution * 8
-            if threshold < _EPSILON_BYTES:
-                threshold = _EPSILON_BYTES
-            rem = rem - progressed
-            if rem <= threshold or len(plan) >= _FF_MAX_EPOCHS:
-                # A completion lands on this boundary (or the walk
-                # budget is spent): realize it with a live timer.
-                break
-            plan.append((when, progressed, rate_now))
-            t = when
-            rate = rate_now
-            completion_delay = rem / rate
-            epoch_delay = bandwidth.next_change_after(t) - t
-            if completion_delay < epoch_delay:
-                # Mid-epoch completion: the next event is real.
-                delay = completion_delay
-                min_delay = resolution * 2
-                if delay < min_delay:
-                    delay = min_delay
-                when = t + delay
-                break
-            delay = epoch_delay
-        if plan:
-            self._plan = plan
-            self._plan_pos = 0
-        self._timer_deadline = self.sim.call_at(when, self._fire)
 
     def _on_timer(self) -> None:
         # Exactly one deadline is live at a time; a heap entry from a
@@ -422,10 +309,6 @@ class TransferEngine:
         now = self.sim.now
         if now != self._timer_deadline:
             return  # superseded by a newer decision point
-        if self._plan is not None:
-            # Fast-forwarded deadline: the skipped boundaries are
-            # applied now, in order, before the final interval below.
-            self._replay_plan(now)
         # _advance() folded in: progress is applied inside the
         # _reschedule scan (same subtract-then-compare order).
         elapsed = now - self._last_update

@@ -463,22 +463,6 @@ class Simulator:
         heapq.heappush(self._queue, (when, next(self._counter), None, func))
         return when
 
-    def call_at(self, when: float, func: Callable[[], None]) -> float:
-        """Run bare ``func()`` at absolute virtual time ``when``.
-
-        The transfer engine's analytic fast-forward computes a far
-        deadline by replaying the exact per-boundary float adds the
-        event path would perform; scheduling it through
-        :meth:`call_later` would re-derive it as ``now + (when - now)``
-        and land on a different float.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"call_at into the past: {when} < {self._now}"
-            )
-        heapq.heappush(self._queue, (when, next(self._counter), None, func))
-        return when
-
     def _schedule_call(self, func: Callable[[], None]) -> None:
         self.call_later(0.0, func)
 

@@ -44,7 +44,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -246,8 +245,7 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
               chunk_size: Optional[int] = None,
               collect_traces: bool = False,
               collect_telemetry: bool = False,
-              reducer=None,
-              dispatch_stats: Optional[dict] = None):
+              reducer=None):
     """Run ``cells`` and return their results in submission order.
 
     ``max_workers`` defaults to :func:`default_workers`; ``chunk_size``
@@ -275,11 +273,6 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
     partition-invariance law the streaming reducers obey, so worker
     count and chunk size never change the merged windows.
 
-    Pass an empty dict as ``dispatch_stats`` to have it filled with
-    dispatch-overhead measurements (submitted payload bytes, submit
-    latency, shared-state bytes) — the substrate benchmark uses this to
-    keep pool overhead attributable.
-
     Progress is observable through the PR 4 metrics hub when enabled:
     ``cells_done`` and ``users_simulated`` counters advance as cells
     complete.
@@ -287,12 +280,6 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
     cells = list(cells)
     collect_traces = collect_traces or collect_telemetry
     if not cells:
-        if dispatch_stats is not None:
-            dispatch_stats.update(
-                cells=0, chunks=0, chunk_size=0, workers=0,
-                submit_payload_bytes=0, submit_latency_s=0.0,
-                shared_state_bytes=0,
-            )
         if collect_telemetry:
             return [], [], None, None
         return ([], [], None) if collect_traces else []
@@ -305,9 +292,6 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
     chunks = _chunk_indices(len(cells), chunk_size)
 
     global _SHARED_CELLS, _SHARED_REDUCER
-    submit_payload = 0
-    submit_latency = 0.0
-    shared_bytes = 0
     # Streaming merge: with a reducer (and no trace collection, which
     # needs per-cell results anyway), per-cell states fold into the
     # merged state in submission order as chunks finish — memory stays
@@ -357,32 +341,17 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
         else:  # pragma: no cover - spawn/forkserver platforms
             blob = pickle.dumps((cells, reducer),
                                 protocol=pickle.HIGHEST_PROTOCOL)
-            shared_bytes = len(blob)
             initargs = (blob,)
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init, initargs=initargs,
             ) as pool:
-                futures = {}
-                for indices in chunks:
-                    if dispatch_stats is not None:
-                        submit_payload += len(pickle.dumps(
-                            (indices, collect_traces, collect_telemetry),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        ))
-                        began = time.perf_counter()
-                        future = pool.submit(
-                            _run_chunk, indices, collect_traces,
-                            collect_telemetry,
-                        )
-                        submit_latency += time.perf_counter() - began
-                    else:
-                        future = pool.submit(
-                            _run_chunk, indices, collect_traces,
-                            collect_telemetry,
-                        )
-                    futures[future] = indices
+                futures = {
+                    pool.submit(_run_chunk, indices, collect_traces,
+                                collect_telemetry): indices
+                    for indices in chunks
+                }
                 order = {indices: pos for pos, indices
                          in enumerate(chunks)}
                 if streaming:
@@ -409,14 +378,6 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
                         _note_progress(indices)
         finally:
             _SHARED_CELLS = _SHARED_REDUCER = None
-
-    if dispatch_stats is not None:
-        dispatch_stats.update(
-            cells=len(cells), chunks=len(chunks), chunk_size=chunk_size,
-            workers=workers, submit_payload_bytes=submit_payload,
-            submit_latency_s=submit_latency,
-            shared_state_bytes=shared_bytes,
-        )
 
     if streaming:
         return reducer.finalize(merged)

@@ -1,6 +1,7 @@
 """Tests for device heartbeats and fully-synced over-provision GC."""
 
 import numpy as np
+import pytest
 
 from repro.cloud import SimulatedCloud, make_instant_connection
 from repro.core import UniDriveClient, UniDriveConfig
@@ -48,7 +49,8 @@ def test_heartbeats_published_after_sync():
     assert versions == {"device0": 1, "device1": 1}
 
 
-def test_gc_waits_for_lagging_device():
+def lagging_fleet():
+    """Device 0 at version 2, device 1's heartbeat still at version 1."""
     sim, clouds, clients = make_env()
     clients[0].fs.write_file("/f", payload(2), mtime=sim.now)
     sim.run_process(clients[0].sync())
@@ -56,6 +58,11 @@ def test_gc_waits_for_lagging_device():
     # Device 0 commits version 2; device 1 has not applied it yet.
     clients[0].fs.write_file("/g", payload(3), mtime=sim.now)
     sim.run_process(clients[0].sync())
+    return sim, clouds, clients
+
+
+def test_gc_waits_for_lagging_device():
+    sim, clouds, clients = lagging_fleet()
     ran = sim.run_process(clients[0].gc_if_fully_synced())
     assert ran is False  # device1's heartbeat still says version 1
     before = total_blocks(clouds)
@@ -65,6 +72,25 @@ def test_gc_waits_for_lagging_device():
     assert ran is True
     sim.run()
     assert total_blocks(clouds) < before
+
+
+@pytest.mark.parametrize("rotted, seen", [
+    # One replica rots, four healthy ones remain: read the next cloud.
+    pytest.param([0], 1, id="one-replica"),
+    # Rotted everywhere: the device is listed, so it exists, but what
+    # it has applied is unknown — and unknown is not caught up.
+    pytest.param(range(5), None, id="every-replica"),
+])
+def test_rotted_heartbeat_does_not_hide_lagging_device(rotted, seen):
+    sim, clouds, clients = lagging_fleet()
+    for index in rotted:
+        clouds[index].store.corrupt(clients[1]._heartbeat_path)
+    versions = sim.run_process(clients[0].fleet_applied_versions())
+    assert versions == {"device0": 2, "device1": seen}
+    before = total_blocks(clouds)
+    assert sim.run_process(clients[0].gc_if_fully_synced()) is False
+    sim.run()
+    assert total_blocks(clouds) == before
 
 
 def test_gc_keeps_data_recoverable():

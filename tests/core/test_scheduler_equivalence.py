@@ -9,12 +9,18 @@ degraded flags).  These tests run the same seeded scenario twice — once
 with the production dispatcher, once with the retained reference
 implementation swapped in — and compare everything observable; the
 download arm compares the full pick log.
+
+The same scenario helpers carry the simulated-clock properties of the
+production dispatchers alone: scans per block flat in the batch size,
+instrumentation that perturbs nothing, hedged reads that cut the tail.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cloud import CloudConnection, SimulatedCloud
 from repro.cloud.errors import NotFoundError, RequestFailedError
 from repro.core.config import UniDriveConfig
@@ -108,7 +114,8 @@ def upload_snapshot(batch, files, clouds):
 
 
 def run_upload_scenario(reference, up_speeds, failure_rates=None,
-                        kill_cloud=None, over_provision=True, seed=0):
+                        kill_cloud=None, over_provision=True, seed=0,
+                        count=6, size=None):
     sim, clouds, conns, pipeline = make_env(
         up_speeds, failure_rates, seed=seed
     )
@@ -120,7 +127,7 @@ def run_upload_scenario(reference, up_speeds, failure_rates=None,
     )
     if reference:
         scheduler._next_task = scheduler._next_task_reference
-    files = make_batch(pipeline)
+    files = make_batch(pipeline, count=count, size=size)
     batch = sim.run_process(scheduler.run_batch(files))
     return upload_snapshot(batch, files, clouds), scheduler
 
@@ -244,13 +251,15 @@ def download_snapshot(batch, down, picks, world):
 def run_download_scenario(reference, down_failure_rates=None,
                           kill_clouds=(), prime=None, seed=0, count=6,
                           size=None, down_speeds=None, link=None,
-                          config=CONFIG, disturb=None):
+                          config=CONFIG, disturb=None, warm=False):
     """Upload ``count`` files on equal links, then fetch them back.
 
     The download links may differ from the upload's (``down_speeds``,
     ``down_failure_rates``, ``link`` = extra ``LinkProfile`` fields);
-    ``prime`` seeds the download estimates (Mbps per cloud); ``config``
-    is the download scheduler's (degradation plane, failure threshold);
+    ``prime`` seeds the download estimates (Mbps per cloud), ``warm``
+    earns them with one untroubled fetch of the whole batch, as a
+    long-lived client would have; ``config`` is the download
+    scheduler's (degradation plane, failure threshold);
     ``disturb(sim, conns, estimator)`` arranges scripted trouble just
     before the batch starts (it may replace entries of ``conns``).
     """
@@ -278,6 +287,14 @@ def run_download_scenario(reference, down_failure_rates=None,
     if prime:
         for conn, mbps in zip(conns, prime):
             estimator.record(conn.cloud_id, "down", int(mbps * 125000), 1.0)
+    requests = [
+        FileDownload(f.path, [record for record, _ in f.segments])
+        for f in files
+    ]
+    if warm:
+        sim.run_process(DownloadScheduler(
+            sim, conns, pipeline, CONFIG, estimator=estimator,
+        ).run_batch(requests))
     if disturb is not None:
         disturb(sim, conns, estimator)
     controller = None
@@ -290,10 +307,6 @@ def run_download_scenario(reference, down_failure_rates=None,
     if reference:
         down._next_ready = down._next_request_reference
     picks, world = log_dispatches(down)
-    requests = [
-        FileDownload(f.path, [record for record, _ in f.segments])
-        for f in files
-    ]
     batch = sim.run_process(down.run_batch(requests))
     return download_snapshot(batch, down, picks, world), down
 
@@ -463,17 +476,83 @@ def test_download_pick_log_matches_reference(script):
     )
 
 
-def test_download_dispatch_scans_per_block_flat():
-    # Parked segments are not rescanned: with a stable estimate order
+@pytest.mark.parametrize("direction, large", [
+    pytest.param("upload", 160, id="upload"),
+    pytest.param("download", 320, id="download"),
+])
+def test_dispatch_scans_per_block_flat(direction, large):
+    # Blocked work is not rescanned: with a stable estimate order
     # (equal-size segments on skewed links) the states evaluated per
-    # dispatched block must not grow with the batch.  Rescanning the
-    # blocked tail grew ~linearly: 27 -> 1 164 from 10 to 640 segments.
+    # dispatched block must not grow with the batch.  The download
+    # side's cursor scan, which rescanned its blocked tail, grew
+    # ~linearly: 27 -> 1 164 from 10 to 640 segments.
     per_block = {}
-    for count in (10, 320):
-        snapshot, down = run_download_scenario(
-            reference=False, down_speeds=SKEWED, count=count,
-            size=48 * 1024, seed=37,
+    for count in (10, large):
+        if direction == "upload":
+            snapshot, scheduler = run_upload_scenario(
+                reference=False, up_speeds=SKEWED, count=count,
+                size=48 * 1024, seed=37,
+            )
+            blocks = sum(len(stored) for stored in snapshot["stores"])
+        else:
+            snapshot, scheduler = run_download_scenario(
+                reference=False, down_speeds=SKEWED, count=count,
+                size=48 * 1024, seed=37,
+            )
+            assert len(scheduler._ordered) == count
+            blocks = len(snapshot["picks"])
+        per_block[count] = scheduler._dispatch_scans / blocks
+    assert per_block[large] <= 2 * per_block[10]
+
+
+def test_instrumentation_perturbs_nothing():
+    # Tracer, metrics and telemetry record what happens; turning them
+    # on must not change it, nor leave anything behind when they go.
+    def both_directions():
+        up, _ = run_upload_scenario(
+            reference=False, up_speeds=SKEWED, count=12, seed=41
         )
-        assert len(down._ordered) == count
-        per_block[count] = down._dispatch_scans / len(snapshot["picks"])
-    assert per_block[320] <= 2 * per_block[10]
+        down, _ = run_download_scenario(
+            reference=False, down_speeds=SKEWED, count=12, seed=41
+        )
+        return up, down
+
+    assert not obs.OBS.enabled
+    before = both_directions()
+    with obs.isolated(telemetry=True) as (tracer, metrics):
+        instrumented = both_directions()
+        assert tracer.records and metrics.snapshot()["counters"]
+        # ...and a fault-free batch scores every cloud healthy.
+        health = obs.OBS.telemetry.snapshot()["health"]
+        assert len(health) == N_CLOUDS
+        assert all(entry["state"] == "healthy" for entry in health.values())
+    assert before == instrumented == both_directions()
+
+
+def test_hedged_reads_cut_tail_latency_within_byte_budget():
+    # A client with healthy throughput history, then cloud1 browns out
+    # 25x (slow, never failing).  Same placement, same links, with and
+    # without the degradation plane: hedging must cut the p99 block
+    # fetch by >= 30 % for <= 10 % extra download bytes.
+    def disturb(sim, conns, estimator):
+        FaultInjector(sim).slow_cloud(conns[1], factor=25.0)
+
+    hedging = UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True)
+    (_, plain), (snapshot, hedged) = (
+        run_download_scenario(
+            reference=False, count=20, seed=29, warm=True,
+            disturb=disturb, config=config,
+        )
+        for config in (CONFIG, hedging)
+    )
+    assert all(r[4] is not None for r in snapshot["reports"])  # decoded
+    assert plain.hedges_fired == 0 < hedged.hedges_fired
+    p99_plain, p99_hedged = (
+        float(np.percentile(down.fetch_latencies, 99))
+        for down in (plain, hedged)
+    )
+    assert p99_hedged <= 0.7 * p99_plain
+    payload = sum(
+        size for path, size, *_ in snapshot["reports"] if path != "/dup"
+    )
+    assert hedged.hedged_bytes <= 0.1 * payload

@@ -204,3 +204,30 @@ def test_slow_cloud_rejects_degenerate_factor():
         injector.slow_cloud(conn, factor=1.0)
     with pytest.raises(ValueError):
         injector.slow_cloud([], factor=4.0)
+
+
+def test_silent_corruption_logs_a_missing_path_as_a_miss():
+    sim = Simulator()
+    cloud, _conn = make_conn(sim)
+    cloud.store.put("/blocks/b0", b"payload", mtime=0.0)
+    injector = FaultInjector(sim)
+    injector.silent_corruption(cloud, "/blocks/b0", at=1.0)
+    injector.silent_corruption(cloud, "/blocks/collected", at=2.0)
+    sim.run()
+    assert cloud.store.get("/blocks/b0") != b"payload"
+    assert [(e.time, e.kind) for e in injector.events] == [
+        (1.0, "corruption"), (2.0, "corruption-miss"),
+    ]
+
+
+def test_silent_corruption_of_a_size_only_store_raises():
+    # A misconfigured fault script, not a missing object: it must
+    # surface, not be logged as a miss.
+    sim = Simulator()
+    cloud = SimulatedCloud(sim, "c0", retain_content=False)
+    cloud.store.put("/blocks/b0", b"payload", mtime=0.0)
+    injector = FaultInjector(sim)
+    injector.silent_corruption(cloud, "/blocks/b0", at=1.0)
+    with pytest.raises(RuntimeError, match="retain_content"):
+        sim.run()
+    assert injector.events == []

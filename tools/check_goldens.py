@@ -8,9 +8,10 @@ classes:
   entirely by the simulation clock and fixed seeds.  A rerun on any
   host must emit byte-identical text; a diff means a change altered
   *simulated behaviour*, not just performance.
-* **Perf reports** — wall-clock microbenchmarks (the ``test_perf_*``
-  suites) plus the ``BENCH_*.json`` result files.  Their numbers move
-  with the host and are expected to differ between runs.
+* **Perf reports** — the ``BENCH_*.json`` result files
+  (``tools/bench.py``'s kernel numbers, the shared-folder campaign).
+  Their numbers move with the host and are expected to differ between
+  runs.
 
 Usage::
 
@@ -36,41 +37,11 @@ import sys
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(_ROOT, "benchmarks", "results")
 
-#: Reports whose content carries host wall-clock numbers.  Everything
-#: else in the results directory must be a pure function of the
-#: simulation seeds.  Keep this list in sync with the ``test_perf_*``
-#: suites; a new perf report not listed here will fail the check
-#: loudly rather than slip through silently.
-PERF_REPORTS = frozenset({
-    # benchmarks/test_perf_hotpaths.py
-    "test_gf_matmul_throughput.txt",
-    "test_encode_decode_throughput.txt",
-    "test_chunking_throughput.txt",
-    "test_dispatch_scans_flat.txt",
-    "test_end_to_end_sync.txt",
-    # benchmarks/test_perf_substrate.py
-    "test_bandwidth_epoch_generation.txt",
-    "test_kernel_event_throughput.txt",
-    "test_campaign_parallel_identity.txt",
-    "test_trial_peak_rss_bounded.txt",
-    "test_fastforward_identity.txt",
-    # benchmarks/test_perf_obs.py
-    "test_disabled_guard_cost.txt",
-    "test_disabled_overhead_le_2pct.txt",
-    # benchmarks/test_perf_durability.py
-    "test_hash_verify_overhead_le_5pct.txt",
-    "test_scrub_heals_damaged_folder.txt",
-    # benchmarks/test_perf_robustness.py
-    "test_breaker_guard_nanosecond_scale.txt",
-    "test_hedged_reads_cut_p99.txt",
-    "test_debt_repaid_in_one_scrub_round.txt",
-})
-
 
 def _is_perf(name: str) -> bool:
-    return name in PERF_REPORTS or (
-        name.startswith("BENCH_") and name.endswith(".json")
-    )
+    """``BENCH_*.json`` carry host wall-clock numbers; everything else
+    in the results directory must be a pure function of the seeds."""
+    return name.startswith("BENCH_") and name.endswith(".json")
 
 
 def _listing(directory: str):
@@ -108,8 +79,7 @@ def check(against: str, max_diff_lines: int = 40) -> int:
         if not _is_perf(name):
             failures.append(
                 f"{name}: new deterministic golden not in the snapshot "
-                "(commit it, or list it in PERF_REPORTS if it carries "
-                "wall-clock numbers)"
+                "(commit it; wall-clock numbers belong in a BENCH_*.json)"
             )
     for name in sorted(before & after):
         old_path = os.path.join(against, name)
