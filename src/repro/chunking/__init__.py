@@ -1,20 +1,12 @@
 """Content-defined chunking substrate (LBFS-style segmentation)."""
 
-from .rolling_hash import DEFAULT_WINDOW, BuzHash, BuzHashStream, buzhash_all
-from .segmenter import (
-    Segment,
-    Segmenter,
-    SegmentStream,
-    SegmentView,
-    segment_ids,
-)
+from .rolling_hash import DEFAULT_WINDOW, BuzHash, buzhash_all
+from .segmenter import Segment, Segmenter, SegmentView, segment_ids
 
 __all__ = [
     "BuzHash",
-    "BuzHashStream",
     "DEFAULT_WINDOW",
     "Segment",
-    "SegmentStream",
     "SegmentView",
     "Segmenter",
     "buzhash_all",

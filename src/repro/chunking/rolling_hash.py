@@ -4,22 +4,20 @@ Two implementations of the same function:
 
 * :class:`BuzHash` — a byte-at-a-time streaming hasher, the reference
   implementation (and the shape a real file watcher would use).
-* :func:`buzhash_all` — a numpy batch evaluation of the hash at *every*
-  window position.  Chunking cost dominates UniDrive's CPU budget for
-  large files, so this path is heavily optimized: the sliding
-  recurrence is unrolled ``WORD`` steps (rotation has period ``WORD``),
-  turning the computation into a handful of linear passes — prefix-XOR
-  plus per-residue chain accumulation — independent of window size.
+* :func:`buzhash_all` — a numpy batch evaluation of the hash at every
+  window position of a buffer: the sliding recurrence is unrolled
+  ``WORD`` steps (rotation has period ``WORD``), turning the
+  computation into a handful of linear passes — prefix-XOR plus
+  per-residue chain accumulation — independent of window size.
   Because rotation distributes over XOR, the per-position contributions
   come straight out of a pre-rotated 32x256 substitution table
   (``rotl(T[b], r)`` for every rotation ``r``), so the hot loop is two
   precast gathers and one accumulate — no per-position rotate passes.
 
-:class:`BuzHashStream` carries batch-path state across ``feed()``
-calls: it retains the trailing ``window - 1`` bytes so every window
-that straddles a feed boundary is evaluated exactly once, making the
-streaming hash sequence — and therefore every downstream cut decision —
-byte-identical to hashing the whole buffer at once.
+A window's hash depends only on the window's bytes, so hashing any
+slice yields the same values as hashing the whole buffer at the same
+windows; the segmenter relies on this to hash only the slices where a
+cut may fall.
 
 Both derive from the same 256-entry random substitution table, generated
 deterministically so chunk boundaries are stable across runs and
@@ -32,8 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BuzHash", "BuzHashStream", "buzhash_all", "DEFAULT_WINDOW",
-           "TABLE", "WORD"]
+__all__ = ["BuzHash", "buzhash_all", "DEFAULT_WINDOW", "TABLE", "WORD"]
 
 DEFAULT_WINDOW = 32
 
@@ -142,22 +139,7 @@ def _build_rot_flat() -> np.ndarray:
 
 
 _ROT_FLAT = _build_rot_flat()
-
-# Reused gather buffers for buzhash_all, grown on demand: faulting
-# fresh multi-megabyte mappings per call would rival the gathers.
-_BUZ_IDX_SCRATCH = np.empty(0, dtype=np.intp)
-_BUZ_F_SCRATCH = np.empty(0, dtype=np.uint32)
-_BUZ_TMP_SCRATCH = np.empty(0, dtype=np.uint32)
-
-
-def _buz_scratch(count: int):
-    global _BUZ_IDX_SCRATCH, _BUZ_F_SCRATCH, _BUZ_TMP_SCRATCH
-    if _BUZ_IDX_SCRATCH.size < count:
-        _BUZ_IDX_SCRATCH = np.empty(count, dtype=np.intp)
-        _BUZ_F_SCRATCH = np.empty(count, dtype=np.uint32)
-        _BUZ_TMP_SCRATCH = np.empty(count, dtype=np.uint32)
-    return (_BUZ_IDX_SCRATCH[:count], _BUZ_F_SCRATCH[:count],
-            _BUZ_TMP_SCRATCH[:count])
+_TABLE_INTS = TABLE.tolist()
 
 
 def buzhash_all(data, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -187,19 +169,21 @@ def buzhash_all(data, window: int = DEFAULT_WINDOW) -> np.ndarray:
     span = n - window + 1
     out = np.empty(span, dtype=np.uint32)
 
-    # Sequential warm-up: the first window plus up to WORD-1 slides.
+    # Sequential warm-up: the first window plus up to WORD-1 slides, on
+    # Python ints (numpy scalar indexing would dominate a short call).
     head = min(WORD, span)
     rot_w = window % WORD
+    lead = buf[:window + head - 1].tolist()
     h = 0
-    for j in range(window):
-        h = _rotl(h, 1) ^ int(TABLE[buf[j]])
-    out[0] = h
-    for i in range(1, head):
-        p = i + window - 1
-        h = _rotl(h, 1) ^ int(TABLE[buf[p]]) ^ _rotl(
-            int(TABLE[buf[p - window]]), rot_w
+    for byte in lead[:window]:
+        h = _rotl(h, 1) ^ _TABLE_INTS[byte]
+    warm = [h]
+    for p in range(window, window + head - 1):
+        h = _rotl(h, 1) ^ _TABLE_INTS[lead[p]] ^ _rotl(
+            _TABLE_INTS[lead[p - window]], rot_w
         )
-        out[i] = h
+        warm.append(h)
+    out[:head] = warm
     if span <= WORD:
         return out
 
@@ -211,19 +195,17 @@ def buzhash_all(data, window: int = DEFAULT_WINDOW) -> np.ndarray:
     # byte stream is precast to the platform index dtype once so the
     # gathers skip np.take's per-call index conversion.
     m = n - window
-    idx, f, tmp = _buz_scratch(m)
     ibuf = buf.astype(np.intp)
     off_new = _tiled_pattern(
         window, m, lambda r: ((WORD - r) & (WORD - 1)) << 8, dtype=np.intp
     )
-    np.add(ibuf[window:], off_new, out=idx)
-    np.take(_ROT_FLAT, idx, out=f, mode="clip")
+    idx = ibuf[window:] + off_new
+    f = np.take(_ROT_FLAT, idx, mode="clip")
     off_out = _tiled_pattern(
         0, m, lambda r: ((WORD - r) & (WORD - 1)) << 8, dtype=np.intp
     )
     np.add(ibuf[:m], off_out, out=idx)
-    np.take(_ROT_FLAT, idx, out=tmp, mode="clip")
-    np.bitwise_xor(f, tmp, out=f)
+    f ^= np.take(_ROT_FLAT, idx, mode="clip")
     np.bitwise_xor.accumulate(f, out=f)
     prefix = f
 
@@ -250,50 +232,3 @@ def buzhash_all(data, window: int = DEFAULT_WINDOW) -> np.ndarray:
     grid ^= out[:WORD]
     out[WORD:] = grid.reshape(-1)[:count]
     return out
-
-
-class BuzHashStream:
-    """Streaming wrapper around :func:`buzhash_all`.
-
-    Carries the trailing ``window - 1`` bytes across :meth:`feed`
-    calls, so each feed evaluates the batch kernel over ``tail +
-    chunk`` and every emitted hash covers at least one new byte —
-    windows ending inside the retained tail were already emitted by the
-    previous feed.  The concatenation of all returned arrays is exactly
-    ``buzhash_all(whole_stream, window)``, which is what lets the
-    streaming chunker reproduce batch cut points bit-for-bit while
-    paying array-batch (not per-byte) hashing costs.
-    """
-
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self._tail = np.empty(0, dtype=np.uint8)
-
-    @property
-    def tail_length(self) -> int:
-        """Bytes retained from previous feeds (< window)."""
-        return int(self._tail.size)
-
-    def feed(self, data) -> np.ndarray:
-        """Hashes of every window ending inside this chunk.
-
-        ``data`` may be bytes or a 1-D uint8 array.  Returns the same
-        dtype/convention as :func:`buzhash_all`; the first array of a
-        stream is shorter than the chunk by ``window - 1`` entries,
-        exactly as in the batch path.
-        """
-        chunk = (data if isinstance(data, np.ndarray)
-                 else np.frombuffer(data, dtype=np.uint8))
-        if chunk.size == 0:
-            return np.zeros(0, dtype=np.uint32)
-        joined = (np.concatenate([self._tail, chunk])
-                  if self._tail.size else chunk)
-        keep = min(joined.size, self.window - 1)
-        self._tail = joined[joined.size - keep:].copy() if keep else \
-            np.empty(0, dtype=np.uint8)
-        return buzhash_all(joined, self.window)
-
-    def reset(self) -> None:
-        self._tail = np.empty(0, dtype=np.uint8)

@@ -7,21 +7,31 @@ segment sizes are constrained to ``(0.5 * theta, 1.5 * theta)`` as in
 the paper: the CDC parameters are chosen so cuts naturally fall in that
 band, and an undersized tail is merged into its predecessor when the
 merged size stays within the band.
+
+Because a cut may only fall inside that band, the rolling hash is
+evaluated only there: each open segment's band is scanned in steps of
+``_SCAN_STEP`` candidate offsets until the first boundary, and a file of
+at most ``1.5 * theta`` is never hashed at all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .rolling_hash import DEFAULT_WINDOW, BuzHashStream, buzhash_all
+from .rolling_hash import DEFAULT_WINDOW, buzhash_all
 
-__all__ = ["Segment", "SegmentView", "Segmenter", "SegmentStream",
-           "segment_ids"]
+__all__ = ["Segment", "SegmentView", "Segmenter", "segment_ids"]
+
+#: Candidate offsets hashed per scan step, the fastest measured: cutting
+#: a 64 MiB random buffer at theta = 4 MiB on a 2-core VM runs at
+#: 155 – 167 MB/s (8 KiB 127, 64 KiB 80 – 97, 1 MiB 51; hashing the
+#: whole buffer 28).  Past it a step's numpy temporaries leave the
+#: cache; below it the fixed cost of a ``buzhash_all`` call dominates.
+_SCAN_STEP = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,26 +106,27 @@ class Segmenter:
         bits = max(1, min(int(np.log2(max(2, theta))) - 1, 30))
         self._mask = np.uint32((1 << bits) - 1)
 
-    def cut_points(self, data: bytes) -> List[int]:
-        """Return segment end offsets (exclusive), covering all of data."""
+    def cut_points(self, data) -> List[int]:
+        """Return segment end offsets (exclusive), covering all of data.
+
+        ``data`` may be ``bytes`` or a 1-D ``uint8`` array.  Each cut is
+        the first candidate offset in ``[start + min_size, start +
+        max_size]`` — a candidate ``c`` being one whose window
+        ``data[c - window:c]`` hashes to a boundary — or ``start +
+        max_size`` when there is none; an undersized tail then merges
+        into its predecessor if the merged segment stays in the band.
+        """
         n = len(data)
         if n <= self.min_size:
             return [n] if n else []
-        hashes = buzhash_all(data, self.window)
-        candidate_mask = (hashes & self._mask) == self._mask
-        # Candidate cut *after* byte index i+window-1 -> offset i+window.
-        candidates = np.flatnonzero(candidate_mask) + self.window
+        buf = (data if isinstance(data, np.ndarray)
+               else np.frombuffer(data, dtype=np.uint8))
         cuts: List[int] = []
         start = 0
-        position = 0  # index into candidates
         while n - start > self.max_size:
-            low = start + self.min_size
-            high = start + self.max_size
-            position = np.searchsorted(candidates, low, side="left")
-            if position < len(candidates) and candidates[position] <= high:
-                cut = int(candidates[position])
-            else:
-                cut = high
+            cut = self._first_candidate(
+                buf, start + self.min_size, start + self.max_size
+            )
             cuts.append(cut)
             start = cut
         # Tail handling: the remainder is <= max_size.  If it is
@@ -128,6 +139,26 @@ class Segmenter:
                 cuts.pop()
         cuts.append(n)
         return cuts
+
+    def _first_candidate(self, buf: np.ndarray, low: int, high: int) -> int:
+        """The first candidate offset in ``[low, high]``, else ``high``.
+
+        Scans ``_SCAN_STEP`` offsets at a time: hashing ``buf[pos -
+        window:end - 1]`` yields exactly the windows ending at offsets
+        ``pos .. end - 1``, and buzhash depends only on a window's bytes,
+        so each hash equals the one a whole-buffer pass would compute.
+        """
+        window = self.window
+        mask = self._mask
+        pos = low
+        while pos <= high:
+            end = min(pos + _SCAN_STEP, high + 1)
+            hashes = buzhash_all(buf[pos - window:end - 1], window)
+            hits = np.flatnonzero((hashes & mask) == mask)
+            if hits.size:
+                return pos + int(hits[0])
+            pos = end
+        return high
 
     def split(self, data: bytes) -> List[Segment]:
         """Split ``data`` into segments with content-derived IDs."""
@@ -143,127 +174,19 @@ class Segmenter:
 
         Identical boundaries and IDs (SHA-1 over the same content); the
         per-segment ``bytes`` slices are replaced by read-only array
-        views of ``data``, so the only pass over the file is the hash.
+        views of ``data``, so besides the band-limited hash the only
+        pass over the file is SHA-1.
         """
         buf = np.frombuffer(data, dtype=np.uint8)
         views: List[SegmentView] = []
         start = 0
-        for cut in self.cut_points(data):
+        for cut in self.cut_points(buf):
             view = buf[start:cut]
             views.append(
                 SegmentView(hashlib.sha1(view).hexdigest(), view, start)
             )
             start = cut
         return views
-
-    def stream(self) -> "SegmentStream":
-        """A streaming chunker reproducing :meth:`split` cut-for-cut."""
-        return SegmentStream(self)
-
-
-class SegmentStream:
-    """Incremental content-defined segmentation over ``feed()`` chunks.
-
-    Produces exactly the segments :meth:`Segmenter.split` would emit
-    for the concatenated stream: rolling hashes come from
-    :class:`BuzHashStream` (bit-identical to the batch hash), candidate
-    cuts queue up in a deque, and a cut only commits once the buffered
-    span exceeds ``max_size`` — at that point every candidate the batch
-    path could have chosen is already known, so the decisions coincide.
-    The last committed segment is *held back* until :meth:`finish`,
-    which applies the batch path's undersized-tail merge rule before
-    emitting it.
-    """
-
-    def __init__(self, segmenter: Segmenter):
-        self._seg = segmenter
-        self._hasher = BuzHashStream(segmenter.window)
-        self._buf = bytearray()
-        self._buf_offset = 0  # absolute offset of _buf[0]
-        self._total = 0  # bytes fed so far
-        self._start = 0  # start of the currently open segment
-        self._held = None  # committed (start, end) awaiting emission
-        self._ncuts = 0
-        self._cands: deque = deque()
-        self._finished = False
-
-    def feed(self, data: bytes) -> List[Segment]:
-        """Consume a chunk; return segments that are now final."""
-        if self._finished:
-            raise RuntimeError("feed() after finish()")
-        if not data:
-            return []
-        window = self._seg.window
-        # Hashes for every window ending in this chunk; the first hash
-        # in the joined (tail + chunk) coordinates corresponds to the
-        # window starting at absolute position total - tail_length.
-        hash_base = self._total - self._hasher.tail_length
-        self._buf += data
-        self._total += len(data)
-        hashes = self._hasher.feed(data)
-        if hashes.size:
-            local = np.flatnonzero(
-                (hashes & self._seg._mask) == self._seg._mask
-            )
-            for i in local:
-                self._cands.append(hash_base + int(i) + window)
-        emitted: List[Segment] = []
-        while self._total - self._start > self._seg.max_size:
-            low = self._start + self._seg.min_size
-            high = self._start + self._seg.max_size
-            while self._cands and self._cands[0] < low:
-                self._cands.popleft()
-            if self._cands and self._cands[0] <= high:
-                cut = int(self._cands.popleft())
-            else:
-                cut = high
-            if self._held is not None:
-                emitted.append(self._emit(self._held))
-            self._held = (self._start, cut)
-            self._ncuts += 1
-            self._start = cut
-        self._trim()
-        return emitted
-
-    def finish(self) -> List[Segment]:
-        """Flush the held and trailing segments (tail-merge applied)."""
-        if self._finished:
-            raise RuntimeError("finish() called twice")
-        self._finished = True
-        emitted: List[Segment] = []
-        n = self._total
-        remainder = n - self._start
-        if self._ncuts and remainder < self._seg.min_size:
-            # Undersized tail: merge into the held predecessor when the
-            # merged segment stays within the band — the same rule
-            # cut_points applies by dropping its last cut.
-            merged_start = self._held[0]
-            if n - merged_start <= self._seg.max_size:
-                emitted.append(self._emit((merged_start, n)))
-                self._held = None
-                remainder = 0
-        if self._held is not None:
-            emitted.append(self._emit(self._held))
-            self._held = None
-        if remainder > 0:
-            emitted.append(self._emit((self._start, n)))
-        self._buf = bytearray()
-        return emitted
-
-    def _emit(self, span) -> Segment:
-        start, end = span
-        lo = start - self._buf_offset
-        return Segment.from_bytes(
-            bytes(memoryview(self._buf)[lo: end - self._buf_offset]), start
-        )
-
-    def _trim(self) -> None:
-        """Drop buffered bytes no live segment can reference."""
-        keep_from = self._held[0] if self._held is not None else self._start
-        drop = keep_from - self._buf_offset
-        if drop > 0:
-            del self._buf[:drop]
-            self._buf_offset = keep_from
 
 
 def segment_ids(segments: List[Segment]) -> List[str]:

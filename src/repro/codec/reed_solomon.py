@@ -68,7 +68,8 @@ class EncodeState:
     performs it once; the first block request then encodes *all* ``n``
     rows in one fused-kernel pass over the segment (:meth:`matrix`),
     so producing the blocks of a segment costs one tiled matmul
-    instead of ``n`` row-matmuls.
+    instead of ``n`` row-matmuls.  From then on the state holds only
+    the encoded matrix.
 
     The shard matrix is zero-padded to a multiple of 8 columns so the
     encoded matrix can be fingerprinted directly by the batched
@@ -89,9 +90,15 @@ class EncodeState:
         self.digests = None
 
     def matrix(self) -> np.ndarray:
-        """The full ``(n, padded_size)`` encoded matrix, computed once."""
+        """The full ``(n, padded_size)`` encoded matrix, computed once.
+
+        The shard matrix is dropped once encoded: nothing reads it
+        afterwards, and a cached state would otherwise hold a second,
+        padded copy of its segment.
+        """
         if self._encoded is None:
             self._encoded = gfm.matmul(self.code._generator, self.shards)
+            self.shards = None
         return self._encoded
 
     def block(self, index: int) -> bytes:

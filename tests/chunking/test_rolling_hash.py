@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chunking import BuzHash, BuzHashStream, buzhash_all
+from repro.chunking import BuzHash, buzhash_all
 
 
 def streaming_hashes(data: bytes, window: int):
@@ -85,40 +85,3 @@ def test_vectorized_large_input_smoke():
     _, counts = np.unique(hashes[:10000], return_counts=True)
     assert counts.max() < 10
 
-
-@settings(max_examples=30, deadline=None)
-@given(
-    data=st.binary(min_size=0, max_size=2048),
-    window=st.sampled_from([1, 2, 4, 16, 32, 48]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stream_concatenation_matches_batch(data, window, seed):
-    """BuzHashStream over arbitrary feed splits equals one batch call.
-
-    This is the identity the streaming segmenter rests on: no matter
-    how the stream is cut into feeds (including empty feeds), the
-    concatenated hash arrays are exactly ``buzhash_all`` of the whole
-    buffer.
-    """
-    rng = np.random.default_rng(seed)
-    stream = BuzHashStream(window)
-    pieces = []
-    pos = 0
-    while pos < len(data):
-        step = int(rng.integers(1, 257))
-        pieces.append(stream.feed(data[pos:pos + step]))
-        pos += step
-    pieces.append(stream.feed(b""))  # empty feeds are no-ops
-    got = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint32)
-    assert got.dtype == np.uint32
-    assert got.tolist() == buzhash_all(data, window).tolist()
-    assert stream.tail_length == min(len(data), window - 1)
-
-
-def test_stream_reset_restarts_the_stream():
-    stream = BuzHashStream(8)
-    stream.feed(b"some leading bytes")
-    stream.reset()
-    assert stream.tail_length == 0
-    fresh = stream.feed(b"0123456789abcdef")
-    assert fresh.tolist() == buzhash_all(b"0123456789abcdef", 8).tolist()

@@ -11,9 +11,9 @@ off without a whole sync around it:
 * ``codec``      — Reed-Solomon (10, 3) encode, per-block encode through
                    a cached ``prepare()``, and decode, MB/s of a 4 MiB
                    segment.
-* ``chunking``   — batch ``buzhash_all`` MB/s, and the streaming hasher
-                   fed 64 KiB pieces of the same bytes as a ratio of the
-                   batch wall clock.
+* ``chunking``   — ``Segmenter(4 MiB).cut_points`` MB/s over a 64 MiB
+                   random buffer: the cutter a sync runs, which hashes
+                   only each segment's admissible band.
 * ``hash``       — ``block_hash`` microseconds per call: the call floor
                    (64 bytes) and one block of a 4 MiB segment.
 * ``guards``     — nanoseconds per disabled ``if OBS.enabled:`` guard,
@@ -24,9 +24,9 @@ off without a whole sync around it:
                    population, so its ceiling is the one check here that
                    sets the exit status.
 
-Numbers are host-dependent and isolated: the same chunking code runs two
-to three times slower inside a sync, where its temporaries page-fault.
-Compare them only with earlier runs on the same host.
+Numbers are host-dependent and isolated: inside a sync the same kernels
+share the cache and the allocator with everything else.  Compare them
+only with earlier runs on the same host.
 
 Run ``python tools/bench.py``; it takes no options, prints one line per
 section and writes ``benchmarks/results/BENCH_kernels.json``.
@@ -48,7 +48,7 @@ if _SRC not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.chunking.rolling_hash import BuzHashStream, buzhash_all  # noqa: E402
+from repro.chunking import Segmenter  # noqa: E402
 from repro.codec import ReedSolomonCode  # noqa: E402
 from repro.codec import matrix as gfm  # noqa: E402
 from repro.core.config import UniDriveConfig  # noqa: E402
@@ -141,21 +141,12 @@ def bench_codec():
 
 
 def bench_chunking():
-    size = 8 * _MB
-    feed = 64 * 1024  # network-sized pieces
+    size = 64 * _MB
     data = _random_bytes(2, size)
-
-    def stream():
-        hasher = BuzHashStream()
-        for off in range(0, size, feed):
-            hasher.feed(data[off:off + feed])
-
-    t_batch = _best_of(lambda: buzhash_all(data), 3)
-    t_stream = _best_of(stream, 3)
+    segmenter = Segmenter(4 * _MB)
     return {
-        "batch_mb_per_s": size / _MB / t_batch,
-        "stream_mb_per_s": size / _MB / t_stream,
-        "stream_vs_batch": t_stream / t_batch,
+        "cut_mb_per_s":
+            size / _MB / _best_of(lambda: segmenter.cut_points(data), 3),
     }
 
 
@@ -315,8 +306,8 @@ def main():
           f"({codec['encode_blocks_mb_per_s']:.1f} block by block); "
           f"decode {codec['decode_mb_per_s']:.1f} MB/s "
           f"on {codec['segment_mb']:.0f} MiB segments")
-    print(f"chunking:   {chunk['batch_mb_per_s']:8.1f} MB/s batch; stream "
-          f"{chunk['stream_vs_batch']:.2f}x the batch wall in 64 KiB feeds")
+    print(f"chunking:   {chunk['cut_mb_per_s']:8.1f} MB/s cut_points, "
+          f"theta 4 MiB")
     print(f"hash:       {hashing['block_us']:8.1f} us per "
           f"{hashing['block_bytes']}-byte block "
           f"(call floor {hashing['call_floor_us']:.2f} us)")
