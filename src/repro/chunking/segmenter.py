@@ -5,8 +5,7 @@ invalidate the segments they touch; segments are identified by the
 SHA-1 of their content, enabling cross-file deduplication.  Final
 segment sizes are constrained to ``(0.5 * theta, 1.5 * theta)`` as in
 the paper: the CDC parameters are chosen so cuts naturally fall in that
-band, and an undersized tail is merged into its predecessor when the
-merged size stays within the band.
+band.
 
 Because a cut may only fall inside that band, the rolling hash is
 evaluated only there: each open segment's band is scanned in steps of
@@ -113,8 +112,7 @@ class Segmenter:
         the first candidate offset in ``[start + min_size, start +
         max_size]`` — a candidate ``c`` being one whose window
         ``data[c - window:c]`` hashes to a boundary — or ``start +
-        max_size`` when there is none; an undersized tail then merges
-        into its predecessor if the merged segment stays in the band.
+        max_size`` when there is none.
         """
         n = len(data)
         if n <= self.min_size:
@@ -129,14 +127,6 @@ class Segmenter:
             )
             cuts.append(cut)
             start = cut
-        # Tail handling: the remainder is <= max_size.  If it is
-        # undersized and can merge into the previous segment without
-        # breaking the band, merge (drop the previous cut).
-        remainder = n - start
-        if cuts and remainder < self.min_size:
-            previous_start = cuts[-2] if len(cuts) >= 2 else 0
-            if (n - previous_start) <= self.max_size:
-                cuts.pop()
         cuts.append(n)
         return cuts
 

@@ -338,4 +338,29 @@ class SyncFolderImage:
         return image
 
     def copy(self) -> "SyncFolderImage":
-        return SyncFolderImage.from_dict(self.to_dict())
+        """A deep copy equal to ``from_dict(to_dict())``, built directly.
+
+        Same iteration order at every level: files and segments by key,
+        ``locations`` and ``block_hashes`` by index, ``debt`` sorted.
+        """
+        def snap(s: FileSnapshot) -> FileSnapshot:
+            return FileSnapshot(s.path, s.timestamp, s.size,
+                                list(s.segment_ids), s.device)
+
+        image = SyncFolderImage()
+        image.version = VersionStamp(self.version.counter, self.version.device)
+        image.files = {
+            path: FileEntry(snap(e.current), [snap(c) for c in e.conflicts])
+            for path, e in sorted(self.files.items())
+        }
+        image.segments = {
+            sid: SegmentRecord(
+                s.segment_id, s.size, s.n, s.k,
+                dict(sorted(s.locations.items())),
+                s.refcount,
+                dict(sorted(s.block_hashes.items())),
+                sorted(s.debt),
+            )
+            for sid, s in sorted(self.segments.items())
+        }
+        return image

@@ -146,13 +146,17 @@ def _rotate28(value: int, amount: int) -> int:
 # bit-identical.
 #
 # * ``_SP[box][chunk]`` fuses S-box ``box`` with the P permutation: the
-#   P-image of that box's 4-bit output placed in its lane.  A Feistel
-#   round becomes 8 lookups XORed together.
+#   P-image of that box's 4-bit output placed in its lane.
+# * ``_PAIR[j]`` fuses two of those: the even boxes read disjoint 6-bit
+#   windows of ``ext ^ even_mask`` at bits 28/20/12/4, the odd boxes of
+#   ``ext ^ odd_mask`` at 24/16/8/0, so boxes (0,2), (4,6), (1,3) and
+#   (5,7) each index one table by a 14-bit slice ``hi << 8 | lo`` (bits
+#   6-7 ignored).  A Feistel round is 4 lookups XORed together.
 # * ``_IP_TAB[i][byte]`` / ``_FP_TAB[i][byte]`` give byte ``i``'s
 #   contribution to the initial/final permutation of a 64-bit block.
 # * The expansion E needs no table at all: its 6-bit chunks are sliding
 #   windows over the 32-bit half extended by one wraparound bit on each
-#   side (built inline in ``_feistel_fast``).
+#   side (built inline in ``DES._rounds``).
 
 _SP: List[List[int]] = []
 for _box in range(8):
@@ -173,12 +177,16 @@ _FP_TAB: List[List[int]] = [
     for _i in range(8)
 ]
 
-
-# The same tables as numpy rows, for :meth:`DES.decrypt_blocks`: one
-# ``take`` per lookup over a whole vector of blocks.  The Feistel halves
-# run as int64 (the 34-bit ``ext`` windows do not fit 32), the 64-bit
-# permutations as uint64.
-_SP_VEC = np.array(_SP, dtype=np.int64)
+_PAIRS = ((0, 2), (4, 6), (1, 3), (5, 7))
+_I14 = np.arange(1 << 14)
+# The Feistel halves run as int64 in :meth:`DES.decrypt_blocks` (the
+# 34-bit ``ext`` windows do not fit 32), the 64-bit permutations as
+# uint64; the scalar rounds read the same tables as Python lists.
+_PAIR_VEC = np.array([
+    np.take(_SP[a], (_I14 >> 8) & 63) ^ np.take(_SP[b], _I14 & 63)
+    for a, b in _PAIRS
+], dtype=np.int64)
+_PAIR: List[List[int]] = _PAIR_VEC.tolist()
 _IP_VEC = np.array(_IP_TAB, dtype=np.uint64)
 _FP_VEC = np.array(_FP_TAB, dtype=np.uint64)
 _U64 = np.uint64
@@ -218,24 +226,17 @@ class DES:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         self.key = bytes(key)
         self._subkeys = self._key_schedule(int.from_bytes(key, "big"))
-        # Each 48-bit subkey split into the 8 six-bit chunks consumed by
-        # the S-boxes, so the round loop never re-slices them.
-        self._subkeys6 = [
-            tuple((sk >> (42 - 6 * box)) & 0x3F for box in range(8))
-            for sk in self._subkeys
-        ]
-        self._subkeys6_rev = self._subkeys6[::-1]
-        # For the vector path: the even boxes' six-bit windows over
-        # ``ext`` do not overlap each other, nor do the odd boxes', so
-        # each round's subkey folds into two masks XORed in once instead
-        # of eight chunks XORed in per lookup.
-        self._subkey_masks_rev = [
-            (
+        # Each 48-bit subkey as the two masks XORed into ``ext`` once per
+        # round: the even boxes' six-bit chunks at bits 28/20/12/4, the
+        # odd boxes' at 24/16/8/0 (see ``_PAIR``).
+        self._masks = []
+        for sk in self._subkeys:
+            k = [(sk >> (42 - 6 * box)) & 0x3F for box in range(8)]
+            self._masks.append((
                 (k[0] << 28) | (k[2] << 20) | (k[4] << 12) | (k[6] << 4),
                 (k[1] << 24) | (k[3] << 16) | (k[5] << 8) | k[7],
-            )
-            for k in self._subkeys6_rev
-        ]
+            ))
+        self._masks_rev = self._masks[::-1]
 
     @staticmethod
     def _key_schedule(key64: int) -> List[int]:
@@ -251,8 +252,8 @@ class DES:
 
     @staticmethod
     def _feistel(half: int, subkey: int) -> int:
-        # Reference (table-free) round function; the hot path below inlines
-        # the equivalent combined-SP lookups.
+        # Reference (table-free) round function; the hot paths below
+        # inline the equivalent paired-SP lookups.
         expanded = _permute(half, 32, _E) ^ subkey
         out = 0
         for box in range(8):
@@ -262,55 +263,77 @@ class DES:
             out = (out << 4) | _SBOXES[box][row][col]
         return _permute(out, 32, _P)
 
+    @staticmethod
+    def _rounds(values: List[int], state: int, keys: list) -> List[int]:
+        """The 16 rounds over IP-domain blocks, CBC-chained.
+
+        Each value is XORed with ``state`` — the previous output — before
+        its rounds.  Each output is ``R16 || L16``, which is IP of the
+        ciphertext block because FP = IP^-1, so ``IP(C_{i-1} ^ P_i) =
+        out_{i-1} ^ IP(P_i)``: the chain never leaves the IP domain and
+        IP/FP run once over the whole vector.  One value with
+        ``state = 0`` is a plain block.
+        """
+        t02, t46, t13, t57 = _PAIR
+        out = []
+        for value in values:
+            value ^= state
+            left = value >> 32
+            right = value & 0xFFFFFFFF
+            for even_mask, odd_mask in keys:
+                # E(right) as overlapping 6-bit windows over ``right``
+                # extended by one wraparound bit on each side.
+                ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
+                even = ext ^ even_mask
+                odd = ext ^ odd_mask
+                left, right = right, (
+                    left
+                    ^ t02[(even >> 20) & 0x3F3F] ^ t46[(even >> 4) & 0x3F3F]
+                    ^ t13[(odd >> 16) & 0x3F3F] ^ t57[odd & 0x3F3F]
+                )
+            state = (right << 32) | left
+            out.append(state)
+        return out
+
     def _crypt_block(self, block64: int, decrypt: bool) -> int:
-        value = _permute64_tab(block64, _IP_TAB)
-        left = (value >> 32) & 0xFFFFFFFF
-        right = value & 0xFFFFFFFF
-        keys = self._subkeys6_rev if decrypt else self._subkeys6
-        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
-        for k0, k1, k2, k3, k4, k5, k6, k7 in keys:
-            # E(right) as eight overlapping 6-bit windows over ``right``
-            # extended by one wraparound bit on each side.
-            ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
-            f = (
-                sp0[((ext >> 28) ^ k0) & 0x3F]
-                ^ sp1[((ext >> 24) ^ k1) & 0x3F]
-                ^ sp2[((ext >> 20) ^ k2) & 0x3F]
-                ^ sp3[((ext >> 16) ^ k3) & 0x3F]
-                ^ sp4[((ext >> 12) ^ k4) & 0x3F]
-                ^ sp5[((ext >> 8) ^ k5) & 0x3F]
-                ^ sp6[((ext >> 4) ^ k6) & 0x3F]
-                ^ sp7[(ext ^ k7) & 0x3F]
-            )
-            left, right = right, left ^ f
-        # Halves are swapped before the final permutation.
-        return _permute64_tab((right << 32) | left, _FP_TAB)
+        keys = self._masks_rev if decrypt else self._masks
+        (value,) = self._rounds([_permute64_tab(block64, _IP_TAB)], 0, keys)
+        return _permute64_tab(value, _FP_TAB)
+
+    def encrypt_cbc_blocks(self, blocks: np.ndarray, iv: int) -> np.ndarray:
+        """CBC-encrypt a ``uint64`` vector of blocks chained from ``iv``.
+
+        IP of every block is one vector pass, the serial chain runs only
+        the rounds (:meth:`_rounds`), and FP of every output is one more.
+        """
+        chained = self._rounds(
+            _permute64_vec(blocks, _IP_VEC).tolist(),
+            _permute64_tab(iv, _IP_TAB),
+            self._masks,
+        )
+        return _permute64_vec(np.array(chained, dtype=np.uint64), _FP_VEC)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Decrypt a ``uint64`` vector of independent blocks at once.
 
-        The same table-driven rounds as :meth:`_crypt_block`, each
-        lookup one ``take`` over every block — ECB decryption is data-
-        parallel, and so is CBC *decryption* (``P_i = D(C_i) ^ C_{i-1}``;
+        The same paired-table rounds as :meth:`_rounds`, each lookup one
+        ``take`` over every block — ECB decryption is data-parallel, and
+        so is CBC *decryption* (``P_i = D(C_i) ^ C_{i-1}``;
         :func:`repro.crypto.modes.decrypt_cbc`).  CBC encryption chains
-        through the previous ciphertext block and stays scalar.
+        through the previous ciphertext block and stays serial.
         """
         value = _permute64_vec(blocks, _IP_VEC)
         left = (value >> _U64(32)).astype(np.int64)
         right = (value & _U64(0xFFFFFFFF)).astype(np.int64)
-        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP_VEC
-        for even_mask, odd_mask in self._subkey_masks_rev:
+        t02, t46, t13, t57 = _PAIR_VEC
+        for even_mask, odd_mask in self._masks_rev:
             ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
             even = ext ^ even_mask
             odd = ext ^ odd_mask
-            f = sp0.take(even >> 28)
-            f ^= sp2.take((even >> 20) & 0x3F)
-            f ^= sp4.take((even >> 12) & 0x3F)
-            f ^= sp6.take((even >> 4) & 0x3F)
-            f ^= sp1.take((odd >> 24) & 0x3F)
-            f ^= sp3.take((odd >> 16) & 0x3F)
-            f ^= sp5.take((odd >> 8) & 0x3F)
-            f ^= sp7.take(odd & 0x3F)
+            f = t02.take((even >> 20) & 0x3F3F)
+            f ^= t46.take((even >> 4) & 0x3F3F)
+            f ^= t13.take((odd >> 16) & 0x3F3F)
+            f ^= t57.take(odd & 0x3F3F)
             left, right = right, left ^ f
         # Halves are swapped before the final permutation.
         swapped = right.astype(np.uint64) << _U64(32)

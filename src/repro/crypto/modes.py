@@ -70,16 +70,11 @@ def encrypt_cbc(key: bytes, plaintext: bytes, iv: bytes) -> bytes:
     """DES-CBC encrypt; returns ``iv || ciphertext``."""
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be 8 bytes, got {len(iv)}")
-    cipher = _cipher(bytes(key))
-    crypt = cipher._crypt_block
-    padded = pad(plaintext)
-    out = [iv]
-    previous = int.from_bytes(iv, "big")
-    for offset in range(0, len(padded), BLOCK_SIZE):
-        block = int.from_bytes(padded[offset:offset + BLOCK_SIZE], "big")
-        previous = crypt(block ^ previous, False)
-        out.append(previous.to_bytes(BLOCK_SIZE, "big"))
-    return b"".join(out)
+    blocks = np.frombuffer(pad(plaintext), dtype=">u8").astype(np.uint64)
+    ciphertext = _cipher(bytes(key)).encrypt_cbc_blocks(
+        blocks, int.from_bytes(iv, "big")
+    )
+    return bytes(iv) + ciphertext.astype(">u8").tobytes()
 
 
 def decrypt_cbc(key: bytes, blob: bytes) -> bytes:

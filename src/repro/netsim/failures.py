@@ -17,6 +17,7 @@ Section 3.2 of the paper reports two findings this module reproduces:
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class StressProcess:
         if t < 0:
             raise ValueError(f"negative time {t}")
         self._extend(t)
-        index = int(np.searchsorted(self._starts, t, side="right")) - 1
+        index = bisect.bisect_right(self._starts, t) - 1
         return self._states[index]
 
 

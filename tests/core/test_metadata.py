@@ -1,6 +1,8 @@
 """Tests for the SyncFolderImage metadata model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metadata import (
     FileSnapshot,
@@ -142,3 +144,64 @@ def test_copy_is_deep():
     clone = image.copy()
     clone.set_block_location("s1", 1, "x")
     assert image.segments["s1"].locations == {}
+
+
+@st.composite
+def images(draw):
+    """Random images: shuffled insertion order, conflicts, debt,
+    block hashes, segments at refcount 0."""
+    image = SyncFolderImage(draw(st.sampled_from(["", "d1", "d2"])))
+    image.version = VersionStamp(draw(st.integers(0, 99)), "d3")
+    sids = draw(st.lists(st.text("abcdef", min_size=1, max_size=4),
+                         unique=True, max_size=8))
+    for sid in sids:
+        record = seg(sid, n=6, k=2)
+        for index in draw(st.permutations(range(6)))[:draw(st.integers(0, 6))]:
+            record.locations[index] = draw(st.sampled_from("xyz"))
+        for index in draw(st.lists(st.integers(0, 5), max_size=4)):
+            record.block_hashes[index] = f"h{index}"
+        record.debt = draw(st.lists(st.integers(0, 5), max_size=3))
+        image.add_segment(record)
+    for path in draw(st.lists(st.text("pqr/", min_size=1, max_size=5),
+                              unique=True, max_size=8)):
+        picked = draw(st.lists(st.sampled_from(sids), max_size=3)) if sids else []
+        image.upsert_file(snap(path, picked, ts=draw(st.floats(0, 1e9))))
+        for _ in range(draw(st.integers(0, 2))):
+            image.add_conflict(path, snap(path, picked[::-1], device="d2"))
+    return image
+
+
+def order(image):
+    """Every iteration order a caller can observe."""
+    return (
+        list(image.files),
+        [(len(e.conflicts), e.current.segment_ids) for e in image.files.values()],
+        list(image.segments),
+        [(list(s.locations), list(s.block_hashes), s.debt)
+         for s in image.segments.values()],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(images(), st.data())
+def test_copy_equals_dict_roundtrip(image, data):
+    clone = image.copy()
+    reference = SyncFolderImage.from_dict(image.to_dict())
+    assert clone.version == reference.version
+    assert clone.files == reference.files
+    assert clone.segments == reference.segments
+    assert order(clone) == order(reference)
+    # Deep: mutating anything reachable from the copy leaves the original.
+    before = image.to_dict()
+    for entry in clone.files.values():
+        entry.current.segment_ids.append("new")
+        entry.conflicts.append(snap("/z", []))
+        for conflict in entry.conflicts:
+            conflict.segment_ids.clear()
+    for record in clone.segments.values():
+        record.locations[data.draw(st.integers(0, 5))] = "moved"
+        record.refcount += 1
+        record.debt.append(9)
+        record.block_hashes[0] = "changed"
+    clone.version.counter += 1
+    assert image.to_dict() == before

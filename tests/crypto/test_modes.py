@@ -1,5 +1,7 @@
 """Tests for CBC mode and PKCS#5 padding."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,20 @@ def scalar_decrypt_cbc(key, blob):
             a ^ b for a, b in zip(plain, blob[offset - 8:offset])
         ))
     return unpad(b"".join(out))
+
+
+def scalar_encrypt_cbc(key, plaintext, iv):
+    """CBC one block at a time through the bare block cipher: the chain
+    ``C_i = E(P_i ^ C_{i-1})`` with IP and FP around every block."""
+    cipher = DES(key)
+    padded = pad(plaintext)
+    out = [iv]
+    previous = int.from_bytes(iv, "big")
+    for offset in range(0, len(padded), 8):
+        block = int.from_bytes(padded[offset:offset + 8], "big")
+        previous = cipher._crypt_block(block ^ previous, False)
+        out.append(previous.to_bytes(8, "big"))
+    return b"".join(out)
 
 
 def outcome(fn, *args):
@@ -124,6 +140,7 @@ def test_cbc_fips81_sample():
     )
     blob = encrypt_cbc(key, plaintext, iv)
     assert blob[8:32] == expected
+    assert scalar_encrypt_cbc(key, plaintext, iv)[8:32] == expected
     assert decrypt_cbc(key, blob) == plaintext
 
 
@@ -168,3 +185,19 @@ def test_cbc_vector_matches_scalar(key, other_key, plaintext, iv):
     if len(blob) > 16:
         assert outcome(decrypt_cbc, key, blob[:-8]) \
             == outcome(scalar_decrypt_cbc, key, blob[:-8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.binary(min_size=8, max_size=8),
+    st.binary(min_size=8, max_size=8),
+    st.one_of(st.integers(0, 40), st.sampled_from([1000, 3000])),
+    st.integers(0, 7),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_cbc_encrypt_matches_block_at_a_time(key, iv, n_blocks, extra, seed):
+    """The IP-domain chain == IP, rounds, FP around every block, on 0 …
+    3 000 blocks of arbitrary bytes under arbitrary keys and IVs."""
+    plaintext = random.Random(seed).randbytes(8 * n_blocks + extra)
+    assert encrypt_cbc(key, plaintext, iv) \
+        == scalar_encrypt_cbc(key, plaintext, iv)

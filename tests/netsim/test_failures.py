@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import (
     FailureModel,
@@ -128,3 +130,20 @@ def test_weighted_stress_prefers_heavy_cloud():
             counts[stressed] += 1
     assert counts["dropbox"] > counts["onedrive"]
     assert counts["dropbox"] > counts["gdrive"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(
+    st.floats(0, 40 * 86400, allow_nan=False), min_size=1, max_size=30))
+def test_lookup_matches_searchsorted(seed, offsets):
+    """bisect_right on the timeline list returns the index
+    ``np.searchsorted(..., side="right")`` did, at interval starts
+    themselves and past the horizon (which extends the timeline)."""
+    stress = make_stress(seed=seed, mean_calm=600, mean_stress=300)
+    stress.stressed_cloud_at(max(offsets))
+    times = list(offsets) + list(stress._starts)
+    times.append(stress._horizon + 5000.0)
+    for t in times:
+        got = stress.stressed_cloud_at(t)
+        index = int(np.searchsorted(stress._starts, t, side="right")) - 1
+        assert got == stress._states[index]

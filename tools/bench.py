@@ -14,6 +14,9 @@ off without a whole sync around it:
 * ``chunking``   — ``Segmenter(4 MiB).cut_points`` MB/s over a 64 MiB
                    random buffer: the cutter a sync runs, which hashes
                    only each segment's admissible band.
+* ``crypto``     — DES-CBC ``encrypt_cbc`` / ``decrypt_cbc`` microseconds
+                   per block over 12 533 blocks, one fold's metadata
+                   seal: the serial encrypt chain and the vector decrypt.
 * ``hash``       — ``block_hash`` microseconds per call: the call floor
                    (64 bytes) and one block of a 4 MiB segment.
 * ``guards``     — nanoseconds per disabled ``if OBS.enabled:`` guard,
@@ -54,6 +57,7 @@ from repro.codec import matrix as gfm  # noqa: E402
 from repro.core.config import UniDriveConfig  # noqa: E402
 from repro.core.degrade import DegradeController  # noqa: E402
 from repro.core.pipeline import block_hash  # noqa: E402
+from repro.crypto import decrypt_cbc, encrypt_cbc  # noqa: E402
 
 _MB = 1024 * 1024
 RESULTS_PATH = os.path.join(
@@ -147,6 +151,20 @@ def bench_chunking():
     return {
         "cut_mb_per_s":
             size / _MB / _best_of(lambda: segmenter.cut_points(data), 3),
+    }
+
+
+def bench_crypto():
+    blocks = 12_533  # a 150-file folder image, padded
+    key, iv = b"benchkey", b"bench-iv"
+    plaintext = _random_bytes(3, 8 * blocks - 1)
+    blob = encrypt_cbc(key, plaintext, iv)
+    return {
+        "blocks": blocks,
+        "cbc_encrypt_us_per_block": _best_of(
+            lambda: encrypt_cbc(key, plaintext, iv), 5) / blocks * 1e6,
+        "cbc_decrypt_us_per_block": _best_of(
+            lambda: decrypt_cbc(key, blob), 5) / blocks * 1e6,
     }
 
 
@@ -284,6 +302,7 @@ def main():
     matmul = bench_gf_matmul()
     codec = bench_codec()
     chunk = bench_chunking()
+    crypto = bench_crypto()
     hashing = bench_hash()
     guards = bench_guards()
     trial = bench_trial_rss()
@@ -292,6 +311,7 @@ def main():
         "gf_matmul": matmul,
         "codec": codec,
         "chunking": chunk,
+        "crypto": crypto,
         "hash": hashing,
         "guards": guards,
         "trial_rss": trial,
@@ -308,6 +328,10 @@ def main():
           f"on {codec['segment_mb']:.0f} MiB segments")
     print(f"chunking:   {chunk['cut_mb_per_s']:8.1f} MB/s cut_points, "
           f"theta 4 MiB")
+    print(f"crypto:     {crypto['cbc_encrypt_us_per_block']:8.2f} us per "
+          f"block DES-CBC encrypt, "
+          f"{crypto['cbc_decrypt_us_per_block']:.2f} us decrypt "
+          f"({crypto['blocks']} blocks)")
     print(f"hash:       {hashing['block_us']:8.1f} us per "
           f"{hashing['block_bytes']}-byte block "
           f"(call floor {hashing['call_floor_us']:.2f} us)")
