@@ -237,6 +237,16 @@ class BlockPipeline:
             self._encode_cache.move_to_end(segment_id)
         return state
 
+    def release(self, segment_ids) -> None:
+        """Drop the cached encode states of ``segment_ids``.
+
+        The cache serves the repeat encodes within one upload batch; the
+        scheduler releases a batch's segments when it ends, so their
+        encoded matrices do not stay resident across rounds.
+        """
+        for segment_id in segment_ids:
+            self._encode_cache.pop(segment_id, None)
+
     def encode_block(self, segment_id: str, data: bytes, index: int) -> bytes:
         """Block ``index`` of a segment via the shard cache.
 

@@ -503,6 +503,7 @@ class UploadScheduler:
         if workers:
             yield AllOf(self.sim, workers)
         self._workers = []
+        self.pipeline.release(self._states)
         self._refresh_file_reports(final=True)
         return UploadBatchReport(
             files=[self._reports[f.path] for f in self._files],

@@ -1,11 +1,6 @@
 """Network condition simulation: bandwidth, latency, failures, transfers."""
 
-from .bandwidth import (
-    MBPS,
-    BandwidthProcess,
-    ConstantBandwidth,
-    ScalarBandwidthProcess,
-)
+from .bandwidth import MBPS, BandwidthProcess, ConstantBandwidth
 from .failures import FailureModel, StressProcess, interval_failure_indicators
 from .latency import LatencyModel
 from .profiles import LinkConditions, LinkProfile
@@ -19,7 +14,6 @@ __all__ = [
     "LinkConditions",
     "LinkProfile",
     "MBPS",
-    "ScalarBandwidthProcess",
     "SharedNic",
     "StressProcess",
     "Transfer",

@@ -18,15 +18,11 @@ fade (heavy tail).
 Epochs are generated lazily in numpy chunks of :data:`CHUNK_EPOCHS`
 multipliers at a time: the chunk's normal innovations, fade coin-flips
 and fade depths are drawn as three bulk array draws, the AR(1)
-recursion runs array-wise, and the resulting multipliers are cached in
-one flat array — so ``rate_at`` / ``next_change_after`` are O(1) array
-reads and a month-long campaign costs ~10 chunk generations per link
-instead of ~43,200 scalar rng round-trips.
-
-:class:`ScalarBandwidthProcess` retains the per-epoch scalar sampler
-over the *same* draw scheme.  It is the pinned reference for the
-vectorized path (property-tested for equivalence) and the "before" twin
-for the substrate benchmarks.
+recursion runs as a doubling scan (:func:`_ar1_scan`), and the resulting
+multipliers are cached in one flat array — so ``rate_at`` /
+``next_change_after`` are O(1) array reads and a month-long campaign
+costs ~10 chunk generations per link instead of ~43,200 scalar rng
+round-trips.
 """
 
 from __future__ import annotations
@@ -35,15 +31,8 @@ import math
 
 import numpy as np
 
-try:  # scipy's lfilter runs the AR(1) scan in C with the exact same
-    # multiply-add sequence as the scalar recursion (bit-identical).
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - scipy is an optional speedup
-    _lfilter = None
-
 __all__ = [
     "BandwidthProcess",
-    "ScalarBandwidthProcess",
     "ConstantBandwidth",
     "MBPS",
     "CHUNK_EPOCHS",
@@ -60,8 +49,7 @@ class BandwidthProcess:
 
     Epoch multipliers are produced chunk-wise; see the module docstring
     for the draw scheme.  Within one chunk the rng is consumed as three
-    bulk draws (innovations, fade coins, fade depths), so scalar and
-    vectorized samplers over the same seed agree epoch for epoch.
+    bulk draws (innovations, fade coins, fade depths).
     """
 
     def __init__(
@@ -139,11 +127,13 @@ class BandwidthProcess:
             # Epoch 0 starts the series at its stationary distribution.
             shocks[0] = self.volatility * innovations[0]
         x = _ar1_scan(self.ar, shocks, 0.0 if first else self._x_state)
-        multipliers = np.exp(x - self.volatility**2 / 2)
+        x_last = float(x[-1])
+        x -= self.volatility**2 / 2
+        multipliers = np.exp(x, out=x)
         faded = fade_coins < self.fade_probability
         if faded.any():
             multipliers[faded] /= fade_depths[faded]
-        return multipliers, float(x[-1])
+        return multipliers, x_last
 
     def _extend_to(self, index: int) -> None:
         while self._count <= index:
@@ -206,52 +196,23 @@ class BandwidthProcess:
         self._floor *= factor
 
 
-class ScalarBandwidthProcess(BandwidthProcess):
-    """The retained scalar sampler: one Python-loop epoch at a time.
-
-    Consumes the rng identically to :class:`BandwidthProcess` (same
-    bulk draws per chunk) but runs the AR(1) recursion and the
-    exp/fade arithmetic as per-epoch scalar operations — the reference
-    implementation the vectorized path is property-tested against, and
-    the "before" side of the ``bandwidth_epochs`` benchmark.
-    """
-
-    def _chunk_multipliers(self, innovations, fade_coins, fade_depths):
-        multipliers = np.empty(len(innovations), dtype=np.float64)
-        x = self._x_state
-        offset = self.volatility**2 / 2
-        for i in range(len(innovations)):
-            if self._count == 0 and i == 0:
-                x = self.volatility * float(innovations[0])
-            else:
-                x = self.ar * x + self._innovation_scale * float(
-                    innovations[i]
-                )
-            multiplier = math.exp(x - offset)
-            if float(fade_coins[i]) < self.fade_probability:
-                multiplier /= float(fade_depths[i])
-            multipliers[i] = multiplier
-        return multipliers, x
-
-
 def _ar1_scan(ar: float, shocks: np.ndarray, x0: float) -> np.ndarray:
-    """``x[i] = ar * x[i-1] + shocks[i]`` array-wise, seeded by ``x0``.
+    """``x[i] = ar * x[i-1] + shocks[i]`` seeded by ``x0``, in place.
 
-    Uses :func:`scipy.signal.lfilter` when available (a C loop with the
-    same multiply-add order as the scalar recursion, so results are
-    bit-identical); otherwise falls back to a Python loop over the
-    chunk — still one loop per 4096 epochs, with the exp/fade stages
-    vectorized either way.
+    A Hillis–Steele doubling scan: after the pass with stride ``step``
+    each entry holds the recursion's sum over its last ``2 * step``
+    shocks, so a chunk of ``n`` epochs takes ceil(log2 n) elementwise
+    numpy passes instead of ``n`` Python iterations.  Elementwise ufuncs
+    only (no BLAS, no FFT), so every host rounds identically; the result
+    differs from the sequential recursion by a few ulps, bounded by
+    ``64 * eps * max|shocks| / (1 - ar)``.
     """
-    if _lfilter is not None:
-        out, _state = _lfilter([1.0], [1.0, -ar], shocks, zi=[ar * x0])
-        return out
-    out = np.empty_like(shocks)
-    x = x0
-    for i, shock in enumerate(shocks):
-        x = ar * x + shock
-        out[i] = x
-    return out
+    shocks[0] += ar * x0
+    step, power = 1, ar
+    while step < len(shocks):
+        shocks[step:] += power * shocks[:-step]
+        step, power = 2 * step, power * power
+    return shocks
 
 
 class ConstantBandwidth:

@@ -312,3 +312,32 @@ def test_shared_segment_uploaded_once():
     )
     unique_needed = len({r.segment_id for r, _ in file_a.segments})
     assert total_blocks <= unique_needed * pipeline.n
+
+
+def test_batch_releases_its_encode_states(monkeypatch):
+    """A finished batch leaves no encoded matrix cached; uploading the
+    same segments again prepares each once more, to the same blocks and
+    digests."""
+    sim, clouds, conns, pipeline = make_env()
+    prepares = []
+    prepare = pipeline.code.prepare
+    monkeypatch.setattr(
+        pipeline.code, "prepare", lambda data: prepares.append(1) or prepare(data)
+    )
+    encode = pipeline.encode_block_with_digest
+    batches = []
+
+    def recording_encode(segment_id, data, index):
+        block, digest = encode(segment_id, data, index)
+        batches[-1][(segment_id, index)] = (block, digest)
+        return block, digest
+
+    monkeypatch.setattr(pipeline, "encode_block_with_digest", recording_encode)
+    for _ in range(2):
+        batches.append({})
+        file, _ = make_file(pipeline)
+        run_upload(sim, UploadScheduler(sim, conns, pipeline, CONFIG), [file])
+        segment_ids = {record.segment_id for record, _ in file.segments}
+        assert len(prepares) == len(batches) * len(segment_ids)
+        assert not segment_ids & set(pipeline._encode_cache)
+    assert batches[0] == batches[1]

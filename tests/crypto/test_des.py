@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import DES
-from repro.crypto.des import _FP, _IP, _PAIR, _PAIR_VEC, _PAIRS, _SP, _permute
+from repro.crypto.des import (
+    _FP, _FP_TAB, _FP_VEC, _IP, _IP_TAB, _IP_VEC, _P, _PAIR, _PAIR_VEC,
+    _PAIRS, _SBOXES, _SP, _permute,
+)
 
 #: (key, plaintext, ciphertext) known answers: the classic worked
 #: example plus rows of the NIST SP 800-17 variable-plaintext,
@@ -126,6 +129,26 @@ def test_vector_decrypt_matches_scalar(key, n_blocks, seed):
     assert got.dtype == np.uint64 and got.shape == blocks.shape
     expected = [cipher._crypt_block(int(b), True) for b in blocks]
     assert got.tolist() == expected
+
+
+def test_tables_match_scalar_permute():
+    """Every entry of the array-built tables equals one scalar
+    ``_permute`` of the same input, in both the list and vector copy."""
+    for table, listed, vector in ((_IP, _IP_TAB, _IP_VEC),
+                                  (_FP, _FP_TAB, _FP_VEC)):
+        expected = [
+            [_permute(byte << (56 - 8 * i), 64, table) for byte in range(256)]
+            for i in range(8)
+        ]
+        assert listed == expected
+        assert vector.tolist() == expected
+    for box in range(8):
+        expected = []
+        for chunk in range(64):
+            row = ((chunk >> 4) & 0x2) | (chunk & 0x1)
+            out = _SBOXES[box][row][(chunk >> 1) & 0xF] << (28 - 4 * box)
+            expected.append(_permute(out, 32, _P))
+        assert _SP[box] == expected
 
 
 @pytest.mark.parametrize("row", range(4))

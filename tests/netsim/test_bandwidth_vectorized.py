@@ -1,31 +1,54 @@
-"""The vectorized chunk sampler is pinned to the scalar reference.
+"""The vectorized chunk sampler is pinned to a per-epoch reference.
 
 :class:`BandwidthProcess` generates epoch multipliers with bulk numpy
-draws plus an array-wise AR(1) scan; :class:`ScalarBandwidthProcess`
+draws plus a doubling AR(1) scan; :class:`_ScalarReference` below
 consumes the *same* bulk draws but runs the recursion and the exp/fade
 arithmetic one epoch at a time in Python.  Over any parameters, any
 seed and any chunk size the two must agree epoch for epoch — up to the
-ulp-level difference between ``np.exp`` and ``math.exp`` (the scan
-itself is bit-identical, so 1e-12 relative tolerance at zero absolute
-tolerance is a tight pin).
+few-ulp difference between the scan and the sequential recursion (and
+between ``np.exp`` and ``math.exp``), so 1e-12 relative tolerance at
+zero absolute tolerance is a tight pin.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import BandwidthProcess, MBPS, ScalarBandwidthProcess
-from repro.netsim.bandwidth import CHUNK_EPOCHS
+from repro.netsim import BandwidthProcess, MBPS
+from repro.netsim.bandwidth import CHUNK_EPOCHS, _ar1_scan
 
 EPOCH = 60.0
+
+
+class _ScalarReference(BandwidthProcess):
+    """The per-epoch sampler: one Python-loop epoch at a time."""
+
+    def _chunk_multipliers(self, innovations, fade_coins, fade_depths):
+        multipliers = np.empty(len(innovations), dtype=np.float64)
+        x = self._x_state
+        offset = self.volatility**2 / 2
+        for i in range(len(innovations)):
+            if self._count == 0 and i == 0:
+                x = self.volatility * float(innovations[0])
+            else:
+                x = self.ar * x + self._innovation_scale * float(
+                    innovations[i]
+                )
+            multiplier = math.exp(x - offset)
+            if float(fade_coins[i]) < self.fade_probability:
+                multiplier /= float(fade_depths[i])
+            multipliers[i] = multiplier
+        return multipliers, x
 
 
 def make_pair(seed, **params):
     params.setdefault("mean_rate", 10 * MBPS)
     params.setdefault("epoch", EPOCH)
     vectorized = BandwidthProcess(np.random.default_rng(seed), **params)
-    scalar = ScalarBandwidthProcess(np.random.default_rng(seed), **params)
+    scalar = _ScalarReference(np.random.default_rng(seed), **params)
     return vectorized, scalar
 
 
@@ -104,3 +127,31 @@ def test_floor_and_positivity_preserved():
         rate = process.rate_at(i * EPOCH)
         assert rate >= process.mean_rate * 1e-3
         assert rate == pytest.approx(scalar.rate_at(i * EPOCH), rel=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ar=st.floats(0.0, 0.99),
+    n=st.integers(1, 5000),
+    x0=st.floats(-10.0, 10.0),
+    scale=st.floats(1e-3, 1e3),
+)
+@settings(max_examples=60, deadline=None)
+def test_ar1_scan_within_bound_of_sequential_recursion(seed, ar, n, x0, scale):
+    shocks = scale * np.random.default_rng(seed).standard_normal(n)
+    want = np.empty(n)
+    x = x0
+    for i, shock in enumerate(shocks.tolist()):
+        x = ar * x + shock
+        want[i] = x
+    got = _ar1_scan(ar, shocks.copy(), x0)
+    eps = np.finfo(np.float64).eps
+    magnitude = max(np.abs(shocks).max(), abs(x0))
+    assert np.all(np.abs(got - want) <= 64 * eps * magnitude / (1 - ar))
+
+
+@given(ar=st.floats(0.0, 0.99), n=st.integers(1, 5000))
+@settings(max_examples=30, deadline=None)
+def test_ar1_scan_of_zero_shocks_is_exactly_zero(ar, n):
+    got = _ar1_scan(ar, np.zeros(n), 0.0)
+    assert not got.any()

@@ -22,6 +22,9 @@ off without a whole sync around it:
 * ``guards``     — nanoseconds per disabled ``if OBS.enabled:`` guard,
                    per unguarded fan-out fact on the disabled hub, and
                    per closed-breaker ``admits()``.
+* ``startup``    — seconds and peak RSS of ``import repro,
+                   repro.workloads`` in a fresh interpreter (median of
+                   5): what every process pays before any work.
 * ``trial_rss``  — peak RSS of a 10 000-user cohorted ``run_trial`` in a
                    child interpreter.  No syncbench workload reaches that
                    population, so its ceiling is the one check here that
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -231,10 +235,9 @@ def bench_guards():
     }
 
 
-_TRIAL_SCRIPT = """\
+_CHILD_PRELUDE = """\
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from repro.workloads import TrialFleetStats, run_trial
 
 def self_peak_kb():
     try:
@@ -245,6 +248,17 @@ def self_peak_kb():
     except OSError:
         pass
     return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+_STARTUP_SCRIPT = _CHILD_PRELUDE + """\
+start = time.perf_counter()
+import repro, repro.workloads
+print(json.dumps({'import_s': time.perf_counter() - start,
+                  'import_rss_mb': self_peak_kb() / 1024.0}))
+"""
+
+_TRIAL_SCRIPT = _CHILD_PRELUDE + """\
+from repro.workloads import TrialFleetStats, run_trial
 
 start = time.perf_counter()
 summary = run_trial(n_users=int(sys.argv[2]), days=1.0, uploads_per_user=1,
@@ -258,6 +272,25 @@ print(json.dumps({'wall_s': wall, 'peak_rss_mb': rss_kb / 1024.0,
                   'uploads': summary.uploads,
                   'file_success_rate': summary.file_success_rate}))
 """
+
+
+def _child(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", script, _SRC, *map(str, args)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def bench_startup():
+    """Cold import cost, the median of 5 fresh interpreters."""
+    runs = [_child(_STARTUP_SCRIPT) for _ in range(5)]
+    return {
+        "runs": len(runs),
+        "import_s": statistics.median(r["import_s"] for r in runs),
+        "import_rss_mb": statistics.median(r["import_rss_mb"] for r in runs),
+    }
 
 
 def bench_trial_rss():
@@ -279,11 +312,7 @@ def bench_trial_rss():
     trustworthy for them.
     """
     users, cohort = 10_000, 500
-    out = subprocess.run(
-        [sys.executable, "-c", _TRIAL_SCRIPT, _SRC, str(users), str(cohort)],
-        capture_output=True, text=True, check=True,
-    )
-    child = json.loads(out.stdout.strip().splitlines()[-1])
+    child = _child(_TRIAL_SCRIPT, users, cohort)
     return {
         "users": users,
         "cohort_size": cohort,
@@ -305,6 +334,7 @@ def main():
     crypto = bench_crypto()
     hashing = bench_hash()
     guards = bench_guards()
+    startup = bench_startup()
     trial = bench_trial_rss()
     within_limit = trial["peak_rss_mb"] <= trial["rss_limit_mb"]
     results = {
@@ -314,6 +344,7 @@ def main():
         "crypto": crypto,
         "hash": hashing,
         "guards": guards,
+        "startup": startup,
         "trial_rss": trial,
         "checks": {"trial_peak_rss_under_limit": within_limit},
     }
@@ -338,6 +369,8 @@ def main():
     print(f"guards:     {guards['guard_ns']:8.1f} ns disabled guard, "
           f"{guards['fanout_fact_ns']:.1f} ns unguarded fact, "
           f"{guards['admits_ns']:.1f} ns admits()")
+    print(f"startup:    {startup['import_s']:8.3f} s cold import, "
+          f"{startup['import_rss_mb']:.1f} MB peak")
     print(f"trial rss:  {trial['peak_rss_mb']:8.1f} MB peak for "
           f"{trial['users']} users in {trial['cohort_size']}-user cohorts "
           f"(limit {trial['rss_limit_mb']:.0f}), "
