@@ -74,7 +74,7 @@ def main():
     meta_path = os.path.join(workdir, "cloud0", "unidrive", "meta", "base")
     with open(meta_path, "rb") as handle:
         blob = handle.read()
-    print(f"\nfirst bytes of the metadata file (DES-CBC): {blob[:24].hex()}")
+    print(f"\nfirst bytes of the metadata file (DES-CTR, synthetic IV): {blob[:24].hex()}")
     print("neither file names nor contents appear anywhere in the clouds.")
     print(f"\nexplore the layout yourself under: {workdir}")
 

@@ -189,6 +189,7 @@ def _cmd_results(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from .core.metadata import MetadataError
     from .core.serialization import deserialize_image
 
     key = args.key.encode()
@@ -199,11 +200,15 @@ def _cmd_inspect(args) -> int:
     try:
         with open(args.path, "rb") as handle:
             blob = handle.read()
-        image = deserialize_image(blob, key)
     except FileNotFoundError:
         print(f"error: no such file: {args.path}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except OSError as exc:
+        print(f"error: cannot read {args.path} ({exc})", file=sys.stderr)
+        return 2
+    try:
+        image = deserialize_image(blob, key)
+    except MetadataError as exc:
         print(f"error: cannot decrypt/parse ({exc})", file=sys.stderr)
         return 1
     print(json.dumps(image.to_dict(), indent=2, sort_keys=True))

@@ -13,11 +13,10 @@ of re-uploading the base (measured in the Figure 13 benchmark).
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import List, Optional, Tuple
+from typing import List
 
-from ..crypto import decrypt_cbc, encrypt_cbc
+from ..crypto import decrypt_cbc, encrypt_cbc, synthetic_iv
 from ..crypto.des import BLOCK_SIZE
 from .config import UniDriveConfig
 from .metadata import (
@@ -122,15 +121,10 @@ class DeltaLog:
 
     def __init__(self, ops: List[dict] = None):
         self.ops: List[dict] = list(ops) if ops else []
-        #: ``(key, plaintext, blob)`` of the last seal or unseal, so the
-        #: next :meth:`to_bytes` re-encrypts only what an append changed.
-        self._sealed: Optional[Tuple[bytes, bytes, bytes]] = None
 
     def copy(self) -> "DeltaLog":
-        """An independent op list that still remembers the last seal."""
-        twin = DeltaLog(self.ops)
-        twin._sealed = self._sealed
-        return twin
+        """An independent op list."""
+        return DeltaLog(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -248,32 +242,12 @@ class DeltaLog:
     def to_bytes(self, key: bytes) -> bytes:
         """Encrypted JSON-lines encoding (one op per line).
 
-        The IV is the digest of the *first record* alone — in a cloud
-        delta, the ``base_version`` marker, which changes at every fold
-        and never in between.  Appending records therefore leaves every
-        ciphertext block before the old final one as it was, and a log
-        that remembers its last seal (it came from :meth:`from_bytes`,
-        or was sealed before) encrypts only from that block on, chained
-        off the previous ciphertext block.  The bytes are exactly those
-        of sealing from scratch, and any reader decrypts them statelessly.
+        The whole log is sealed on every call, under the synthetic IV of
+        the whole log: one vector pass of the cipher, about half a
+        millisecond for a delta at the fold threshold.
         """
         lines = self._encode()
-        iv = hashlib.sha1(lines.partition(b"\n")[0]).digest()[:BLOCK_SIZE]
-        key = bytes(key)
-        head = iv  # the blob up to the first block that must be encrypted
-        if self._sealed is not None and self._sealed[0] == key:
-            _, old_lines, old_blob = self._sealed
-            # The old final block held padding, so it always changes.
-            stable = len(old_lines) // BLOCK_SIZE * BLOCK_SIZE
-            if (old_blob[:BLOCK_SIZE] == iv
-                    and lines.startswith(old_lines[:stable])):
-                head = old_blob[:BLOCK_SIZE + stable]
-        tail = encrypt_cbc(
-            key, lines[len(head) - BLOCK_SIZE:], head[-BLOCK_SIZE:]
-        )
-        blob = head + tail[BLOCK_SIZE:]
-        self._sealed = (key, lines, blob)
-        return blob
+        return encrypt_cbc(key, lines, synthetic_iv(key, lines))
 
     @staticmethod
     def from_bytes(blob: bytes, key: bytes) -> "DeltaLog":
@@ -296,7 +270,6 @@ class DeltaLog:
             log.latest_version()
         except MALFORMED as exc:
             raise MetadataError(f"undecodable delta log: {exc!r}") from exc
-        log._sealed = (bytes(key), lines, bytes(blob))
         return log
 
 

@@ -2,12 +2,14 @@
 
 The image serializes to canonical JSON (sorted keys, compact
 separators) so identical logical states produce identical bytes, then is
-DES-CBC encrypted before upload — no cloud provider can read the file
-hierarchy (paper §4).  The CBC IV is derived from the plaintext digest,
-making serialization fully deterministic (valuable for dedup of
-identical metadata and for reproducible tests).  Every call runs the
-cipher; a device that already holds a blob's decoded form skips the call
-(``UniDriveClient._decode``), nothing below this module remembers.
+DES encrypted before upload — no cloud provider can read the file
+hierarchy (paper §4).  The IV is :func:`repro.crypto.synthetic_iv` of
+the plaintext, making serialization fully deterministic (valuable for
+dedup of identical metadata and for reproducible tests), and the reader
+re-derives it, so a blob altered in the cloud does not decode.  Every
+call runs the cipher; a device that already holds a blob's decoded form
+skips the call (``UniDriveClient._decode``), nothing below this module
+remembers.
 
 The tiny version file is deliberately *not* encrypted: it contains only
 a counter and a device name and must stay as small as possible because
@@ -16,10 +18,9 @@ it is polled every τ seconds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
-from ..crypto import decrypt_cbc, encrypt_cbc
+from ..crypto import decrypt_cbc, encrypt_cbc, synthetic_iv
 from .metadata import MALFORMED, MetadataError, SyncFolderImage, VersionStamp
 
 __all__ = [
@@ -39,8 +40,7 @@ def canonical_json(payload: dict) -> bytes:
 def serialize_image(image: SyncFolderImage, key: bytes) -> bytes:
     """Encode and encrypt a SyncFolderImage for cloud storage."""
     plaintext = canonical_json(image.to_dict())
-    iv = hashlib.sha1(plaintext).digest()[:8]
-    return encrypt_cbc(key, plaintext, iv)
+    return encrypt_cbc(key, plaintext, synthetic_iv(key, plaintext))
 
 
 def deserialize_image(blob: bytes, key: bytes) -> SyncFolderImage:

@@ -1,14 +1,25 @@
-"""Metadata encryption substrate: DES (FIPS 46-3) with CBC mode."""
+"""Metadata encryption substrate: DES (FIPS 46-3) in counter mode under a
+keyed synthetic IV."""
 
 from .des import BLOCK_SIZE, DES
-from .modes import PaddingError, decrypt_cbc, encrypt_cbc, pad, unpad
+from .modes import (
+    PaddingError,
+    SyntheticIVError,
+    decrypt_cbc,
+    encrypt_cbc,
+    pad,
+    synthetic_iv,
+    unpad,
+)
 
 __all__ = [
     "BLOCK_SIZE",
     "DES",
     "PaddingError",
+    "SyntheticIVError",
     "decrypt_cbc",
     "encrypt_cbc",
     "pad",
+    "synthetic_iv",
     "unpad",
 ]

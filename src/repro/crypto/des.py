@@ -2,13 +2,15 @@
 
 The UniDrive paper (§4) encrypts the serialized ``SyncFolderImage`` with
 DES before replicating it to the clouds, so the metadata is opaque to any
-single provider.  This module provides the raw 64-bit block primitive;
-:mod:`repro.crypto.modes` layers CBC and padding on top.
+single provider.  This module provides the 64-bit block primitive as
+one vector kernel, forward direction only; :mod:`repro.crypto.modes`
+runs it in counter mode under a synthetic IV, with padding.
 
-DES is implemented the textbook way — initial/final permutations, 16
+The kernel computes textbook DES — initial/final permutations, 16
 Feistel rounds with expansion, S-boxes and the P permutation, and the
-PC-1/PC-2 key schedule.  It is validated against published NIST test
-vectors in the test suite.  (DES is *not* a modern cipher; it is used
+PC-1/PC-2 key schedule — through precomputed tables.  The test suite
+keeps a table-free, block-at-a-time reference and checks both against
+published NIST test vectors.  (DES is *not* a modern cipher; it is used
 here because it is what the paper names.)
 """
 
@@ -36,14 +38,6 @@ _FP = [
     38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
     36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9, 49, 17, 57, 25,
-]
-
-# Expansion from 32 to 48 bits.
-_E = [
-    32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9,
-    8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
-    16, 17, 18, 19, 20, 21, 20, 21, 22, 23, 24, 25,
-    24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
 ]
 
 # Permutation applied to the S-box output.
@@ -137,30 +131,28 @@ def _rotate28(value: int, amount: int) -> int:
     return ((value << amount) | (value >> (28 - amount))) & 0x0FFFFFFF
 
 
-# -- precomputed lookup tables for the block hot path ---------------------
+# -- lookup tables for the vector kernel ----------------------------------
 #
-# The straightforward implementation above walks a permutation table
-# bit-by-bit: 34 `_permute` calls per block (IP, FP, and E+P in each of
-# the 16 rounds) dominate every metadata encrypt/decrypt.  All of DES's
+# Walking a permutation table bit by bit (`_permute`) would cost 34 calls
+# per block (IP, FP, and E+P in each of the 16 rounds).  All of DES's
 # permutations are linear over OR of disjoint bit sets, so each one
-# collapses into byte- (or 6-bit-) indexed table lookups built at import
-# time by the reference `_permute` run over numpy arrays of every input
-# at once — the same FIPS constants, one array op per table bit instead
-# of one Python call per entry; the tests pin every entry against scalar
-# `_permute` and the NIST vectors pin the outputs as bit-identical.
+# collapses into byte- (or 6-bit-) indexed table lookups, built at import
+# time by `_permute` run over numpy arrays of every input at once; the
+# tests pin every entry against scalar `_permute` and the NIST vectors
+# pin the outputs.
 #
 # * ``_SP[box][chunk]`` fuses S-box ``box`` with the P permutation: the
 #   P-image of that box's 4-bit output placed in its lane.
-# * ``_PAIR[j]`` fuses two of those: the even boxes read disjoint 6-bit
-#   windows of ``ext ^ even_mask`` at bits 28/20/12/4, the odd boxes of
-#   ``ext ^ odd_mask`` at 24/16/8/0, so boxes (0,2), (4,6), (1,3) and
-#   (5,7) each index one table by a 14-bit slice ``hi << 8 | lo`` (bits
-#   6-7 ignored).  A Feistel round is 4 lookups XORed together.
-# * ``_IP_TAB[i][byte]`` / ``_FP_TAB[i][byte]`` give byte ``i``'s
-#   contribution to the initial/final permutation of a 64-bit block.
-# * The expansion E needs no table at all: its 6-bit chunks are sliding
-#   windows over the 32-bit half extended by one wraparound bit on each
-#   side (built inline in ``DES._rounds``).
+# * ``_PAIR_VEC[j]`` fuses two of those, boxes ``_PAIRS[j]``, indexed by
+#   the 14-bit slice ``hi << 8 | lo`` of their two 6-bit inputs (bits
+#   6-7 ignored).  A round is 4 lookups XORed.  Entries are *doubled*,
+#   ``x | x << 32``, like the Feistel halves they are XORed into.
+# * ``_IP_VEC[i][byte]`` / ``_FP_VEC[i][byte]`` give the contribution of
+#   the byte at bits ``8i .. 8i+7`` to the initial/final permutation.
+# * The expansion E needs no table at all.  Its eight 6-bit windows
+#   slide over the 32-bit half with one wraparound bit on each side, so
+#   over a doubled half every pair's two windows are one right shift
+#   (``_WINDOWS``) and a mask away.
 
 _CHUNK = np.arange(64)
 _BOX_OUT = np.array(_SBOXES, dtype=np.uint64).reshape(8, 64)[
@@ -169,71 +161,60 @@ _BOX_OUT = np.array(_SBOXES, dtype=np.uint64).reshape(8, 64)[
 _SP: List[List[int]] = _permute(_BOX_OUT, 32, _P).tolist()
 
 _BYTES = np.arange(256, dtype=np.uint64) << (
-    56 - 8 * np.arange(8, dtype=np.uint64)
+    8 * np.arange(8, dtype=np.uint64)
 )[:, None]
 _IP_VEC = _permute(_BYTES, 64, _IP)
 _FP_VEC = _permute(_BYTES, 64, _FP)
-_IP_TAB: List[List[int]] = _IP_VEC.tolist()
-_FP_TAB: List[List[int]] = _FP_VEC.tolist()
 
 _PAIRS = ((0, 2), (4, 6), (1, 3), (5, 7))
 _I14 = np.arange(1 << 14)
-# The Feistel halves run as int64 in :meth:`DES.decrypt_blocks` (the
-# 34-bit ``ext`` windows do not fit 32), the 64-bit permutations as
-# uint64; the scalar rounds read the same tables as Python lists.
+_U64 = np.uint64
 _PAIR_VEC = np.array([
     np.take(_SP[a], (_I14 >> 8) & 63) ^ np.take(_SP[b], _I14 & 63)
     for a, b in _PAIRS
-], dtype=np.int64)
-_PAIR: List[List[int]] = _PAIR_VEC.tolist()
-_U64 = np.uint64
+], dtype=np.uint64) * _U64(0x100000001)
+_PAIR_FLAT = _PAIR_VEC.ravel()
+# Pair j reads bits s .. s + 13 (s = 20, 4, 16, 0) of the half extended
+# by one wraparound bit at each end, a 34-bit string whose 6-bit slices
+# at bits 28, 24, ..., 0 are E's eight outputs.  Its bit k is bit k - 1
+# of the doubled half (bit 31 for k = 0), hence shifts s - 1 and 31.
+_WINDOWS =np.array([[19], [3], [15], [31]], dtype=np.uint64)
+_LO = _U64(0xFFFFFFFF)
+_HI = _U64(0xFFFFFFFF00000000)
 
 
-def _permute64_vec(values: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    out = tables[0].take((values >> _U64(56)).astype(np.intp))
+def _permute64(values: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    octets = values.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = tables[0].take(octets[:, 0])
     for i in range(1, 8):
-        out |= tables[i].take(
-            ((values >> _U64(56 - 8 * i)) & _U64(0xFF)).astype(np.intp)
-        )
+        out |= tables[i].take(octets[:, i])
     return out
-
-
-def _permute64_tab(value: int, tables: List[List[int]]) -> int:
-    return (
-        tables[0][(value >> 56) & 0xFF]
-        | tables[1][(value >> 48) & 0xFF]
-        | tables[2][(value >> 40) & 0xFF]
-        | tables[3][(value >> 32) & 0xFF]
-        | tables[4][(value >> 24) & 0xFF]
-        | tables[5][(value >> 16) & 0xFF]
-        | tables[6][(value >> 8) & 0xFF]
-        | tables[7][value & 0xFF]
-    )
 
 
 class DES:
     """A DES instance bound to one 8-byte key.
 
     Parity bits in the key (the least-significant bit of every byte) are
-    ignored, per the standard.
+    ignored, per the standard.  Only the forward cipher exists: counter
+    mode (:mod:`repro.crypto.modes`) encrypts and decrypts with the same
+    keystream, so nothing here ever runs the subkeys backwards.
     """
 
     def __init__(self, key: bytes):
         if len(key) != 8:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
         self.key = bytes(key)
-        self._subkeys = self._key_schedule(int.from_bytes(key, "big"))
-        # Each 48-bit subkey as the two masks XORed into ``ext`` once per
-        # round: the even boxes' six-bit chunks at bits 28/20/12/4, the
-        # odd boxes' at 24/16/8/0 (see ``_PAIR``).
-        self._masks = []
-        for sk in self._subkeys:
+        # Per round, what XORs into each pair's 14-bit table index: the
+        # two boxes' six subkey bits, and the pair's offset in
+        # ``_PAIR_FLAT``.
+        self._round_keys = []
+        for sk in self._key_schedule(int.from_bytes(key, "big")):
             k = [(sk >> (42 - 6 * box)) & 0x3F for box in range(8)]
-            self._masks.append((
-                (k[0] << 28) | (k[2] << 20) | (k[4] << 12) | (k[6] << 4),
-                (k[1] << 24) | (k[3] << 16) | (k[5] << 8) | k[7],
+            self._round_keys.append(np.array(
+                [[j << 14 | k[a] << 8 | k[b]]
+                 for j, (a, b) in enumerate(_PAIRS)],
+                dtype=np.uint64,
             ))
-        self._masks_rev = self._masks[::-1]
 
     @staticmethod
     def _key_schedule(key64: int) -> List[int]:
@@ -247,106 +228,28 @@ class DES:
             subkeys.append(_permute((c << 28) | d, 56, _PC2))
         return subkeys
 
-    @staticmethod
-    def _feistel(half: int, subkey: int) -> int:
-        # Reference (table-free) round function; the hot paths below
-        # inline the equivalent paired-SP lookups.
-        expanded = _permute(half, 32, _E) ^ subkey
-        out = 0
-        for box in range(8):
-            chunk = (expanded >> (42 - 6 * box)) & 0x3F
-            row = ((chunk >> 4) & 0x2) | (chunk & 0x1)
-            col = (chunk >> 1) & 0xF
-            out = (out << 4) | _SBOXES[box][row][col]
-        return _permute(out, 32, _P)
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt a ``uint64`` vector of independent blocks at once.
 
-    @staticmethod
-    def _rounds(values: List[int], state: int, keys: list) -> List[int]:
-        """The 16 rounds over IP-domain blocks, CBC-chained.
-
-        Each value is XORed with ``state`` — the previous output — before
-        its rounds.  Each output is ``R16 || L16``, which is IP of the
-        ciphertext block because FP = IP^-1, so ``IP(C_{i-1} ^ P_i) =
-        out_{i-1} ^ IP(P_i)``: the chain never leaves the IP domain and
-        IP/FP run once over the whole vector.  One value with
-        ``state = 0`` is a plain block.
+        IP and FP are eight byte lookups each; a round is one shift,
+        mask and key XOR over a 4 x n index array, one ``take`` and one
+        XOR reduction: ≈ 140 numpy calls whatever the length.
         """
-        t02, t46, t13, t57 = _PAIR
-        out = []
-        for value in values:
-            value ^= state
-            left = value >> 32
-            right = value & 0xFFFFFFFF
-            for even_mask, odd_mask in keys:
-                # E(right) as overlapping 6-bit windows over ``right``
-                # extended by one wraparound bit on each side.
-                ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
-                even = ext ^ even_mask
-                odd = ext ^ odd_mask
-                left, right = right, (
-                    left
-                    ^ t02[(even >> 20) & 0x3F3F] ^ t46[(even >> 4) & 0x3F3F]
-                    ^ t13[(odd >> 16) & 0x3F3F] ^ t57[odd & 0x3F3F]
-                )
-            state = (right << 32) | left
-            out.append(state)
-        return out
-
-    def _crypt_block(self, block64: int, decrypt: bool) -> int:
-        keys = self._masks_rev if decrypt else self._masks
-        (value,) = self._rounds([_permute64_tab(block64, _IP_TAB)], 0, keys)
-        return _permute64_tab(value, _FP_TAB)
-
-    def encrypt_cbc_blocks(self, blocks: np.ndarray, iv: int) -> np.ndarray:
-        """CBC-encrypt a ``uint64`` vector of blocks chained from ``iv``.
-
-        IP of every block is one vector pass, the serial chain runs only
-        the rounds (:meth:`_rounds`), and FP of every output is one more.
-        """
-        chained = self._rounds(
-            _permute64_vec(blocks, _IP_VEC).tolist(),
-            _permute64_tab(iv, _IP_TAB),
-            self._masks,
-        )
-        return _permute64_vec(np.array(chained, dtype=np.uint64), _FP_VEC)
-
-    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Decrypt a ``uint64`` vector of independent blocks at once.
-
-        The same paired-table rounds as :meth:`_rounds`, each lookup one
-        ``take`` over every block — ECB decryption is data-parallel, and
-        so is CBC *decryption* (``P_i = D(C_i) ^ C_{i-1}``;
-        :func:`repro.crypto.modes.decrypt_cbc`).  CBC encryption chains
-        through the previous ciphertext block and stays serial.
-        """
-        value = _permute64_vec(blocks, _IP_VEC)
-        left = (value >> _U64(32)).astype(np.int64)
-        right = (value & _U64(0xFFFFFFFF)).astype(np.int64)
-        t02, t46, t13, t57 = _PAIR_VEC
-        for even_mask, odd_mask in self._masks_rev:
-            ext = ((right & 1) << 33) | (right << 1) | (right >> 31)
-            even = ext ^ even_mask
-            odd = ext ^ odd_mask
-            f = t02.take((even >> 20) & 0x3F3F)
-            f ^= t46.take((even >> 4) & 0x3F3F)
-            f ^= t13.take((odd >> 16) & 0x3F3F)
-            f ^= t57.take(odd & 0x3F3F)
-            left, right = right, left ^ f
+        value = _permute64(blocks, _IP_VEC)
+        left = value >> _U64(32)
+        left |= value & _HI
+        right = value << _U64(32)
+        right |= value & _LO
+        for key in self._round_keys:
+            index = right >> _WINDOWS
+            index &= _U64(0x3F3F)
+            index ^= key
+            f = np.bitwise_xor.reduce(
+                _PAIR_FLAT.take(index.view(np.intp)), axis=0
+            )
+            f ^= left
+            left, right = right, f
         # Halves are swapped before the final permutation.
-        swapped = right.astype(np.uint64) << _U64(32)
-        swapped |= left.astype(np.uint64)
-        return _permute64_vec(swapped, _FP_VEC)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 8-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be 8 bytes, got {len(block)}")
-        value = int.from_bytes(block, "big")
-        return self._crypt_block(value, decrypt=False).to_bytes(8, "big")
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 8-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be 8 bytes, got {len(block)}")
-        value = int.from_bytes(block, "big")
-        return self._crypt_block(value, decrypt=True).to_bytes(8, "big")
+        left &= _LO
+        left |= right & _HI
+        return _permute64(left, _FP_VEC)

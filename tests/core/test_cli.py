@@ -74,6 +74,27 @@ def test_inspect_metadata_missing_file():
     assert main(["inspect-metadata", "/no/such/file"]) == 2
 
 
+def test_inspect_metadata_unreadable_path(tmp_path):
+    assert main(["inspect-metadata", str(tmp_path)]) == 2  # a directory
+
+
+def test_inspect_metadata_lets_unrelated_errors_propagate(tmp_path,
+                                                          monkeypatch):
+    """Only a blob that does not decode is a reported failure; a bug
+    inside the decoder is not swallowed as one."""
+    from repro.core import serialization
+
+    def broken(key, blob):
+        raise RuntimeError("bug in the decoder")
+
+    monkeypatch.setattr(serialization, "decrypt_cbc", broken)
+    path = os.path.join(tmp_path, "base")
+    with open(path, "wb") as handle:
+        handle.write(b"\x00" * 32)
+    with pytest.raises(RuntimeError, match="bug in the decoder"):
+        main(["inspect-metadata", path])
+
+
 def test_results_command(tmp_path, capsys):
     with open(os.path.join(tmp_path, "fig.txt"), "w") as handle:
         handle.write("Figure X — sample\n=====\nrow 1\n")

@@ -1,13 +1,13 @@
 """Tests for metadata serialization, encryption, and Delta-sync."""
 
-import hashlib
-import json
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import deltasync
+from repro import obs
+from repro.cloud import SimulatedCloud, make_instant_connection
+from repro.core import UniDriveClient
 from repro.core.config import UniDriveConfig
 from repro.core.deltasync import (
     DeltaLog,
@@ -36,7 +36,9 @@ from repro.core.serialization import (
     serialize_image,
     serialize_version,
 )
-from repro.crypto import encrypt_cbc
+from repro.crypto import encrypt_cbc, synthetic_iv
+from repro.fsmodel import VirtualFileSystem
+from repro.simkernel import Simulator
 
 KEY = b"UniDrive"
 
@@ -164,7 +166,7 @@ def test_should_merge_thresholds():
     assert not should_merge(base_size=4_000, delta_size=999, config=config)
 
 
-# -- prefix-stable sealing ----------------------------------------------------
+# -- sealing -----------------------------------------------------------------
 
 _paths = st.text(min_size=1, max_size=40).map(lambda t: "/" + t)
 _small = st.integers(0, 10 ** 6)
@@ -188,27 +190,6 @@ _ops = st.one_of(
 )
 
 
-def legacy_seal(ops, key=KEY):
-    """The pre-prefix-stable wire form: IV = sha1(whole plaintext)."""
-    lines = "\n".join(
-        json.dumps(op, sort_keys=True, separators=(",", ":")) for op in ops
-    ).encode()
-    return encrypt_cbc(key, lines, hashlib.sha1(lines).digest()[:8])
-
-
-def count_sealed_blocks(monkeypatch):
-    """Blocks through deltasync's encrypt_cbc binding, per call."""
-    sealed = []
-    real = deltasync.encrypt_cbc
-
-    def counting(key, plaintext, iv):
-        sealed.append(len(plaintext) // 8 + 1)
-        return real(key, plaintext, iv)
-
-    monkeypatch.setattr(deltasync, "encrypt_cbc", counting)
-    return sealed
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_ops, max_size=12), st.lists(_ops, max_size=6),
        st.lists(_ops, max_size=6), st.booleans())
@@ -228,43 +209,6 @@ def test_append_seal_equals_seal_from_scratch(head, more, again, marker):
         assert len(blob) == log.sealed_size()
 
 
-def test_append_encrypts_only_the_tail(monkeypatch):
-    ops = [op_base_version(3)] + [
-        op_upsert_file(FileSnapshot(f"/f{i}", 1.0, 100, [f"s{i}"], "d"))
-        for i in range(40)
-    ]
-    blob = DeltaLog(ops).to_bytes(KEY)
-    log = DeltaLog.from_bytes(blob, KEY)
-    sealed = count_sealed_blocks(monkeypatch)
-    log.append(op_set_version(4, "d"))
-    grown = log.to_bytes(KEY)
-    # One short record: the old final block, the record, the padding.
-    assert sealed == [len(grown) // 8 - len(blob) // 8 + 1]
-    assert sealed[0] < 10 < len(blob) // 8
-    assert grown[:len(blob) - 8] == blob[:-8]  # prefix-stable on the wire
-    # Sealing the same log again changes nothing and costs one block.
-    assert log.to_bytes(KEY) == grown
-    assert sealed[1] == 1
-
-
-def test_rewritten_history_is_sealed_in_full(monkeypatch):
-    """The shortcut compares bytes, not intentions: a log whose earlier
-    records changed (or shrank) after from_bytes is sealed from the top."""
-    ops = [op_base_version(3)] + [op_delete_file(f"/f{i}") for i in range(30)]
-    edited = ops[:5] + [op_delete_file("/other")] + ops[6:]
-    rebased = [op_base_version(4)] + edited[1:]
-    expected = [DeltaLog(o).to_bytes(KEY) for o in (edited, rebased, [])]
-    log = DeltaLog.from_bytes(DeltaLog(ops).to_bytes(KEY), KEY)
-    sealed = count_sealed_blocks(monkeypatch)
-    log.ops[5] = edited[5]
-    assert log.to_bytes(KEY) == expected[0]
-    log.ops[0] = rebased[0]  # a new first record is a new IV
-    assert log.to_bytes(KEY) == expected[1]
-    log.clear()
-    assert log.to_bytes(KEY) == expected[2]
-    assert sealed == [len(blob) // 8 - 1 for blob in expected]
-
-
 def test_seal_under_another_key_shares_nothing():
     log = DeltaLog.from_bytes(
         DeltaLog([op_set_version(1, "d")]).to_bytes(KEY), KEY
@@ -272,24 +216,6 @@ def test_seal_under_another_key_shares_nothing():
     log.append(op_delete_file("/x"))
     other = b"otherkey"
     assert log.to_bytes(other) == DeltaLog(log.ops).to_bytes(other)
-
-
-def test_legacy_delta_is_read_and_extended(monkeypatch):
-    ops = [op_base_version(2), op_set_version(3, "a"), op_delete_file("/y")]
-    legacy = legacy_seal(ops)
-    assert legacy != DeltaLog(ops).to_bytes(KEY)  # the IV rule did change
-    # A one-record log is where both rules agree.
-    assert legacy_seal(ops[:1]) == DeltaLog(ops[:1]).to_bytes(KEY)
-    expected = DeltaLog(ops + [op_set_version(4, "b")]).to_bytes(KEY)
-    log = DeltaLog.from_bytes(legacy, KEY)
-    assert log.ops == ops
-    sealed = count_sealed_blocks(monkeypatch)
-    log.append(op_set_version(4, "b"))
-    assert log.to_bytes(KEY) == expected
-    assert sealed == [len(expected) // 8 - 1]  # the full seal, once ...
-    log.append(op_set_version(5, "a"))
-    assert DeltaLog.from_bytes(log.to_bytes(KEY), KEY).ops == log.ops
-    assert sealed[1] < sealed[0]  # ... and tail-only from then on
 
 
 def test_sealed_size_is_the_blob_length():
@@ -303,7 +229,7 @@ def test_sealed_size_is_the_blob_length():
 
 
 def sealed(plaintext: bytes) -> bytes:
-    return encrypt_cbc(KEY, plaintext, b"\x00" * 8)
+    return encrypt_cbc(KEY, plaintext, synthetic_iv(KEY, plaintext))
 
 
 UNDECODABLE = {
@@ -365,3 +291,93 @@ def test_metadata_error_is_a_value_error_with_its_cause():
         deserialize_image(sealed(b"\xff"), KEY)
     assert isinstance(caught.value, MetadataError)
     assert isinstance(caught.value.__cause__, UnicodeDecodeError)
+
+
+def test_delta_iv_covers_the_whole_log():
+    """Two logs that share their first record no longer share an IV: the
+    blob does not reveal that one log extends the other."""
+    head = [op_base_version(3), op_delete_file("/a")]
+    short, grown = DeltaLog(head), DeltaLog(head + [op_set_version(4, "d")])
+    assert short.to_bytes(KEY)[:8] == synthetic_iv(KEY, short._encode())
+    assert short.to_bytes(KEY)[:8] != grown.to_bytes(KEY)[:8]
+    assert grown.to_bytes(KEY)[8:24] != short.to_bytes(KEY)[8:24]
+
+
+def flipped(blob: bytes):
+    """``blob`` with each one of its bits flipped in turn."""
+    for bit in range(8 * len(blob)):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 0x80 >> (bit % 8)
+        yield bit, bytes(damaged)
+
+
+def test_any_single_bit_flip_raises_metadata_error():
+    """Every bit of a sealed base and a sealed delta — IV, body and
+    padding — is covered: one flip anywhere is a typed error, never a
+    quietly different image or log."""
+    base = serialize_image(build_image(), KEY)
+    delta = DeltaLog([
+        op_base_version(3),
+        op_upsert_file(FileSnapshot("/docs/b.txt", 2.5, 10, ["s1"], "A")),
+        op_set_version(4, "device-A"),
+    ]).to_bytes(KEY)
+    for blob, parse in ((base, deserialize_image),
+                        (delta, DeltaLog.from_bytes)):
+        for bit, damaged in flipped(blob):
+            try:
+                parse(damaged, KEY)
+            except MetadataError:
+                continue
+            pytest.fail(f"bit {bit} of {len(blob)} bytes went unnoticed")
+
+
+#: ``build_image()`` under ``KEY`` as the CBC-era format (wire v1:
+#: ``IV = sha1(plaintext)[:8]``, DES-CBC) sealed it.
+CBC_ERA_BASE = bytes.fromhex(
+    "8f786719b717b01d1910cf6e3c2cf491187c31fe3a06920932c99ccbb664eb9e"
+    "6e3c34fd2cb93bdad99df4529756a32f42cac2a7b763a5cfea5fa5f419f70ffa"
+    "bfba4f621ed290102229660aaa49e01cc48282faa906f7bb47dc3b1a3871d1ba"
+    "1552bbfe98d17aaf64eb03d298b4fa70d8c89faaa188faf6c73ee10297aa7363"
+    "a40d1043bb57dc2fb8d9ccd2a25f002f4ce0caa14c9f1650775a5dc75fc238a7"
+    "47b7e7f6ff0203a49155dfd9c78bac6e252e6d205dd27f785118db0cc2b5bb19"
+    "4b9086789b7e974132cb06d335d2e8b044f9b32889244063801b5bf4dcbc992e"
+    "f4e112fb4a5ab33ebb5fa93bdc5f0a261c38672155a14cfef48c962c689214d3"
+    "557ddb02d5d12d1a68cc7a4a699e22bdc62bc5790243a944181d95a910537deb"
+    "9d1dca1d4558956c5f0aeaed8dba841872d85725b006258acef702acbf4a23f3"
+    "0d9bd4d44019a4b393cfb1b0ea8a3e2c"
+)
+
+
+def test_cbc_era_base_raises_metadata_error():
+    """No dual reader: a v1 blob is undecodable bytes like any other."""
+    assert len(CBC_ERA_BASE) == len(serialize_image(build_image(), KEY))
+    with pytest.raises(MetadataError):
+        deserialize_image(CBC_ERA_BASE, KEY)
+
+
+def test_client_skips_a_cbc_era_replica():
+    """A cloud still holding a v1 base is a bad replica: the reader
+    skips it as ``undecodable`` and reads the next cloud."""
+    config = UniDriveConfig(theta=64 * 1024, metadata_key=KEY)
+    sim = Simulator()
+    clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
+
+    def client(name, seed):
+        conns = [make_instant_connection(sim, cloud, seed=seed + i)
+                 for i, cloud in enumerate(clouds)]
+        return UniDriveClient(sim, name, VirtualFileSystem(), conns,
+                              config=config, rng=np.random.default_rng(seed))
+
+    writer = client("writer", 1)
+    writer.fs.write_file("/one", b"v2 metadata" * 100, mtime=sim.now)
+    sim.run_process(writer.sync())
+    clouds[0].store.put("/unidrive/meta/base", CBC_ERA_BASE, mtime=0.0)
+    reader = client("reader", 10)
+    with obs.isolated(sim=sim) as (_tracer, metrics):
+        report = sim.run_process(reader.sync())
+        skips = metrics.counter_value(
+            "metadata_skips", cloud="c0", reason="undecodable"
+        )
+    assert skips == 1
+    assert report.downloaded_files == ["/one"]
+    assert reader.fs.read_file("/one") == b"v2 metadata" * 100

@@ -33,7 +33,7 @@ def test_local_folders_runs(tmp_path, capsys):
     run_example("local_folders.py", argv=[str(tmp_path)])
     out = capsys.readouterr().out
     assert "bob's folder now contains" in out
-    assert "DES-CBC" in out
+    assert "DES-CTR" in out
 
 
 def test_reliability_outage_runs(capsys):
