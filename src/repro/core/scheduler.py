@@ -12,9 +12,9 @@ Upload policy, per batch of files:
   works on the earliest file that is not yet available (k blocks per
   segment uploaded); only when all files are available does the
   *reliability-second* phase top up outstanding fair shares.
-* **Dynamic, pull-based dispatch** — workers (one per connection) ask
-  for the next block when idle, so faster clouds naturally transfer
-  more; completed transfers feed the in-channel
+* **Dynamic, pull-based dispatch** — an idle connection asks for the
+  next block, so faster clouds naturally transfer more; completed
+  transfers feed the in-channel
   :class:`~repro.core.probing.ThroughputEstimator`.
 
 Download policy: any k blocks per segment suffice; idle connections pull
@@ -412,21 +412,25 @@ class UploadScheduler:
         self._inflight_total = 0
         self._dead: Dict[str, int] = {}
         self._failed_requests = 0
-        self._wake = None
+        # Slots: the parked FIFO, unretired count, workers, completion.
+        self._parked: List[CloudAPI] = []
+        self._live = 0
+        self._workers: List = []
+        self._finished = None
         # Cursor-dispatch structures (see _next_task): the flattened
         # first-occurrence state order, a segment->files index, per-cloud
-        # phase cursors and incrementally-maintained per-file progress
-        # counters.
+        # phase cursors, the clouds whose cursors all sit at the end
+        # and incrementally-maintained per-file progress counters.
         self._ordered: List[_SegmentUploadState] = []
         self._state_files: Dict[str, List[str]] = {}
         self._ptr_a: Dict[str, int] = {}
         self._ptr_b: Dict[str, int] = {}
         self._ptr_c: Dict[str, int] = {}
+        self._drained: set = set()
         self._pending_available: Dict[str, int] = {}
         self._pending_reliable: Dict[str, int] = {}
         self._satisfied_flush: List[str] = []
         self._dispatch_scans = 0  # state visits, for the perf harness
-        self._workers: List = []
         self._aborted = False
 
     # -- public API -------------------------------------------------------
@@ -441,7 +445,6 @@ class UploadScheduler:
         self._inflight_total = 0
         self._dead = {cid: 0 for cid in self.cloud_ids}
         self._failed_requests = 0
-        self._wake = self.sim.event()
         self._ordered = []
         self._state_files = {}
         self._satisfied_flush = []
@@ -475,6 +478,7 @@ class UploadScheduler:
         self._ptr_a = {cid: 0 for cid in self.cloud_ids}
         self._ptr_b = {cid: 0 for cid in self.cloud_ids}
         self._ptr_c = {cid: 0 for cid in self.cloud_ids}
+        self._drained = set()
         self._pending_available = {}
         self._pending_reliable = {}
         for file in self._files:
@@ -495,13 +499,13 @@ class UploadScheduler:
             for state in self._ordered:
                 if state.uploaded:
                     self._note_block_completed(state)
-        workers = []
-        for conn in self.connections:
-            for _slot in range(self.config.connections_per_cloud):
-                workers.append(self.sim.process(self._worker(conn)))
-        self._workers = workers
-        if workers:
-            yield AllOf(self.sim, workers)
+        # Every slot starts parked; batch start is one dispatch step.
+        self._parked = [conn for conn in self.connections
+                        for _ in range(self.config.connections_per_cloud)]
+        self._live = len(self._parked)
+        self._finished = self.sim.event()
+        self._pulse()
+        yield self._finished
         self._workers = []
         self.pipeline.release(self._states)
         self._refresh_file_reports(final=True)
@@ -512,28 +516,69 @@ class UploadScheduler:
             failed_requests=self._failed_requests,
         )
 
-    # -- worker loop -------------------------------------------------------
+    # -- connection slots (DESIGN.md "Upload wake-ups") ---------------------
 
-    def _worker(self, conn: CloudAPI):
-        cloud_id = conn.cloud_id
-        while True:
-            if (
-                self._budget is not None
-                and not self._aborted
-                and self._budget.expired
-            ):
-                # Round deadline reached: stop dispatching; the batch
-                # winds down with whatever blocks already landed
-                # (brownout debt or a SyncError pick it up upstream).
-                self.abort()
-            if self._aborted:
-                return
-            task = self._next_task(cloud_id)
-            if task is None:
-                if self._done():
-                    return
-                yield self._wake
+    def _claim(self, conn: CloudAPI) -> Optional[_UploadTask]:
+        """An idle slot's decision: its next task, or park or retire it."""
+        if (self._budget is not None and not self._aborted
+                and self._budget.expired):
+            # Round deadline reached: stop dispatching; the batch
+            # winds down with whatever blocks already landed
+            # (brownout debt or a SyncError pick it up upstream).
+            self.abort()
+        if not self._aborted:
+            task = self._next_task(conn.cloud_id)
+            if task is not None:
+                return task
+            if not self._done():
+                self._parked.append(conn)
+                return None
+        self._retire(1)
+        return None
+
+    def _dispatch(self, slots: List[CloudAPI]) -> None:
+        """Give each slot parked before this pulse its old wake-up."""
+        if not self._live:
+            return  # kill_workers retired every slot
+        # Exact skip: with blocks in flight _done() is False, and a drained
+        # or dead cloud's _next_task is None after the breaker's clock check.
+        skip = self.dynamic and self._budget is None
+        for position, conn in enumerate(slots):
+            cloud_id = conn.cloud_id
+            if (skip and self._inflight_total and not self._aborted
+                    and (cloud_id in self._drained
+                         or self._is_dead(cloud_id))):
+                if self._degrade is not None:
+                    self._degrade.admits(cloud_id, self.sim.now)
+                self._parked.append(conn)
                 continue
+            live = self._live
+            task = self._claim(conn)
+            if task is not None:
+                # Inline: it draws from an RNG the later slots share.
+                proc = self.sim.start(self._worker(conn, task))
+                proc.add_callback(self._worker_exit)
+                self._workers.append(proc)
+            elif self._live < live:
+                # Retired: nothing changed since, so the rest would too.
+                if position + 1 < len(slots):
+                    self._retire(len(slots) - position - 1)
+                return
+
+    def _retire(self, count: int) -> None:
+        self._live -= count
+        if self._live == 0:
+            # Two hops, as the last worker's exit and the AllOf took.
+            self.sim.call_later(0.0, self._finished.succeed)
+
+    def _worker_exit(self, proc) -> None:
+        if not proc.ok and not self._finished.triggered:  # as AllOf did
+            proc.defused = True
+            self._finished.fail(proc.value)
+
+    def _worker(self, conn: CloudAPI, task: _UploadTask):
+        cloud_id = conn.cloud_id
+        while task is not None:
             state, index = task.state, task.index
             # Integrity fingerprint, recorded at encode time: blocks are
             # deterministic in (segment content, index), so the hash is
@@ -595,6 +640,7 @@ class UploadScheduler:
                         yield from _retry_wait(
                             self.sim, delay, cloud_id, UPLOAD, self._dead,
                         )
+                task = self._claim(conn)
                 continue
             self._inflight_total -= 1
             self._dead[cloud_id] = 0
@@ -622,6 +668,7 @@ class UploadScheduler:
             self._note_block_completed(state)
             self._bump_block_count(state, cloud_id)
             self._pulse()
+            task = self._claim(conn)
 
     # -- dispatch policy ----------------------------------------------------
 
@@ -651,13 +698,15 @@ class UploadScheduler:
         if not self.dynamic:
             task = self._next_task_reference(cloud_id, peek)
         else:
-            if self._is_dead(cloud_id):
+            if cloud_id in self._drained or self._is_dead(cloud_id):
                 return None
             task = self._scan_phase_a(cloud_id, peek)
             if task is None:
                 task = self._scan_phase_b(cloud_id, peek)
             if task is None and self.over_provision:
                 task = self._scan_phase_c(cloud_id, peek)
+            if task is None:
+                self._drained.add(cloud_id)
         if task is not None and not peek and self._degrade is not None:
             self._degrade.note_dispatch(cloud_id, self.sim.now)
         return task
@@ -750,6 +799,7 @@ class UploadScheduler:
         may have restored a skipped state's candidacy."""
         clouds = (only_cloud,) if only_cloud is not None else self.cloud_ids
         for cid in clouds:
+            self._drained.discard(cid)
             if self._ptr_a[cid] > position:
                 self._ptr_a[cid] = position
             if self._ptr_b[cid] > position:
@@ -931,17 +981,18 @@ class UploadScheduler:
         )
 
     def _pulse(self) -> None:
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()
+        slots = self._parked
+        if slots:
+            self._parked = []
+            self.sim.call_later(0.0, lambda: self._dispatch(slots))
 
     # -- crash modelling -----------------------------------------------------
 
     def abort(self) -> None:
-        """Stop dispatching: idle workers return at once, busy workers
+        """Stop dispatching: idle slots retire at once, busy workers
         exit after their current transfer resolves (soft shutdown)."""
         self._aborted = True
-        if self._wake is not None:
-            self._pulse()
+        self._pulse()
 
     def kill_workers(self) -> None:
         """Hard-stop every worker where it stands (client power loss).
@@ -953,10 +1004,10 @@ class UploadScheduler:
         """
         self._aborted = True
         for proc in self._workers:
-            kill = getattr(proc, "kill", None)
-            if kill is not None:
-                kill()
+            proc.kill()
         self._workers = []
+        if self._live and not self._finished.triggered:
+            self._retire(self._live)
 
 
 # ---------------------------------------------------------------------------

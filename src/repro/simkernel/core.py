@@ -210,7 +210,7 @@ class Process(Event):
 
     __slots__ = ("_generator", "_target")
 
-    def __init__(self, sim: "Simulator", generator: Generator):
+    def __init__(self, sim: "Simulator", generator: Generator, inline=False):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process() needs a generator, got {generator!r}")
         super().__init__(sim)
@@ -219,8 +219,11 @@ class Process(Event):
         init = Event(sim)
         init._ok = True
         init._value = None
-        init._cbs = self._resume
-        sim._schedule(init)
+        if inline:
+            self._resume(init)
+        else:
+            init._cbs = self._resume
+            sim._schedule(init)
 
     @property
     def is_alive(self) -> bool:
@@ -418,6 +421,12 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         """Start ``generator`` as a process; returns its Process event."""
         return Process(self, generator)
+
+    def start(self, generator: Generator) -> Process:
+        """:meth:`process`, but the first step runs before this returns,
+        not one step later.  Use it inside a step whose later actions must
+        follow that first step's effects (e.g. shared RNG draws)."""
+        return Process(self, generator, inline=True)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

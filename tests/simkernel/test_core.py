@@ -356,6 +356,65 @@ def test_starved_run_process_raises():
         sim.run_process(proc())
 
 
+def test_start_runs_first_step_before_returning():
+    """start() runs the generator up to its first yield inline; process()
+    defers that step to a scheduled event."""
+    sim = Simulator()
+    log = []
+
+    def body(name):
+        log.append((name, sim.now))
+        yield sim.timeout(1.0)
+        log.append((name, sim.now))
+        return name
+
+    deferred = sim.process(body("deferred"))
+    assert log == []
+    started = sim.start(body("inline"))
+    assert log == [("inline", 0.0)]
+    assert started.is_alive
+    sim.run()
+    assert started.value == "inline" and deferred.value == "deferred"
+    assert log == [("inline", 0.0), ("deferred", 0.0),
+                   ("inline", 1.0), ("deferred", 1.0)]
+
+
+def test_start_keeps_insertion_order_of_scheduled_events():
+    """Events the inline first step schedules sit between the events
+    scheduled before and after the start() call at the same instant."""
+    sim = Simulator()
+    order = []
+
+    def body():
+        sim.call_later(0.0, lambda: order.append("inside"))
+        yield sim.timeout(0.0)
+        order.append("resumed")
+
+    def driver():
+        sim.call_later(0.0, lambda: order.append("before"))
+        sim.start(body())
+        sim.call_later(0.0, lambda: order.append("after"))
+        yield sim.timeout(0.0)
+
+    sim.run_process(driver())
+    sim.run()
+    assert order == ["before", "inside", "resumed", "after"]
+
+
+def test_start_reports_failure_through_the_process_event():
+    sim = Simulator()
+
+    def broken():
+        raise ValueError("boom")
+        yield  # pragma: no cover - makes this a generator
+
+    proc = sim.start(broken())
+    assert proc.triggered and not proc.ok
+    proc.defused = True
+    sim.run()
+    assert isinstance(proc.value, ValueError)
+
+
 def test_late_callback_on_processed_event_delivered():
     sim = Simulator()
     evt = sim.event()
