@@ -10,9 +10,11 @@
   and overheads add up.
 * The **multi-cloud benchmark** (RACS/DepSky-like: erasure coding and
   even static placement, but no over-provisioning or dynamic
-  scheduling) is :class:`~repro.core.scheduler.UploadScheduler` with
-  ``over_provision=False, dynamic=False``; the thin wrapper here gives
-  it the same call shape as the other baselines.
+  scheduling) is UniDrive's own upload and download schedulers with
+  ``over_provision=False, dynamic=False``: the same dispatchers behind
+  a *file gate* that serves a file only once every earlier one is
+  settled; the thin wrapper here gives it the same call shape as the
+  other baselines.
 """
 
 from __future__ import annotations

@@ -19,15 +19,26 @@ Upload policy, per batch of files:
 
 Download policy: any k blocks per segment suffice; idle connections pull
 block indices their cloud holds, never requesting more than k per
-segment, with files strictly in order.
+segment, and a slower cloud defers to faster clouds that can still
+supply a segment.  With the degradation plane on, an otherwise idle
+connection hedges a fetch that outran its predicted duration.
+
+Both directions run on one connection-slot core (:class:`_SlotScheduler`,
+DESIGN.md "Connection slots"): a batch has ``connections_per_cloud``
+slots per cloud, an idle slot parks in a FIFO, every completion or
+failure gives the parked slots one dispatch step, and a worker process
+exists only while its slot holds a transfer.
 
 Setting ``over_provision=False`` and ``dynamic=False`` turns the
 scheduler into the RACS/DepSky-style **multi-cloud benchmark** baseline
-the paper compares against.
+the paper compares against: the same dispatchers behind a *file gate*,
+so files are served strictly in order, with no late over-provisioning
+and no deferring to faster clouds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -35,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
 from ..obs import OBS
-from ..simkernel import AllOf, AnyOf, Simulator
+from ..simkernel import Simulator
 from .config import UniDriveConfig
 from .degrade import DeadlineBudget, DegradeController
 from .metadata import SegmentRecord
@@ -54,35 +65,6 @@ __all__ = [
     "FileDownloadReport",
     "DownloadBatchReport",
 ]
-
-
-def _block_done(span, estimator, conn, cloud_id, direction, nbytes, now,
-                tenant, redundant=False):
-    """Report one completed block (callers guard on ``OBS.enabled``),
-    pairing the estimator's view of the link with its true rate."""
-    engine = getattr(
-        conn, "uplink" if direction == UPLOAD else "downlink", None
-    )
-    bandwidth = getattr(engine, "bandwidth", None)
-    estimate = true_rate = None
-    if bandwidth is not None:
-        true_rate = bandwidth.rate_at(now)
-        estimate = estimator.estimate(cloud_id, direction)
-    OBS.transfer_done(span, cloud_id, now, direction, nbytes, tenant,
-                      redundant, estimate, true_rate)
-
-
-def _retry_wait(sim, delay, cloud_id, direction, failures):
-    """Sit out one connection's back-off before its next attempt."""
-    wait = None
-    if OBS.enabled:
-        wait, _ = OBS.begin(
-            "retry_wait", t=sim.now, track=cloud_id, dir=direction,
-            attempt=failures[cloud_id],
-        )
-    yield sim.timeout(delay)
-    if wait is not None:
-        OBS.end(wait, t=sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +169,367 @@ class DownloadBatchReport:
             if report.path == path:
                 return report
         raise KeyError(path)
+
+
+# ---------------------------------------------------------------------------
+# The connection-slot core
+# ---------------------------------------------------------------------------
+
+
+class _Slot:
+    """One connection slot: its connection, the worker process that
+    last held it, and when its hedge wake is due (downloads)."""
+
+    __slots__ = ("conn", "cloud_id", "proc", "wake_at")
+
+    def __init__(self, conn: CloudAPI):
+        self.conn = conn
+        self.cloud_id = conn.cloud_id
+        self.proc = None
+        self.wake_at: Optional[float] = None
+
+
+class _SlotScheduler:
+    """What both directions share (DESIGN.md "Connection slots").
+
+    A batch has ``connections_per_cloud`` slots per connection.  A slot
+    is parked (an entry in a FIFO), held by a running ``_worker`` process
+    (transferring or backing off), or retired.  A worker pulls its next
+    task inline when its transfer resolves; every completion or failure
+    is a *pulse* that gives the slots parked before it one dispatch
+    step.  The batch completes two hops after the last slot retires.
+
+    A direction supplies the policy: ``_state_for`` and ``_report``
+    (indexing), ``_next_task`` (a cloud's pick; ``peek`` commits
+    nothing), ``_next`` (an idle slot's pick), ``_worker`` (one slot's
+    transfers) and ``_settled`` (the static baseline's file gate).
+    """
+
+    #: Report attributes a per-file countdown stamps (see _reached).
+    _MILESTONES: Tuple[str, ...] = ()
+    #: Whether a slot retired in a dispatch step retires the rest of
+    #: the step without asking: exact only where an ask after _done()
+    #: changes nothing (a download ask re-reads the estimator).
+    _RETIRE_REST = False
+
+    def __init__(self, sim, connections, pipeline, config, estimator,
+                 dynamic, retry_policy, rng, trace_ctx, tenant, degrade,
+                 budget):
+        if not connections:
+            raise ValueError("need at least one cloud connection")
+        self.sim = sim
+        self.connections = list(connections)
+        self.cloud_ids = [c.cloud_id for c in self.connections]
+        self.pipeline = pipeline
+        self.config = config
+        self.estimator = estimator or ThroughputEstimator()
+        self.dynamic = dynamic
+        # Unified failure policy: classifies errors (fail-fast vs
+        # transient) and paces re-dispatch after transient failures.
+        # rng=None keeps the backoff schedule deterministic.
+        self.retry = retry_policy or RetryPolicy.from_config(config)
+        self.rng = rng
+        # Trace-correlation ancestry for this batch's transfer spans and
+        # tenant identity for per-tenant SLO accounting; both optional
+        # and inert unless the respective hub is enabled.
+        self.trace_ctx = trace_ctx
+        self.tenant = tenant
+        # Degradation control plane (None = disabled, the default): the
+        # breaker gate in _admits and the per-round deadline budget.
+        self._degrade = degrade
+        self._budget = budget
+        self._slots: List[_Slot] = []
+        self._parked: List[_Slot] = []
+        self._live = 0
+        self._finished = None
+        self._begin(())
+
+    # -- the batch index ---------------------------------------------------
+
+    def _begin(self, files) -> None:
+        """Reset the per-batch state and index ``files``: segment states
+        in first-occurrence scan order (``position``), the segment ->
+        files index, each file's end position (the file gate's steps)
+        and the per-file milestone countdowns."""
+        self._files = list(files)
+        self._reports: Dict[str, object] = {}
+        self._states: Dict[str, object] = {}
+        self._file_segments: Dict[str, list] = {}
+        self._ordered: list = []
+        self._state_files: Dict[str, List[str]] = {}
+        self._file_ends: List[int] = []
+        self._gate = 0
+        self._inflight_total = 0
+        self._dead = {cid: 0 for cid in self.cloud_ids}
+        self._failed_requests = 0
+        self._dispatch_scans = 0  # state visits, for the perf harness
+        self._aborted = False
+        for file in self._files:
+            self._reports[file.path] = self._report(file)
+            states = []
+            for item in file.segments:
+                state = self._state_for(item)
+                files_of = self._state_files[state.record.segment_id]
+                if file.path not in files_of:
+                    files_of.append(file.path)
+                states.append(state)
+            self._file_segments[file.path] = states
+            self._file_ends.append(len(self._ordered))
+        self._pending = {attr: {} for attr in self._MILESTONES}
+        self._empty_files: List[str] = []
+        for file in self._files:
+            unique = len({id(s) for s in self._file_segments[file.path]})
+            for pending in self._pending.values():
+                pending[file.path] = unique
+            if not unique:
+                self._empty_files.append(file.path)
+
+    def _add_state(self, state) -> None:
+        state.position = len(self._ordered)
+        self._states[state.record.segment_id] = state
+        self._ordered.append(state)
+        self._state_files[state.record.segment_id] = []
+
+    # -- progress ----------------------------------------------------------
+
+    def _flush_empty(self) -> None:
+        """Zero-segment files are vacuously at every milestone; stamp
+        them at the first progress check, as the full rescan used to."""
+        if self._empty_files:
+            now = self.sim.now
+            for path in self._empty_files:
+                report = self._reports[path]
+                for attr in self._MILESTONES:
+                    if getattr(report, attr) is None:
+                        setattr(report, attr, now)
+            self._empty_files = []
+
+    def _reached(self, state, attr: str) -> None:
+        """``state`` just reached the milestone ``attr`` stamps.
+
+        Milestones are monotone, so per-file countdowns through the
+        segment -> files index replace a rescan of every file on every
+        block."""
+        pending = self._pending[attr]
+        for path in self._state_files[state.record.segment_id]:
+            pending[path] -= 1
+            if pending[path] == 0:
+                report = self._reports[path]
+                if getattr(report, attr) is None:
+                    setattr(report, attr, self.sim.now)
+
+    # -- admission, failures, the file gate --------------------------------
+
+    def _admits(self, cloud_id: str) -> bool:
+        """Regular dispatch to ``cloud_id``: not after an abort, not to a
+        dead cloud, and not while its breaker is open (or the scoreboard
+        pins it unavailable) — the fix for the degraded-cloud retry
+        burn, where every fresh batch used to grant a known-bad cloud a
+        full paced retry budget.  Half-open probes pass through
+        ``admits()`` bounded by the probe quota."""
+        if self._aborted:
+            return False
+        if self._degrade is not None and not self._degrade.admits(
+            cloud_id, self.sim.now
+        ):
+            return False
+        return not self._is_dead(cloud_id)
+
+    def _is_dead(self, cloud_id: str) -> bool:
+        return self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold
+
+    def _note_failure(self, cloud_id: str, fatal: bool = False) -> bool:
+        """Count a failure; returns True once the cloud is dead.
+
+        ``fatal`` failures (fail-fast / give-up classification) jump the
+        counter straight to the death threshold — the batch must not
+        keep probing a cloud whose errors cannot succeed on retry.
+        """
+        was_dead = self._is_dead(cloud_id)
+        if fatal:
+            self._dead[cloud_id] = max(
+                self._dead[cloud_id], self.config.cloud_failure_threshold
+            )
+        else:
+            self._dead[cloud_id] += 1
+        dead = self._is_dead(cloud_id)
+        if dead and not was_dead:
+            self._cloud_died(cloud_id)
+        return dead
+
+    def _cloud_died(self, cloud_id: str) -> None:
+        """Hook: ``cloud_id`` was just declared dead for this batch."""
+
+    def _limit(self) -> int:
+        """End of the scan positions the dispatchers may serve.
+
+        Dynamic mode serves them all.  The static baseline serves only
+        those below the *file gate*: the end position of the first file
+        not yet ``_settled``, so files go strictly in order.  The gate
+        advances here, lazily; a direction whose files can unsettle
+        moves it back.
+        """
+        if self.dynamic:
+            return len(self._ordered)
+        ends = self._file_ends
+        while (self._gate < len(ends)
+               and self._settled(self._files[self._gate].path)):
+            self._gate += 1
+        if self._gate < len(ends):
+            return ends[self._gate]
+        return len(self._ordered)
+
+    def _done(self) -> bool:
+        if self._inflight_total > 0:
+            return False
+        return all(
+            self._next_task(cid, peek=True) is None for cid in self.cloud_ids
+        )
+
+    # -- per-request accounting --------------------------------------------
+
+    def _succeeded(self, conn: CloudAPI, direction: str, nbytes: int,
+                   start: float, span, redundant: bool = False) -> None:
+        """Account one completed request: reset the cloud's failure
+        count and feed the breaker and the estimator; the obs hub also
+        gets the estimator's view of the link next to its true rate."""
+        cloud_id, now = conn.cloud_id, self.sim.now
+        self._dead[cloud_id] = 0
+        if self._degrade is not None:
+            self._degrade.on_success(cloud_id, now)
+        self.estimator.record(cloud_id, direction, nbytes, now - start,
+                              now=now)
+        if OBS.enabled:
+            engine = getattr(
+                conn, "uplink" if direction == UPLOAD else "downlink", None
+            )
+            bandwidth = getattr(engine, "bandwidth", None)
+            estimate = true_rate = None
+            if bandwidth is not None:
+                true_rate = bandwidth.rate_at(now)
+                estimate = self.estimator.estimate(cloud_id, direction)
+            OBS.transfer_done(span, cloud_id, now, direction, nbytes,
+                              self.tenant, redundant, estimate, true_rate)
+
+    def _failed(self, cloud_id: str, direction: str, exc: CloudError,
+                span) -> Tuple[str, bool]:
+        """Account one failed request; returns ``(action, dead)``.
+
+        Classification: an unavailable (or quota-exhausted) cloud is
+        dead for the batch at once — re-probing it burns the
+        unavailability timeout per attempt with no chance of success; a
+        missing block is a deterministic per-(index, cloud) miss, not
+        evidence the cloud died; transients count toward the threshold.
+        """
+        now = self.sim.now
+        self._failed_requests += 1
+        self.estimator.record_failure(cloud_id, direction, now=now)
+        action = self.retry.classify(exc)
+        missing = isinstance(exc, NotFoundError)
+        if OBS.enabled:
+            OBS.transfer_failed(span, cloud_id, now, direction,
+                                type(exc).__name__, action, self.tenant,
+                                missing=missing)
+        fatal = action is not RETRY and not missing
+        if self._degrade is not None and not missing:
+            self._degrade.on_failure(cloud_id, now, fatal=fatal)
+        return action, self._note_failure(cloud_id, fatal=fatal)
+
+    def _back_off(self, cloud_id: str, direction: str):
+        """Sit out a transient failure's back-off before this
+        connection's next attempt."""
+        delay = self.retry.backoff(self._dead[cloud_id] - 1, self.rng)
+        if delay > 0:
+            wait = None
+            if OBS.enabled:
+                wait, _ = OBS.begin(
+                    "retry_wait", t=self.sim.now, track=cloud_id,
+                    dir=direction, attempt=self._dead[cloud_id],
+                )
+            yield self.sim.timeout(delay)
+            if wait is not None:
+                OBS.end(wait, t=self.sim.now)
+
+    # -- connection slots --------------------------------------------------
+
+    def _run_slots(self, conns: Sequence[CloudAPI]):
+        """Park every slot, give them one dispatch step, and wait until
+        the last one retires."""
+        self._slots = [_Slot(conn) for conn in conns
+                       for _ in range(self.config.connections_per_cloud)]
+        self._parked = list(self._slots)
+        self._live = len(self._slots)
+        self._finished = self.sim.event()
+        self._pulse()
+        yield self._finished
+
+    def _claim(self, slot: _Slot):
+        """An idle slot's decision: its next task, or park or retire it."""
+        if (self._budget is not None and not self._aborted
+                and self._budget.expired):
+            # Round deadline reached: stop dispatching; the batch winds
+            # down with whatever already landed (brownout debt, files
+            # with content=None, or a SyncError pick it up upstream).
+            self.abort()
+        if not self._aborted:
+            task = self._next(slot)
+            if task is not None:
+                return task
+            if not self._done():
+                self._parked.append(slot)
+                return None
+        self._retire(1)
+        return None
+
+    def _inert(self, cloud_id: str) -> bool:
+        """Hook: True when a parked slot of ``cloud_id`` provably
+        cannot act, so the dispatch step re-parks it without asking."""
+        return False
+
+    def _dispatch(self, slots: List[_Slot]) -> None:
+        """Give each slot parked before this pulse its old wake-up."""
+        if not self._live:
+            return  # kill_workers retired every slot
+        for position, slot in enumerate(slots):
+            if self._inert(slot.cloud_id):
+                self._parked.append(slot)
+                continue
+            live = self._live
+            task = self._claim(slot)
+            if task is not None:
+                # Inline: it draws from an RNG the later slots share.
+                slot.proc = self.sim.start(self._worker(slot, task))
+                slot.proc.add_callback(self._worker_exit)
+            elif self._live < live and self._RETIRE_REST:
+                # Retired: nothing changed since, so the rest would too.
+                if position + 1 < len(slots):
+                    self._retire(len(slots) - position - 1)
+                return
+
+    def _retire(self, count: int) -> None:
+        self._live -= count
+        if self._live == 0:
+            # Two hops after the last retire: the batch's completion
+            # instant and order are part of every golden.
+            self.sim.call_later(0.0, self._finished.succeed)
+
+    def _worker_exit(self, proc) -> None:
+        """A failing worker fails the batch."""
+        if not proc.ok and not self._finished.triggered:
+            proc.defused = True
+            self._finished.fail(proc.value)
+
+    def _pulse(self) -> None:
+        slots = self._parked
+        if slots:
+            self._parked = []
+            self.sim.call_later(0.0, lambda: self._dispatch(slots))
+
+    def abort(self) -> None:
+        """Stop dispatching: idle slots retire at once, busy workers
+        exit after their current transfer resolves (soft shutdown)."""
+        self._aborted = True
+        self._pulse()
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +697,11 @@ class _UploadTask:
     is_fair: bool
 
 
-class UploadScheduler:
+class UploadScheduler(_SlotScheduler):
     """Schedules one batch of file uploads over the multi-cloud."""
+
+    _MILESTONES = ("available_at", "reliable_at")
+    _RETIRE_REST = True
 
     def __init__(
         self,
@@ -375,123 +721,28 @@ class UploadScheduler:
         degrade: Optional[DegradeController] = None,
         budget: Optional[DeadlineBudget] = None,
     ):
-        if not connections:
-            raise ValueError("need at least one cloud connection")
-        self.sim = sim
-        self.connections = list(connections)
-        self.cloud_ids = [c.cloud_id for c in self.connections]
-        # Degradation control plane (None = disabled, the default): the
-        # breaker gate in _next_task and the per-round deadline budget.
-        self._degrade = degrade
-        self._budget = budget
-        self.pipeline = pipeline
-        self.config = config
-        self.estimator = estimator or ThroughputEstimator()
         self.over_provision = over_provision
-        self.dynamic = dynamic
         self.on_block_uploaded = on_block_uploaded
-        # Trace-correlation ancestry for this batch's transfer spans and
-        # tenant identity for per-tenant SLO accounting; both optional
-        # and inert unless the respective hub is enabled.
-        self.trace_ctx = trace_ctx
-        self.tenant = tenant
         # Journal resume: segment_id -> {index: cloud_id} of blocks a
         # previous (crashed) round already landed; they are credited as
         # uploaded at batch start and never re-transferred.
         self.resume = resume or {}
-        # Unified failure policy: classifies errors (fail-fast vs
-        # transient) and paces re-dispatch after transient failures.
-        # rng=None keeps the backoff schedule deterministic.
-        self.retry = retry_policy or RetryPolicy.from_config(config)
-        self.rng = rng
-        # Per-batch state, reset in run_batch().
-        self._files: List[FileUpload] = []
-        self._reports: Dict[str, FileUploadReport] = {}
-        self._states: Dict[str, _SegmentUploadState] = {}
-        self._file_segments: Dict[str, List[_SegmentUploadState]] = {}
-        self._inflight_total = 0
-        self._dead: Dict[str, int] = {}
-        self._failed_requests = 0
-        # Slots: the parked FIFO, unretired count, workers, completion.
-        self._parked: List[CloudAPI] = []
-        self._live = 0
-        self._workers: List = []
-        self._finished = None
-        # Cursor-dispatch structures (see _next_task): the flattened
-        # first-occurrence state order, a segment->files index, per-cloud
-        # phase cursors, the clouds whose cursors all sit at the end
-        # and incrementally-maintained per-file progress counters.
-        self._ordered: List[_SegmentUploadState] = []
-        self._state_files: Dict[str, List[str]] = {}
-        self._ptr_a: Dict[str, int] = {}
-        self._ptr_b: Dict[str, int] = {}
-        self._ptr_c: Dict[str, int] = {}
-        self._drained: set = set()
-        self._pending_available: Dict[str, int] = {}
-        self._pending_reliable: Dict[str, int] = {}
-        self._satisfied_flush: List[str] = []
-        self._dispatch_scans = 0  # state visits, for the perf harness
-        self._aborted = False
+        super().__init__(sim, connections, pipeline, config, estimator,
+                         dynamic, retry_policy, rng, trace_ctx, tenant,
+                         degrade, budget)
 
     # -- public API -------------------------------------------------------
 
     def run_batch(self, files: Sequence[FileUpload]):
         """Upload a batch; generator returns an :class:`UploadBatchReport`."""
         started = self.sim.now
-        self._files = list(files)
-        self._reports = {}
-        self._states = {}
-        self._file_segments = {}
-        self._inflight_total = 0
-        self._dead = {cid: 0 for cid in self.cloud_ids}
-        self._failed_requests = 0
-        self._ordered = []
-        self._state_files = {}
-        self._satisfied_flush = []
-        self._dispatch_scans = 0
-        for file in self._files:
-            self._reports[file.path] = FileUploadReport(
-                path=file.path, size=file.size, started_at=self.sim.now,
-                blocks_per_cloud={cid: 0 for cid in self.cloud_ids},
-            )
-            states = []
-            for record, data in file.segments:
-                state = self._states.get(record.segment_id)
-                if state is None:
-                    state = _SegmentUploadState(
-                        record, data, self.cloud_ids, self.config
-                    )
-                    state.position = len(self._ordered)
-                    for idx, cid in sorted(
-                        self.resume.get(record.segment_id, {}).items()
-                    ):
-                        if cid in self.cloud_ids:
-                            state.preseed(idx, cid)
-                    self._states[record.segment_id] = state
-                    self._ordered.append(state)
-                    self._state_files[record.segment_id] = []
-                files_of = self._state_files[record.segment_id]
-                if file.path not in files_of:
-                    files_of.append(file.path)
-                states.append(state)
-            self._file_segments[file.path] = states
+        self._begin(files)
+        # Cursor dispatch (see _next_task): per-cloud phase cursors and
+        # each cloud's drained mark, the limit its scan last ran out at.
         self._ptr_a = {cid: 0 for cid in self.cloud_ids}
         self._ptr_b = {cid: 0 for cid in self.cloud_ids}
         self._ptr_c = {cid: 0 for cid in self.cloud_ids}
-        self._drained = set()
-        self._pending_available = {}
-        self._pending_reliable = {}
-        for file in self._files:
-            unique = {
-                id(s): s for s in self._file_segments[file.path]
-            }
-            self._pending_available[file.path] = len(unique)
-            self._pending_reliable[file.path] = len(unique)
-            if not unique:
-                # A zero-segment file is vacuously available *and*
-                # reliable; like the full-scan refresh, it is stamped at
-                # the first progress check (or the final one).
-                self._satisfied_flush.append(file.path)
+        self._drained: Dict[str, int] = {}
         if self.resume:
             # Preseeded blocks count as completed progress right away
             # (countdowns, availability stamps) — they just never
@@ -499,14 +750,7 @@ class UploadScheduler:
             for state in self._ordered:
                 if state.uploaded:
                     self._note_block_completed(state)
-        # Every slot starts parked; batch start is one dispatch step.
-        self._parked = [conn for conn in self.connections
-                        for _ in range(self.config.connections_per_cloud)]
-        self._live = len(self._parked)
-        self._finished = self.sim.event()
-        self._pulse()
-        yield self._finished
-        self._workers = []
+        yield from self._run_slots(self.connections)
         self.pipeline.release(self._states)
         self._refresh_file_reports(final=True)
         return UploadBatchReport(
@@ -516,68 +760,43 @@ class UploadScheduler:
             failed_requests=self._failed_requests,
         )
 
-    # -- connection slots (DESIGN.md "Upload wake-ups") ---------------------
+    def _report(self, file: FileUpload) -> FileUploadReport:
+        return FileUploadReport(
+            path=file.path, size=file.size, started_at=self.sim.now,
+            blocks_per_cloud={cid: 0 for cid in self.cloud_ids},
+        )
 
-    def _claim(self, conn: CloudAPI) -> Optional[_UploadTask]:
-        """An idle slot's decision: its next task, or park or retire it."""
-        if (self._budget is not None and not self._aborted
-                and self._budget.expired):
-            # Round deadline reached: stop dispatching; the batch
-            # winds down with whatever blocks already landed
-            # (brownout debt or a SyncError pick it up upstream).
-            self.abort()
-        if not self._aborted:
-            task = self._next_task(conn.cloud_id)
-            if task is not None:
-                return task
-            if not self._done():
-                self._parked.append(conn)
-                return None
-        self._retire(1)
-        return None
+    def _state_for(self, item) -> _SegmentUploadState:
+        record, data = item
+        state = self._states.get(record.segment_id)
+        if state is None:
+            state = _SegmentUploadState(record, data, self.cloud_ids,
+                                        self.config)
+            for idx, cid in sorted(
+                self.resume.get(record.segment_id, {}).items()
+            ):
+                if cid in self.cloud_ids:
+                    state.preseed(idx, cid)
+            self._add_state(state)
+        return state
 
-    def _dispatch(self, slots: List[CloudAPI]) -> None:
-        """Give each slot parked before this pulse its old wake-up."""
-        if not self._live:
-            return  # kill_workers retired every slot
-        # Exact skip: with blocks in flight _done() is False, and a drained
-        # or dead cloud's _next_task is None after the breaker's clock check.
-        skip = self.dynamic and self._budget is None
-        for position, conn in enumerate(slots):
-            cloud_id = conn.cloud_id
-            if (skip and self._inflight_total and not self._aborted
-                    and (cloud_id in self._drained
-                         or self._is_dead(cloud_id))):
-                if self._degrade is not None:
-                    self._degrade.admits(cloud_id, self.sim.now)
-                self._parked.append(conn)
-                continue
-            live = self._live
-            task = self._claim(conn)
-            if task is not None:
-                # Inline: it draws from an RNG the later slots share.
-                proc = self.sim.start(self._worker(conn, task))
-                proc.add_callback(self._worker_exit)
-                self._workers.append(proc)
-            elif self._live < live:
-                # Retired: nothing changed since, so the rest would too.
-                if position + 1 < len(slots):
-                    self._retire(len(slots) - position - 1)
-                return
+    def _inert(self, cloud_id: str) -> bool:
+        # Exact: with blocks in flight _done() is False, and a drained or
+        # dead cloud's _next_task is None after the breaker's clock check.
+        if (self._budget is None and self._inflight_total
+                and not self._aborted
+                and (self._drained.get(cloud_id) == self._limit()
+                     or self._is_dead(cloud_id))):
+            if self._degrade is not None:
+                self._degrade.admits(cloud_id, self.sim.now)
+            return True
+        return False
 
-    def _retire(self, count: int) -> None:
-        self._live -= count
-        if self._live == 0:
-            # Two hops, as the last worker's exit and the AllOf took.
-            self.sim.call_later(0.0, self._finished.succeed)
+    def _next(self, slot: _Slot) -> Optional[_UploadTask]:
+        return self._next_task(slot.cloud_id)
 
-    def _worker_exit(self, proc) -> None:
-        if not proc.ok and not self._finished.triggered:  # as AllOf did
-            proc.defused = True
-            self._finished.fail(proc.value)
-
-    def _worker(self, conn: CloudAPI, task: _UploadTask):
-        cloud_id = conn.cloud_id
+    def _worker(self, slot: _Slot, task: _UploadTask):
+        conn, cloud_id = slot.conn, slot.cloud_id
         while task is not None:
             state, index = task.state, task.index
             # Integrity fingerprint, recorded at encode time: blocks are
@@ -605,26 +824,7 @@ class UploadScheduler:
                 yield from conn.upload(path, block, ctx=block_ctx)
             except CloudError as exc:
                 self._inflight_total -= 1
-                self._failed_requests += 1
-                self.estimator.record_failure(
-                    cloud_id, UPLOAD, now=self.sim.now
-                )
-                # Fail fast on non-transient errors: an unavailable (or
-                # quota-exhausted) cloud is declared dead for the batch
-                # immediately — re-probing it burns the unavailability
-                # timeout per attempt with no chance of success.
-                action = self.retry.classify(exc)
-                fatal = action is not RETRY
-                if OBS.enabled:
-                    OBS.transfer_failed(
-                        span, cloud_id, self.sim.now, UPLOAD,
-                        type(exc).__name__, action, self.tenant,
-                    )
-                if self._degrade is not None:
-                    self._degrade.on_failure(
-                        cloud_id, self.sim.now, fatal=fatal
-                    )
-                dead = self._note_failure(cloud_id, fatal=fatal)
+                _action, dead = self._failed(cloud_id, UPLOAD, exc, span)
                 state.fail(index, cloud_id, task.is_fair, cloud_dead=dead)
                 # A failure restores candidacy: the failed index went
                 # back to this cloud's fair queue or to the shared
@@ -632,30 +832,12 @@ class UploadScheduler:
                 self._rewind_cursors(state.position)
                 self._pulse()
                 if not dead:
-                    # Transient: pace this connection's next attempt.
-                    delay = self.retry.backoff(
-                        self._dead[cloud_id] - 1, self.rng
-                    )
-                    if delay > 0:
-                        yield from _retry_wait(
-                            self.sim, delay, cloud_id, UPLOAD, self._dead,
-                        )
-                task = self._claim(conn)
+                    yield from self._back_off(cloud_id, UPLOAD)
+                task = self._claim(slot)
                 continue
             self._inflight_total -= 1
-            self._dead[cloud_id] = 0
-            if self._degrade is not None:
-                self._degrade.on_success(cloud_id, self.sim.now)
-            self.estimator.record(
-                cloud_id, UPLOAD, len(block), self.sim.now - start,
-                now=self.sim.now,
-            )
-            if OBS.enabled:
-                _block_done(
-                    span, self.estimator, conn, cloud_id, UPLOAD,
-                    len(block), self.sim.now, self.tenant,
-                    redundant=not task.is_fair,
-                )
+            self._succeeded(conn, UPLOAD, len(block), start, span,
+                            redundant=not task.is_fair)
             state.complete(index, cloud_id, task.is_fair)
             if task.is_fair:
                 # Completing a fair block may flip fair_done for this
@@ -668,7 +850,7 @@ class UploadScheduler:
             self._note_block_completed(state)
             self._bump_block_count(state, cloud_id)
             self._pulse()
-            task = self._claim(conn)
+            task = self._claim(slot)
 
     # -- dispatch policy ----------------------------------------------------
 
@@ -676,59 +858,45 @@ class UploadScheduler:
                    peek: bool = False) -> Optional[_UploadTask]:
         """Pick (and unless ``peek``, commit) the next block for a cloud.
 
-        Dynamic mode uses the amortized-O(1) cursor dispatcher below;
-        the static benchmark baseline keeps the reference decision
-        ladder (its file-gated order does not admit a prefix cursor).
-        Both walk the same ladder in peek and commit mode, so a
-        successful peek guarantees the subsequent commit would succeed.
+        The three phase cursors below walk the same ladder in peek and
+        commit mode, so a successful peek guarantees the subsequent
+        commit would succeed.  A cloud whose scan finds nothing is
+        *drained* at the current limit until a rewind (or, for the
+        static baseline, the file gate) moves.
         """
-        if self._aborted:
+        if not self._admits(cloud_id):
             return None
-        if self._degrade is not None and not self._degrade.admits(
-            cloud_id, self.sim.now
-        ):
-            # Breaker open (or the scoreboard pins the cloud
-            # unavailable): no regular dispatch — the fix for the
-            # degraded-cloud retry burn, where every fresh batch used
-            # to grant a known-bad cloud a full paced retry budget.
-            # Half-open probes pass through admits() bounded by the
-            # probe quota and are accounted in the non-peek commit
-            # below.
+        limit = self._limit()
+        if self._drained.get(cloud_id) == limit:
             return None
-        if not self.dynamic:
-            task = self._next_task_reference(cloud_id, peek)
-        else:
-            if cloud_id in self._drained or self._is_dead(cloud_id):
-                return None
-            task = self._scan_phase_a(cloud_id, peek)
-            if task is None:
-                task = self._scan_phase_b(cloud_id, peek)
-            if task is None and self.over_provision:
-                task = self._scan_phase_c(cloud_id, peek)
-            if task is None:
-                self._drained.add(cloud_id)
-        if task is not None and not peek and self._degrade is not None:
+        task = self._scan_phase_a(cloud_id, peek, limit)
+        if task is None:
+            task = self._scan_phase_b(cloud_id, peek, limit)
+        if task is None and self.over_provision and self.dynamic:
+            task = self._scan_phase_c(cloud_id, peek, limit)
+        if task is None:
+            self._drained[cloud_id] = limit
+        elif not peek and self._degrade is not None:
             self._degrade.note_dispatch(cloud_id, self.sim.now)
         return task
 
     # The three phase scans share one structure: walk the flattened
-    # first-occurrence state order from this cloud's cursor, skipping
-    # states that cannot currently yield a task.  Every skip is
-    # *permanent* with respect to this cloud's own actions — a skipped
-    # state can only become dispatchable again through an event that
-    # calls _rewind_cursors (a failed request re-queues an index and
-    # frees cap room; a completed fair share unlocks extras; a dead
+    # first-occurrence state order from this cloud's cursor up to the
+    # limit, skipping states that cannot currently yield a task.  Every
+    # skip is *permanent* with respect to this cloud's own actions — a
+    # skipped state can only become dispatchable again through an event
+    # that calls _rewind_cursors (a failed request re-queues an index
+    # and frees cap room; a completed fair share unlocks extras; a dead
     # cloud's abandoned fair queue refills the extras pool) — so the
     # cursor never needs to revisit the prefix and dispatch cost is
     # amortized O(1) per block instead of O(files x segments).
 
-    def _scan_phase_a(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
+    def _scan_phase_a(self, cloud_id: str, peek: bool,
+                      limit: int) -> Optional[_UploadTask]:
         """Availability-first: earliest file not yet available."""
         ordered = self._ordered
-        count = len(ordered)
         ptr = self._ptr_a[cloud_id]
-        while ptr < count:
+        while ptr < limit:
             state = ordered[ptr]
             self._dispatch_scans += 1
             if not state.available:
@@ -749,16 +917,15 @@ class UploadScheduler:
                         state, state.take_extra(cloud_id), is_fair=False
                     )
             ptr += 1
-        self._ptr_a[cloud_id] = count
+        self._ptr_a[cloud_id] = limit
         return None
 
-    def _scan_phase_b(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
+    def _scan_phase_b(self, cloud_id: str, peek: bool,
+                      limit: int) -> Optional[_UploadTask]:
         """Reliability-second: top up outstanding fair shares."""
         ordered = self._ordered
-        count = len(ordered)
         ptr = self._ptr_b[cloud_id]
-        while ptr < count:
+        while ptr < limit:
             state = ordered[ptr]
             self._dispatch_scans += 1
             if state.fair_pending(cloud_id) and state.cap_room(cloud_id):
@@ -769,16 +936,16 @@ class UploadScheduler:
                     state, state.take_fair(cloud_id), is_fair=True
                 )
             ptr += 1
-        self._ptr_b[cloud_id] = count
+        self._ptr_b[cloud_id] = limit
         return None
 
-    def _scan_phase_c(self, cloud_id: str,
-                      peek: bool) -> Optional[_UploadTask]:
-        """Over-provision while slower clouds still owe fair shares."""
+    def _scan_phase_c(self, cloud_id: str, peek: bool,
+                      limit: int) -> Optional[_UploadTask]:
+        """Over-provision while slower clouds still owe fair shares
+        (stop once the slowest cloud finished its fair share, §6.2)."""
         ordered = self._ordered
-        count = len(ordered)
         ptr = self._ptr_c[cloud_id]
-        while ptr < count:
+        while ptr < limit:
             state = ordered[ptr]
             self._dispatch_scans += 1
             if (state.fair_outstanding and state.fair_done(cloud_id)
@@ -790,16 +957,23 @@ class UploadScheduler:
                     state, state.take_extra(cloud_id), is_fair=False
                 )
             ptr += 1
-        self._ptr_c[cloud_id] = count
+        self._ptr_c[cloud_id] = limit
         return None
 
     def _rewind_cursors(self, position: int,
                         only_cloud: Optional[str] = None) -> None:
         """Pull phase cursors back to ``position`` after an event that
-        may have restored a skipped state's candidacy."""
-        clouds = (only_cloud,) if only_cloud is not None else self.cloud_ids
+        may have restored a skipped state's candidacy.  An event for
+        every cloud may also re-queue a fair share, unsettling the
+        files that hold ``position``: the file gate moves back too."""
+        if only_cloud is None:
+            clouds = self.cloud_ids
+            self._gate = min(self._gate,
+                             bisect_right(self._file_ends, position))
+        else:
+            clouds = (only_cloud,)
         for cid in clouds:
-            self._drained.discard(cid)
+            self._drained.pop(cid, None)
             if self._ptr_a[cid] > position:
                 self._ptr_a[cid] = position
             if self._ptr_b[cid] > position:
@@ -807,85 +981,20 @@ class UploadScheduler:
             if self._ptr_c[cid] > position:
                 self._ptr_c[cid] = position
 
-    def _next_task_reference(self, cloud_id: str,
-                             peek: bool = False) -> Optional[_UploadTask]:
-        """The original O(files x segments) decision-ladder dispatcher.
+    def _settled(self, path: str) -> bool:
+        """A file the static baseline is done with: every segment
+        available and no fair share queued (in-flight ones may fail
+        and re-queue, which moves the gate back)."""
+        return self._pending["available_at"][path] == 0 and not any(
+            state.any_fair_pending() for state in self._file_segments[path]
+        )
 
-        Retained as the executable specification of the scheduling
-        policy: the cursor dispatcher above must pick byte-identical
-        blocks (the equivalence tests swap this in and compare batch
-        reports), and the static benchmark baseline still runs on it.
-        """
-        if self._is_dead(cloud_id):
-            return None
-
-        def fair(state: _SegmentUploadState) -> Optional[_UploadTask]:
-            if not state.fair_pending(cloud_id) or not state.cap_room(cloud_id):
-                return None
-            if peek:
-                return _UploadTask(state, -1, is_fair=True)
-            return _UploadTask(state, state.take_fair(cloud_id), is_fair=True)
-
-        def extra(state: _SegmentUploadState) -> Optional[_UploadTask]:
-            # Over-provisioned blocks go only to clouds that already
-            # *finished transferring* their own fair share of this
-            # segment (paper §6.2).
-            if not state.fair_done(cloud_id):
-                return None
-            if not state.extras or not state.cap_room(cloud_id):
-                return None
-            if peek:
-                return _UploadTask(state, -1, is_fair=False)
-            return _UploadTask(state, state.take_extra(cloud_id),
-                               is_fair=False)
-
-        # Phase A: availability-first, files strictly in order.  Every
-        # cloud keeps pulling blocks for the earliest file that is not
-        # yet *available* (k blocks actually uploaded) — maximal
-        # parallel transfer, with fast clouds hedging via extras.
-        for file in self._files:
-            for state in self._file_segments[file.path]:
-                self._dispatch_scans += 1
-                if state.available:
-                    continue
-                task = fair(state)
-                if task is not None:
-                    return task
-                if self.over_provision:
-                    task = extra(state)
-                    if task is not None:
-                        return task
-            if not self.dynamic:
-                # Benchmark baseline: finish this file's fair shares
-                # before touching the next file (no phase split).
-                for state in self._file_segments[file.path]:
-                    task = fair(state)
-                    if task is not None:
-                        return task
-                if any(
-                    not s.available or s.any_fair_pending()
-                    for s in self._file_segments[file.path]
-                ):
-                    return None
-        # Phase B: reliability-second — top up outstanding fair shares.
-        for file in self._files:
-            for state in self._file_segments[file.path]:
-                self._dispatch_scans += 1
-                task = fair(state)
-                if task is not None:
-                    return task
-        # Over-provision while slower clouds still owe fair shares
-        # (stop once the slowest cloud finished its fair share, §6.2).
-        if self.over_provision and self.dynamic:
-            for file in self._files:
-                for state in self._file_segments[file.path]:
-                    self._dispatch_scans += 1
-                    if not state.fair_outstanding:
-                        continue
-                    task = extra(state)
-                    if task is not None:
-                        return task
-        return None
+    def _cloud_died(self, cloud_id: str) -> None:
+        for state in self._states.values():
+            state.abandon_cloud(cloud_id)
+        # Abandoned fair queues refilled the extras pool across the
+        # whole batch; every cursor must rescan from the start.
+        self._rewind_cursors(0)
 
     # -- progress & termination -------------------------------------------
 
@@ -894,35 +1003,15 @@ class UploadScheduler:
 
         Availability and reliability of a segment state are monotone
         (blocks complete exactly once, and a reliable state has no fair
-        work left that could later mark it degraded), so per-file
-        countdowns stamped through the segment->files index replace the
-        full ``all(...)`` rescan of every file on every block.
+        work left that could later mark it degraded).
         """
-        now = self.sim.now
-        if self._satisfied_flush:
-            # Zero-segment files are vacuously satisfied; stamp them at
-            # the first progress check, as the full rescan used to.
-            for path in self._satisfied_flush:
-                report = self._reports[path]
-                report.available_at = now
-                report.reliable_at = now
-            self._satisfied_flush = []
+        self._flush_empty()
         if not state.counted_available and state.available:
             state.counted_available = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_available[path] -= 1
-                if self._pending_available[path] == 0:
-                    report = self._reports[path]
-                    if report.available_at is None:
-                        report.available_at = now
+            self._reached(state, "available_at")
         if not state.counted_reliable and state.reliable:
             state.counted_reliable = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_reliable[path] -= 1
-                if self._pending_reliable[path] == 0:
-                    report = self._reports[path]
-                    if report.reliable_at is None:
-                        report.reliable_at = now
+            self._reached(state, "reliable_at")
 
     def _refresh_file_reports(self, final: bool = False) -> None:
         """Full-scan progress stamping; now only the batch-final pass
@@ -947,52 +1036,7 @@ class UploadScheduler:
             counts = self._reports[path].blocks_per_cloud
             counts[cloud_id] = counts.get(cloud_id, 0) + 1
 
-    def _note_failure(self, cloud_id: str, fatal: bool = False) -> bool:
-        """Count a failure; returns True once the cloud is declared dead.
-
-        ``fatal`` failures (fail-fast / give-up classification) jump the
-        counter straight to the death threshold — the batch must not
-        keep probing a cloud whose errors cannot succeed on retry.
-        """
-        was_dead = self._is_dead(cloud_id)
-        if fatal:
-            self._dead[cloud_id] = max(
-                self._dead[cloud_id], self.config.cloud_failure_threshold
-            )
-        else:
-            self._dead[cloud_id] += 1
-        if not was_dead and self._is_dead(cloud_id):
-            for state in self._states.values():
-                state.abandon_cloud(cloud_id)
-            # Abandoned fair queues refilled the extras pool across the
-            # whole batch; every cursor must rescan from the start.
-            self._rewind_cursors(0)
-            return True
-        return self._is_dead(cloud_id)
-
-    def _is_dead(self, cloud_id: str) -> bool:
-        return self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold
-
-    def _done(self) -> bool:
-        if self._inflight_total > 0:
-            return False
-        return all(
-            self._next_task(cid, peek=True) is None for cid in self.cloud_ids
-        )
-
-    def _pulse(self) -> None:
-        slots = self._parked
-        if slots:
-            self._parked = []
-            self.sim.call_later(0.0, lambda: self._dispatch(slots))
-
     # -- crash modelling -----------------------------------------------------
-
-    def abort(self) -> None:
-        """Stop dispatching: idle slots retire at once, busy workers
-        exit after their current transfer resolves (soft shutdown)."""
-        self._aborted = True
-        self._pulse()
 
     def kill_workers(self) -> None:
         """Hard-stop every worker where it stands (client power loss).
@@ -1003,12 +1047,11 @@ class UploadScheduler:
         orphan/loss window a crash leaves in reality.
         """
         self._aborted = True
-        for proc in self._workers:
-            proc.kill()
-        self._workers = []
+        for slot in self._slots:
+            if slot.proc is not None:
+                slot.proc.kill()
         if self._live and not self._finished.triggered:
             self._retire(self._live)
-
 
 # ---------------------------------------------------------------------------
 # Download scheduling
@@ -1024,12 +1067,12 @@ class _SegmentDownloadState:
         self.blocks: Dict[int, bytes] = {}
         self.inflight: Dict[int, str] = {}
         self.exhausted: set = set()  # (index, cloud) pairs that failed
-        # Hedged-fetch bookkeeping (only populated when the degradation
-        # control plane is on): dispatch time of each in-flight fetch,
-        # its killable child process, and the set of slow in-flight
-        # indices already hedged (one hedge per slow fetch).
+        # Fetch bookkeeping for hedging: dispatch time and slot (whose
+        # worker a hedge win kills) of each in-flight fetch, and the
+        # set of slow in-flight indices already hedged (one hedge per
+        # slow fetch).
         self.inflight_since: Dict[int, float] = {}
-        self.inflight_proc: Dict[int, object] = {}
+        self.inflight_slot: Dict[int, _Slot] = {}
         self.hedged: set = set()
         # Dispatch bookkeeping (see DownloadScheduler._next_ready):
         # position in the flattened scan order (the ready heaps' key),
@@ -1051,17 +1094,9 @@ class _SegmentDownloadState:
         """True when no further request should be issued."""
         return len(self.blocks) + len(self.inflight) >= self.k
 
-    def candidate_index(self, cloud_id: str) -> Optional[int]:
-        for index in self.record.blocks_on(cloud_id):
-            if index in self.blocks or index in self.inflight:
-                continue
-            if (index, cloud_id) in self.exhausted:
-                continue
-            return index
-        return None
-
     def candidate_for(self, cloud_id: str) -> Tuple[Optional[int], bool]:
-        """Like :meth:`candidate_index`, plus permanence information.
+        """The first block index this cloud holds that is neither
+        fetched, in flight nor failed, plus permanence information.
 
         Returns ``(index, exhausted)``: ``exhausted`` is True when every
         block this cloud holds is already fetched or failed — a
@@ -1082,8 +1117,10 @@ class _SegmentDownloadState:
         return None, not pending
 
 
-class DownloadScheduler:
+class DownloadScheduler(_SlotScheduler):
     """Schedules one batch of file downloads from the multi-cloud."""
+
+    _MILESTONES = ("completed_at",)
 
     def __init__(
         self,
@@ -1100,22 +1137,9 @@ class DownloadScheduler:
         degrade: Optional[DegradeController] = None,
         budget: Optional[DeadlineBudget] = None,
     ):
-        if not connections:
-            raise ValueError("need at least one cloud connection")
-        self.sim = sim
-        self.connections = list(connections)
-        self.pipeline = pipeline
-        self.config = config
-        self.estimator = estimator or ThroughputEstimator()
-        self.dynamic = dynamic
-        self.retry = retry_policy or RetryPolicy.from_config(config)
-        self.rng = rng
-        self.trace_ctx = trace_ctx
-        self.tenant = tenant
-        # Degradation control plane (None = disabled, the default).
-        self._degrade = degrade
-        self._budget = budget
-        self._aborted = False
+        super().__init__(sim, connections, pipeline, config, estimator,
+                         dynamic, retry_policy, rng, trace_ctx, tenant,
+                         degrade, budget)
         self._hedge_budget: Optional[float] = None
         #: Hedge accounting for benchmarks and acceptance tests.
         self.hedges_fired = 0
@@ -1124,29 +1148,6 @@ class DownloadScheduler:
         #: fetch in the last batch — the p99 input for the hedging
         #: benchmark.  Cancelled losers do not appear.
         self.fetch_latencies: List[float] = []
-        self._files: List[FileDownload] = []
-        self._reports: Dict[str, FileDownloadReport] = {}
-        self._states: Dict[str, _SegmentDownloadState] = {}
-        self._file_segments: Dict[str, List[_SegmentDownloadState]] = {}
-        self._inflight_total = 0
-        self._dead: Dict[str, int] = {}
-        self._failed_requests = 0
-        self._wake = None
-        # Dispatch structures (see _next_ready): segments in scan
-        # order, each cloud's heap of ready scan positions, the
-        # positions each cloud parked on a defer verdict together with
-        # the faster-cloud set that verdict was computed under, and the
-        # segments with a fetch in flight (the hedge candidates).
-        self._ordered: List[_SegmentDownloadState] = []
-        self._state_files: Dict[str, List[str]] = {}
-        self._holders: List[str] = []
-        self._ready: Dict[str, List[int]] = {}
-        self._deferred: Dict[str, set] = {}
-        self._faster: Dict[str, Tuple[str, ...]] = {}
-        self._flying: Dict[int, _SegmentDownloadState] = {}
-        self._pending_complete: Dict[str, int] = {}
-        self._complete_flush: List[str] = []
-        self._dispatch_scans = 0  # state visits, for the perf harness
 
     def run_batch(self, files: Sequence[FileDownload]):
         """Fetch a batch; generator returns a :class:`DownloadBatchReport`.
@@ -1155,64 +1156,25 @@ class DownloadScheduler:
         with ``content=None`` rather than blocking the batch.
         """
         started = self.sim.now
-        self._files = list(files)
-        self._reports = {}
-        self._states = {}
-        self._file_segments = {}
-        self._inflight_total = 0
-        self._dead = {c.cloud_id: 0 for c in self.connections}
-        self._failed_requests = 0
-        self._aborted = False
         self._hedge_budget = None
         self.hedges_fired = 0
         self.hedged_bytes = 0
         self.fetch_latencies = []
-        self._wake = self.sim.event()
-        self._ordered = []
-        self._state_files = {}
-        self._complete_flush = []
-        self._dispatch_scans = 0
-        cloud_ids = [c.cloud_id for c in self.connections]
-        # Positions are appended in increasing order, so each ready
-        # list starts out a valid heap.
-        self._ready = {cid: [] for cid in cloud_ids}
-        self._deferred = {cid: set() for cid in cloud_ids}
-        self._faster = {}
-        self._flying = {}
-        holders = dict.fromkeys(cloud_ids)
-        for file in self._files:
-            self._reports[file.path] = FileDownloadReport(
-                path=file.path, size=file.size, started_at=self.sim.now
-            )
-            states = []
-            for record in file.segments:
-                state = self._states.get(record.segment_id)
-                if state is None:
-                    state = _SegmentDownloadState(record)
-                    state.position = len(self._ordered)
-                    self._states[record.segment_id] = state
-                    self._ordered.append(state)
-                    self._state_files[record.segment_id] = []
-                    holders.update(
-                        dict.fromkeys(record.locations.values())
-                    )
-                    for cid in cloud_ids:
-                        indices = record.blocks_on(cid)
-                        if indices:
-                            state.cloud_indices[cid] = indices
-                            self._ready[cid].append(state.position)
-                files_of = self._state_files[record.segment_id]
-                if file.path not in files_of:
-                    files_of.append(file.path)
-                states.append(state)
-            self._file_segments[file.path] = states
+        # Dispatch structures (see _next_ready): each cloud's heap of
+        # ready scan positions — positions are appended in increasing
+        # order, so each starts out a valid heap — the positions each
+        # cloud parked on a defer verdict together with the
+        # faster-cloud set that verdict was computed under, and the
+        # segments with a fetch in flight (the hedge candidates).
+        self._ready: Dict[str, List[int]] = {cid: [] for cid in self.cloud_ids}
+        self._deferred: Dict[str, set] = {cid: set() for cid in self.cloud_ids}
+        self._faster: Dict[str, Tuple[str, ...]] = {}
+        self._flying: Dict[int, _SegmentDownloadState] = {}
+        self._begin(files)
+        holders = dict.fromkeys(self.cloud_ids)
+        for state in self._ordered:
+            holders.update(dict.fromkeys(state.record.locations.values()))
         self._holders = list(holders)
-        self._pending_complete = {}
-        for file in self._files:
-            unique = {id(s) for s in self._file_segments[file.path]}
-            self._pending_complete[file.path] = len(unique)
-            if not unique:
-                self._complete_flush.append(file.path)
         if self._degrade is not None and self._degrade.hedging:
             # Hedge traffic is capped as a fraction of the batch's
             # expected fetch volume (k blocks per unique segment).
@@ -1223,12 +1185,7 @@ class DownloadScheduler:
             self._hedge_budget = (
                 self.config.hedge_bytes_fraction * expected
             )
-        workers = []
-        for conn in self._ranked_connections():
-            for _slot in range(self.config.connections_per_cloud):
-                workers.append(self.sim.process(self._worker(conn)))
-        if workers:
-            yield AllOf(self.sim, workers)
+        yield from self._run_slots(self._ranked_connections())
         for file in self._files:
             report = self._reports[file.path]
             states = self._file_segments[file.path]
@@ -1247,77 +1204,69 @@ class DownloadScheduler:
             failed_requests=self._failed_requests,
         )
 
+    def _report(self, file: FileDownload) -> FileDownloadReport:
+        return FileDownloadReport(
+            path=file.path, size=file.size, started_at=self.sim.now
+        )
+
+    def _state_for(self, record: SegmentRecord) -> _SegmentDownloadState:
+        state = self._states.get(record.segment_id)
+        if state is None:
+            state = _SegmentDownloadState(record)
+            self._add_state(state)
+            for cid in self.cloud_ids:
+                indices = record.blocks_on(cid)
+                if indices:
+                    state.cloud_indices[cid] = indices
+                    self._ready[cid].append(state.position)
+        return state
+
     def _ranked_connections(self) -> List[CloudAPI]:
-        """Fastest clouds first so their workers ask first (paper §6.2)."""
+        """Fastest clouds first so their slots ask first (paper §6.2)."""
         if not self.dynamic:
             return list(self.connections)
-        order = self.estimator.rank(
-            [c.cloud_id for c in self.connections], DOWNLOAD
-        )
+        order = self.estimator.rank(self.cloud_ids, DOWNLOAD)
         by_id = {c.cloud_id: c for c in self.connections}
         return [by_id[cid] for cid in order]
 
-    def _worker(self, conn: CloudAPI):
-        cloud_id = conn.cloud_id
-        while True:
-            if (
-                self._budget is not None
-                and not self._aborted
-                and self._budget.expired
-            ):
-                # Round deadline reached: stop dispatching and let the
-                # batch wind down; unfinished files report content=None
-                # and the client degrades or aborts the round cleanly.
-                self.abort()
-            if self._aborted:
-                return
-            pick = self._next_request(cloud_id)
-            hedge = False
-            eta = None
-            if (
-                pick is None
-                and self._degrade is not None
-                and self._degrade.hedging
-            ):
-                pick, eta = self._next_hedge(cloud_id)
-                hedge = pick is not None
-            if pick is None:
-                if self._done():
-                    return
-                if eta is not None and eta > self.sim.now:
-                    # An in-flight fetch becomes hedge-eligible at a
-                    # known future instant; park on whichever of
-                    # (progress pulse, eligibility) fires first.
-                    yield AnyOf(
-                        self.sim,
-                        [self._wake,
-                         self.sim.timeout(eta - self.sim.now)],
-                    )
-                else:
-                    yield self._wake
-                continue
-            state, index = pick
-            # Entry bookkeeping happens here — not inside _fetch_block —
-            # so another worker scanning between dispatch and the child
-            # process's first step can never double-pick the index.
+    def _next(self, slot: _Slot):
+        """An idle slot's pick, ``(state, index, hedge)``: a regular
+        request, else (degradation plane on) a hedge."""
+        slot.wake_at = None
+        pick = self._next_task(slot.cloud_id)
+        if pick is not None:
+            return pick[0], pick[1], False
+        if self._hedge_budget is None:
+            return None
+        task, eta = self._next_hedge(slot.cloud_id)
+        if eta is not None and eta > self.sim.now:
+            # An in-flight fetch becomes hedge-eligible at a known
+            # instant: wake this slot then, unless a pulse comes first.
+            slot.wake_at = eta
+            self.sim.call_later(eta - self.sim.now,
+                                lambda: self._hedge_wake(slot, eta))
+        return task
+
+    def _hedge_wake(self, slot: _Slot, eta: float) -> None:
+        if slot.wake_at == eta and slot in self._parked:
+            self._parked.remove(slot)
+            self._dispatch([slot])
+
+    def _worker(self, slot: _Slot, task):
+        cloud_id = slot.cloud_id
+        while task is not None:
+            state, index, hedge = task
+            # Entry bookkeeping before the first yield, so that no other
+            # slot can pick the index while this fetch is in flight.
             state.inflight[index] = cloud_id
             state.inflight_since[index] = self.sim.now
+            state.inflight_slot[index] = slot
             self._inflight_total += 1
             self._touch(state)
-            if self._degrade is None:
-                yield from self._fetch_block(conn, state, index)
-            else:
+            if self._degrade is not None:
                 self._degrade.note_dispatch(cloud_id, self.sim.now)
-                proc = self.sim.process(
-                    self._fetch_block(conn, state, index, hedge=hedge)
-                )
-                state.inflight_proc[index] = proc
-                yield proc
-
-    def abort(self) -> None:
-        """Stop issuing new requests; in-flight transfers drain."""
-        self._aborted = True
-        self._pulse()
+            yield from self._fetch_block(slot, state, index, hedge)
+            task = self._claim(slot)
 
     def _next_hedge(self, cloud_id: str):
         """Find a hedge-worthy block for an otherwise idle connection.
@@ -1327,18 +1276,14 @@ class DownloadScheduler:
         ``hedge_latency_factor`` and this cloud holds a spare index of
         the same segment (any k of n reconstruct, so fetching a
         *different* index races the slow fetch).  Returns
-        ``(pick, eta)``: ``pick`` is ``(state, index)`` to dispatch now
-        or None; ``eta`` is the earliest sim time any current fetch
-        becomes hedge-eligible, letting the worker park on a timeout
+        ``(task, eta)``: ``task`` is ``(state, index, True)`` to dispatch
+        now or None; ``eta`` is the earliest sim time any current fetch
+        becomes hedge-eligible, letting the slot wake on a timer
         instead of only on the progress pulse.
         """
-        if self._hedge_budget is None:
-            return None, None
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
-            return None, None
-        if not self._degrade.admits(cloud_id, self.sim.now):
-            return None, None
         now = self.sim.now
+        if self._is_dead(cloud_id) or not self._degrade.admits(cloud_id, now):
+            return None, None
         eta = None
         for position in sorted(self._flying):
             state = self._flying[position]
@@ -1373,40 +1318,36 @@ class DownloadScheduler:
                     # picks away from the slow cloud instead of
                     # burning the hedge budget rediscovering it one
                     # block at a time — without it, every cancelled
-                    # loser frees a worker that immediately picks
+                    # loser frees a slot that immediately picks
                     # another doomed-slow block on a stale estimate.
                     self.estimator.record(
                         holder, DOWNLOAD, nbytes, now - since, now=now
                     )
                     if OBS.enabled:
                         OBS.inc("hedged_fetch", cloud=cloud_id)
-                    return (state, index), None
+                    return (state, index, True), None
                 if eta is None or ready_at < eta:
                     eta = ready_at
         return None, eta
 
     def _cancel_losers(self, state: _SegmentDownloadState) -> None:
-        """A segment just completed: kill its still-racing fetches
-        (the hedge loser, or the outrun primary) so no further virtual
-        time or bandwidth is spent on redundant blocks."""
-        for proc in list(state.inflight_proc.values()):
-            if proc.is_alive:
-                proc.kill()
+        """A segment just completed: kill the workers of its
+        still-racing fetches (the hedge loser, or the outrun primary)
+        so no further virtual time or bandwidth is spent on redundant
+        blocks."""
+        for slot in list(state.inflight_slot.values()):
+            slot.proc.kill()
 
-    def _fetch_block(self, conn: CloudAPI, state: _SegmentDownloadState,
+    def _fetch_block(self, slot: _Slot, state: _SegmentDownloadState,
                      index: int, hedge: bool = False):
-        """Fetch one block of ``state`` from ``conn``, settling all
+        """Fetch one block of ``state`` over ``slot``, settling all
         scheduler bookkeeping on every exit path.
 
-        Entry bookkeeping (inflight maps, the in-flight total) is done
-        by the dispatching worker *before* this generator first runs,
-        because with degradation enabled it executes as a killable
-        child process that starts one event later.  The ``finally``
-        clause settles the books when a hedge win kills the fetch
-        mid-flight; it contains no yields, so :meth:`Process.kill`
-        runs it to completion.
+        The ``finally`` clause settles the books and hands the slot
+        back when a hedge win kills the worker mid-flight; it contains
+        no yields, so :meth:`Process.kill` runs it to completion.
         """
-        cloud_id = conn.cloud_id
+        conn, cloud_id = slot.conn, slot.cloud_id
         path = self.pipeline.block_path(state.record, index)
         start = self.sim.now
         span = block_ctx = None
@@ -1425,55 +1366,20 @@ class DownloadScheduler:
             except CloudError as exc:
                 settled = True
                 self._inflight_total -= 1
-                self._failed_requests += 1
                 state.inflight.pop(index, None)
                 state.inflight_since.pop(index, None)
-                state.inflight_proc.pop(index, None)
+                state.inflight_slot.pop(index, None)
                 state.exhausted.add((index, cloud_id))
                 self._touch(state)
-                self.estimator.record_failure(
-                    cloud_id, DOWNLOAD, now=self.sim.now
-                )
-                # Classification: an unavailable cloud is dead for the
-                # batch at once (fail fast); a missing block is a
-                # deterministic per-(index, cloud) miss, not evidence
-                # the cloud died; transients count toward the threshold
-                # and pace this connection's next attempt.
-                action = self.retry.classify(exc)
-                missing = isinstance(exc, NotFoundError)
-                if OBS.enabled:
-                    OBS.transfer_failed(
-                        span, cloud_id, self.sim.now, DOWNLOAD,
-                        type(exc).__name__, action, self.tenant,
-                        missing=missing,
-                    )
-                if self._degrade is not None and not missing:
-                    self._degrade.on_failure(
-                        cloud_id, self.sim.now,
-                        fatal=action is not RETRY,
-                    )
-                if action is not RETRY and not missing:
-                    self._dead[cloud_id] = max(
-                        self._dead[cloud_id],
-                        self.config.cloud_failure_threshold,
-                    )
-                else:
-                    self._dead[cloud_id] += 1
+                action, dead = self._failed(cloud_id, DOWNLOAD, exc, span)
                 self._pulse()
-                if (action is RETRY and self._dead[cloud_id]
-                        < self.config.cloud_failure_threshold):
-                    delay = self.retry.backoff(
-                        self._dead[cloud_id] - 1, self.rng
-                    )
-                    if delay > 0:
-                        yield from _retry_wait(
-                            self.sim, delay, cloud_id, DOWNLOAD, self._dead,
-                        )
+                if action is RETRY and not dead:
+                    yield from self._back_off(cloud_id, DOWNLOAD)
                 return
             settled = True
             self._inflight_total -= 1
             state.inflight_since.pop(index, None)
-            state.inflight_proc.pop(index, None)
+            state.inflight_slot.pop(index, None)
             expected = state.record.block_hashes.get(index)
             if (
                 expected is not None
@@ -1489,7 +1395,7 @@ class DownloadScheduler:
                 state.inflight.pop(index, None)
                 state.exhausted.add((index, cloud_id))
                 self._touch(state)
-                self._dead[cloud_id] += 1
+                self._note_failure(cloud_id)
                 if OBS.enabled:
                     OBS.transfer_corrupt(
                         span, cloud_id, self.sim.now, DOWNLOAD,
@@ -1499,67 +1405,47 @@ class DownloadScheduler:
                     self._degrade.on_failure(cloud_id, self.sim.now)
                 self._pulse()
                 return
-            self._dead[cloud_id] = 0
-            if self._degrade is not None:
-                self._degrade.on_success(cloud_id, self.sim.now)
-            self.estimator.record(
-                cloud_id, DOWNLOAD, len(block), self.sim.now - start,
-                now=self.sim.now,
-            )
-            if OBS.enabled:
-                _block_done(
-                    span, self.estimator, conn, cloud_id, DOWNLOAD,
-                    len(block), self.sim.now, self.tenant,
-                )
+            self._succeeded(conn, DOWNLOAD, len(block), start, span)
             state.inflight.pop(index, None)
             state.blocks[index] = block
             self._touch(state)
             self.fetch_latencies.append(self.sim.now - start)
-            self._note_block_completed(state)
-            if self._degrade is not None and state.complete:
+            self._flush_empty()
+            if not state.counted_complete and state.complete:
+                state.counted_complete = True
+                self._reached(state, "completed_at")
                 self._cancel_losers(state)
             self._pulse()
         finally:
             if not settled:
                 # Killed mid-flight (the other side of the hedge race
                 # won): settle the books so _done() and the dispatcher
-                # see a consistent world.
+                # see a consistent world, and hand the slot back for
+                # the winner's pulse.
                 self._inflight_total -= 1
                 if state.inflight.get(index) == cloud_id:
                     state.inflight.pop(index, None)
                 state.inflight_since.pop(index, None)
-                state.inflight_proc.pop(index, None)
+                state.inflight_slot.pop(index, None)
                 self._touch(state)
+                self._parked.append(slot)
                 if span is not None:
                     OBS.end(
                         span, t=self.sim.now, error="HedgeCancelled",
                         retry_action="cancelled",
                     )
 
-    def _next_request(self, cloud_id: str):
-        """Pick the next (state, block index) for an idle connection,
-        or None when this cloud has nothing requestable right now.
-
-        Admission (abort, breaker, dead cloud) is decided here; the
-        choice of block is :meth:`_next_ready` in dynamic mode and the
-        file-gated reference scan for the static baseline.
-        """
-        if self._aborted:
+    def _next_task(self, cloud_id: str, peek: bool = False):
+        """Pick the next ``(state, block index)`` for an idle connection,
+        or None when this cloud has nothing requestable right now.  A
+        download pick commits nothing, so ``peek`` changes nothing."""
+        if not self._admits(cloud_id):
             return None
-        if self._degrade is not None and not self._degrade.admits(
-            cloud_id, self.sim.now
-        ):
-            # Breaker open or scoreboard-pinned unavailable: no regular
-            # dispatch; bounded half-open probes pass through admits().
-            return None
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
-            return None
-        if not self.dynamic:
-            return self._next_request_reference(cloud_id)
         return self._next_ready(cloud_id)
 
     def _next_ready(self, cloud_id: str):
-        """The first segment in scan order this cloud may request from.
+        """The first segment in scan order, below the limit, this cloud
+        may request from.
 
         Each cloud keeps a min-heap of the scan positions whose verdict
         is unknown.  Evaluating the head either drops it for good
@@ -1575,8 +1461,8 @@ class DownloadScheduler:
         hedge's outrun probe, another batch sharing the estimator) and
         ``_dead`` flips in either direction are all seen.  The ready
         segments are therefore a superset of the requestable ones, and
-        the smallest requestable position is what
-        :meth:`_next_request_reference` returns; host work per block is
+        the smallest requestable position is what a scan of every
+        segment in order would return; host work per block is
         O(clouds · log segments) where rescanning the blocked tail was
         O(segments).
         """
@@ -1589,7 +1475,8 @@ class DownloadScheduler:
                 self._ordered[position].parked.remove(cloud_id)
                 heappush(ready, position)
             deferred.clear()
-        while ready:
+        limit = self._limit()
+        while ready and ready[0] < limit:
             state = self._ordered[ready[0]]
             self._dispatch_scans += 1
             if state.complete:
@@ -1641,37 +1528,15 @@ class DownloadScheduler:
             self._deferred[cloud_id].discard(position)
         state.parked.clear()
 
-    def _next_request_reference(self, cloud_id: str):
-        """The original O(files x segments) scan — the executable
-        specification :meth:`_next_ready` must match (the equivalence
-        tests swap it in), and still the static baseline's path."""
-        if self._dead.get(cloud_id, 0) >= self.config.cloud_failure_threshold:
-            return None
-        for file in self._files:
-            for state in self._file_segments[file.path]:
-                self._dispatch_scans += 1
-                if state.saturated:
-                    continue
-                index = state.candidate_index(cloud_id)
-                if index is None:
-                    continue
-                if self.dynamic and self._defer_to_faster(state, cloud_id):
-                    continue
-                return (state, index)
-            if not self.dynamic:
-                # Static baseline: strictly finish this file first.
-                if not all(
-                    s.complete for s in self._file_segments[file.path]
-                ):
-                    return None
-        return None
-
     def _defer_to_faster(self, state: _SegmentDownloadState,
                          cloud_id: str) -> bool:
         """The paper's sorted assignment: the next block goes to the
         idle connection of the *fastest* cloud.  A slower cloud backs
         off whenever strictly-faster clouds can still supply all the
-        blocks this segment is missing."""
+        blocks this segment is missing.  The static baseline never
+        defers."""
+        if not self.dynamic:
+            return False
         needed = state.k - len(state.blocks) - len(state.inflight)
         mine = self.estimator.estimate(cloud_id, DOWNLOAD)
         faster_supply = 0
@@ -1688,35 +1553,7 @@ class DownloadScheduler:
                 faster_supply += 1
         return faster_supply >= needed
 
-    def _note_block_completed(self, state: _SegmentDownloadState) -> None:
-        """Incremental completion stamping (replaces the per-block full
-        rescan): segment completion is monotone, so per-file countdowns
-        through the segment->files index suffice."""
-        now = self.sim.now
-        if self._complete_flush:
-            # Zero-segment files are vacuously complete; stamp them at
-            # the first progress check, as the full rescan used to.
-            for path in self._complete_flush:
-                report = self._reports[path]
-                if report.completed_at is None:
-                    report.completed_at = now
-            self._complete_flush = []
-        if not state.counted_complete and state.complete:
-            state.counted_complete = True
-            for path in self._state_files[state.record.segment_id]:
-                self._pending_complete[path] -= 1
-                if self._pending_complete[path] == 0:
-                    report = self._reports[path]
-                    if report.completed_at is None:
-                        report.completed_at = now
-
-    def _done(self) -> bool:
-        if self._inflight_total > 0:
-            return False
-        return all(
-            self._next_request(c.cloud_id) is None for c in self.connections
-        )
-
-    def _pulse(self) -> None:
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()
+    def _settled(self, path: str) -> bool:
+        """A file the static baseline is done with: every segment
+        complete (monotone, so the gate never moves back)."""
+        return self._pending["completed_at"][path] == 0

@@ -2,7 +2,6 @@
 
 from .core import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -14,7 +13,6 @@ from .sync import Gate, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Gate",
     "Interrupt",

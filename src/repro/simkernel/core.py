@@ -7,7 +7,7 @@ expressed as a generator that yields :class:`Event` objects and is driven
 by a :class:`Simulator`.
 
 The kernel is deliberately minimal: events, timeouts, processes,
-interrupts and the two combinators :class:`AllOf` / :class:`AnyOf`.
+interrupts and the :class:`AllOf` combinator.
 Everything runs in *virtual* time, so a month-long measurement campaign
 completes in seconds of wall-clock time and is reproducible event for
 event.
@@ -34,7 +34,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Simulator",
     "SimulationError",
@@ -318,8 +317,11 @@ class Process(Event):
             return
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` and :class:`AnyOf`."""
+class AllOf(Event):
+    """Fires when *all* events have fired; value is the list of values.
+
+    Fails fast if any constituent event fails.
+    """
 
     __slots__ = ("events", "_pending")
 
@@ -331,25 +333,10 @@ class _Condition(Event):
                 raise SimulationError("events belong to different simulators")
         self._pending = len(self.events)
         if self._pending == 0:
-            self.succeed(self._collect())
+            self.succeed([])
         else:
             for ev in self.events:
                 ev.add_callback(self._check)
-
-    def _collect(self) -> List[Any]:
-        return [ev._value for ev in self.events if ev.triggered]
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* events have fired; value is the list of values.
-
-    Fails fast if any constituent event fails.
-    """
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -361,28 +348,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the *first* event fires; ``winner`` is that event."""
-
-    __slots__ = ("winner",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        self.winner: Optional[Event] = None
-        super().__init__(sim, events)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event.defused = True
-            return
-        self.winner = event
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)
 
 
 class Simulator:
@@ -431,8 +396,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- observability helpers ------------------------------------------
     #

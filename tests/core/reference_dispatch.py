@@ -1,0 +1,126 @@
+"""The original O(files x segments) dispatch ladders, as test oracles.
+
+The schedulers' production dispatchers (upload: phase cursors;
+download: per-cloud ready heaps; the static baseline: either of them
+behind a file gate) must pick exactly what these ladders pick.  They
+are plain functions over a scheduler, swapped in for its dispatcher by
+``tests/core/test_scheduler_equivalence.py``.
+"""
+
+from repro.core.scheduler import _UploadTask
+
+
+def next_task_reference(sched, cloud_id, peek=False):
+    """The original O(files x segments) decision-ladder dispatcher.
+
+    The executable specification of the upload scheduling policy: the
+    cursor dispatcher must pick byte-identical blocks, in dynamic mode
+    and behind the static baseline's file gate.
+    """
+    if sched._is_dead(cloud_id):
+        return None
+
+    def fair(state):
+        if not state.fair_pending(cloud_id) or not state.cap_room(cloud_id):
+            return None
+        if peek:
+            return _UploadTask(state, -1, is_fair=True)
+        return _UploadTask(state, state.take_fair(cloud_id), is_fair=True)
+
+    def extra(state):
+        # Over-provisioned blocks go only to clouds that already
+        # *finished transferring* their own fair share of this
+        # segment (paper §6.2).
+        if not state.fair_done(cloud_id):
+            return None
+        if not state.extras or not state.cap_room(cloud_id):
+            return None
+        if peek:
+            return _UploadTask(state, -1, is_fair=False)
+        return _UploadTask(state, state.take_extra(cloud_id),
+                           is_fair=False)
+
+    # Phase A: availability-first, files strictly in order.  Every
+    # cloud keeps pulling blocks for the earliest file that is not
+    # yet *available* (k blocks actually uploaded) — maximal
+    # parallel transfer, with fast clouds hedging via extras.
+    for file in sched._files:
+        for state in sched._file_segments[file.path]:
+            sched._dispatch_scans += 1
+            if state.available:
+                continue
+            task = fair(state)
+            if task is not None:
+                return task
+            if sched.over_provision:
+                task = extra(state)
+                if task is not None:
+                    return task
+        if not sched.dynamic:
+            # Benchmark baseline: finish this file's fair shares
+            # before touching the next file (no phase split).
+            for state in sched._file_segments[file.path]:
+                task = fair(state)
+                if task is not None:
+                    return task
+            if any(
+                not s.available or s.any_fair_pending()
+                for s in sched._file_segments[file.path]
+            ):
+                return None
+    # Phase B: reliability-second — top up outstanding fair shares.
+    for file in sched._files:
+        for state in sched._file_segments[file.path]:
+            sched._dispatch_scans += 1
+            task = fair(state)
+            if task is not None:
+                return task
+    # Over-provision while slower clouds still owe fair shares
+    # (stop once the slowest cloud finished its fair share, §6.2).
+    if sched.over_provision and sched.dynamic:
+        for file in sched._files:
+            for state in sched._file_segments[file.path]:
+                sched._dispatch_scans += 1
+                if not state.fair_outstanding:
+                    continue
+                task = extra(state)
+                if task is not None:
+                    return task
+    return None
+
+
+def candidate_index(state, cloud_id):
+    """The first block index ``cloud_id`` holds of a download segment
+    state that is neither fetched, in flight nor failed there."""
+    for index in state.record.blocks_on(cloud_id):
+        if index in state.blocks or index in state.inflight:
+            continue
+        if (index, cloud_id) in state.exhausted:
+            continue
+        return index
+    return None
+
+
+def next_request_reference(sched, cloud_id):
+    """The original O(files x segments) scan — the executable
+    specification the download ready-heap dispatcher must match."""
+    if sched._dead.get(cloud_id, 0) >= sched.config.cloud_failure_threshold:
+        return None
+    for file in sched._files:
+        for state in sched._file_segments[file.path]:
+            sched._dispatch_scans += 1
+            if state.saturated:
+                continue
+            index = candidate_index(state, cloud_id)
+            if index is None:
+                continue
+            if sched.dynamic and sched._defer_to_faster(state, cloud_id):
+                continue
+            return (state, index)
+        if not sched.dynamic:
+            # Static baseline: strictly finish this file first.
+            if not all(
+                s.complete for s in sched._file_segments[file.path]
+            ):
+                return None
+    return None

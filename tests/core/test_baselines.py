@@ -3,45 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.cloud import CloudConnection, SimulatedCloud
+import _sched_env as sched_env
 from repro.core import (
     IntuitiveMultiCloud,
     MultiCloudBenchmark,
     NativeClient,
     UniDriveConfig,
 )
-from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
 
 CONFIG = UniDriveConfig(theta=128 * 1024)
 
 
-def quiet_profile(up, down=None, failure_rate=0.0):
-    return LinkProfile(
-        up_mbps=up,
-        down_mbps=down if down is not None else 2 * up,
-        rtt_seconds=0.05,
-        latency_jitter=0.0,
-        failure_rate=failure_rate,
-        volatility=0.0,
-        fade_probability=0.0,
-        diurnal_amplitude=0.0,
-    )
+#: The paper's five consumer clouds (the native-client tables key on
+#: these names).
+NATIVE_CLOUDS = ("dropbox", "onedrive", "gdrive", "baidupcs", "dbank")
 
 
 def make_env(up_speeds, seed=0, failure_rate=0.0):
-    sim = Simulator()
-    clouds = [
-        SimulatedCloud(sim, cid)
-        for cid in ["dropbox", "onedrive", "gdrive", "baidupcs", "dbank"]
-    ][: len(up_speeds)]
-    conns = [
-        CloudConnection(
-            sim, cloud, quiet_profile(up, failure_rate=failure_rate),
-            np.random.default_rng(seed + i),
-        )
-        for i, (cloud, up) in enumerate(zip(clouds, up_speeds))
-    ]
+    sim, clouds, conns, _ = sched_env.make_env(
+        up_speeds, [failure_rate] * len(up_speeds), seed, config=None,
+        cloud_ids=NATIVE_CLOUDS,
+    )
     return sim, clouds, conns
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud import CloudConnection, SimulatedCloud
+from _sched_env import CONFIG, N_CLOUDS, make_env
 from repro.core.config import UniDriveConfig
 from repro.core.pipeline import BlockPipeline
 from repro.core.probing import ThroughputEstimator
@@ -13,39 +13,7 @@ from repro.core.scheduler import (
     FileUpload,
     UploadScheduler,
 )
-from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
-
-CONFIG = UniDriveConfig(theta=64 * 1024)  # small segments for fast tests
-N_CLOUDS = 5
-
-
-def quiet_profile(up_mbps, down_mbps=None):
-    return LinkProfile(
-        up_mbps=up_mbps,
-        down_mbps=down_mbps if down_mbps is not None else 2 * up_mbps,
-        rtt_seconds=0.05,
-        latency_jitter=0.0,
-        failure_rate=0.0,
-        volatility=0.0,
-        fade_probability=0.0,
-        diurnal_amplitude=0.0,
-    )
-
-
-def make_env(up_speeds=None, seed=0):
-    """Five clouds with given per-cloud upload speeds (Mbps)."""
-    sim = Simulator()
-    up_speeds = up_speeds or [8.0] * N_CLOUDS
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(N_CLOUDS)]
-    conns = [
-        CloudConnection(
-            sim, cloud, quiet_profile(up), np.random.default_rng(seed + i)
-        )
-        for i, (cloud, up) in enumerate(zip(clouds, up_speeds))
-    ]
-    pipeline = BlockPipeline(CONFIG, N_CLOUDS)
-    return sim, clouds, conns, pipeline
 
 
 def make_file(pipeline, path="/f.bin", size=200 * 1024, seed=1):

@@ -1,13 +1,16 @@
 """Production dispatcher ⇔ reference decision ladder equivalence.
 
 The dispatchers in :mod:`repro.core.scheduler` (upload: phase cursors;
-download: per-cloud ready heaps with parked segments) must be
+download: per-cloud ready heaps with parked segments; the static
+benchmark baseline: the same dispatchers behind a file gate) must be
 *behavior-preserving*: for any seeded batch they must pick exactly the
-blocks the original O(files x segments) ladder picked, in the same
-order, yielding byte-identical batch reports (placements, timestamps,
-degraded flags).  These tests run the same seeded scenario twice — once
-with the production dispatcher, once with the retained reference
-implementation swapped in — and compare everything observable; the
+blocks the original O(files x segments) ladders in
+``reference_dispatch.py`` pick, in the same order, yielding
+byte-identical batch reports (placements, timestamps, degraded flags).
+These tests run the same seeded scenario twice — once with the
+production dispatcher, once with the reference ladder swapped in — in
+every ``(over_provision, dynamic)`` mode for uploads and both
+``dynamic`` modes for downloads, and compare everything observable; the
 download arm compares the full pick log.
 
 The same scenario helpers carry the simulated-clock properties of the
@@ -15,17 +18,20 @@ production dispatchers alone: scans per block flat in the batch size,
 instrumentation that perturbs nothing, hedged reads that cut the tail.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _sched_env import CONFIG, N_CLOUDS, make_env, profile
+from reference_dispatch import next_request_reference, next_task_reference
 from repro import obs
-from repro.cloud import CloudConnection, SimulatedCloud
+from repro.cloud import CloudConnection
 from repro.cloud.errors import NotFoundError, RequestFailedError
 from repro.core.config import UniDriveConfig
 from repro.core.degrade import DegradeController
-from repro.core.pipeline import BlockPipeline
 from repro.core.probing import DOWNLOAD, ThroughputEstimator
 from repro.core.scheduler import (
     DownloadScheduler,
@@ -34,36 +40,11 @@ from repro.core.scheduler import (
     UploadScheduler,
 )
 from repro.faults import FaultInjector
-from repro.netsim import LinkProfile
-from repro.simkernel import Simulator
 
-CONFIG = UniDriveConfig(theta=64 * 1024)
-N_CLOUDS = 5
-
-
-def profile(up_mbps, failure_rate=0.0, **overrides):
-    params = dict(
-        up_mbps=up_mbps, down_mbps=2 * up_mbps, rtt_seconds=0.05,
-        latency_jitter=0.0, failure_rate=failure_rate, volatility=0.0,
-        fade_probability=0.0, diurnal_amplitude=0.0,
-    )
-    params.update(overrides)
-    return LinkProfile(**params)
-
-
-def make_env(up_speeds, failure_rates=None, seed=0):
-    sim = Simulator()
-    failure_rates = failure_rates or [0.0] * N_CLOUDS
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(N_CLOUDS)]
-    conns = [
-        CloudConnection(sim, cloud, profile(up, rate),
-                        np.random.default_rng(seed + i))
-        for i, (cloud, up, rate) in enumerate(
-            zip(clouds, up_speeds, failure_rates)
-        )
-    ]
-    pipeline = BlockPipeline(CONFIG, N_CLOUDS)
-    return sim, clouds, conns, pipeline
+#: Every ``(over_provision, dynamic)`` pair; the first is production's.
+UPLOAD_MODES = [(True, True), (False, True), (True, False), (False, False)]
+#: Both ``dynamic`` values; the first is production's.
+DOWNLOAD_MODES = [True, False]
 
 
 def make_batch(pipeline, count=6, seed=3, size=None):
@@ -114,8 +95,8 @@ def upload_snapshot(batch, files, clouds):
 
 
 def run_upload_scenario(reference, up_speeds, failure_rates=None,
-                        kill_cloud=None, over_provision=True, seed=0,
-                        count=6, size=None):
+                        kill_cloud=None, over_provision=True, dynamic=True,
+                        seed=0, count=6, size=None):
     sim, clouds, conns, pipeline = make_env(
         up_speeds, failure_rates, seed=seed
     )
@@ -123,27 +104,32 @@ def run_upload_scenario(reference, up_speeds, failure_rates=None,
         clouds[kill_cloud].set_available(False)
     scheduler = UploadScheduler(
         sim, conns, pipeline, CONFIG, estimator=ThroughputEstimator(),
-        over_provision=over_provision,
+        over_provision=over_provision, dynamic=dynamic,
     )
     if reference:
-        scheduler._next_task = scheduler._next_task_reference
+        scheduler._next_task = partial(next_task_reference, scheduler)
     files = make_batch(pipeline, count=count, size=size)
     batch = sim.run_process(scheduler.run_batch(files))
     return upload_snapshot(batch, files, clouds), scheduler
 
 
-def assert_upload_equivalent(**kwargs):
-    fast, fast_sched = run_upload_scenario(reference=False, **kwargs)
-    ref, ref_sched = run_upload_scenario(reference=True, **kwargs)
-    assert fast == ref
-    # The point of the cursor dispatcher: same decisions, fewer visits.
-    assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
-    return fast
+def assert_upload_equivalent(modes=UPLOAD_MODES, **kwargs):
+    """Compare both dispatchers in each mode; returns the snapshots."""
+    snapshots = []
+    for over_provision, dynamic in modes:
+        mode = dict(over_provision=over_provision, dynamic=dynamic)
+        fast, fast_sched = run_upload_scenario(False, **mode, **kwargs)
+        ref, ref_sched = run_upload_scenario(True, **mode, **kwargs)
+        assert fast == ref, mode
+        # The point of the cursor dispatcher: same decisions, fewer visits.
+        assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
+        snapshots.append(fast)
+    return snapshots
 
 
 def test_upload_equivalence_homogeneous():
-    snapshot = assert_upload_equivalent(up_speeds=[8.0] * N_CLOUDS)
-    assert all(r[3] is not None for r in snapshot["reports"])  # available
+    for snapshot in assert_upload_equivalent(up_speeds=[8.0] * N_CLOUDS):
+        assert all(r[3] is not None for r in snapshot["reports"])
 
 
 def test_upload_equivalence_skewed_speeds():
@@ -152,25 +138,26 @@ def test_upload_equivalence_skewed_speeds():
 
 def test_upload_equivalence_no_over_provision():
     assert_upload_equivalent(
-        up_speeds=[30, 10, 5, 5, 1], over_provision=False, seed=4
+        modes=[mode for mode in UPLOAD_MODES if not mode[0]],
+        up_speeds=[30, 10, 5, 5, 1], seed=4,
     )
 
 
 def test_upload_equivalence_flaky_clouds():
-    snapshot = assert_upload_equivalent(
+    for snapshot in assert_upload_equivalent(
         up_speeds=[20, 20, 10, 10, 5],
         failure_rates=[0.0, 0.25, 0.0, 0.35, 0.1],
         seed=7,
-    )
-    assert snapshot["batch"][2] > 0  # failures actually happened
+    ):
+        assert snapshot["batch"][2] > 0  # failures actually happened
 
 
 def test_upload_equivalence_dead_cloud():
-    snapshot = assert_upload_equivalent(
+    for snapshot in assert_upload_equivalent(
         up_speeds=[20, 20, 20, 20, 20], kill_cloud=4, seed=2
-    )
-    degraded = [r[5] for r in snapshot["reports"]]
-    assert any(degraded)  # the abandon/degraded path was exercised
+    ):
+        # The abandon/degraded path was exercised.
+        assert any(r[5] for r in snapshot["reports"])
 
 
 #: 5/10/20/40/80 Mbps downlinks (``profile`` doubles the uplink figure):
@@ -205,11 +192,11 @@ def log_dispatches(down):
         finally:
             look()
 
-    def logged(conn, state, index, hedge=False):
-        picks.append((down.sim.now, conn.cloud_id,
+    def logged(slot, state, index, hedge=False):
+        picks.append((down.sim.now, slot.cloud_id,
                       state.record.segment_id, index, hedge))
         look()
-        return watched(fetch(conn, state, index, hedge=hedge))
+        return watched(fetch(slot, state, index, hedge=hedge))
 
     down._fetch_block = logged
     return picks, world
@@ -251,7 +238,8 @@ def download_snapshot(batch, down, picks, world):
 def run_download_scenario(reference, down_failure_rates=None,
                           kill_clouds=(), prime=None, seed=0, count=6,
                           size=None, down_speeds=None, link=None,
-                          config=CONFIG, disturb=None, warm=False):
+                          config=CONFIG, disturb=None, warm=False,
+                          dynamic=True):
     """Upload ``count`` files on equal links, then fetch them back.
 
     The download links may differ from the upload's (``down_speeds``,
@@ -302,27 +290,33 @@ def run_download_scenario(reference, down_failure_rates=None,
         controller = DegradeController(config, health_gate=False)
     down = DownloadScheduler(
         sim, conns, pipeline, config, estimator=estimator,
-        degrade=controller,
+        dynamic=dynamic, degrade=controller,
     )
     if reference:
-        down._next_ready = down._next_request_reference
+        down._next_ready = partial(next_request_reference, down)
     picks, world = log_dispatches(down)
     batch = sim.run_process(down.run_batch(requests))
     return download_snapshot(batch, down, picks, world), down
 
 
-def assert_download_equivalent(**kwargs):
-    fast, fast_sched = run_download_scenario(reference=False, **kwargs)
-    ref, ref_sched = run_download_scenario(reference=True, **kwargs)
-    assert fast["picks"] == ref["picks"]
-    assert fast == ref
-    assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
-    return fast
+def assert_download_equivalent(modes=DOWNLOAD_MODES, **kwargs):
+    """Compare both dispatchers in each mode; returns the snapshots."""
+    snapshots = []
+    for dynamic in modes:
+        fast, fast_sched = run_download_scenario(False, dynamic=dynamic,
+                                                 **kwargs)
+        ref, ref_sched = run_download_scenario(True, dynamic=dynamic,
+                                               **kwargs)
+        assert fast["picks"] == ref["picks"], dynamic
+        assert fast == ref, dynamic
+        assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
+        snapshots.append(fast)
+    return snapshots
 
 
 def test_download_equivalence_plain():
-    snapshot = assert_download_equivalent(seed=1)
-    assert all(r[3] is not None for r in snapshot["reports"])
+    for snapshot in assert_download_equivalent(seed=1):
+        assert all(r[3] is not None for r in snapshot["reports"])
 
 
 def test_download_equivalence_primed_estimator():
@@ -330,22 +324,22 @@ def test_download_equivalence_primed_estimator():
 
 
 def test_download_equivalence_outages():
-    snapshot = assert_download_equivalent(kill_clouds=(1, 3), seed=9)
-    assert all(r[4] is not None for r in snapshot["reports"])  # decoded
+    for snapshot in assert_download_equivalent(kill_clouds=(1, 3), seed=9):
+        assert all(r[4] is not None for r in snapshot["reports"])  # decoded
 
 
 def test_download_equivalence_flaky():
-    snapshot = assert_download_equivalent(
+    for snapshot in assert_download_equivalent(
         down_failure_rates=[0.0, 0.3, 0.0, 0.4, 0.2], seed=13
-    )
-    assert snapshot["batch"][2] > 0
+    ):
+        assert snapshot["batch"][2] > 0
 
 
 def test_download_equivalence_skewed_many_segments():
-    snapshot = assert_download_equivalent(
+    for snapshot in assert_download_equivalent(
         down_speeds=SKEWED, count=60, seed=17
-    )
-    assert len({seg for _t, _c, seg, _i, _h in snapshot["picks"]}) >= 100
+    ):
+        assert len({seg for _t, _c, seg, *_ in snapshot["picks"]}) >= 100
 
 
 def strict_orders(world, a, b):
@@ -358,11 +352,11 @@ def strict_orders(world, a, b):
 def test_download_equivalence_estimate_order_flips():
     # Two equal-mean volatile links: their EWMA estimates keep crossing,
     # so what cloud0 defers to cloud1 (and back) changes mid-batch.
-    snapshot = assert_download_equivalent(
+    for snapshot in assert_download_equivalent(
         down_speeds=[10, 10, 2.5, 20, 40], count=40, seed=19,
         link={"volatility": 0.6, "epoch_seconds": 0.25},
-    )
-    assert strict_orders(snapshot["world"], 0, 1) == {-1, 1}
+    ):
+        assert strict_orders(snapshot["world"], 0, 1) == {-1, 1}
 
 
 def test_download_equivalence_dead_cloud_revived():
@@ -374,10 +368,12 @@ def test_download_equivalence_dead_cloud_revived():
     def disturb(sim, conns, estimator):
         conns[3] = DropFirst(conns[3], count=2)
 
+    # Dynamic mode only: there cloud3, primed fastest, asks first and
+    # has the other three fetches in flight when it dies.
     snapshot = assert_download_equivalent(
         down_speeds=SKEWED, prime=[5, 10, 20, 160, 80], count=30, seed=23,
         config=config, disturb=disturb,
-    )
+    )[0]
     died = [
         t for t, _est, dead in snapshot["world"]
         if dead[3] >= config.cloud_failure_threshold
@@ -395,12 +391,12 @@ def test_download_equivalence_hedging():
     def disturb(sim, conns, estimator):
         FaultInjector(sim).slow_cloud(conns[1], factor=25.0)
 
-    snapshot = assert_download_equivalent(
+    for snapshot in assert_download_equivalent(
         prime=[40] * N_CLOUDS, count=20, seed=29, disturb=disturb,
         config=UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True),
-    )
-    assert snapshot["hedges"][0] > 0
-    assert any(hedge for *_, hedge in snapshot["picks"])
+    ):
+        assert snapshot["hedges"][0] > 0
+        assert any(hedge for *_, hedge in snapshot["picks"])
 
 
 def test_download_equivalence_estimator_moved_from_outside():
@@ -417,10 +413,10 @@ def test_download_equivalence_estimator_moved_from_outside():
 
         sim.process(other_batch())
 
-    snapshot = assert_download_equivalent(
+    for snapshot in assert_download_equivalent(
         down_speeds=SKEWED, count=40, seed=31, disturb=disturb
-    )
-    assert strict_orders(snapshot["world"], 0, 4) == {-1, 1}
+    ):
+        assert strict_orders(snapshot["world"], 0, 4) == {-1, 1}
 
 
 @st.composite
@@ -454,7 +450,8 @@ def download_scripts(draw):
 def test_download_pick_log_matches_reference(script):
     """Any segment count, link speeds and failure script (outages,
     scripted drops, estimates rewritten from outside): the
-    ready-heap dispatcher picks what the reference scan picks."""
+    ready-heap dispatcher, gated or not, picks what the reference scan
+    picks."""
 
     def disturb(sim, conns, estimator):
         conns[:] = [

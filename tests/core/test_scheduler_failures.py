@@ -2,39 +2,18 @@
 
 import numpy as np
 
-from repro.cloud import CloudConnection, SimulatedCloud
+from _sched_env import CONFIG, make_env
 from repro.core.config import UniDriveConfig
-from repro.core.pipeline import BlockPipeline
 from repro.core.scheduler import (
     DownloadScheduler,
     FileDownload,
     FileUpload,
     UploadScheduler,
 )
-from repro.netsim import LinkProfile
-from repro.simkernel import Simulator
-
-CONFIG = UniDriveConfig(theta=64 * 1024)
 
 
-def profile(failure_rate=0.0):
-    return LinkProfile(
-        up_mbps=20.0, down_mbps=40.0, rtt_seconds=0.05, latency_jitter=0.0,
-        failure_rate=failure_rate, volatility=0.0, fade_probability=0.0,
-        diurnal_amplitude=0.0,
-    )
-
-
-def make_env(failure_rates, seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    conns = [
-        CloudConnection(sim, cloud, profile(rate),
-                        np.random.default_rng(seed + i))
-        for i, (cloud, rate) in enumerate(zip(clouds, failure_rates))
-    ]
-    pipeline = BlockPipeline(CONFIG, 5)
-    return sim, clouds, conns, pipeline
+#: Every link 20 Mbps up, 40 down; the tests vary failure rates.
+FAST = [20.0] * 5
 
 
 def make_file(pipeline, size=200 * 1024, seed=1, path="/f"):
@@ -50,8 +29,9 @@ def make_file(pipeline, size=200 * 1024, seed=1, path="/f"):
 
 def test_upload_retries_through_flaky_cloud():
     """A 30%-flaky cloud still receives its fair share eventually."""
-    sim, clouds, conns, pipeline = make_env([0.0, 0.0, 0.0, 0.0, 0.30],
-                                            seed=2)
+    sim, clouds, conns, pipeline = make_env(
+        FAST, [0.0, 0.0, 0.0, 0.0, 0.30], seed=2
+    )
     scheduler = UploadScheduler(sim, conns, pipeline, CONFIG)
     file, _ = make_file(pipeline)
     batch = sim.run_process(scheduler.run_batch([file]))
@@ -64,7 +44,7 @@ def test_upload_retries_through_flaky_cloud():
 
 
 def test_upload_failed_requests_counted():
-    sim, clouds, conns, pipeline = make_env([0.2] * 5, seed=3)
+    sim, clouds, conns, pipeline = make_env(FAST, [0.2] * 5, seed=3)
     scheduler = UploadScheduler(sim, conns, pipeline, CONFIG)
     file, _ = make_file(pipeline)
     batch = sim.run_process(scheduler.run_batch([file]))
@@ -75,7 +55,7 @@ def test_upload_failed_requests_counted():
 def test_download_rerequests_from_other_clouds():
     """A block request failing on one cloud is replaced by a different
     block index from another cloud (blocks are interchangeable)."""
-    sim, clouds, conns, pipeline = make_env([0.0] * 5, seed=4)
+    sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=4)
     up = UploadScheduler(sim, conns, pipeline, CONFIG)
     file, content = make_file(pipeline, size=150 * 1024)
     records = [r for r, _ in file.segments]
@@ -90,7 +70,7 @@ def test_download_rerequests_from_other_clouds():
 
 def test_dead_cloud_mid_batch_does_not_stall():
     """A cloud dying between files of a batch must not wedge the batch."""
-    sim, clouds, conns, pipeline = make_env([0.0] * 5, seed=5)
+    sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=5)
     scheduler = UploadScheduler(sim, conns, pipeline, CONFIG)
     files = [make_file(pipeline, seed=10 + i, path=f"/f{i}")[0]
              for i in range(4)]
@@ -108,7 +88,7 @@ def test_dead_cloud_mid_batch_does_not_stall():
 def test_upload_impossible_when_too_many_clouds_dead():
     """With four clouds down, the security cap (2 blocks/cloud) makes
     k = 3 unreachable: the batch ends with the file unavailable."""
-    sim, clouds, conns, pipeline = make_env([0.0] * 5, seed=6)
+    sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=6)
     for cloud in clouds[1:]:
         cloud.set_available(False)
     scheduler = UploadScheduler(sim, conns, pipeline, CONFIG)
@@ -122,7 +102,7 @@ def test_upload_impossible_when_too_many_clouds_dead():
 def test_cloud_recovery_next_batch():
     """Dead-cloud state is per batch: a recovered cloud participates in
     the next batch and regains its fair share."""
-    sim, clouds, conns, pipeline = make_env([0.0] * 5, seed=7)
+    sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=7)
     clouds[4].set_available(False)
     first = UploadScheduler(sim, conns, pipeline, CONFIG)
     file_a, _ = make_file(pipeline, seed=20, path="/a")
@@ -151,7 +131,7 @@ def test_breaker_stops_degraded_cloud_retry_burn():
     from repro.core.degrade import DegradeController, OPEN
 
     def run_two_batches(degrade):
-        sim, clouds, conns, pipeline = make_env([0.0] * 5, seed=11)
+        sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=11)
         clouds[3].set_available(False)
         config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
         controller = (

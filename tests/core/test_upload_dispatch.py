@@ -12,16 +12,13 @@ import hashlib
 
 import numpy as np
 
-from repro.cloud import CloudConnection, SimulatedCloud
-from repro.cloud.errors import CloudError
+import _sched_env as sched_env
+from _sched_env import log_requests
 from repro.core.config import UniDriveConfig
 from repro.core.degrade import DeadlineBudget, DegradeController
-from repro.core.pipeline import BlockPipeline
 from repro.core.retry import RetryPolicy
 from repro.core.scheduler import FileUpload, UploadScheduler
 from repro.faults import FaultInjector
-from repro.netsim import LinkProfile
-from repro.simkernel import Simulator
 from repro.workloads.trial import run_trial
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
@@ -29,41 +26,12 @@ SPEEDS = [20.0, 12.0, 8.0, 5.0, 3.0]
 
 
 def make_env(config, failure_rate, seed):
-    """Five clouds with one logged connection each; ``log`` collects
+    """Five clouds on SPEEDS with jittery latency; ``log`` collects
     every request."""
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    conns = []
-    log = []
-    for i, cloud in enumerate(clouds):
-        link = LinkProfile(
-            up_mbps=SPEEDS[i], down_mbps=2 * SPEEDS[i], rtt_seconds=0.05,
-            latency_jitter=0.2, failure_rate=failure_rate, volatility=0.0,
-            fade_probability=0.0, diurnal_amplitude=0.0,
-        )
-        conn = CloudConnection(sim, cloud, link,
-                               np.random.default_rng(seed + i))
-        conn.upload = _logged(sim, conn, log)
-        conns.append(conn)
-    return sim, clouds, conns, BlockPipeline(config, 5), log
-
-
-def _logged(sim, conn, log):
-    """Wrap one connection's upload: (start, end, cloud, path, outcome)."""
-    raw = conn.upload
-
-    def upload(path, content, ctx=None):
-        start = sim.now
-        try:
-            result = yield from raw(path, content, ctx=ctx)
-        except CloudError as exc:
-            log.append((start, sim.now, conn.cloud_id, path,
-                        type(exc).__name__))
-            raise
-        log.append((start, sim.now, conn.cloud_id, path, "ok"))
-        return result
-
-    return upload
+    sim, clouds, conns, pipeline = sched_env.make_env(
+        SPEEDS, [failure_rate] * 5, seed, config, latency_jitter=0.2,
+    )
+    return sim, clouds, conns, pipeline, log_requests(sim, conns)
 
 
 def make_files(pipeline, count, sizes, seed):
@@ -209,7 +177,8 @@ def test_kill_workers_mid_batch_stops_every_request_and_process():
     def crash():
         yield sim.timeout(kill_at)
         assert scheduler._inflight_total > 0
-        killed.extend(scheduler._workers)
+        killed.extend(slot.proc for slot in scheduler._slots
+                      if slot.proc is not None)
         scheduler.kill_workers()
 
     sim.process(crash())

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simkernel import (
     AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -313,22 +312,6 @@ def test_all_of_fails_fast_on_child_failure():
             return sim.now
 
     assert sim.run_process(parent()) == 1.0
-
-
-def test_any_of_returns_first_value():
-    sim = Simulator()
-
-    def child(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def parent():
-        cond = AnyOf(sim, [sim.process(child(5, "slow")),
-                           sim.process(child(2, "fast"))])
-        value = yield cond
-        return (sim.now, value)
-
-    assert sim.run_process(parent()) == (2.0, "fast")
 
 
 def test_run_until_stops_clock():
