@@ -92,15 +92,12 @@ class CloudConnection(CloudAPI):
         max_parallel: int = 5,
         up_nic=None,
         down_nic=None,
-        lean: bool = False,
     ):
         self.sim = sim
         self.cloud = cloud
         self.cloud_id = cloud.cloud_id
         self.profile = profile
-        self.conditions = LinkConditions(
-            profile, cloud.cloud_id, rng, stress, lean=lean
-        )
+        self.conditions = LinkConditions(profile, cloud.cloud_id, rng, stress)
         self.uplink = TransferEngine(
             sim, self.conditions.uplink, max_parallel, nic=up_nic,
             trace_track=cloud.cloud_id, trace_name="flow_up",

@@ -15,18 +15,25 @@ where ``x_e`` is a stationary AR(1) series in log space (stationary
 standard deviation ``volatility``) and ``fade_e`` is an occasional deep
 fade (heavy tail).
 
-Epochs are generated lazily in numpy chunks of :data:`CHUNK_EPOCHS`
-multipliers at a time: the chunk's normal innovations, fade coin-flips
-and fade depths are drawn as three bulk array draws, the AR(1)
-recursion runs as a doubling scan (:func:`_ar1_scan`), and the resulting
-multipliers are cached in one flat array — so ``rate_at`` /
-``next_change_after`` are O(1) array reads and a month-long campaign
-costs ~10 chunk generations per link instead of ~43,200 scalar rng
-round-trips.
+The link shares its connection's rng with the latency and failure draws,
+so each chunk of :data:`CHUNK_EPOCHS` epochs consumes, in order, a block
+of normal innovations, a block of fade coins and a block of fade depths
+(one 64-bit word per epoch each).  Drawing a chunk keeps its shocks in
+one reused buffer and skips the fade blocks with ``advance``; only the
+epochs a caller reads are evaluated, then memoised.  ``x_j`` sums
+``ar**(j-m) * s_m`` over the last K shocks, plus ``ar**(j+1)`` times the
+previous chunk's final ``x`` while ``j < K``, where ``ar**K <= 2**-53``
+(K = 165 at ``ar = 0.8``): elementwise products and ``math.fsum``, no
+BLAS, so every host rounds identically.  The fade coin and depth of
+epoch ``j`` are words ``j`` and ``n + j`` after the innovation block,
+read by a scratch PCG64 kept positioned there.  Per chunk drawn a link
+keeps only the rng state before its draws and the AR(1) carry into it;
+a read of an older chunk replays its innovations on the scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,16 +47,25 @@ __all__ = [
 
 MBPS = 1_000_000 / 8.0  # bytes per second in one megabit per second
 
-#: Epochs generated per bulk draw (issue bar: >= 4096).
+#: Epochs per chunk of rng draws; part of the draw order.
 CHUNK_EPOCHS = 4096
 
 
-class BandwidthProcess:
-    """Lazily-sampled piecewise-constant bandwidth, in bytes/second.
+@functools.lru_cache(maxsize=None)
+def _ar_window(ar: float) -> np.ndarray:
+    """``ar**(K-1), ..., ar**1, ar**0``: the weights of the last ``K``
+    shocks, where ``K`` is the smallest length with ``ar**K <= 2**-53``."""
+    size = 1 if ar == 0 else max(1, math.ceil(53 * math.log(2) / -math.log(ar)))
+    window = np.array([ar**k for k in range(size - 1, -1, -1)])
+    window.flags.writeable = False
+    return window
 
-    Epoch multipliers are produced chunk-wise; see the module docstring
-    for the draw scheme.  Within one chunk the rng is consumed as three
-    bulk draws (innovations, fade coins, fade depths).
+
+class BandwidthProcess:
+    """Lazily-evaluated piecewise-constant bandwidth, in bytes/second.
+
+    ``rng`` must be PCG64-backed (``numpy.random.default_rng``): skipping
+    the fade blocks relies on ``advance`` counting 64-bit words.
     """
 
     def __init__(
@@ -64,20 +80,26 @@ class BandwidthProcess:
         diurnal_amplitude: float = 0.0,
         diurnal_period: float = 86400.0,
         chunk_epochs: int = CHUNK_EPOCHS,
-        window_chunks: int = None,
     ):
         if mean_rate <= 0:
             raise ValueError(f"mean_rate must be positive, got {mean_rate}")
+        if not volatility >= 0:
+            raise ValueError(f"volatility must be non-negative, got {volatility}")
         if not 0 <= ar_coefficient < 1:
             raise ValueError("ar_coefficient must be in [0, 1)")
         if epoch <= 0:
             raise ValueError("epoch must be positive")
+        if not 0 <= fade_probability <= 1:
+            raise ValueError("fade_probability must be in [0, 1]")
+        if not fade_depth >= 2:
+            # A fade divides the rate by a depth drawn from [2, fade_depth).
+            raise ValueError(f"fade_depth must be at least 2, got {fade_depth}")
         if not 0 <= diurnal_amplitude < 1:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
         if chunk_epochs < 1:
             raise ValueError("chunk_epochs must be positive")
-        if window_chunks is not None and window_chunks < 1:
-            raise ValueError("window_chunks must be positive")
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("BandwidthProcess needs a PCG64-backed generator")
         self.mean_rate = mean_rate
         self.volatility = volatility
         self.ar = ar_coefficient
@@ -90,66 +112,94 @@ class BandwidthProcess:
         self._rng = rng
         self._phase = rng.uniform(0, 2 * math.pi)
         self._innovation_scale = volatility * math.sqrt(1 - ar_coefficient**2)
+        self._offset = volatility**2 / 2
         self._floor = mean_rate * 1e-3
-        # Materialized epoch multipliers.  Generated as numpy chunks but
-        # stored as a plain float list: `rate_at` is a scalar hot path
-        # (one lookup per transfer-engine decision point), and list
-        # indexing returns an unboxed float where ndarray indexing
-        # allocates an np.float64 wrapper per call.
-        self._multipliers: list = []
-        self._count = 0  # epochs generated so far
-        self._x_state = 0.0  # AR(1) carry into the next chunk
-        # Lean retention for fleet-scale runs: keep only the newest
-        # ``window_chunks`` multiplier chunks (as compact float64
-        # arrays) instead of materializing an ever-growing float list.
-        # The rng consumption and multiplier *values* are identical to
-        # unbounded mode — only the storage policy differs; querying a
-        # time whose chunk was already evicted raises (engines query
-        # monotonically, so this never happens in normal operation).
-        self._window = window_chunks
-        self._chunks: dict = {} if window_chunks is not None else None
+        self._window = _ar_window(ar_coefficient)
+        self._memo: dict = {}  # epoch index -> multiplier, every epoch read
+        self._records: list = []  # per chunk: (rng state before it, carry in)
+        self._shocks = None  # the latest chunk's shocks, one reused buffer
+        self._coin_base = None  # rng state at the latest chunk's coin block
+        self._scratch = None  # PCG64 positioned in some chunk's fade blocks
+        self._scratch_at = (-1, 0)  # (chunk, word offset) it reads next
 
-    # -- chunked epoch generation ---------------------------------------
+    # -- drawing ---------------------------------------------------------
 
-    def _draw_chunk(self):
-        """One chunk's worth of raw rng material, in a fixed order."""
+    def _fill_shocks(self, rng, out: np.ndarray, first: bool) -> np.ndarray:
+        """Draw one chunk's innovations into ``out`` and scale them."""
+        rng.standard_normal(out=out)
+        out[int(first):] *= self._innovation_scale
+        if first:  # epoch 0 starts at the stationary distribution
+            out[0] *= self.volatility
+        return out
+
+    def _draw(self) -> None:
+        """Consume the next chunk's draws from the connection's rng."""
         size = self.chunk_epochs
-        innovations = self._rng.standard_normal(size)
-        fade_coins = self._rng.random(size)
-        fade_depths = self._rng.uniform(2.0, self.fade_depth, size)
-        return innovations, fade_coins, fade_depths
+        if self._records:
+            carry = self._x(self._shocks, size - 1, self._records[-1][1])
+        else:
+            carry = 0.0
+            self._shocks = np.empty(size)
+            # Seeded like the connection's (cheap); its state is always set.
+            self._scratch = np.random.PCG64(self._rng.bit_generator.seed_seq)
+        bit_generator = self._rng.bit_generator
+        self._records.append((bit_generator.state, carry))
+        self._fill_shocks(self._rng, self._shocks, len(self._records) == 1)
+        self._coin_base = coin_base = bit_generator.state
+        bit_generator.advance(2 * size)
+        if coin_base["has_uint32"] or coin_base["uinteger"]:
+            # `advance` clears the buffered 32-bit half word, which the
+            # skipped 64-bit draws would have left in place.
+            bit_generator.state = dict(
+                bit_generator.state, has_uint32=coin_base["has_uint32"],
+                uinteger=coin_base["uinteger"])
 
-    def _chunk_multipliers(self, innovations, fade_coins, fade_depths):
-        """Vectorized AR(1) recursion + fades over one chunk's draws."""
-        shocks = self._innovation_scale * innovations
-        first = self._count == 0
-        if first:
-            # Epoch 0 starts the series at its stationary distribution.
-            shocks[0] = self.volatility * innovations[0]
-        x = _ar1_scan(self.ar, shocks, 0.0 if first else self._x_state)
-        x_last = float(x[-1])
-        x -= self.volatility**2 / 2
-        multipliers = np.exp(x, out=x)
-        faded = fade_coins < self.fade_probability
-        if faded.any():
-            multipliers[faded] /= fade_depths[faded]
-        return multipliers, x_last
+    def _x(self, shocks: np.ndarray, j: int, carry: float) -> float:
+        """The AR(1) log-state at epoch ``j`` of a chunk."""
+        window = self._window
+        size = len(window)
+        if j >= size:
+            terms = (shocks[j + 1 - size:j + 1] * window).tolist()
+        else:
+            terms = (shocks[:j + 1] * window[size - 1 - j:]).tolist()
+            terms.append(self.ar ** (j + 1) * carry)
+        return math.fsum(terms)
 
-    def _extend_to(self, index: int) -> None:
-        while self._count <= index:
-            multipliers, self._x_state = self._chunk_multipliers(
-                *self._draw_chunk()
-            )
-            if self._window is None:
-                self._multipliers.extend(multipliers.tolist())
-                self._count = len(self._multipliers)
-            else:
-                chunk_index = self._count // self.chunk_epochs
-                self._chunks[chunk_index] = multipliers
-                self._count += len(multipliers)
-                evicted = chunk_index - self._window
-                if evicted in self._chunks:
-                    del self._chunks[evicted]
+    def _uniform(self, chunk: int, offset: int) -> float:
+        """The double in [0, 1) from word ``offset`` of a chunk's fade blocks."""
+        scratch = self._scratch
+        at_chunk, at = self._scratch_at
+        if at_chunk != chunk:
+            scratch.state = self._coin_base
+            at = 0
+        if offset != at:
+            scratch.advance(offset - at)  # modulo 2**128: back is fine too
+        self._scratch_at = (chunk, offset + 1)
+        return (scratch.random_raw() >> 11) * (1.0 / 9007199254740992.0)
+
+    def _replay(self, chunk: int) -> np.ndarray:
+        """An older chunk's shocks, redrawn on the scratch generator,
+        which is left at that chunk's coin block."""
+        self._scratch.state = self._records[chunk][0]
+        self._scratch_at = (chunk, 0)
+        return self._fill_shocks(np.random.Generator(self._scratch),
+                                 np.empty(self.chunk_epochs), chunk == 0)
+
+    def _multiplier(self, index: int) -> float:
+        chunk, j = divmod(index, self.chunk_epochs)
+        while len(self._records) <= chunk:
+            self._draw()
+        if chunk == len(self._records) - 1:
+            shocks = self._shocks
+        else:
+            shocks = self._replay(chunk)
+        multiplier = math.exp(
+            self._x(shocks, j, self._records[chunk][1]) - self._offset
+        )
+        if self._uniform(chunk, j) < self.fade_probability:
+            depth = self._uniform(chunk, self.chunk_epochs + j)
+            multiplier /= 2.0 + (self.fade_depth - 2.0) * depth
+        return multiplier
 
     # -- queries ---------------------------------------------------------
 
@@ -158,18 +208,9 @@ class BandwidthProcess:
         if t < 0:
             raise ValueError(f"negative time {t}")
         index = int(t // self.epoch)
-        if index >= self._count:
-            self._extend_to(index)
-        if self._window is None:
-            multiplier = self._multipliers[index]
-        else:
-            chunk = self._chunks.get(index // self.chunk_epochs)
-            if chunk is None:
-                raise RuntimeError(
-                    f"bandwidth epoch {index} evicted from the "
-                    f"{self._window}-chunk retention window"
-                )
-            multiplier = float(chunk[index % self.chunk_epochs])
+        multiplier = self._memo.get(index)
+        if multiplier is None:
+            multiplier = self._memo[index] = self._multiplier(index)
         rate = self.mean_rate * multiplier
         if self.diurnal_amplitude:
             rate *= 1.0 + self.diurnal_amplitude * math.sin(
@@ -194,25 +235,6 @@ class BandwidthProcess:
             raise ValueError(f"factor must be positive, got {factor}")
         self.mean_rate *= factor
         self._floor *= factor
-
-
-def _ar1_scan(ar: float, shocks: np.ndarray, x0: float) -> np.ndarray:
-    """``x[i] = ar * x[i-1] + shocks[i]`` seeded by ``x0``, in place.
-
-    A Hillis–Steele doubling scan: after the pass with stride ``step``
-    each entry holds the recursion's sum over its last ``2 * step``
-    shocks, so a chunk of ``n`` epochs takes ceil(log2 n) elementwise
-    numpy passes instead of ``n`` Python iterations.  Elementwise ufuncs
-    only (no BLAS, no FFT), so every host rounds identically; the result
-    differs from the sequential recursion by a few ulps, bounded by
-    ``64 * eps * max|shocks| / (1 - ar)``.
-    """
-    shocks[0] += ar * x0
-    step, power = 1, ar
-    while step < len(shocks):
-        shocks[step:] += power * shocks[:-step]
-        step, power = 2 * step, power * power
-    return shocks
 
 
 class ConstantBandwidth:

@@ -60,44 +60,29 @@ class LinkProfile:
 class LinkConditions:
     """Live stochastic processes for one client-to-cloud path."""
 
-    #: Multiplier chunks retained per direction in lean mode — wide
-    #: enough for any look-back span a trial-length sim can
-    #: produce (4 x 4096 epochs = ~11 days at the 60 s default epoch).
-    LEAN_WINDOW_CHUNKS = 4
-
     def __init__(
         self,
         profile: LinkProfile,
         cloud_id: str,
         rng: np.random.Generator,
         stress: StressProcess = None,
-        lean: bool = False,
     ):
         self.profile = profile
         self.cloud_id = cloud_id
-        window = self.LEAN_WINDOW_CHUNKS if lean else None
-        self.uplink = BandwidthProcess(
-            rng,
-            mean_rate=profile.up_mbps * MBPS,
-            volatility=profile.volatility,
-            ar_coefficient=profile.ar_coefficient,
-            epoch=profile.epoch_seconds,
-            fade_probability=profile.fade_probability,
-            fade_depth=profile.fade_depth,
-            diurnal_amplitude=profile.diurnal_amplitude,
-            window_chunks=window,
-        )
-        self.downlink = BandwidthProcess(
-            rng,
-            mean_rate=profile.down_mbps * MBPS,
-            volatility=profile.volatility,
-            ar_coefficient=profile.ar_coefficient,
-            epoch=profile.epoch_seconds,
-            fade_probability=profile.fade_probability,
-            fade_depth=profile.fade_depth,
-            diurnal_amplitude=profile.diurnal_amplitude,
-            window_chunks=window,
-        )
+        def bandwidth(mbps: float) -> BandwidthProcess:
+            return BandwidthProcess(
+                rng,
+                mean_rate=mbps * MBPS,
+                volatility=profile.volatility,
+                ar_coefficient=profile.ar_coefficient,
+                epoch=profile.epoch_seconds,
+                fade_probability=profile.fade_probability,
+                fade_depth=profile.fade_depth,
+                diurnal_amplitude=profile.diurnal_amplitude,
+            )
+
+        self.uplink = bandwidth(profile.up_mbps)
+        self.downlink = bandwidth(profile.down_mbps)
         self.latency = LatencyModel(
             rng,
             base_seconds=profile.rtt_seconds,

@@ -251,7 +251,6 @@ def connect_location(
     bandwidth_scale: float = 1.0,
     nic_down_mbps: Optional[float] = None,
     nic_up_mbps: Optional[float] = None,
-    lean_bandwidth: bool = False,
 ) -> List[CloudConnection]:
     """One device's connections to every cloud, from one location.
 
@@ -263,10 +262,9 @@ def connect_location(
     shared across all clouds (the paper's EC2 VMs capped downloads at
     40 Mbps total, which limited UniDrive's download-side gains).
 
-    ``lean_bandwidth`` bounds per-link bandwidth history to a sliding
-    window of multiplier chunks (fleet-scale population trials, where
-    thousands of links would otherwise each materialize an unbounded
-    epoch table).  Multiplier values are identical either way.
+    Each link evaluates its bandwidth only at the epochs a transfer
+    reads and retains one chunk of shocks, so fleet-scale trials with
+    thousands of links need no separate memory mode.
     """
     down_nic = SharedNic(nic_down_mbps * MBPS) if nic_down_mbps else None
     up_nic = SharedNic(nic_up_mbps * MBPS) if nic_up_mbps else None
@@ -285,7 +283,6 @@ def connect_location(
                 np.random.default_rng((seed * 977 + i * 131) % (2**31)),
                 stress=stress, max_parallel=parallel,
                 up_nic=up_nic, down_nic=down_nic,
-                lean=lean_bandwidth,
             )
         )
     return connections

@@ -445,7 +445,6 @@ def _run_trial_shard(
     attr_seed: Optional[int] = None,
     user_base: int = 0,
     payload: str = "real",
-    lean_bandwidth: bool = False,
     reducer=None,
 ):
     """Simulate one cohort of trial users; returns the reducer state.
@@ -486,7 +485,6 @@ def _run_trial_shard(
             sim, [clouds[i] for i in enrolled], location,
             seed=seed + 17 * user_id + 1,
             stress=stress, bandwidth_scale=bandwidth_scale,
-            lean_bandwidth=lean_bandwidth,
         )
         # Consumer networks are rough: inflate base failure rates.
         for conn in connections:
@@ -578,9 +576,7 @@ def run_trial(
             n_users=n_users, days=days,
             uploads_per_user=uploads_per_user, seed=seed,
             failure_scale=failure_scale, locations=locations,
-            config=config, payload=payload,
-            lean_bandwidth=(payload == "synthetic"),
-            reducer=reducer,
+            config=config, payload=payload, reducer=reducer,
         )
         return reducer.finalize(state)
 
@@ -596,7 +592,6 @@ def run_trial(
             config=config,
             attr_seed=derive_seed(seed, "trial-cohort", index),
             user_base=base, payload=payload,
-            lean_bandwidth=(payload == "synthetic"),
         ))
     return run_cells(cells, max_workers=max_workers,
                      chunk_size=chunk_size, reducer=reducer)

@@ -26,6 +26,39 @@ def test_parameter_validation():
         ConstantBandwidth(0)
 
 
+@pytest.mark.parametrize("volatility", [-0.1, float("nan")])
+def test_negative_volatility_rejected(volatility):
+    with pytest.raises(ValueError, match="volatility"):
+        make(volatility=volatility)
+
+
+@pytest.mark.parametrize("probability", [-0.01, 1.01, float("nan")])
+def test_fade_probability_outside_unit_interval_rejected(probability):
+    with pytest.raises(ValueError, match="fade_probability"):
+        make(fade_probability=probability)
+
+
+@pytest.mark.parametrize("depth", [0.5, 1.0, 1.99, float("nan")])
+def test_fade_depth_below_two_rejected(depth):
+    # A fade divides the rate by a depth drawn from [2, fade_depth); a
+    # depth below 1 would make a "fade" raise the rate.
+    with pytest.raises(ValueError, match="fade_depth"):
+        make(fade_depth=depth)
+
+
+def test_fade_parameter_edges_accepted():
+    process = make(volatility=0.0, fade_probability=1.0, fade_depth=2.0)
+    # Every epoch fades, by exactly 2, around a flat series.
+    assert process.rate_at(30.0) == pytest.approx(5 * MBPS, rel=1e-12)
+    assert make(fade_probability=0.0).rate_at(30.0) > 0
+
+
+def test_generator_must_be_pcg64():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError):
+        BandwidthProcess(rng, mean_rate=1)
+
+
 def test_rate_is_positive():
     process = make()
     for t in np.linspace(0, 86400, 200):

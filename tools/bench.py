@@ -68,10 +68,12 @@ RESULTS_PATH = os.path.join(
     _ROOT, "benchmarks", "results", "BENCH_kernels.json"
 )
 
-#: Memory ceiling for the cohorted trial (MB).  10 000 users in 500-user
-#: cohorts peak around 230 MB; the ceiling leaves headroom for
-#: interpreter/numpy baseline drift while still catching any regression
-#: that re-materializes per-user records.
+#: Memory ceiling for the cohorted trial (MB): the smallest power of two
+#: at least twice the measured peak.  10 000 users in 500-user cohorts
+#: peak around 180 MB (a one-day trial draws one bandwidth chunk per
+#: link); the ceiling leaves headroom for interpreter/numpy baseline
+#: drift while still catching any regression that re-materializes
+#: per-user records.
 TRIAL_RSS_LIMIT_MB = 512.0
 
 
