@@ -11,7 +11,7 @@ off instead of client clocks.
 from __future__ import annotations
 
 import posixpath
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from .api import Entry
 from .errors import ConflictError, NotFoundError, QuotaExceededError
@@ -50,7 +50,8 @@ class ObjectStore:
         self.quota_bytes = quota_bytes
         self.retain_content = retain_content
         self._files: Dict[str, _Object] = {}
-        self._folders = {"/"}
+        #: folder -> the paths of its children (files and folders)
+        self._folders: Dict[str, Set[str]] = {"/": set()}
         self.used_bytes = 0
 
     # -- queries -----------------------------------------------------------
@@ -83,23 +84,18 @@ class ObjectStore:
 
     def list_folder(self, path: str) -> List[Entry]:
         path = normalize(path)
-        if path not in self._folders:
+        children = self._folders.get(path)
+        if children is None:
             raise NotFoundError(self.cloud_id, f"no such folder: {path}")
-        prefix = path if path.endswith("/") else path + "/"
-        entries: List[Entry] = []
-        for folder in sorted(self._folders):
-            if folder != path and posixpath.dirname(folder) == path:
-                entries.append(
-                    Entry(posixpath.basename(folder), folder, 0, 0.0, True)
-                )
-        for file_path in sorted(self._files):
-            if file_path.startswith(prefix) and "/" not in file_path[len(prefix):]:
-                record = self._files[file_path]
-                entries.append(
-                    Entry(posixpath.basename(file_path), file_path,
-                          record.size, record.mtime)
-                )
-        return entries
+        folders, files = [], []
+        for child in sorted(children):
+            record = self._files.get(child)
+            name = posixpath.basename(child)
+            if record is None:
+                folders.append(Entry(name, child, 0, 0.0, True))
+            else:
+                files.append(Entry(name, child, record.size, record.mtime))
+        return folders + files
 
     # -- mutations ----------------------------------------------------------
 
@@ -115,32 +111,31 @@ class ObjectStore:
                 self.cloud_id,
                 f"quota {self.quota_bytes} B exceeded by {path}",
             )
-        self._ensure_parents(path)
+        parent = posixpath.dirname(path)
+        children = self._folders.get(parent)
+        if children is None:
+            self._ensure_folder(parent)
+            children = self._folders[parent]
+        children.add(path)
         stored = bytes(content) if self.retain_content else None
         self._files[path] = _Object(stored, len(content), mtime)
         self.used_bytes += delta
 
     def make_folder(self, path: str) -> None:
-        path = normalize(path)
-        if path in self._files:
-            raise ConflictError(self.cloud_id, f"path is a file: {path}")
-        self._ensure_parents(path)
-        self._folders.add(path)
+        self._ensure_folder(normalize(path))
 
     def delete(self, path: str) -> None:
         """Delete a file, or a folder subtree.  Idempotent."""
         path = normalize(path)
-        record = self._files.pop(path, None)
-        if record is not None:
-            self.used_bytes -= record.size
+        if path in self._files:
+            self.used_bytes -= self._files.pop(path).size
+        elif path in self._folders and path != "/":
+            for child in list(self._folders[path]):
+                self.delete(child)
+            del self._folders[path]
+        else:
             return
-        if path in self._folders and path != "/":
-            prefix = path + "/"
-            for file_path in [p for p in self._files if p.startswith(prefix)]:
-                self.used_bytes -= self._files.pop(file_path).size
-            self._folders = {
-                f for f in self._folders if f != path and not f.startswith(prefix)
-            }
+        self._folders[posixpath.dirname(path)].discard(path)
 
     # -- fault seams ------------------------------------------------------
 
@@ -171,13 +166,17 @@ class ObjectStore:
     def wipe(self) -> None:
         """Destroy every object and folder (permanent provider loss)."""
         self._files = {}
-        self._folders = {"/"}
+        self._folders = {"/": set()}
         self.used_bytes = 0
 
     # -- internals ------------------------------------------------------
 
-    def _ensure_parents(self, path: str) -> None:
-        parent = posixpath.dirname(path)
-        while parent not in self._folders:
-            self._folders.add(parent)
-            parent = posixpath.dirname(parent)
+    def _ensure_folder(self, folder: str) -> None:
+        """Create ``folder`` and its missing ancestors; a file conflicts."""
+        if folder in self._files:
+            raise ConflictError(self.cloud_id, f"path is a file: {folder}")
+        if folder not in self._folders:
+            parent = posixpath.dirname(folder)
+            self._ensure_folder(parent)
+            self._folders[folder] = set()
+            self._folders[parent].add(folder)

@@ -488,7 +488,7 @@ class UniDriveClient:
                     f"{record.segment_id}: {len(record.locations)}/"
                     f"{record.n} blocks placed, floor is {floor}"
                 )
-            record.debt = missing
+            record.write(debt=missing)
             if OBS.enabled:
                 OBS.debt_recorded(
                     self.device, self.sim.now, record.segment_id,
@@ -536,9 +536,9 @@ class UniDriveClient:
                     record = self.pipeline.make_record(segment)
                     local.add_segment(record)
                 else:
-                    record = existing
-                    record.locations.clear()
-                    record.block_hashes.clear()
+                    record = local.write_segment(
+                        segment.segment_id, locations={}, block_hashes={}
+                    )
                 pending_upload.append((record, segment.data))
             snapshot = FileSnapshot(
                 path=path,
@@ -1257,6 +1257,7 @@ class UniDriveClient:
         for record in self.image.segments.values():
             if record.refcount <= 0:
                 continue
+            extras = set()
             for cloud_id in record.clouds_holding():
                 extra = record.blocks_on(cloud_id)[share:]
                 for index in extra:
@@ -1265,7 +1266,12 @@ class UniDriveClient:
                         deletions.append(
                             conn.delete(self.pipeline.block_path(record, index))
                         )
-                    del record.locations[index]
+                extras.update(extra)
+            if extras:
+                self.image.write_segment(record.segment_id, locations={
+                    i: c for i, c in record.locations.items()
+                    if i not in extras
+                })
         if deletions:
             yield from gather_safe(self.sim, deletions)
 

@@ -192,12 +192,18 @@ def merge_images(
     resolved: List[str] = []
 
     # Segment pool union first, so upserts can reference local segments.
+    # A record both sides already agree on is not written (not cloned).
     for segment_id, record in local.segments.items():
-        if segment_id in merged.segments:
-            merged.segments[segment_id].locations.update(record.locations)
-            merged.segments[segment_id].block_hashes.update(record.block_hashes)
-        else:
+        mine = merged.segments.get(segment_id)
+        if mine is None:
             merged.add_segment(record.__class__.from_dict(record.to_dict()))
+        elif not (record.locations.items() <= mine.locations.items()
+                  and record.block_hashes.items() <= mine.block_hashes.items()):
+            merged.write_segment(
+                segment_id,
+                locations={**mine.locations, **record.locations},
+                block_hashes={**mine.block_hashes, **record.block_hashes},
+            )
 
     for path, (kind, snapshot) in delta_local.items():
         cloud_change = delta_cloud.get(path)
@@ -263,15 +269,15 @@ def recompute_refcounts(image: SyncFolderImage) -> None:
     Run after a merge: incremental counting across three images is
     error-prone, whereas the file entries are the single source of truth.
     Unreferenced segments are kept (refcount 0) for the garbage collector
-    to reap along with their cloud blocks.
+    to reap along with their cloud blocks.  Only records whose count
+    changes are written.
     """
-    for record in image.segments.values():
-        record.refcount = 0
+    counts = dict.fromkeys(image.segments, 0)
     for entry in image.files.values():
-        for segment_id in entry.current.segment_ids:
-            if segment_id in image.segments:
-                image.segments[segment_id].refcount += 1
-        for conflict in entry.conflicts:
-            for segment_id in conflict.segment_ids:
-                if segment_id in image.segments:
-                    image.segments[segment_id].refcount += 1
+        for snapshot in (entry.current, *entry.conflicts):
+            for segment_id in snapshot.segment_ids:
+                if segment_id in counts:
+                    counts[segment_id] += 1
+    for segment_id, count in counts.items():
+        if image.segments[segment_id].refcount != count:
+            image.write_segment(segment_id, refcount=count)

@@ -10,6 +10,11 @@ All metadata lives in a single logical document with three parts:
   (Cloud-ID fields, filled in asynchronously as uploads complete);
 * **ChangedFileList** — local, never uploaded: the changes accumulated
   since the last successful synchronization.
+
+Images share records: one that another image can reach is *frozen*,
+``_Record.write`` (the one place a record field is set) refuses it, and
+an image clones it the first time it writes it.  A
+:class:`FileSnapshot` is a value, never written once built.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "MALFORMED",
+    "FrozenRecordError",
     "MetadataError",
     "FileSnapshot",
     "FileEntry",
@@ -35,6 +41,27 @@ class MetadataError(ValueError):
     document of the wrong shape all surface as this one error, which
     the client answers by trying the next replica.
     """
+
+
+class FrozenRecordError(RuntimeError):
+    """A write to a record another image can reach (write the image)."""
+
+
+class _Record:
+    """Write rule shared by the two record kinds an image can share."""
+
+    _frozen = False
+
+    def write(self, **fields) -> None:
+        """Set fields of a record no other image can reach."""
+        if self._frozen:
+            raise FrozenRecordError(f"{self!r} is shared between images")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def _freeze(self):
+        self._frozen = True
+        return self
 
 
 #: What decrypting and parsing untrusted bytes can raise before the
@@ -78,11 +105,14 @@ class FileSnapshot:
 
 
 @dataclass
-class FileEntry:
+class FileEntry(_Record):
     """One file in the image: its current snapshot + retained conflicts."""
 
     current: FileSnapshot
     conflicts: List[FileSnapshot] = field(default_factory=list)
+
+    def clone(self) -> "FileEntry":
+        return FileEntry(self.current, list(self.conflicts))
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +131,7 @@ class FileEntry:
 
 
 @dataclass
-class SegmentRecord:
+class SegmentRecord(_Record):
     """One unique segment in the pool, with its block placement map."""
 
     segment_id: str
@@ -124,6 +154,19 @@ class SegmentRecord:
     #: brownout, and omitted from the serialized form when empty so
     #: pre-degradation metadata bytes are unchanged.
     debt: List[int] = field(default_factory=list)
+
+    def clone(self) -> "SegmentRecord":
+        return SegmentRecord(
+            self.segment_id, self.size, self.n, self.k, dict(self.locations),
+            self.refcount, dict(self.block_hashes), list(self.debt),
+        )
+
+    def _freeze(self) -> "SegmentRecord":
+        """Canonical order (what ``from_dict(to_dict())`` gives), frozen."""
+        self.locations = dict(sorted(self.locations.items()))
+        self.block_hashes = dict(sorted(self.block_hashes.items()))
+        self.debt.sort()
+        return super()._freeze()
 
     def clouds_holding(self) -> List[str]:
         return sorted(set(self.locations.values()))
@@ -203,6 +246,29 @@ class SyncFolderImage:
         self.version = VersionStamp(0, device)
         self.files: Dict[str, FileEntry] = {}
         self.segments: Dict[str, SegmentRecord] = {}
+        # Keys of the records only this image reaches (not frozen).
+        self._own_files: set = set()
+        self._own_segments: set = set()
+
+    # -- the write path -----------------------------------------------------
+
+    def write_file(self, path: str, **fields) -> FileEntry:
+        """Set fields of ``path``'s entry, cloning it first if shared."""
+        return self._write(self.files, self._own_files, path, fields)
+
+    def write_segment(self, segment_id: str, **fields) -> SegmentRecord:
+        """Set fields of a pool record, cloning it first if shared."""
+        return self._write(self.segments, self._own_segments, segment_id,
+                           fields)
+
+    @staticmethod
+    def _write(table: dict, owned: set, key: str, fields: dict):
+        record = table[key]
+        if record._frozen:
+            record = table[key] = record.clone()
+            owned.add(key)
+        record.write(**fields)
+        return record
 
     # -- file operations ----------------------------------------------------
 
@@ -210,19 +276,21 @@ class SyncFolderImage:
         """Insert/replace a file entry, maintaining segment refcounts."""
         existing = self.files.get(snapshot.path)
         if existing is not None:
-            self._unref(existing.current.segment_ids)
+            self._ref(existing.current.segment_ids, -1)
         self.files[snapshot.path] = FileEntry(
             current=snapshot,
-            conflicts=existing.conflicts if existing else [],
+            conflicts=list(existing.conflicts) if existing else [],
         )
+        self._own_files.add(snapshot.path)
         self._ref(snapshot.segment_ids)
 
     def delete_file(self, path: str) -> None:
         entry = self.files.pop(path, None)
+        self._own_files.discard(path)
         if entry is not None:
-            self._unref(entry.current.segment_ids)
+            self._ref(entry.current.segment_ids, -1)
             for conflict in entry.conflicts:
-                self._unref(conflict.segment_ids)
+                self._ref(conflict.segment_ids, -1)
 
     def add_conflict(self, path: str, snapshot: FileSnapshot) -> None:
         """Retain a losing update for later user resolution (paper §5.2)."""
@@ -230,7 +298,7 @@ class SyncFolderImage:
         if entry is None:
             self.upsert_file(snapshot)
             return
-        entry.conflicts.append(snapshot)
+        self.write_file(path, conflicts=entry.conflicts + [snapshot])
         self._ref(snapshot.segment_ids)
 
     def resolve_conflict(self, path: str, keep_conflict_index: Optional[int] = None) -> None:
@@ -246,20 +314,20 @@ class SyncFolderImage:
         entry = self.files.get(path)
         if entry is None:
             return
-        if keep_conflict_index is not None and not (
-            0 <= keep_conflict_index < len(entry.conflicts)
-        ):
-            return  # already applied (or never valid): nothing to do
-        conflicts, entry.conflicts = entry.conflicts, []
-        if keep_conflict_index is not None:
-            winner = conflicts.pop(keep_conflict_index)
-            self._unref(entry.current.segment_ids)
-            entry.current = winner
-            self._ref(winner.segment_ids)
+        leftovers = entry.conflicts
+        if keep_conflict_index is None:
+            self.write_file(path, conflicts=[])
+        elif 0 <= keep_conflict_index < len(leftovers):
             # The promoted snapshot's pool reference carries over 1:1.
-            self._unref(winner.segment_ids)
-        for leftover in conflicts:
-            self._unref(leftover.segment_ids)
+            self._ref(entry.current.segment_ids, -1)
+            self.write_file(path, conflicts=[],
+                            current=leftovers[keep_conflict_index])
+            leftovers = (leftovers[:keep_conflict_index]
+                         + leftovers[keep_conflict_index + 1:])
+        else:
+            return  # already applied (or never valid): nothing to do
+        for leftover in leftovers:
+            self._ref(leftover.segment_ids, -1)
 
     # -- segment pool ----------------------------------------------------
 
@@ -267,18 +335,19 @@ class SyncFolderImage:
         existing = self.segments.get(record.segment_id)
         if existing is None:
             self.segments[record.segment_id] = record
-        else:
-            # Same content chunked twice: merge placements conservatively.
-            existing.locations.update(record.locations)
-            existing.block_hashes.update(record.block_hashes)
-            # Debt is the union of both sides' unplaced indices, minus
-            # anything a placement (either side's, or a scrub repay)
-            # has since landed — a placed index is never owed.
-            if existing.debt or record.debt:
-                existing.debt = sorted(
-                    (set(existing.debt) | set(record.debt))
-                    - set(existing.locations)
-                )
+            if not record._frozen:
+                self._own_segments.add(record.segment_id)
+            return
+        # Same content chunked twice: merge placements conservatively.
+        locations = {**existing.locations, **record.locations}
+        # Debt is the union of both sides' unplaced indices, minus
+        # anything a placement (either side's, or a scrub repay) has
+        # since landed — a placed index is never owed.
+        owed = (set(existing.debt) | set(record.debt)) - set(locations)
+        self.write_segment(
+            record.segment_id, locations=locations, debt=sorted(owed),
+            block_hashes={**existing.block_hashes, **record.block_hashes},
+        )
 
     def set_block_location(self, segment_id: str, index: int, cloud_id: str) -> None:
         """The asynchronous Cloud-ID callback after a block upload."""
@@ -287,9 +356,11 @@ class SyncFolderImage:
             raise KeyError(f"unknown segment {segment_id}")
         if not 0 <= index < record.n:
             raise IndexError(f"block index {index} outside [0, {record.n})")
-        record.locations[index] = cloud_id
-        if record.debt and index in record.debt:
-            record.debt.remove(index)
+        debt = list(record.debt)
+        if index in debt:
+            debt.remove(index)
+        self.write_segment(segment_id, debt=debt,
+                           locations={**record.locations, index: cloud_id})
 
     def garbage_segments(self) -> List[SegmentRecord]:
         """Segments no file references; their cloud blocks can be deleted."""
@@ -297,18 +368,14 @@ class SyncFolderImage:
 
     def drop_segment(self, segment_id: str) -> None:
         self.segments.pop(segment_id, None)
+        self._own_segments.discard(segment_id)
 
-    def _ref(self, segment_ids: List[str]) -> None:
+    def _ref(self, segment_ids: List[str], step: int = 1) -> None:
         for segment_id in segment_ids:
             record = self.segments.get(segment_id)
             if record is not None:
-                record.refcount += 1
-
-    def _unref(self, segment_ids: List[str]) -> None:
-        for segment_id in segment_ids:
-            record = self.segments.get(segment_id)
-            if record is not None:
-                record.refcount -= 1
+                self.write_segment(segment_id,
+                                   refcount=record.refcount + step)
 
     # -- serialization ------------------------------------------------------
 
@@ -325,42 +392,33 @@ class SyncFolderImage:
 
     @staticmethod
     def from_dict(data: dict) -> "SyncFolderImage":
+        """Build an image whose records are all frozen, in canonical order."""
         image = SyncFolderImage()
         image.version = VersionStamp.from_dict(data["version"])
         image.files = {
-            path: FileEntry.from_dict(entry)
+            path: FileEntry.from_dict(entry)._freeze()
             for path, entry in data["files"].items()
         }
         image.segments = {
-            sid: SegmentRecord.from_dict(seg)
+            sid: SegmentRecord.from_dict(seg)._freeze()
             for sid, seg in data["segments"].items()
         }
         return image
 
     def copy(self) -> "SyncFolderImage":
-        """A deep copy equal to ``from_dict(to_dict())``, built directly.
+        """An image equal to ``from_dict(to_dict())`` that shares records.
 
-        Same iteration order at every level: files and segments by key,
-        ``locations`` and ``block_hashes`` by index, ``debt`` sorted.
+        Two key-sorted dict copies.  Frozen records (canonical already)
+        are shared; each record this image built or cloned goes to the
+        copy as a frozen clone with ``locations`` and ``block_hashes``
+        by index and ``debt`` sorted, the order ``from_dict`` gives.
         """
-        def snap(s: FileSnapshot) -> FileSnapshot:
-            return FileSnapshot(s.path, s.timestamp, s.size,
-                                list(s.segment_ids), s.device)
-
         image = SyncFolderImage()
         image.version = VersionStamp(self.version.counter, self.version.device)
-        image.files = {
-            path: FileEntry(snap(e.current), [snap(c) for c in e.conflicts])
-            for path, e in sorted(self.files.items())
-        }
-        image.segments = {
-            sid: SegmentRecord(
-                s.segment_id, s.size, s.n, s.k,
-                dict(sorted(s.locations.items())),
-                s.refcount,
-                dict(sorted(s.block_hashes.items())),
-                sorted(s.debt),
-            )
-            for sid, s in sorted(self.segments.items())
-        }
+        image.files = dict(sorted(self.files.items()))
+        image.segments = dict(sorted(self.segments.items()))
+        for table, owned in ((image.files, self._own_files),
+                             (image.segments, self._own_segments)):
+            for key in owned:
+                table[key] = table[key].clone()._freeze()
         return image

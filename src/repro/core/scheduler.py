@@ -633,7 +633,7 @@ class _SegmentUploadState:
         self.uploaded[index] = cloud_id
         # The asynchronous Cloud-ID callback (paper §5.1): the metadata
         # record learns where the block landed as soon as it landed.
-        self.record.locations[index] = cloud_id
+        self.record.write(locations={**self.record.locations, index: cloud_id})
         if is_fair:
             self.fair_uploaded[cloud_id] = self.fair_uploaded.get(cloud_id, 0) + 1
 
@@ -662,7 +662,7 @@ class _SegmentUploadState:
                     other_queue.remove(index)
                     break
         self.uploaded[index] = cloud_id
-        self.record.locations[index] = cloud_id
+        self.record.write(locations={**self.record.locations, index: cloud_id})
         self.per_cloud[cloud_id] = self.per_cloud.get(cloud_id, 0) + 1
         if is_fair:
             self.fair_uploaded[cloud_id] = self.fair_uploaded.get(cloud_id, 0) + 1
@@ -807,8 +807,9 @@ class UploadScheduler(_SlotScheduler):
             block, digest = self.pipeline.encode_block_with_digest(
                 state.record.segment_id, state.data, index
             )
-            if index not in state.record.block_hashes:
-                state.record.block_hashes[index] = digest
+            hashes = state.record.block_hashes
+            if index not in hashes:
+                state.record.write(block_hashes={**hashes, index: digest})
             path = self.pipeline.block_path(state.record, index)
             self._inflight_total += 1
             start = self.sim.now

@@ -312,7 +312,7 @@ class Scrubber:
                 if conn is None:
                     continue
                 block = state.block(index)
-                record.block_hashes.setdefault(index, block_hash(block))
+                self._note_hash(segment_id, index, block)
                 try:
                     yield from conn.upload(
                         client.pipeline.block_path(record, index), block
@@ -327,6 +327,13 @@ class Scrubber:
                         repaired=len(damaged[segment_id]))
         out.finished_at = client.sim.now
         return out
+
+    def _note_hash(self, segment_id: str, index: int, block) -> None:
+        """Record a re-encoded block's fingerprint unless one is known."""
+        hashes = self.client.image.segments[segment_id].block_hashes
+        if index not in hashes:
+            self.client.image.write_segment(
+                segment_id, block_hashes={**hashes, index: block_hash(block)})
 
     # -- redundancy debt (brownout commits) --------------------------------
 
@@ -419,7 +426,7 @@ class Scrubber:
                 if degrade is not None:
                     degrade.note_dispatch(target, client.sim.now)
                 block = state.block(index)
-                record.block_hashes.setdefault(index, block_hash(block))
+                self._note_hash(segment_id, index, block)
                 try:
                     yield from conn.upload(
                         client.pipeline.block_path(record, index), block
@@ -431,6 +438,7 @@ class Scrubber:
                 if degrade is not None:
                     degrade.on_success(target, client.sim.now)
                 client.image.set_block_location(segment_id, index, target)
+                record = client.image.segments[segment_id]  # maybe a clone
                 out.repaired.append((segment_id, index, target))
                 repaid_any = True
                 if OBS.enabled:
@@ -538,9 +546,7 @@ class Scrubber:
                 state = client.pipeline.encode_state(segment_id, content)
                 for index, target in moves:
                     block = state.block(index)
-                    record.block_hashes.setdefault(
-                        index, block_hash(block)
-                    )
+                    self._note_hash(segment_id, index, block)
                     conn = client._connection(target)
                     yield from conn.upload(
                         client.pipeline.block_path(record, index), block
@@ -548,7 +554,7 @@ class Scrubber:
                     moved_total += 1
                     if OBS.enabled:
                         OBS.inc("blocks_repaired", cloud=target)
-            record.locations = new_locations
+            client.image.write_segment(segment_id, locations=new_locations)
         if wipe:
             departing = client._connection(cloud_id)
             if departing is not None:
@@ -611,9 +617,7 @@ class Scrubber:
                 state = client.pipeline.encode_state(segment_id, content)
                 for index in sorted(adopted):
                     block = state.block(index)
-                    record.block_hashes.setdefault(
-                        index, block_hash(block)
-                    )
+                    self._note_hash(segment_id, index, block)
                     yield from connection.upload(
                         client.pipeline.block_path(record, index), block
                     )
@@ -627,7 +631,7 @@ class Scrubber:
                         yield from donor_conn.delete(
                             client.pipeline.block_path(record, index)
                         )
-            record.locations = new_locations
+            client.image.write_segment(segment_id, locations=new_locations)
         client.connections = all_connections
         client.lock = QuorumLock(
             client.sim, client.connections, client.device,

@@ -32,37 +32,39 @@ def _normalize(path: str) -> str:
 
 
 class VirtualFileSystem:
-    """A flat map of normalized paths to (content, mtime)."""
+    """Normalized paths to content, and to a stat built at write time."""
 
     def __init__(self):
-        self._files: Dict[str, tuple] = {}
+        self._content: Dict[str, bytes] = {}
+        self._stats: Dict[str, FileStat] = {}
 
     def write_file(self, path: str, content: bytes, mtime: float) -> None:
         path = _normalize(path)
-        digest = hashlib.sha1(content).hexdigest()
-        self._files[path] = (bytes(content), mtime, digest)
+        self._content[path] = bytes(content)
+        self._stats[path] = FileStat(path, len(content), mtime,
+                                     hashlib.sha1(content).hexdigest())
 
     def read_file(self, path: str) -> bytes:
         path = _normalize(path)
-        if path not in self._files:
+        if path not in self._content:
             raise FileNotFoundError(path)
-        return self._files[path][0]
+        return self._content[path]
 
     def delete_file(self, path: str) -> None:
-        self._files.pop(_normalize(path), None)
+        path = _normalize(path)
+        self._content.pop(path, None)
+        self._stats.pop(path, None)
 
     def exists(self, path: str) -> bool:
-        return _normalize(path) in self._files
+        return _normalize(path) in self._content
 
     def scan(self) -> Dict[str, FileStat]:
-        """Snapshot every file; the watcher diffs successive snapshots."""
-        out = {}
-        for path, (content, mtime, digest) in self._files.items():
-            out[path] = FileStat(path, len(content), mtime, digest)
-        return out
+        """Snapshot every file: a copy of the stat map built at write
+        time, so an unchanged file keeps its stat object across scans."""
+        return dict(self._stats)
 
     def paths(self) -> List[str]:
-        return sorted(self._files)
+        return sorted(self._content)
 
 
 class LocalDirFileSystem:

@@ -35,14 +35,15 @@ class Change:
 def diff_snapshots(
     old: Dict[str, FileStat], new: Dict[str, FileStat]
 ) -> List[Change]:
-    """Compare two scans; content digests decide 'edited'."""
+    """Compare two scans; the same stat object, or else digests, decide
+    'edited'."""
     changes: List[Change] = []
     for path in sorted(new):
         stat = new[path]
         previous = old.get(path)
         if previous is None:
             changes.append(Change(ChangeKind.ADD, path, stat.mtime))
-        elif previous.digest != stat.digest:
+        elif previous is not stat and previous.digest != stat.digest:
             changes.append(Change(ChangeKind.EDIT, path, stat.mtime))
     for path in sorted(old):
         if path not in new:

@@ -1,6 +1,10 @@
 """Tests for the server-side object store."""
 
+import posixpath
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import (
     ConflictError,
@@ -58,6 +62,22 @@ def test_make_folder_and_conflicts():
         store.make_folder("/file")
     with pytest.raises(ConflictError):
         store.put("/docs", b"x", mtime=0.0)
+
+
+def test_a_file_is_never_also_a_folder():
+    store = make()
+    store.put("/a", b"x", mtime=0.0)
+    for path in ("/a/b", "/a/b/c"):
+        with pytest.raises(ConflictError):
+            store.put(path, b"y", mtime=1.0)
+        with pytest.raises(ConflictError):
+            store.make_folder(path)
+    assert not store.is_folder("/a")
+    assert [(e.name, e.is_folder) for e in store.list_folder("/")] == [
+        ("a", False)
+    ]
+    assert store.get("/a") == b"x"
+    assert store.used_bytes == 1
 
 
 def test_list_folder_contents():
@@ -132,3 +152,48 @@ def test_stat():
     assert store.stat("/dir").is_folder
     with pytest.raises(NotFoundError):
         store.stat("/none")
+
+
+def listing_by_scan(store, path):
+    """Every entry directly under ``path``, found by scanning the store."""
+    folders = [
+        f for f in sorted(store._folders)
+        if f != path and posixpath.dirname(f) == path
+    ]
+    files = [f for f in sorted(store._files) if posixpath.dirname(f) == path]
+    return [(f, True, 0) for f in folders] + [
+        (f, False, store._files[f].size) for f in files
+    ]
+
+
+_paths = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts)
+)
+_ops = st.one_of(
+    st.tuples(st.just("put"), _paths, st.integers(0, 4)),
+    st.tuples(st.just("make_folder"), _paths, st.just(0)),
+    st.tuples(st.just("delete"), _paths | st.just("/"), st.just(0)),
+    st.tuples(st.just("wipe"), st.just("/"), st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ops, max_size=25))
+def test_child_index_lists_what_a_scan_finds(ops):
+    store = make()
+    for name, path, size in ops:
+        try:
+            if name == "put":
+                store.put(path, b"x" * size, mtime=float(size))
+            elif name == "wipe":
+                store.wipe()
+            else:
+                getattr(store, name)(path)
+        except ConflictError:
+            pass
+        assert store.used_bytes == sum(o.size for o in store._files.values())
+        for folder in store._folders:
+            assert folder not in store._files
+            listed = [(e.path, e.is_folder, e.size)
+                      for e in store.list_folder(folder)]
+            assert listed == listing_by_scan(store, folder)

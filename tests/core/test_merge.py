@@ -119,6 +119,19 @@ def test_merge_unions_segment_locations():
     assert result.image.segments["s2"].locations == {0: "dropbox", 1: "gdrive"}
 
 
+def test_merge_writes_a_shared_record_only_for_local_news():
+    base = image_with({"/f": ["s1", "s2"]})
+    base.segments["s1"].locations = {0: "dropbox"}
+    base.segments["s2"].locations = {0: "dropbox"}
+    cloud, local = base.copy(), base.copy()
+    local.set_block_location("s1", 3, "onedrive")
+    before = cloud.to_dict()
+    merged = merge_images(base, local, cloud).image
+    assert merged.segments["s1"].locations == {0: "dropbox", 3: "onedrive"}
+    assert merged.segments["s2"] is cloud.segments["s2"]
+    assert cloud.to_dict() == before
+
+
 def test_merge_does_not_mutate_inputs():
     base = image_with({"/f": ["s0"]})
     local = image_with({"/f": ["sL"]}, device="L")
