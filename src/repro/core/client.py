@@ -36,7 +36,6 @@ from .deltasync import (
     op_delete_file,
     op_resolve_conflict,
     op_set_version,
-    op_txn_round,
     op_upsert_file,
     should_merge,
 )
@@ -134,19 +133,14 @@ class UniDriveClient:
         self.estimator = estimator or ThroughputEstimator()
         #: Unified failure policy for every metadata-plane request.
         self.retry = RetryPolicy.from_config(self.config)
-        #: Degradation control plane (circuit breakers shared across
-        #: every batch and metadata operation of this device); None —
-        #: and the whole data path byte-identical to pre-degradation
-        #: behaviour — unless config.degrade_enabled.
-        self.degrade = (
-            DegradeController(self.config)
-            if self.config.degrade_enabled else None
-        )
+        #: Degradation control plane: circuit breakers shared across
+        #: every batch and metadata operation of this device, round
+        #: deadline budgets, hedged reads and brownout writes.
+        self.degrade = DegradeController(self.config)
         #: The in-flight round's DeadlineBudget (None when unbounded
         #: or outside a round).
         self._budget = None
-        #: Lifetime hedged-read tallies across download batches (only
-        #: advanced when the degradation plane is on).
+        #: Lifetime hedged-read tallies across download batches.
         self.hedges_fired = 0
         self.hedged_bytes = 0
         self.pipeline = BlockPipeline(self.config, len(self.connections))
@@ -223,9 +217,7 @@ class UniDriveClient:
     def sync(self):
         """One synchronization round (Algorithm 1); returns a SyncReport."""
         report = SyncReport(device=self.device, started_at=self.sim.now)
-        if self.degrade is not None:
-            self._budget = self.degrade.round_budget(self.sim)
-            self.lock.budget = self._budget
+        self._budget = self.lock.budget = self.degrade.round_budget(self.sim)
         span = None
         if OBS.enabled:
             # The round is the root of this device's causal tree: every
@@ -398,8 +390,7 @@ class UniDriveClient:
                 raise SyncError(
                     f"{self.device}: blocks unavailable for {unavailable}"
                 )
-            if self.degrade is not None:
-                self._record_debt(plan["new_records"])
+            self._record_debt(plan["new_records"])
         self.journal.mark_lock(True)
         try:
             yield from self.lock.acquire()
@@ -439,7 +430,7 @@ class UniDriveClient:
                 ops = [op_add_segment(r) for r in plan["new_records"]]
                 ops += [op_upsert_file(snap) for snap in plan["upserts"]]
                 ops += [op_delete_file(p) for p in plan["deletes"]]
-                ops = self._seal_round(ops, local.version.counter)
+                ops.append(op_set_version(local.version.counter, self.device))
                 yield from self._publish_delta(local, ops)
                 self.image = local
             self._known_remote = VersionStamp(
@@ -627,9 +618,7 @@ class UniDriveClient:
             if self._budget is not None and self._budget.expired:
                 last_error = "round deadline budget exhausted"
                 break
-            if self.degrade is not None and not self.degrade.admits(
-                conn.cloud_id, self.sim.now
-            ):
+            if not self.degrade.admits(conn.cloud_id, self.sim.now):
                 continue  # breaker open: don't burn a retry budget here
             try:
                 base_blob = yield from self.retry.run(
@@ -732,23 +721,6 @@ class UniDriveClient:
                 blob, decode(blob, self.config.metadata_key)
             )
         return held[1].copy()
-
-    def _seal_round(self, ops: List[dict], counter: int) -> List[dict]:
-        """Stamp a round's ops with its version for publication.
-
-        Default mode appends a separate ``set_version`` record.
-        Transactional mode wraps the whole round into one
-        :func:`op_txn_round` record instead — a reader's replica either
-        carries the entire round or none of it, so a crash or lost lock
-        mid-publish can never expose a half-applied round.  The round id
-        is journaled first: a resumed incarnation can check the cloud
-        log for it to learn whether the commit made it out.
-        """
-        if not self.config.transactional_rounds:
-            return ops + [op_set_version(counter, self.device)]
-        round_id = f"{self.device}:{counter}"
-        self.journal.note_round(round_id)
-        return [op_txn_round(round_id, counter, self.device, ops)]
 
     def _publish_base(self, image: SyncFolderImage):
         """Replicate a fresh base everywhere; reset the delta.
@@ -867,26 +839,24 @@ class UniDriveClient:
         times back-to-back only multiplied the stall; the quorum
         tolerates the miss and a later round heals the replica.
 
-        With the degradation control plane on, clouds whose breaker is
-        open are skipped entirely (their retry budget is not burned);
-        if fewer than a quorum of clouds admit traffic the write fails
-        fast instead of timing out against known-bad replicas.
+        Clouds whose breaker is open are skipped entirely (their retry
+        budget is not burned); if fewer than a quorum of clouds admit
+        traffic the write fails fast instead of timing out against
+        known-bad replicas.
         """
-        conns = self.connections
-        if self.degrade is not None:
-            now = self.sim.now
-            conns = [
-                c for c in self.connections
-                if self.degrade.admits(c.cloud_id, now)
-            ]
-            if len(conns) < self.quorum:
-                raise SyncError(
-                    f"{self.device}: only {len(conns)}/"
-                    f"{len(self.connections)} clouds admit metadata "
-                    f"writes (need quorum {self.quorum})"
-                )
-            for conn in conns:
-                self.degrade.note_dispatch(conn.cloud_id, now)
+        now = self.sim.now
+        conns = [
+            c for c in self.connections
+            if self.degrade.admits(c.cloud_id, now)
+        ]
+        if len(conns) < self.quorum:
+            raise SyncError(
+                f"{self.device}: only {len(conns)}/"
+                f"{len(self.connections)} clouds admit metadata "
+                f"writes (need quorum {self.quorum})"
+            )
+        for conn in conns:
+            self.degrade.note_dispatch(conn.cloud_id, now)
 
         def upload_all(conn):
             for path, blob in payloads:
@@ -901,16 +871,15 @@ class UniDriveClient:
         outcomes = yield from gather_safe(
             self.sim, [upload_all(conn) for conn in conns]
         )
-        if self.degrade is not None:
-            for conn, (ok, _res) in zip(conns, outcomes):
-                if ok:
-                    self.degrade.on_success(conn.cloud_id, self.sim.now)
-                else:
-                    # The unified policy already exhausted its attempt
-                    # budget on this cloud — conclusive evidence.
-                    self.degrade.on_failure(
-                        conn.cloud_id, self.sim.now, fatal=True
-                    )
+        for conn, (ok, _res) in zip(conns, outcomes):
+            if ok:
+                self.degrade.on_success(conn.cloud_id, self.sim.now)
+            else:
+                # The unified policy already exhausted its attempt
+                # budget on this cloud — conclusive evidence.
+                self.degrade.on_failure(
+                    conn.cloud_id, self.sim.now, fatal=True
+                )
         successes = sum(1 for ok, _ in outcomes if ok)
         if successes < self.quorum:
             raise SyncError(
@@ -984,9 +953,8 @@ class UniDriveClient:
             degrade=self.degrade, budget=self._budget,
         )
         batch = yield from scheduler.run_batch(wants)
-        if self.degrade is not None:
-            self.hedges_fired += scheduler.hedges_fired
-            self.hedged_bytes += scheduler.hedged_bytes
+        self.hedges_fired += scheduler.hedges_fired
+        self.hedged_bytes += scheduler.hedged_bytes
         if span is not None:
             OBS.end(
                 span, t=self.sim.now,
@@ -1169,10 +1137,10 @@ class UniDriveClient:
             image.version = VersionStamp(
                 image.version.counter + 1, self.device
             )
-            ops = self._seal_round(
-                [op_resolve_conflict(path, keep_index)],
-                image.version.counter,
-            )
+            ops = [
+                op_resolve_conflict(path, keep_index),
+                op_set_version(image.version.counter, self.device),
+            ]
             yield from self._publish_delta(image, ops)
             self.image = image
         finally:
@@ -1208,42 +1176,44 @@ class UniDriveClient:
         for — every acknowledged block is either in the image or
         gone)."""
         orphans = self.journal.orphan_blocks(self.image)
-        deletions = []
-        swept = 0
-        for segment_id, placed in sorted(orphans.items()):
-            for index, cloud_id in sorted(placed.items()):
-                conn = self._connection(cloud_id)
-                if conn is None:
-                    continue
-                path = posixpath.join(
-                    self.config.blocks_dir, f"{segment_id}.{index}"
-                )
-                deletions.append(conn.delete(path))
-                swept += 1
-        if deletions:
-            yield from gather_safe(self.sim, deletions)
+        swept = yield from self._delete_blocks(
+            (cloud_id, self.pipeline.block_path(segment_id, index))
+            for segment_id, placed in sorted(orphans.items())
+            for index, cloud_id in sorted(placed.items())
+        )
         if swept and OBS.enabled:
             OBS.journal_sweep(self.device, self.sim.now, swept)
         self.journal.commit()
 
+    def _delete_blocks(self, blocks):
+        """Delete block files concurrently: one request per ``(cloud_id,
+        path)`` in order, skipping clouds this device no longer
+        connects to.  Returns how many requests went out.  Every block
+        delete — GC, over-provisioning reclaim, journal sweep, scrub
+        orphans — goes through here."""
+        requests = []
+        for cloud_id, path in blocks:
+            conn = self._connection(cloud_id)
+            if conn is not None:
+                requests.append(conn.delete(path))
+        if requests:
+            yield from gather_safe(self.sim, requests)
+        return len(requests)
+
     # -- garbage collection --------------------------------------------------
 
     def _collect_garbage(self) -> None:
-        """Delete cloud blocks of unreferenced segments (best effort)."""
-        garbage = self.image.garbage_segments()
-        if not garbage:
-            return
-        deletions = []
-        for record in garbage:
-            for index, cloud_id in record.locations.items():
-                conn = self._connection(cloud_id)
-                if conn is not None:
-                    deletions.append(
-                        conn.delete(self.pipeline.block_path(record, index))
-                    )
+        """Delete cloud blocks of unreferenced segments (best effort, in
+        the background)."""
+        blocks = []
+        for record in self.image.garbage_segments():
+            blocks.extend(
+                (cloud_id, self.pipeline.block_path(record.segment_id, index))
+                for index, cloud_id in record.locations.items()
+            )
             self.image.drop_segment(record.segment_id)
-        if deletions:
-            self.sim.process(gather_safe(self.sim, deletions))
+        if blocks:
+            self.sim.process(self._delete_blocks(blocks))
 
     def gc_over_provisioned(self):
         """Reclaim over-provisioned blocks (paper §6.2).
@@ -1253,27 +1223,25 @@ class UniDriveClient:
         once a file is known to be synced to all devices.
         """
         share = fair_share(self.config.k_blocks, self.config.k_reliability)
-        deletions = []
+        blocks = []
         for record in self.image.segments.values():
             if record.refcount <= 0:
                 continue
             extras = set()
             for cloud_id in record.clouds_holding():
                 extra = record.blocks_on(cloud_id)[share:]
-                for index in extra:
-                    conn = self._connection(cloud_id)
-                    if conn is not None:
-                        deletions.append(
-                            conn.delete(self.pipeline.block_path(record, index))
-                        )
+                blocks.extend(
+                    (cloud_id,
+                     self.pipeline.block_path(record.segment_id, index))
+                    for index in extra
+                )
                 extras.update(extra)
             if extras:
                 self.image.write_segment(record.segment_id, locations={
                     i: c for i, c in record.locations.items()
                     if i not in extras
                 })
-        if deletions:
-            yield from gather_safe(self.sim, deletions)
+        yield from self._delete_blocks(blocks)
 
     # -- cloud membership -----------------------------------------------------
 
@@ -1360,7 +1328,7 @@ class UniDriveClient:
                 continue
             try:
                 block = yield from conn.download(
-                    self.pipeline.block_path(record, index)
+                    self.pipeline.block_path(record.segment_id, index)
                 )
             except CloudError:
                 continue

@@ -63,16 +63,6 @@ class UniDriveConfig:
     #: then device-name tiebreak), or "per-path" (client-supplied
     #: resolver callback — see core.merge.MergePolicy).
     conflict_policy: str = "retain-both"
-    #: All-or-nothing sync rounds: publish each round's delta ops under
-    #: a single transactional commit marker so a crash or lost lock
-    #: mid-round leaves either the whole round visible or none of it.
-    transactional_rounds: bool = False
-    #: Master switch for the degradation control plane (circuit
-    #: breakers, deadline budgets, hedged fetches, brownout writes).
-    #: Off by default: the disabled data path is byte-identical to the
-    #: pre-degradation behaviour (the deterministic goldens depend on
-    #: this).
-    degrade_enabled: bool = False
     #: Consecutive transient failures that open a cloud's breaker
     #: (fatal classifications open it immediately).
     breaker_failure_threshold: int = 3
@@ -93,7 +83,7 @@ class UniDriveConfig:
     #: multiple of its estimator-predicted duration.
     hedge_latency_factor: float = 3.0
     #: Cap on hedge traffic as a fraction of the batch's expected
-    #: fetch bytes (0 disables hedging even with degrade_enabled).
+    #: fetch bytes (0 disables hedging).
     hedge_bytes_fraction: float = 0.1
     #: Brownout floor: commits during a brownout must place at least
     #: ``k + brownout_floor`` blocks of every segment; the indices left

@@ -1,8 +1,9 @@
 """Degradation control plane: breakers, deadlines, hedging, debt.
 
-The PR-9 :class:`~repro.obs.health.HealthScoreboard` *observes* cloud
-degradation; this module *acts* on it.  Four mechanisms close the
-health-to-action loop, all inert unless ``config.degrade_enabled``:
+The :class:`~repro.obs.health.HealthScoreboard` *observes* cloud
+degradation; this module *acts* on it.  Every
+:class:`~repro.core.client.UniDriveClient` runs one controller; four
+mechanisms close the health-to-action loop:
 
 * **Per-cloud circuit breakers** — a closed/open/half-open state
   machine driven purely by the failure evidence the data path already
@@ -20,9 +21,10 @@ health-to-action loop, all inert unless ``config.degrade_enabled``:
 * **Hedged fetches** — the download scheduler consults
   :meth:`DegradeController.hedge_threshold` to race a duplicate block
   request (a *different* erasure-coded index of the same segment, since
-  any k of n reconstruct) to the next-healthiest cloud once an
-  in-flight fetch exceeds a multiple of its estimator-predicted
-  duration, cancelling the loser and capping hedge bytes.
+  any k of n reconstruct) to an idle connection once an in-flight
+  fetch exceeds a multiple of the duration the estimator predicted
+  when it was dispatched, cancelling the loser and capping hedge
+  bytes.
 
 * **Brownout writes** — when fewer than n blocks can be placed, the
   commit proceeds with the reachable subset (never below
@@ -54,6 +56,8 @@ __all__ = [
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+_NONE: frozenset = frozenset()
 
 
 class CircuitBreaker:
@@ -224,6 +228,9 @@ class DegradeController:
         self.config = config
         self.health_gate = health_gate
         self._breakers: Dict[str, CircuitBreaker] = {}
+        # Clouds whose breaker is open or half-open: every move to or
+        # from closed runs through on_success / on_failure.
+        self._unsettled: set = set()
 
     # -- breaker plumbing --------------------------------------------------
 
@@ -242,14 +249,13 @@ class DegradeController:
 
     def admits(self, cloud_id: str, t: float) -> bool:
         """Whether regular dispatch (or a probe slot) is available."""
-        breaker = self.breaker(cloud_id)
-        if not breaker.admits(t):
+        gated = self.health_gate and OBS.enabled
+        if cloud_id not in self._unsettled:
+            if not gated:
+                return True  # a closed breaker, and no pin to consult
+        elif not self._breakers[cloud_id].admits(t):
             return False
-        if (
-            self.health_gate
-            and OBS.enabled
-            and OBS.health_pinned(cloud_id)
-        ):
+        if gated and OBS.health_pinned(cloud_id):
             # The scoreboard is inside an authoritative outage window
             # for this cloud — don't burn a fresh failure budget
             # rediscovering it.  Only the *pin* denies here: once the
@@ -259,21 +265,35 @@ class DegradeController:
             return False
         return True
 
+    def refusing(self, cloud_ids, sim) -> frozenset:
+        """The clouds among ``cloud_ids`` that :meth:`admits` turns away
+        now, on ``sim``'s clock: empty, without asking each one, while
+        every breaker is closed and no health pin can apply."""
+        if not self._unsettled and not (self.health_gate and OBS.enabled):
+            return _NONE
+        t = sim.now
+        return frozenset(c for c in cloud_ids if not self.admits(c, t))
+
     def note_dispatch(self, cloud_id: str, t: float) -> None:
-        self.breaker(cloud_id).note_dispatch(t)
+        if cloud_id in self._unsettled:  # only a half-open one counts
+            self._breakers[cloud_id].note_dispatch(t)
 
     def on_success(self, cloud_id: str, t: float) -> None:
-        self.breaker(cloud_id).record_success(t)
+        breaker = self.breaker(cloud_id)
+        if breaker.failures or breaker.state != CLOSED:
+            breaker.record_success(t)
+            if breaker.state == CLOSED:
+                self._unsettled.discard(cloud_id)
 
     def on_failure(self, cloud_id: str, t: float,
                    fatal: bool = False) -> None:
-        self.breaker(cloud_id).record_failure(t, fatal=fatal)
+        breaker = self.breaker(cloud_id)
+        breaker.record_failure(t, fatal=fatal)
+        if breaker.state != CLOSED:
+            self._unsettled.add(cloud_id)
 
     def state(self, cloud_id: str) -> str:
         return self.breaker(cloud_id).state
-
-    def all_closed(self) -> bool:
-        return all(b.state == CLOSED for b in self._breakers.values())
 
     # -- deadline budgets --------------------------------------------------
 

@@ -31,14 +31,10 @@ __all__ = [
     "DeltaLog",
     "op_upsert_file",
     "op_delete_file",
-    "op_add_conflict",
     "op_add_segment",
-    "op_set_location",
-    "op_drop_segment",
     "op_resolve_conflict",
     "op_set_version",
     "op_base_version",
-    "op_txn_round",
     "should_merge",
 ]
 
@@ -51,25 +47,8 @@ def op_delete_file(path: str) -> dict:
     return {"op": "delete_file", "path": path}
 
 
-def op_add_conflict(path: str, snapshot: FileSnapshot) -> dict:
-    return {"op": "add_conflict", "path": path, "snapshot": snapshot.to_dict()}
-
-
 def op_add_segment(record: SegmentRecord) -> dict:
     return {"op": "add_segment", "segment": record.to_dict()}
-
-
-def op_set_location(segment_id: str, index: int, cloud_id: str) -> dict:
-    return {
-        "op": "set_location",
-        "segment_id": segment_id,
-        "index": index,
-        "cloud_id": cloud_id,
-    }
-
-
-def op_drop_segment(segment_id: str) -> dict:
-    return {"op": "drop_segment", "segment_id": segment_id}
 
 
 def op_set_version(counter: int, device: str) -> dict:
@@ -94,26 +73,15 @@ def op_resolve_conflict(path: str, keep_conflict_index=None) -> dict:
     }
 
 
-def op_txn_round(round_id: str, counter: int, device: str,
-                 ops: List[dict]) -> dict:
-    """One sync round's operations as a single all-or-nothing record.
-
-    Under ``UniDriveConfig.transactional_rounds`` the committer wraps
-    the whole round — segment registrations, upserts, deletes — into
-    one record carrying the round's version stamp, instead of appending
-    the ops individually.  The record is the commit marker: a reader
-    either replays the entire round (ops then version bump) or, if the
-    record never reached its replica, none of it.  ``round_id``
-    (``device:counter``) makes replay idempotent when a crash-resumed
-    publish lands the same round in a log twice.
-    """
-    return {
-        "op": "txn_round",
-        "round_id": round_id,
-        "counter": counter,
-        "device": device,
-        "ops": list(ops),
-    }
+#: Every record kind a delta log may carry.  A commit appends its
+#: segment registrations, upserts and deletes, then one ``set_version``
+#: — all in the one sealed blob each replica receives, so a replica
+#: holds a whole round or none of it.  Merges publish a full base
+#: instead of conflict or placement records.
+_KINDS = frozenset({
+    "upsert_file", "delete_file", "add_segment", "resolve_conflict",
+    "set_version", "base_version",
+})
 
 
 class DeltaLog:
@@ -145,48 +113,23 @@ class DeltaLog:
         leaves ``image`` half-updated: replay onto a copy when the log
         came from a cloud.
         """
-        seen_rounds: set = set()
         try:
             for op in self.ops:
-                self._apply_op(image, op, seen_rounds)
+                self._apply_op(image, op)
         except MetadataError:
             raise
         except MALFORMED as exc:
             raise MetadataError(f"malformed delta record: {exc!r}") from exc
 
-    def _apply_op(self, image: SyncFolderImage, op: dict,
-                  seen_rounds: set) -> None:
+    @staticmethod
+    def _apply_op(image: SyncFolderImage, op: dict) -> None:
         kind = op["op"]
-        if kind == "txn_round":
-            # All-or-nothing round: replay its ops then its version
-            # stamp.  A round already replayed in this pass (duplicated
-            # by a crash-resumed publish) is skipped wholesale.
-            round_id = op["round_id"]
-            if round_id in seen_rounds:
-                return
-            seen_rounds.add(round_id)
-            for inner in op["ops"]:
-                if inner["op"] == "txn_round":
-                    raise ValueError("txn_round records do not nest")
-                self._apply_op(image, inner, seen_rounds)
-            image.version.counter = op["counter"]
-            image.version.device = op["device"]
-        elif kind == "upsert_file":
+        if kind == "upsert_file":
             image.upsert_file(FileSnapshot.from_dict(op["snapshot"]))
         elif kind == "delete_file":
             image.delete_file(op["path"])
-        elif kind == "add_conflict":
-            image.add_conflict(
-                op["path"], FileSnapshot.from_dict(op["snapshot"])
-            )
         elif kind == "add_segment":
             image.add_segment(SegmentRecord.from_dict(op["segment"]))
-        elif kind == "set_location":
-            image.set_block_location(
-                op["segment_id"], op["index"], op["cloud_id"]
-            )
-        elif kind == "drop_segment":
-            image.drop_segment(op["segment_id"])
         elif kind == "set_version":
             image.version.counter = op["counter"]
             image.version.device = op["device"]
@@ -205,13 +148,12 @@ class DeltaLog:
         """Counter of the last version-bearing op (0 for none).
 
         Under the quorum lock every commit appends exactly one
-        version-bearing record — ``set_version``, or a ``txn_round``
-        carrying its stamp inline — so this is the version a reader
-        ends at after replaying the log: the freshness criterion
+        ``set_version`` record, so this is the version a reader ends at
+        after replaying the log: the freshness criterion
         :meth:`UniDriveClient._publish_delta` selects deltas by.
         """
         for op in reversed(self.ops):
-            if op["op"] in ("set_version", "txn_round"):
+            if op["op"] == "set_version":
                 return int(op["counter"])
         return 0
 
@@ -253,7 +195,8 @@ class DeltaLog:
     def from_bytes(blob: bytes, key: bytes) -> "DeltaLog":
         """Decrypt and parse a delta fetched from a cloud.
 
-        Raises :class:`MetadataError` for anything but a well-formed log.
+        Raises :class:`MetadataError` for anything but a well-formed log
+        of known record kinds.
         """
         try:
             lines = decrypt_cbc(key, blob)
@@ -262,8 +205,8 @@ class DeltaLog:
                 for line in lines.decode().splitlines() if line
             ]
             for op in ops:
-                if not isinstance(op["op"], str):
-                    raise TypeError(f"operation name {op['op']!r}")
+                if op["op"] not in _KINDS:
+                    raise ValueError(f"unknown delta operation {op['op']!r}")
             log = DeltaLog(ops)
             # The two counters a client reads before replaying must parse.
             log.base_marker()

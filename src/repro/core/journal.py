@@ -53,11 +53,6 @@ class SyncJournal:
         #: True while this device's quorum-lock files may exist on
         #: clouds (set before acquire, cleared after release).
         self.lock_pending = False
-        #: Transactional round id ("device:counter") of the in-flight
-        #: commit, "" outside transactional mode.  A resumed incarnation
-        #: can grep the cloud delta log for this id to learn whether its
-        #: round's single commit record made it out before the crash.
-        self.round_id = ""
 
     # -- round lifecycle ----------------------------------------------------
 
@@ -85,17 +80,12 @@ class SyncJournal:
     def mark_lock(self, pending: bool) -> None:
         self.lock_pending = pending
 
-    def note_round(self, round_id: str) -> None:
-        """Record the transactional commit id before publishing it."""
-        self.round_id = round_id
-
     def commit(self) -> None:
         """The round's metadata committed (and orphans were swept)."""
         self.active = False
         self.blocks = {}
         self.segments = {}
         self.lock_pending = False
-        self.round_id = ""
 
     # -- resume queries -----------------------------------------------------
 
@@ -133,7 +123,6 @@ class SyncJournal:
                 "active": self.active,
                 "base_version": self.base_version,
                 "lock_pending": self.lock_pending,
-                "round_id": self.round_id,
                 "blocks": {
                     sid: {str(i): c for i, c in sorted(placed.items())}
                     for sid, placed in sorted(self.blocks.items())
@@ -153,7 +142,6 @@ class SyncJournal:
         journal.active = bool(data.get("active", False))
         journal.base_version = int(data.get("base_version", 0))
         journal.lock_pending = bool(data.get("lock_pending", False))
-        journal.round_id = str(data.get("round_id", ""))
         journal.blocks = {
             sid: {int(i): c for i, c in placed.items()}
             for sid, placed in data.get("blocks", {}).items()

@@ -176,10 +176,6 @@ class SegmentRecord(_Record):
             idx for idx, cloud in self.locations.items() if cloud == cloud_id
         )
 
-    def block_name(self, index: int) -> str:
-        """Cloud-side file name: segment ID + block sequence number."""
-        return f"{self.segment_id}.{index}"
-
     def to_dict(self) -> dict:
         out = {
             "segment_id": self.segment_id,

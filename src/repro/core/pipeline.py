@@ -280,11 +280,10 @@ class BlockPipeline:
                                             state.shard_bytes)
         return state.block(index), state.digests[index]
 
-    def block_path(self, record: SegmentRecord, index: int) -> str:
-        """Cloud-side path of one block file."""
-        return posixpath.join(
-            self.config.blocks_dir, record.block_name(index)
-        )
+    def block_path(self, segment_id: str, index: int) -> str:
+        """Cloud-side path of one block file: the segment ID and the
+        block's index, under the blocks folder."""
+        return posixpath.join(self.config.blocks_dir, f"{segment_id}.{index}")
 
     def block_size(self, record: SegmentRecord) -> int:
         """Exact byte length every block of a segment must have.

@@ -20,7 +20,7 @@ Upload policy, per batch of files:
 Download policy: any k blocks per segment suffice; idle connections pull
 block indices their cloud holds, never requesting more than k per
 segment, and a slower cloud defers to faster clouds that can still
-supply a segment.  With the degradation plane on, an otherwise idle
+supply a segment.  Under a degradation controller, an otherwise idle
 connection hedges a fetch that outran its predicted duration.
 
 Both directions run on one connection-slot core (:class:`_SlotScheduler`,
@@ -38,10 +38,11 @@ and no deferring to faster clouds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
@@ -177,16 +178,15 @@ class DownloadBatchReport:
 
 
 class _Slot:
-    """One connection slot: its connection, the worker process that
-    last held it, and when its hedge wake is due (downloads)."""
+    """One connection slot: its connection and the worker process that
+    last held it."""
 
-    __slots__ = ("conn", "cloud_id", "proc", "wake_at")
+    __slots__ = ("conn", "cloud_id", "proc")
 
     def __init__(self, conn: CloudAPI):
         self.conn = conn
         self.cloud_id = conn.cloud_id
         self.proc = None
-        self.wake_at: Optional[float] = None
 
 
 class _SlotScheduler:
@@ -234,8 +234,9 @@ class _SlotScheduler:
         # and inert unless the respective hub is enabled.
         self.trace_ctx = trace_ctx
         self.tenant = tenant
-        # Degradation control plane (None = disabled, the default): the
-        # breaker gate in _admits and the per-round deadline budget.
+        # Degradation control plane (a client always passes its own;
+        # None for the paper's bare transfer engine): the breaker gate
+        # in _admits and the per-round deadline budget.
         self._degrade = degrade
         self._budget = budget
         self._slots: List[_Slot] = []
@@ -810,7 +811,7 @@ class UploadScheduler(_SlotScheduler):
             hashes = state.record.block_hashes
             if index not in hashes:
                 state.record.write(block_hashes={**hashes, index: digest})
-            path = self.pipeline.block_path(state.record, index)
+            path = self.pipeline.block_path(state.record.segment_id, index)
             self._inflight_total += 1
             start = self.sim.now
             span = block_ctx = None
@@ -1068,11 +1069,10 @@ class _SegmentDownloadState:
         self.blocks: Dict[int, bytes] = {}
         self.inflight: Dict[int, str] = {}
         self.exhausted: set = set()  # (index, cloud) pairs that failed
-        # Fetch bookkeeping for hedging: dispatch time and slot (whose
-        # worker a hedge win kills) of each in-flight fetch, and the
-        # set of slow in-flight indices already hedged (one hedge per
-        # slow fetch).
-        self.inflight_since: Dict[int, float] = {}
+        # The slot of each in-flight fetch (a completed segment kills
+        # the workers of its still-racing fetches), and the in-flight
+        # indices an idle slot hedged: they race on, but no longer
+        # count toward the k the segment needs.
         self.inflight_slot: Dict[int, _Slot] = {}
         self.hedged: set = set()
         # Dispatch bookkeeping (see DownloadScheduler._next_ready):
@@ -1092,8 +1092,16 @@ class _SegmentDownloadState:
 
     @property
     def saturated(self) -> bool:
-        """True when no further request should be issued."""
-        return len(self.blocks) + len(self.inflight) >= self.k
+        """True when no further request should be issued: k blocks are
+        fetched or in flight, not counting hedged fetches."""
+        return (len(self.blocks) + len(self.inflight) - len(self.hedged)
+                >= self.k)
+
+    def settle(self, index: int) -> None:
+        """The fetch of ``index`` resolved: it neither flies nor races."""
+        self.inflight.pop(index, None)
+        self.inflight_slot.pop(index, None)
+        self.hedged.discard(index)
 
     def candidate_for(self, cloud_id: str) -> Tuple[Optional[int], bool]:
         """The first block index this cloud holds that is neither
@@ -1142,6 +1150,7 @@ class DownloadScheduler(_SlotScheduler):
                          dynamic, retry_policy, rng, trace_ctx, tenant,
                          degrade, budget)
         self._hedge_budget: Optional[float] = None
+        self._hedge_seq = count()
         #: Hedge accounting for benchmarks and acceptance tests.
         self.hedges_fired = 0
         self.hedged_bytes = 0
@@ -1163,14 +1172,20 @@ class DownloadScheduler(_SlotScheduler):
         self.fetch_latencies = []
         # Dispatch structures (see _next_ready): each cloud's heap of
         # ready scan positions — positions are appended in increasing
-        # order, so each starts out a valid heap — the positions each
-        # cloud parked on a defer verdict together with the
-        # faster-cloud set that verdict was computed under, and the
-        # segments with a fetch in flight (the hedge candidates).
+        # order, so each starts out a valid heap — and the positions
+        # each cloud parked on a defer verdict together with the
+        # faster-cloud set that verdict was computed under.
         self._ready: Dict[str, List[int]] = {cid: [] for cid in self.cloud_ids}
         self._deferred: Dict[str, set] = {cid: set() for cid in self.cloud_ids}
         self._faster: Dict[str, Tuple[str, ...]] = {}
-        self._flying: Dict[int, _SegmentDownloadState] = {}
+        self._refused: frozenset = frozenset()
+        # The hedge index (see _next_hedge): in-flight fetches by the
+        # instant each becomes hedge-eligible, the eligible ones in
+        # scan order, and the batch's pending hedge timer as
+        # ``(instant it is for, kernel due time, callback)``.
+        self._hedge_due: List[tuple] = []
+        self._hedge_eligible: List[tuple] = []
+        self._hedge_timer: Optional[tuple] = None
         self._begin(files)
         holders = dict.fromkeys(self.cloud_ids)
         for state in self._ordered:
@@ -1186,7 +1201,10 @@ class DownloadScheduler(_SlotScheduler):
             self._hedge_budget = (
                 self.config.hedge_bytes_fraction * expected
             )
-        yield from self._run_slots(self._ranked_connections())
+        try:
+            yield from self._run_slots(self._ranked_connections())
+        finally:
+            self._disarm_hedge_timer()
         for file in self._files:
             report = self._reports[file.path]
             states = self._file_segments[file.path]
@@ -1232,26 +1250,13 @@ class DownloadScheduler(_SlotScheduler):
 
     def _next(self, slot: _Slot):
         """An idle slot's pick, ``(state, index, hedge)``: a regular
-        request, else (degradation plane on) a hedge."""
-        slot.wake_at = None
+        request, else (hedging armed) a hedge."""
         pick = self._next_task(slot.cloud_id)
         if pick is not None:
             return pick[0], pick[1], False
-        if self._hedge_budget is None:
-            return None
-        task, eta = self._next_hedge(slot.cloud_id)
-        if eta is not None and eta > self.sim.now:
-            # An in-flight fetch becomes hedge-eligible at a known
-            # instant: wake this slot then, unless a pulse comes first.
-            slot.wake_at = eta
-            self.sim.call_later(eta - self.sim.now,
-                                lambda: self._hedge_wake(slot, eta))
-        return task
-
-    def _hedge_wake(self, slot: _Slot, eta: float) -> None:
-        if slot.wake_at == eta and slot in self._parked:
-            self._parked.remove(slot)
-            self._dispatch([slot])
+        if self._hedge_eligible:
+            return self._next_hedge(slot.cloud_id)
+        return None
 
     def _worker(self, slot: _Slot, task):
         cloud_id = slot.cloud_id
@@ -1260,35 +1265,105 @@ class DownloadScheduler(_SlotScheduler):
             # Entry bookkeeping before the first yield, so that no other
             # slot can pick the index while this fetch is in flight.
             state.inflight[index] = cloud_id
-            state.inflight_since[index] = self.sim.now
             state.inflight_slot[index] = slot
             self._inflight_total += 1
             self._touch(state)
             if self._degrade is not None:
                 self._degrade.note_dispatch(cloud_id, self.sim.now)
+            if self._hedge_budget is not None:
+                self._watch(state, index, cloud_id)
             yield from self._fetch_block(slot, state, index, hedge)
             task = self._claim(slot)
 
-    def _next_hedge(self, cloud_id: str):
-        """Find a hedge-worthy block for an otherwise idle connection.
+    # -- hedging -------------------------------------------------------------
+    #
+    # A fetch becomes hedge-eligible ``hedge_latency_factor`` times its
+    # estimator-predicted duration after dispatch; the prediction is
+    # made once, at dispatch.  Fetches wait in a heap keyed by that
+    # instant, and the batch's one hedge timer moves them to the
+    # eligible list when it passes, so an idle ask looks at that list
+    # only, not at every fetch in flight.  While the heap holds a fetch
+    # still in flight, the timer is pending for the earliest one:
+    # indexing an earlier one re-arms it, and every tick re-arms it.  A
+    # tick that promotes a fetch gives the parked slots a dispatch step.
+    # The batch withdraws the timer when it ends, so none outlives it.
+    # A fetch that resolved is dropped lazily, where the heap or the
+    # list next meets it.
 
-        A segment is hedge-worthy when one of its in-flight fetches (on
-        another cloud) has outrun its estimator-predicted duration by
-        ``hedge_latency_factor`` and this cloud holds a spare index of
-        the same segment (any k of n reconstruct, so fetching a
-        *different* index races the slow fetch).  Returns
-        ``(task, eta)``: ``task`` is ``(state, index, True)`` to dispatch
-        now or None; ``eta`` is the earliest sim time any current fetch
-        becomes hedge-eligible, letting the slot wake on a timer
-        instead of only on the progress pulse.
+    def _watch(self, state: _SegmentDownloadState, index: int,
+               cloud_id: str) -> None:
+        """Index a fetch just dispatched by its hedge-eligible instant
+        (never, while ``cloud_id`` has no finite download estimate)."""
+        threshold = self._degrade.hedge_threshold(
+            self.estimator.estimate(cloud_id, DOWNLOAD),
+            self.pipeline.block_size(state.record),
+        )
+        if threshold is not None:
+            now = self.sim.now
+            at = now + threshold
+            heappush(self._hedge_due, (at, next(self._hedge_seq),
+                                       state, index, cloud_id, now))
+            if self._hedge_timer is None or at < self._hedge_timer[0]:
+                self._arm_hedge_timer()
+
+    def _arm_hedge_timer(self) -> None:
+        """Point the batch's hedge timer at the instant the next fetch
+        still in flight becomes eligible."""
+        due = self._hedge_due
+        while due and due[0][2].inflight.get(due[0][3]) != due[0][4]:
+            heappop(due)  # resolved before it was due
+        if not due or (self._hedge_timer is not None
+                       and self._hedge_timer[0] <= due[0][0]):
+            return
+        self._disarm_hedge_timer()
+        at, tick = due[0][0], self._hedge_tick
+        when = self.sim.call_later(max(0.0, at - self.sim.now), tick)
+        self._hedge_timer = (at, when, tick)
+
+    def _disarm_hedge_timer(self) -> None:
+        if self._hedge_timer is not None:
+            _at, when, tick = self._hedge_timer
+            self.sim.cancel(when, tick)
+            self._hedge_timer = None
+
+    def _hedge_tick(self) -> None:
+        """The hedge timer: move the fetches now due to the eligible
+        list, in scan order (segment position, dispatch), give the
+        parked slots a dispatch step if one moved, and re-arm."""
+        horizon = max(self._hedge_timer[0], self.sim.now)
+        self._hedge_timer = None
+        due, promoted = self._hedge_due, False
+        while due and due[0][0] <= horizon:
+            _at, seq, state, index, holder, since = heappop(due)
+            if state.inflight.get(index) == holder:
+                insort(self._hedge_eligible,
+                       (state.position, seq, state, index, holder, since))
+                promoted = True
+        if promoted:
+            self._pulse()
+        self._arm_hedge_timer()
+
+    def _next_hedge(self, cloud_id: str):
+        """A hedge for an otherwise idle connection, or None.
+
+        Takes the first eligible fetch, in scan order, that runs on
+        another cloud, of a segment this cloud holds a spare index of
+        (any k of n reconstruct, so fetching a *different* index races
+        the slow fetch), within the batch's hedge byte budget.  Returns
+        ``(state, index, True)``.
         """
+        eligible = self._hedge_eligible
         now = self.sim.now
         if self._is_dead(cloud_id) or not self._degrade.admits(cloud_id, now):
-            return None, None
-        eta = None
-        for position in sorted(self._flying):
-            state = self._flying[position]
-            if state.complete:
+            return None
+        position = 0
+        while position < len(eligible):
+            _pos, _seq, state, slow_index, holder, since = eligible[position]
+            if state.inflight.get(slow_index) != holder:
+                del eligible[position]  # resolved since it became due
+                continue
+            position += 1
+            if holder == cloud_id:
                 continue
             index, _exhausted = state.candidate_for(cloud_id)
             if index is None:
@@ -1296,40 +1371,25 @@ class DownloadScheduler(_SlotScheduler):
             nbytes = self.pipeline.block_size(state.record)
             if self.hedged_bytes + nbytes > self._hedge_budget:
                 continue
-            for slow_index, holder in state.inflight.items():
-                if holder == cloud_id or slow_index in state.hedged:
-                    continue
-                since = state.inflight_since.get(slow_index)
-                if since is None:
-                    continue
-                threshold = self._degrade.hedge_threshold(
-                    self.estimator.estimate(holder, DOWNLOAD), nbytes
-                )
-                if threshold is None:
-                    continue
-                ready_at = since + threshold
-                if now >= ready_at:
-                    state.hedged.add(slow_index)
-                    self.hedged_bytes += nbytes
-                    self.hedges_fired += 1
-                    # The outrun fetch is itself a probe: the holder
-                    # has moved at most ``nbytes`` in ``now - since``
-                    # seconds, so fold that throughput ceiling into
-                    # the estimator.  _defer_to_faster then steers new
-                    # picks away from the slow cloud instead of
-                    # burning the hedge budget rediscovering it one
-                    # block at a time — without it, every cancelled
-                    # loser frees a slot that immediately picks
-                    # another doomed-slow block on a stale estimate.
-                    self.estimator.record(
-                        holder, DOWNLOAD, nbytes, now - since, now=now
-                    )
-                    if OBS.enabled:
-                        OBS.inc("hedged_fetch", cloud=cloud_id)
-                    return (state, index, True), None
-                if eta is None or ready_at < eta:
-                    eta = ready_at
-        return None, eta
+            del eligible[position - 1]  # one hedge per slow fetch
+            state.hedged.add(slow_index)
+            self.hedged_bytes += nbytes
+            self.hedges_fired += 1
+            # The outrun fetch is itself a probe: the holder has moved
+            # at most ``nbytes`` in ``now - since`` seconds, so fold
+            # that throughput ceiling into the estimator.
+            # _defer_to_faster then steers new picks away from the slow
+            # cloud instead of burning the hedge budget rediscovering
+            # it one block at a time — without it, every cancelled
+            # loser frees a slot that immediately picks another
+            # doomed-slow block on a stale estimate.
+            self.estimator.record(
+                holder, DOWNLOAD, nbytes, now - since, now=now
+            )
+            if OBS.enabled:
+                OBS.inc("hedged_fetch", cloud=cloud_id)
+            return state, index, True
+        return None
 
     def _cancel_losers(self, state: _SegmentDownloadState) -> None:
         """A segment just completed: kill the workers of its
@@ -1349,7 +1409,7 @@ class DownloadScheduler(_SlotScheduler):
         no yields, so :meth:`Process.kill` runs it to completion.
         """
         conn, cloud_id = slot.conn, slot.cloud_id
-        path = self.pipeline.block_path(state.record, index)
+        path = self.pipeline.block_path(state.record.segment_id, index)
         start = self.sim.now
         span = block_ctx = None
         if OBS.enabled:
@@ -1367,9 +1427,7 @@ class DownloadScheduler(_SlotScheduler):
             except CloudError as exc:
                 settled = True
                 self._inflight_total -= 1
-                state.inflight.pop(index, None)
-                state.inflight_since.pop(index, None)
-                state.inflight_slot.pop(index, None)
+                state.settle(index)
                 state.exhausted.add((index, cloud_id))
                 self._touch(state)
                 action, dead = self._failed(cloud_id, DOWNLOAD, exc, span)
@@ -1379,8 +1437,7 @@ class DownloadScheduler(_SlotScheduler):
                 return
             settled = True
             self._inflight_total -= 1
-            state.inflight_since.pop(index, None)
-            state.inflight_slot.pop(index, None)
+            state.settle(index)
             expected = state.record.block_hashes.get(index)
             if (
                 expected is not None
@@ -1393,7 +1450,6 @@ class DownloadScheduler(_SlotScheduler):
                 # exhausted (a permanent erasure for this batch) so the
                 # dispatcher re-fetches a different replica.
                 self._failed_requests += 1
-                state.inflight.pop(index, None)
                 state.exhausted.add((index, cloud_id))
                 self._touch(state)
                 self._note_failure(cloud_id)
@@ -1407,7 +1463,6 @@ class DownloadScheduler(_SlotScheduler):
                 self._pulse()
                 return
             self._succeeded(conn, DOWNLOAD, len(block), start, span)
-            state.inflight.pop(index, None)
             state.blocks[index] = block
             self._touch(state)
             self.fetch_latencies.append(self.sim.now - start)
@@ -1425,9 +1480,7 @@ class DownloadScheduler(_SlotScheduler):
                 # the winner's pulse.
                 self._inflight_total -= 1
                 if state.inflight.get(index) == cloud_id:
-                    state.inflight.pop(index, None)
-                state.inflight_since.pop(index, None)
-                state.inflight_slot.pop(index, None)
+                    state.settle(index)
                 self._touch(state)
                 self._parked.append(slot)
                 if span is not None:
@@ -1439,8 +1492,16 @@ class DownloadScheduler(_SlotScheduler):
     def _next_task(self, cloud_id: str, peek: bool = False):
         """Pick the next ``(state, block index)`` for an idle connection,
         or None when this cloud has nothing requestable right now.  A
-        download pick commits nothing, so ``peek`` changes nothing."""
-        if not self._admits(cloud_id):
+        download pick commits nothing, so ``peek`` changes nothing.
+
+        The clouds the controller refuses are taken once per ask: the
+        asking cloud must not be one, and no defer verdict counts one
+        as a faster supplier."""
+        if self._degrade is not None:
+            self._refused = self._degrade.refusing(self.cloud_ids, self.sim)
+            if cloud_id in self._refused:
+                return None
+        if self._aborted or self._is_dead(cloud_id):
             return None
         return self._next_ready(cloud_id)
 
@@ -1456,11 +1517,12 @@ class DownloadScheduler(_SlotScheduler):
         head.  A parked segment is never evaluated again until an input
         of its verdict changes: its own ``blocks``/``inflight``/
         ``exhausted`` (every mutation site calls :meth:`_touch`), or —
-        for a defer verdict — the set of live clouds strictly faster
+        for a defer verdict — the set of admitted clouds strictly faster
         than this one, re-derived on entry (while any segment is parked
         on one) so that estimator updates from anywhere (this batch, a
-        hedge's outrun probe, another batch sharing the estimator) and
-        ``_dead`` flips in either direction are all seen.  The ready
+        hedge's outrun probe, another batch sharing the estimator),
+        ``_dead`` flips and breaker moves in either direction are all
+        seen.  The ready
         segments are therefore a superset of the requestable ones, and
         the smallest requestable position is what a scan of every
         segment in order would return; host work per block is
@@ -1500,13 +1562,13 @@ class DownloadScheduler(_SlotScheduler):
         return None
 
     def _faster_clouds(self, cloud_id: str) -> Tuple[str, ...]:
-        """The live clouds whose download estimate strictly beats
+        """The admitted clouds whose download estimate strictly beats
         ``cloud_id``'s — with a segment's own state, the only input of
         :meth:`_defer_to_faster` (ties, e.g. two unprobed clouds at
         ``+inf``, are not faster)."""
         threshold = self.config.cloud_failure_threshold
         estimate = self.estimator.estimate
-        dead = self._dead
+        dead = self._unserved() if self._refused else self._dead
         mine = estimate(cloud_id, DOWNLOAD)
         return tuple(
             holder for holder in self._holders
@@ -1515,15 +1577,16 @@ class DownloadScheduler(_SlotScheduler):
             and estimate(holder, DOWNLOAD) > mine
         )
 
+    def _unserved(self) -> Dict[str, int]:
+        """``_dead`` as the defer verdicts read it while the controller
+        refuses some clouds: those count as dead."""
+        threshold = self.config.cloud_failure_threshold
+        return {**self._dead, **dict.fromkeys(self._refused, threshold)}
+
     def _touch(self, state: _SegmentDownloadState) -> None:
         """``state``'s blocks/inflight/exhausted just changed: re-queue
-        it for every cloud that parked it, and keep the in-flight index
-        :meth:`_next_hedge` walks in step."""
+        it for every cloud that parked it."""
         position = state.position
-        if state.inflight:
-            self._flying[position] = state
-        else:
-            self._flying.pop(position, None)
         for cloud_id in state.parked:
             heappush(self._ready[cloud_id], position)
             self._deferred[cloud_id].discard(position)
@@ -1534,12 +1597,16 @@ class DownloadScheduler(_SlotScheduler):
         """The paper's sorted assignment: the next block goes to the
         idle connection of the *fastest* cloud.  A slower cloud backs
         off whenever strictly-faster clouds can still supply all the
-        blocks this segment is missing.  The static baseline never
-        defers."""
+        blocks this segment is missing; a cloud that is dead or whose
+        breaker refuses dispatch supplies nothing.  The static baseline
+        never defers."""
         if not self.dynamic:
             return False
-        needed = state.k - len(state.blocks) - len(state.inflight)
+        needed = (state.k - len(state.blocks) - len(state.inflight)
+                  + len(state.hedged))
         mine = self.estimator.estimate(cloud_id, DOWNLOAD)
+        dead = self._unserved() if self._refused else self._dead
+        threshold = self.config.cloud_failure_threshold
         faster_supply = 0
         for index, holder in state.record.locations.items():
             if holder == cloud_id:
@@ -1548,7 +1615,7 @@ class DownloadScheduler(_SlotScheduler):
                 continue
             if (index, holder) in state.exhausted:
                 continue
-            if self._dead.get(holder, 0) >= self.config.cloud_failure_threshold:
+            if dead.get(holder, 0) >= threshold:
                 continue
             if self.estimator.estimate(holder, DOWNLOAD) > mine:
                 faster_supply += 1

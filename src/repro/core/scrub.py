@@ -169,7 +169,9 @@ class Scrubber:
             deep_pending: List[Tuple[int, str]] = []
             for index in sorted(record.locations):
                 cloud_id = record.locations[index]
-                name = record.block_name(index)
+                name = posixpath.basename(
+                    client.pipeline.block_path(segment_id, index)
+                )
                 referenced.setdefault(cloud_id, set()).add(name)
                 held = listings.get(cloud_id)
                 if held is None:
@@ -227,7 +229,7 @@ class Scrubber:
                 continue
             try:
                 block = yield from conn.download(
-                    client.pipeline.block_path(record, index)
+                    client.pipeline.block_path(segment_id, index)
                 )
             except CloudError:
                 report.missing.append((segment_id, index, cloud_id))
@@ -268,19 +270,14 @@ class Scrubber:
         """
         client = self.client
         out = RepairReport(started_at=client.sim.now)
-        deletions = []
-        for cloud_id, paths in sorted(report.orphaned.items()):
-            conn = client._connection(cloud_id)
-            if conn is None:
-                continue
-            for path in paths:
-                deletions.append(conn.delete(path))
-                out.orphans_deleted += 1
-        if deletions:
-            yield from gather_safe(client.sim, deletions)
-            if OBS.enabled:
-                OBS.inc("orphans_swept", out.orphans_deleted,
-                        device=client.device)
+        out.orphans_deleted = yield from client._delete_blocks(
+            (cloud_id, path)
+            for cloud_id, paths in sorted(report.orphaned.items())
+            for path in paths
+        )
+        if out.orphans_deleted and OBS.enabled:
+            OBS.inc("orphans_swept", out.orphans_deleted,
+                    device=client.device)
         damaged: Dict[str, List[Tuple[int, str]]] = {}
         for segment_id, index, cloud_id in report.missing + report.corrupt:
             damaged.setdefault(segment_id, []).append((index, cloud_id))
@@ -315,7 +312,7 @@ class Scrubber:
                 self._note_hash(segment_id, index, block)
                 try:
                     yield from conn.upload(
-                        client.pipeline.block_path(record, index), block
+                        client.pipeline.block_path(segment_id, index), block
                     )
                 except CloudError:
                     continue  # still damaged; a later scrub retries
@@ -429,7 +426,7 @@ class Scrubber:
                 self._note_hash(segment_id, index, block)
                 try:
                     yield from conn.upload(
-                        client.pipeline.block_path(record, index), block
+                        client.pipeline.block_path(segment_id, index), block
                     )
                 except CloudError:
                     if degrade is not None:
@@ -549,7 +546,7 @@ class Scrubber:
                     self._note_hash(segment_id, index, block)
                     conn = client._connection(target)
                     yield from conn.upload(
-                        client.pipeline.block_path(record, index), block
+                        client.pipeline.block_path(segment_id, index), block
                     )
                     moved_total += 1
                     if OBS.enabled:
@@ -619,7 +616,7 @@ class Scrubber:
                     block = state.block(index)
                     self._note_hash(segment_id, index, block)
                     yield from connection.upload(
-                        client.pipeline.block_path(record, index), block
+                        client.pipeline.block_path(segment_id, index), block
                     )
                     adopted_total += 1
                     donor = old_locations.get(index)
@@ -629,7 +626,7 @@ class Scrubber:
                     )
                     if donor_conn is not None:
                         yield from donor_conn.delete(
-                            client.pipeline.block_path(record, index)
+                            client.pipeline.block_path(segment_id, index)
                         )
             client.image.write_segment(segment_id, locations=new_locations)
         client.connections = all_connections

@@ -435,6 +435,19 @@ class Simulator:
         heapq.heappush(self._queue, (when, next(self._counter), None, func))
         return when
 
+    def cancel(self, when: float, func: Callable[[], None]) -> None:
+        """Withdraw the pending :meth:`call_later` of ``func`` due at
+        ``when`` (its return value): it neither runs nor moves the
+        clock.  A linear scan of the queue — for rare withdrawals."""
+        queue = self._queue
+        for position, entry in enumerate(queue):
+            if entry[3] is func and entry[0] == when:
+                last = queue.pop()
+                if position < len(queue):
+                    queue[position] = last
+                    heapq.heapify(queue)
+                return
+
     def _schedule_call(self, func: Callable[[], None]) -> None:
         self.call_later(0.0, func)
 

@@ -6,8 +6,8 @@ to ~16) editing *overlapping* path sets against a single UniDrive
 folder, racing the quorum lock for every commit, optionally under
 cloud outages, mobile-churn crash/resume profiles (power loss mid-round
 via :meth:`Process.kill`; the next incarnation restores the PR 5 sync
-journal from its wire form), any of the three conflict policies, and
-the all-or-nothing transactional round mode.
+journal from its wire form), slow clouds, and any of the three
+conflict policies.
 
 :func:`run_shared` executes the scenario deterministically (everything
 derives from ``seed``) and returns a :class:`SharedResult` carrying the
@@ -90,8 +90,6 @@ class SharedScenario:
     paths: Tuple[str, ...] = ("/doc", "/notes", "/todo")
     #: Conflict policy: retain-both | last-writer-wins | per-path.
     policy: str = "retain-both"
-    #: All-or-nothing transactional sync rounds.
-    transactional: bool = False
     #: Crash schedule: (device index, round index, delay into the sync)
     #: entries — the device loses power that far into that round's sync
     #: and resumes from its journal next round.
@@ -104,11 +102,7 @@ class SharedScenario:
     #: incarnations' connections (crash-resumed incarnations rebuild
     #: their links and start the window clean).
     slow: Tuple[Tuple[int, float, float, float], ...] = ()
-    #: Enable the degradation control plane (circuit breakers, hedged
-    #: reads, brownout writes with redundancy debt) on every device.
-    degrade: bool = False
-    #: Per-sync-round deadline budget in sim seconds (0 = unbounded);
-    #: only honoured when ``degrade`` is on.
+    #: Per-sync-round deadline budget in sim seconds (0 = unbounded).
     round_deadline: float = 0.0
     #: Extra blocks above k a brownout commit must still place.
     brownout_floor: int = 0
@@ -131,8 +125,6 @@ class SharedScenario:
             lock_stale_seconds=self.lock_stale_seconds,
             lock_acquire_timeout=900.0,
             conflict_policy=self.policy,
-            transactional_rounds=self.transactional,
-            degrade_enabled=self.degrade,
             round_deadline_seconds=self.round_deadline,
             brownout_floor=self.brownout_floor,
         )
@@ -517,8 +509,6 @@ def _run_shared(scenario: SharedScenario) -> SharedResult:
             OBS.observe("divergence_window", span)
     breaker_transitions: Dict[str, int] = {}
     for device in live:
-        if device.client.degrade is None:
-            continue
         for cloud_id, breaker in device.client.degrade._breakers.items():
             breaker_transitions[cloud_id] = max(
                 breaker_transitions.get(cloud_id, 0),

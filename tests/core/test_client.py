@@ -287,7 +287,7 @@ def test_add_cloud_takes_fair_share():
     for record in client.image.segments.values():
         assert record.blocks_on("cloud5")  # adopted blocks exist
         for index in record.blocks_on("cloud5"):
-            path = client.pipeline.block_path(record, index)
+            path = client.pipeline.block_path(record.segment_id, index)
             assert new_cloud.store.exists(path)
 
 

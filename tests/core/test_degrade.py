@@ -199,13 +199,13 @@ def test_deadline_budget_clamps_and_expires():
 
 
 def test_controller_round_budget_disabled_at_zero():
-    config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
+    config = UniDriveConfig(theta=64 * 1024)
     controller = DegradeController(config)
     assert controller.round_budget(Simulator()) is None
 
 
 def test_hedge_threshold_requires_an_estimate():
-    config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
+    config = UniDriveConfig(theta=64 * 1024)
     controller = DegradeController(config)
     assert controller.hedge_threshold(float("inf"), 1024) is None
     assert controller.hedge_threshold(0.0, 1024) is None
@@ -232,7 +232,7 @@ def _debt_env(seed, n_files):
             0, 256, size=96 * 1024, dtype=np.uint8
         ).tobytes()
         fs.write_file(f"/f{i}", content, mtime=0.0)
-    config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
+    config = UniDriveConfig(theta=64 * 1024)
     client = UniDriveClient(
         sim, "device0", fs, conns, config=config,
         rng=np.random.default_rng(seed + 99),

@@ -113,7 +113,7 @@ def test_hedged_batch_settles_every_race():
     25x, and idle slots hedge its outrun fetches.  Hedge bytes stay in
     budget, the losing fetches are cancelled, nothing is left in flight
     when the batch returns, and every file completes."""
-    config = UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True)
+    config = UniDriveConfig(theta=CONFIG.theta)
     sim, _clouds, conns, pipeline = make_env([20.0] * 5, seed=29)
     requests = upload_files(sim, conns, pipeline, 8, seed=3)
     estimator = ThroughputEstimator()

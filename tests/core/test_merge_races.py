@@ -9,18 +9,16 @@ Covers the three PR-8 bug classes plus the policy layer they motivated:
   ``keep_conflict_index`` corrupted the entry when the same op arrived
   twice through the delta log);
 * ``MergePolicy`` semantics (retain-both / last-writer-wins / per-path);
-* all-or-nothing ``txn_round`` delta records.
+* the version marker a delta log ends at.
 """
 
 import pytest
 
 from repro.core.deltasync import (
     DeltaLog,
-    op_add_conflict,
+    op_base_version,
     op_resolve_conflict,
     op_set_version,
-    op_txn_round,
-    op_upsert_file,
 )
 from repro.core.merge import (
     LAST_WRITER_WINS,
@@ -270,45 +268,18 @@ def test_resolve_conflict_double_apply_through_delta_log():
     assert image.segments["s0"].refcount == 0
 
 
-# -- transactional rounds --------------------------------------------------
-
-
-def test_txn_round_applies_ops_and_version():
-    log = DeltaLog()
-    log.append(op_txn_round("dev:3", 3, "dev", [
-        op_upsert_file(snap("/f", [])),
-    ]))
-    image = SyncFolderImage()
-    log.apply_to(image)
-    assert "/f" in image.files
-    assert image.version.counter == 3
-    assert image.version.device == "dev"
-    assert log.latest_version() == 3
-
-
-def test_txn_round_duplicate_round_replays_once():
-    """A crash-resumed publish can land the same round in a log twice;
-    replay must apply it exactly once."""
-    record = op_txn_round("dev:1", 1, "dev", [
-        op_add_conflict("/f", snap("/f", [], device="K")),
-    ])
-    log = DeltaLog([record, record])
-    image = SyncFolderImage()
-    image.upsert_file(snap("/f", []))
-    log.apply_to(image)
-    assert len(image.files["/f"].conflicts) == 1
-
-
-def test_txn_round_does_not_nest():
-    inner = op_txn_round("a:1", 1, "a", [])
-    log = DeltaLog([op_txn_round("b:2", 2, "b", [inner])])
-    with pytest.raises(ValueError, match="do not nest"):
-        log.apply_to(SyncFolderImage())
+# -- version markers -------------------------------------------------------
 
 
 def test_latest_version_sees_both_markers():
+    """A log carries two markers: the base version it extends, first,
+    and one ``set_version`` per commit.  A reader ends at the last
+    commit's version; the base marker is not a commit."""
     log = DeltaLog([
-        op_set_version(4, "a"),
-        op_txn_round("b:7", 7, "b", []),
+        op_base_version(9),
+        op_set_version(10, "a"),
+        op_set_version(11, "b"),
     ])
-    assert log.latest_version() == 7
+    assert log.latest_version() == 11
+    assert log.base_marker() == 9
+    assert DeltaLog([op_base_version(9)]).latest_version() == 0

@@ -108,7 +108,6 @@ def test_segment_record_helpers():
     record.locations = {0: "a", 1: "b", 2: "a", 5: "c"}
     assert record.clouds_holding() == ["a", "b", "c"]
     assert record.blocks_on("a") == [0, 2]
-    assert record.block_name(3) == "s1.3"
 
 
 def test_conflict_resolution_keep_current():
@@ -199,7 +198,7 @@ MUTATORS = {
     "drop_segment": lambda i: i.drop_segment("s1"),
     "apply_delta": lambda i: DeltaLog([
         deltasync.op_upsert_file(snap("/f", ["s2"])),
-        deltasync.op_set_location("s1", 3, "z"),
+        deltasync.op_add_segment(SegmentRecord("s1", 100, 6, 3, {3: "z"})),
     ]).apply_to(i),
 }
 
@@ -301,9 +300,7 @@ def mutations(paths, sids):
     delta_ops = st.one_of(
         st.tuples(st.just("upsert_file"), paths, segment_lists),
         st.tuples(st.just("delete_file"), paths),
-        st.tuples(st.just("add_conflict"), paths, segment_lists),
         st.tuples(st.just("add_segment"), records),
-        st.tuples(st.just("set_location"), sids, st.integers(0, 5), CLOUDS),
         st.tuples(st.just("resolve_conflict"), paths, st.none() | st.just(0)),
         st.tuples(st.just("set_version"), st.integers(0, 99)),
     )
@@ -336,8 +333,6 @@ def delta_op(name, *args):
     """The delta record a delta-op spec stands for."""
     if name == "upsert_file":
         return deltasync.op_upsert_file(snap(*args, device="d9"))
-    if name == "add_conflict":
-        return deltasync.op_add_conflict(args[0], snap(*args))
     if name == "add_segment":
         return deltasync.op_add_segment(build(args[0]))
     if name == "set_version":

@@ -51,7 +51,7 @@ def test_segment_and_record():
 def test_block_path_layout():
     pipeline = make()
     record = pipeline.make_record(pipeline.segment_file(b"x" * 100)[0])
-    path = pipeline.block_path(record, 7)
+    path = pipeline.block_path(record.segment_id, 7)
     assert path == f"/unidrive/blocks/{record.segment_id}.7"
 
 

@@ -170,15 +170,23 @@ def log_dispatches(down):
     index, hedge)`` and, as each fetch starts and settles, what the
     dispatcher decides on besides the segments themselves: ``(sim time,
     download estimate per cloud, failure count per cloud)``.  Each look
-    also checks the hedge index against the states it summarizes."""
+    also checks the hedge index against the states it summarizes: a
+    fetch is indexed at dispatch iff its cloud has a finite download
+    estimate, and no fetch in flight is indexed twice."""
     picks, world = [], []
     fetch = down._fetch_block
     cloud_ids = [c.cloud_id for c in down.connections]
 
-    def look():
-        assert sorted(down._flying) == [
-            s.position for s in down._ordered if s.inflight
+    def indexed():
+        return [
+            (entry[2].position, entry[3], entry[4])
+            for entry in down._hedge_due + down._hedge_eligible
+            if entry[2].inflight.get(entry[3]) == entry[4]
         ]
+
+    def look():
+        flights = indexed()
+        assert len(flights) == len(set(flights))
         world.append((
             down.sim.now,
             tuple(down.estimator.estimate(cid, DOWNLOAD)
@@ -195,6 +203,10 @@ def log_dispatches(down):
     def logged(slot, state, index, hedge=False):
         picks.append((down.sim.now, slot.cloud_id,
                       state.record.segment_id, index, hedge))
+        if down._hedge_budget is not None:
+            estimate = down.estimator.estimate(slot.cloud_id, DOWNLOAD)
+            assert ((state.position, index, slot.cloud_id) in indexed()) \
+                == (estimate < float("inf"))
         look()
         return watched(fetch(slot, state, index, hedge=hedge))
 
@@ -285,12 +297,12 @@ def run_download_scenario(reference, down_failure_rates=None,
         ).run_batch(requests))
     if disturb is not None:
         disturb(sim, conns, estimator)
-    controller = None
-    if config.degrade_enabled:
-        controller = DegradeController(config, health_gate=False)
+    # Armed like a client's batches: a controller without the
+    # process-wide health gate.
     down = DownloadScheduler(
         sim, conns, pipeline, config, estimator=estimator,
-        dynamic=dynamic, degrade=controller,
+        dynamic=dynamic,
+        degrade=DegradeController(config, health_gate=False),
     )
     if reference:
         down._next_ready = partial(next_request_reference, down)
@@ -393,7 +405,7 @@ def test_download_equivalence_hedging():
 
     for snapshot in assert_download_equivalent(
         prime=[40] * N_CLOUDS, count=20, seed=29, disturb=disturb,
-        config=UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True),
+        config=UniDriveConfig(theta=CONFIG.theta),
     ):
         assert snapshot["hedges"][0] > 0
         assert any(hedge for *_, hedge in snapshot["picks"])
@@ -528,19 +540,20 @@ def test_instrumentation_perturbs_nothing():
 
 def test_hedged_reads_cut_tail_latency_within_byte_budget():
     # A client with healthy throughput history, then cloud1 browns out
-    # 25x (slow, never failing).  Same placement, same links, with and
-    # without the degradation plane: hedging must cut the p99 block
+    # 25x (slow, never failing).  Same placement, same links, with a
+    # hedge budget and with none: hedging must cut the p99 block
     # fetch by >= 30 % for <= 10 % extra download bytes.
     def disturb(sim, conns, estimator):
         FaultInjector(sim).slow_cloud(conns[1], factor=25.0)
 
-    hedging = UniDriveConfig(theta=CONFIG.theta, degrade_enabled=True)
+    unhedged = UniDriveConfig(theta=CONFIG.theta, hedge_bytes_fraction=0.0)
+    hedging = UniDriveConfig(theta=CONFIG.theta)
     (_, plain), (snapshot, hedged) = (
         run_download_scenario(
             reference=False, count=20, seed=29, warm=True,
             disturb=disturb, config=config,
         )
-        for config in (CONFIG, hedging)
+        for config in (unhedged, hedging)
     )
     assert all(r[4] is not None for r in snapshot["reports"])  # decoded
     assert plain.hedges_fired == 0 < hedged.hedges_fired
@@ -553,3 +566,47 @@ def test_hedged_reads_cut_tail_latency_within_byte_budget():
         size for path, size, *_ in snapshot["reports"] if path != "/dup"
     )
     assert hedged.hedged_bytes <= 0.1 * payload
+
+
+def test_armed_idle_hedging_costs_nothing():
+    # Fault-free, equal-size segments on skewed links, where the slow
+    # clouds' slots sit parked on defer verdicts for most of the batch.
+    # A client's controller arms hedging; with nothing ever slow enough
+    # to hedge, the batch must pick exactly what it picks with a zero
+    # hedge budget, for at most 2 % more kernel steps (no timer per
+    # parked slot, no rescan of the fetches in flight per ask).
+    runs = []
+    for fraction in (UniDriveConfig().hedge_bytes_fraction, 0.0):
+        start = {}
+
+        def disturb(sim, conns, estimator):
+            start["steps"] = sim.steps
+
+        snapshot, down = run_download_scenario(
+            reference=False, down_speeds=SKEWED, count=60, seed=37,
+            size=48 * 1024,
+            config=UniDriveConfig(theta=CONFIG.theta,
+                                  hedge_bytes_fraction=fraction),
+            disturb=disturb,
+        )
+        runs.append((snapshot, down.sim.steps - start["steps"]))
+    (armed, armed_steps), (unarmed, unarmed_steps) = runs
+    assert armed["hedges"] == (0, 0)
+    assert armed["picks"] == unarmed["picks"]
+    assert armed == unarmed
+    assert armed_steps <= 1.02 * unarmed_steps
+
+
+def test_hedge_timer_does_not_outlive_its_batch():
+    # Every estimate primed at ~12 B/s: each fetch is indexed to become
+    # hedge-eligible hours after dispatch, and finishes in milliseconds.
+    # The batch withdraws its pending hedge timer when it ends, so
+    # draining the queue afterwards does not move the clock there.
+    snapshot, down = run_download_scenario(
+        reference=False, prime=[1e-4] * N_CLOUDS, count=4, seed=47,
+    )
+    assert all(r[4] is not None for r in snapshot["reports"])
+    assert down.hedges_fired == 0 and down._hedge_timer is None
+    finished = snapshot["batch"][1]
+    down.sim.run()
+    assert down.sim.now < finished + 60.0

@@ -133,7 +133,7 @@ def test_breaker_stops_degraded_cloud_retry_burn():
     def run_two_batches(degrade):
         sim, clouds, conns, pipeline = make_env(FAST, [0.0] * 5, seed=11)
         clouds[3].set_available(False)
-        config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
+        config = UniDriveConfig(theta=64 * 1024)
         controller = (
             DegradeController(config, health_gate=False) if degrade
             else None

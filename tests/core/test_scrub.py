@@ -50,7 +50,7 @@ def some_block(client, position=0):
     )
     sid, idx, cid = triples[position]
     record = client.image.segments[sid]
-    return record, idx, cid, client.pipeline.block_path(record, idx)
+    return record, idx, cid, client.pipeline.block_path(record.segment_id, idx)
 
 
 def test_block_hashes_recorded_at_encode_time():
@@ -151,7 +151,7 @@ def test_unrecoverable_when_fewer_than_k_survivors():
     # Destroy every block of the segment everywhere: < k survivors.
     for idx, cid in list(record.locations.items()):
         cloud = next(c for c in clouds if c.cloud_id == cid)
-        cloud.store.delete(client.pipeline.block_path(record, idx))
+        cloud.store.delete(client.pipeline.block_path(record.segment_id, idx))
     scrubber = Scrubber(client)
     report = sim.run_process(scrubber.audit())
     assert len(report.missing) == len(record.locations)
@@ -182,7 +182,7 @@ def test_repair_does_not_decode_from_corrupt_survivors():
     placed = sorted(record.locations.items())
     for idx, cid in placed[: record.k - 1]:
         cloud = next(c for c in clouds if c.cloud_id == cid)
-        cloud.store.corrupt(client.pipeline.block_path(record, idx))
+        cloud.store.corrupt(client.pipeline.block_path(record.segment_id, idx))
     scrubber = Scrubber(client)
     audit = sim.run_process(scrubber.audit(deep=True))
     assert len(audit.corrupt) == record.k - 1

@@ -11,14 +11,11 @@ from repro.core import UniDriveClient
 from repro.core.config import UniDriveConfig
 from repro.core.deltasync import (
     DeltaLog,
-    op_add_conflict,
     op_add_segment,
     op_base_version,
     op_delete_file,
-    op_drop_segment,
-    op_set_location,
+    op_resolve_conflict,
     op_set_version,
-    op_txn_round,
     op_upsert_file,
     should_merge,
 )
@@ -96,29 +93,35 @@ def test_version_file_roundtrip():
 def test_delta_log_replays_every_op():
     base = SyncFolderImage("d")
     log = DeltaLog()
-    log.append(op_add_segment(SegmentRecord("s1", 100, 10, 3)))
+    log.append(op_base_version(0))
+    log.append(op_add_segment(
+        SegmentRecord("s1", 100, 10, 3, {2: "onedrive"})))
     log.append(op_upsert_file(FileSnapshot("/f", 1.0, 100, ["s1"], "d")))
-    log.append(op_set_location("s1", 2, "onedrive"))
+    log.append(op_upsert_file(FileSnapshot("/g", 1.0, 100, ["s1"], "d")))
+    log.append(op_delete_file("/g"))
+    log.append(op_resolve_conflict("/f"))
     log.append(op_set_version(5, "d"))
     log.apply_to(base)
     assert base.files["/f"].current.size == 100
+    assert "/g" not in base.files
     assert base.segments["s1"].locations == {2: "onedrive"}
+    assert base.segments["s1"].refcount == 1
     assert base.version.counter == 5
 
 
 def test_delta_log_delete_and_conflict_ops():
     image = SyncFolderImage("d")
-    log = DeltaLog()
-    log.append(op_add_segment(SegmentRecord("s1", 10, 5, 2)))
-    log.append(op_add_segment(SegmentRecord("s2", 10, 5, 2)))
-    log.append(op_upsert_file(FileSnapshot("/f", 1.0, 10, ["s1"], "d")))
-    log.append(op_add_conflict("/f", FileSnapshot("/f", 2.0, 10, ["s2"], "e")))
-    log.apply_to(image)
-    assert len(image.files["/f"].conflicts) == 1
-    follow = DeltaLog([op_delete_file("/f"), op_drop_segment("s1")])
+    image.add_segment(SegmentRecord("s1", 10, 5, 2))
+    image.add_segment(SegmentRecord("s2", 10, 5, 2))
+    image.upsert_file(FileSnapshot("/f", 1.0, 10, ["s1"], "d"))
+    image.add_conflict("/f", FileSnapshot("/f", 2.0, 10, ["s2"], "e"))
+    DeltaLog([op_resolve_conflict("/f", 0)]).apply_to(image)
+    assert image.files["/f"].current.segment_ids == ["s2"]
+    assert image.files["/f"].conflicts == []
+    follow = DeltaLog([op_delete_file("/f")])
     follow.apply_to(image)
     assert "/f" not in image.files
-    assert "s1" not in image.segments
+    assert image.segments["s1"].refcount == image.segments["s2"].refcount == 0
 
 
 def test_delta_log_unknown_op_rejected():
@@ -143,15 +146,15 @@ def test_delta_log_empty_roundtrip():
 def test_delta_equivalent_to_direct_mutation():
     """Applying a delta == performing the same calls directly."""
     direct = SyncFolderImage("d")
-    direct.add_segment(SegmentRecord("s1", 50, 10, 3))
+    direct.add_segment(SegmentRecord("s1", 50, 10, 3, {1: "baidu"}))
     direct.upsert_file(FileSnapshot("/x", 1.0, 50, ["s1"], "d"))
-    direct.set_block_location("s1", 1, "baidu")
+    direct.delete_file("/x")
 
     replayed = SyncFolderImage("d")
     log = DeltaLog([
-        op_add_segment(SegmentRecord("s1", 50, 10, 3)),
+        op_add_segment(SegmentRecord("s1", 50, 10, 3, {1: "baidu"})),
         op_upsert_file(FileSnapshot("/x", 1.0, 50, ["s1"], "d")),
-        op_set_location("s1", 1, "baidu"),
+        op_delete_file("/x"),
     ])
     log.apply_to(replayed)
     assert replayed.to_dict() == direct.to_dict()
@@ -173,19 +176,12 @@ _small = st.integers(0, 10 ** 6)
 _ops = st.one_of(
     st.builds(op_delete_file, _paths),
     st.builds(op_set_version, _small, st.text(max_size=8)),
-    st.builds(op_drop_segment, st.text(max_size=20)),
-    st.builds(op_set_location, st.text(max_size=20), st.integers(0, 9),
-              st.text(max_size=10)),
+    st.builds(op_resolve_conflict, _paths, st.none() | st.integers(0, 3)),
     st.builds(
         lambda path, size, ids, dev: op_upsert_file(
             FileSnapshot(path, 1.5, size, ids, dev)),
         _paths, _small, st.lists(st.text(max_size=12), max_size=4),
         st.text(max_size=8),
-    ),
-    st.builds(
-        lambda n, dev, path: op_txn_round(f"{dev}:{n}", n, dev,
-                                          [op_delete_file(path)]),
-        _small, st.text(max_size=8), _paths,
     ),
 )
 
@@ -273,6 +269,13 @@ def test_malformed_image_dict_raises_metadata_error(mutate):
     b'{"op":"base_version"}',
     b'{"op":"set_version","counter":"many","device":"d"}',
     b'{"op":"txn_round","counter":null}',
+    # Record kinds no client writes, well-formed otherwise: a merge
+    # publishes a full base, and a round's version stamp is its own
+    # ``set_version`` record.
+    b'{"counter":1,"device":"d","op":"txn_round","ops":[],"round_id":"d:1"}',
+    b'{"cloud_id":"c","index":0,"op":"set_location","segment_id":"s"}',
+    b'{"op":"drop_segment","segment_id":"s"}',
+    b'{"op":"add_conflict","path":"/a","snapshot":{}}',
 ])
 def test_malformed_delta_record_raises_metadata_error(line):
     with pytest.raises(MetadataError):

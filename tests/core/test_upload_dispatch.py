@@ -57,7 +57,7 @@ def degrade_budget_digest():
     """5 clouds x 5 slots; forced mid-transfer drops on cloud1, cloud3
     killed by an outage (its fair queue abandoned), breakers on, and a
     round budget that expires while blocks are still in flight."""
-    config = UniDriveConfig(theta=64 * 1024, degrade_enabled=True)
+    config = UniDriveConfig(theta=64 * 1024)
     sim, clouds, conns, pipeline, log = make_env(config, 0.05, seed=40)
     files = make_files(pipeline, 6, (90_000, 260_000), seed=5)
     injector = FaultInjector(sim)

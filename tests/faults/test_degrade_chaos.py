@@ -3,7 +3,8 @@
 The PR-10 acceptance scenario — five clouds, one browned out (latency
 x200, bandwidth /200, still answering correctly) and one fully down,
 with overlapping windows — driven through the shared-folder scenario
-engine with the control plane on.  Asserts the four contract points:
+engine (every client runs the control plane).  Asserts the four
+contract points:
 
 * hedged reads keep the fleet moving (hedges actually fire, no device
   stalls, every round lands inside the horizon);
@@ -33,7 +34,6 @@ def degrade_scenario(**overrides):
         # overlapping — at the worst point only 3 of 5 clouds are whole.
         slow=((1, 0.1 * HORIZON, 0.6 * HORIZON, 200.0),),
         outages=((2, 0.2 * HORIZON, 0.7 * HORIZON),),
-        degrade=True,
         scrub_after=True,
     )
     base.update(overrides)
@@ -65,18 +65,6 @@ def test_one_slow_one_down_meets_the_acceptance_bar():
     # Only the *down* cloud may trip a breaker: the slow cloud answers
     # correctly, so it must never produce failure evidence.
     assert result.breaker_transitions.get("c1", 0) == 0
-
-
-@chaos_smoke
-def test_degrade_off_still_survives_the_same_chaos():
-    """Control arm: the same fault script with the control plane off
-    still satisfies the concurrency truths (the plane is an
-    optimization, not a correctness crutch)."""
-    result = run_shared(degrade_scenario(degrade=False, scrub_after=False))
-    assert result.lost_updates == []
-    assert result.converged
-    assert result.hedges_fired == 0
-    assert result.breaker_transitions == {}
 
 
 def test_round_deadline_budget_is_honoured():

@@ -144,8 +144,7 @@ def test_silent_corruption_detected_on_download_and_refetched():
 
     # Rot one referenced block (pick deterministically).
     segment_id, index, cloud_id = sorted(block_locations(writer))[0]
-    record = writer.image.segments[segment_id]
-    path = posixpath.join(CONFIG.blocks_dir, record.block_name(index))
+    path = writer.pipeline.block_path(segment_id, index)
     cloud = next(c for c in clouds if c.cloud_id == cloud_id)
     injector = FaultInjector(sim)
     injector.silent_corruption(cloud, path, at=0.5)
@@ -171,8 +170,7 @@ def test_silent_corruption_deep_scrub_repairs_in_place():
     sim.run_process(writer.sync())
 
     segment_id, index, cloud_id = sorted(block_locations(writer))[-1]
-    record = writer.image.segments[segment_id]
-    path = posixpath.join(CONFIG.blocks_dir, record.block_name(index))
+    path = writer.pipeline.block_path(segment_id, index)
     cloud = next(c for c in clouds if c.cloud_id == cloud_id)
     cloud.store.corrupt(path)
 

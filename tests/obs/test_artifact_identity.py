@@ -2,9 +2,10 @@
 
 One small deterministic scenario — two devices, five clouds on skewed
 5/10/20/40/80 Mbps links, an outage window over the writer's upload,
-one silently rotted block before the reader's download, plus a forced
-drop and a flaky link so the retry paths report too — recorded with
-tracing, metrics and telemetry on (degradation plane off).  The three
+one silently rotted block before the reader's download, a cloud the
+reader cannot reach at all, plus a forced drop and a flaky link so the
+retry paths report too — recorded with tracing, metrics and telemetry
+on (each client runs its degradation plane).  The three
 artifacts a user would keep (JSONL stream with the metrics snapshot,
 Chrome trace, telemetry snapshot) are hashed and compared against
 constants: a refactor of the instrumentation may move code, but not a
@@ -33,17 +34,22 @@ from repro.simkernel import Simulator
 
 LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 
-#: sha256 of each artifact, generated on the commit before the hub
-#: collapse (PR 13's tree).  Regenerate only for a change that means to
+#: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "08069ad10b45a2af14f8e0bff4b48630296fdba4c256eebee260bf2d00baf58e",
-    "chrome": "73ccd26eb61a39ba70c19a0382e9da1bdb2ca7ab67603d0789d41537addf7d10",
-    "telemetry": "fd9a3ef30dd6577aabd43032cfd5a8f39227dca801fb2c7c345c9362d2e56637",
+    "jsonl": "3f3b994d6a9c89d851c515238e71d0aa52ce3037df5368603eb9959239fbadcc",
+    "chrome": "f7618318d6c336046c698a5e67aa3415b8e0d9f2b30e12e720b0ce1bcda89156",
+    "telemetry": "558f39c2bd855ef28f54821654647cb49384c80184c7072cc81c308af4d87156",
 }
 
 
 def _fleet(sim):
+    """Writer and reader.  The reader's link to cloud2 is inaccessible
+    (the provider is blocked where it sits): nothing announces it, so
+    every request it sends there fails with ``CloudUnavailableError``.
+    The announced outage cannot raise that error — the plane's health
+    gate stops dispatch to cloud3 from the outage's first instant, and
+    a cloud's availability is checked only when a request starts."""
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(len(LINK_MBPS))]
     devices = []
     for d in range(2):
@@ -54,6 +60,7 @@ def _fleet(sim):
                     up_mbps=mbps, down_mbps=mbps, rtt_seconds=0.08,
                     latency_jitter=0.0, failure_rate=0.0, volatility=0.0,
                     fade_probability=0.0, diurnal_amplitude=0.0,
+                    accessible=(d, i) != (1, 2),
                 ),
                 np.random.default_rng([3, d, i]),
             )

@@ -329,6 +329,27 @@ def test_run_until_stops_clock():
     assert sim.now == 3.5
 
 
+def test_cancelled_call_neither_runs_nor_moves_the_clock():
+    sim = Simulator()
+    calls = []
+
+    def late():
+        calls.append(("late", sim.now))
+
+    def early():
+        calls.append(("early", sim.now))
+
+    due = sim.call_later(50.0, late)
+    sim.call_later(1.0, early)
+    sim.call_later(2.0, lambda: calls.append(("other", sim.now)))
+    sim.cancel(due, late)
+    sim.cancel(due, late)  # already withdrawn: nothing to do
+    sim.run()
+    assert calls == [("early", 1.0), ("other", 2.0)]
+    assert sim.now == 2.0
+    assert sim.steps == 2
+
+
 def test_starved_run_process_raises():
     sim = Simulator()
 

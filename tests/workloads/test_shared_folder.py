@@ -13,7 +13,7 @@ three conflict policies:
 
 Plus targeted scenarios the generator would only rarely hit: mobile
 churn (crash/resume mid-sync), multi-cloud outages, a 16-writer race,
-and the all-or-nothing guarantee of transactional rounds under
+and the all-or-nothing guarantee of every sync round under
 crash-at-arbitrary-point schedules.
 """
 
@@ -86,7 +86,7 @@ scenario_params = st.tuples(
 )
 
 
-def run_policy_scenario(params, policy, transactional=False):
+def run_policy_scenario(params, policy):
     seed, (writers, rounds), churners, skip_rate = params
     crashes = (
         churn_profile(writers, rounds, churners, seed) if churners else ()
@@ -95,7 +95,6 @@ def run_policy_scenario(params, policy, transactional=False):
         writers=writers,
         rounds=rounds,
         policy=policy,
-        transactional=transactional,
         crashes=crashes,
         skip_rate=skip_rate,
         seed=seed,
@@ -129,10 +128,11 @@ def test_shared_folder_per_path(params):
 
 def test_mobile_churn_crash_resume_transactional():
     """Two of three devices lose power mid-sync; both resume from their
-    journals and the fleet still converges without losing a commit."""
+    journals and the fleet still converges without losing a commit
+    (each round lands on a replica whole or not at all)."""
     crashes = churn_profile(3, 3, churners=2, seed=7)
     res = run_shared(SharedScenario(
-        writers=3, rounds=3, crashes=crashes, seed=7, transactional=True,
+        writers=3, rounds=3, crashes=crashes, seed=7,
     ))
     assert res.crash_count == len(crashes) == 2
     check_invariants(res)
@@ -159,13 +159,16 @@ def test_sixteen_writers_converge():
     assert len(res.fingerprints) == 16
 
 
-# -- transactional all-or-nothing -----------------------------------------
+# -- all-or-nothing rounds -------------------------------------------------
+#
+# A round's ops and its ``set_version`` travel in one sealed delta blob
+# per replica (or one base, when the round merges or folds), so a
+# replica holds the whole round or none of it.
 
 TXN_CONFIG = UniDriveConfig(
     theta=64 * 1024,
     lock_stale_seconds=30.0,
     lock_acquire_timeout=900.0,
-    transactional_rounds=True,
 )
 
 #: Latency-carrying link so a sync round spans real virtual time and a

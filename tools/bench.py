@@ -198,16 +198,14 @@ def bench_guards():
     guarded site (``if OBS.enabled:`` — one attribute read), an
     unguarded fan-out fact (early-out inside the hub method), and the
     degrade plane's closed-breaker ``admits()`` that rides on every
-    scheduler peek when ``degrade_enabled`` is set.
+    scheduler peek of a client's batches.
     """
     obs.disable()
     n = 1_000_000
     rounds = 5
     span = range(n)
     hub = obs.OBS
-    degrade = DegradeController(
-        UniDriveConfig(degrade_enabled=True), health_gate=False
-    )
+    degrade = DegradeController(UniDriveConfig(), health_gate=False)
     degrade.breaker("cloud0")
 
     def loop_empty():

@@ -247,13 +247,11 @@ def _run_shared_cli(args) -> int:
             writers=args.writers,
             rounds=args.rounds,
             policy=policy,
-            transactional=args.transactional,
             crashes=crashes,
             skip_rate=args.skip_rate,
             seed=seed,
             slow=slow,
             outages=outages,
-            degrade=bool(args.degrade),
             scrub_after=bool(args.degrade),
         )
         start = time.perf_counter()
@@ -289,7 +287,6 @@ def _run_shared_cli(args) -> int:
             "policy": policy,
             "writers": args.writers,
             "rounds": args.rounds,
-            "transactional": args.transactional,
             "crashes": len(crashes),
             "skip_rate": args.skip_rate,
             "seed": seed,
@@ -409,15 +406,13 @@ def main(argv=None):
     parser.add_argument("--skip-rate", type=float, default=0.0,
                         help="shared mode: probability a device sits out "
                              "a round (default 0)")
-    parser.add_argument("--transactional", action="store_true",
-                        help="shared mode: commit each round as a single "
-                             "all-or-nothing txn_round record")
     parser.add_argument("--degrade", action="store_true",
-                        help="shared mode: degradation chaos arc — enable "
-                             "the control plane (breakers, hedged reads, "
-                             "brownout writes), run 1 slow + 1 down of "
-                             "the 5 clouds, and gate on debt repayment "
-                             "and breaker flapping")
+                        help="shared mode: degradation chaos arc — run "
+                             "1 slow + 1 down of the 5 clouds against the "
+                             "control plane (breakers, hedged reads, "
+                             "brownout writes), scrub after quiescence, "
+                             "and gate on debt repayment and breaker "
+                             "flapping")
     parser.add_argument("--slow-factor", type=float, default=200.0,
                         help="degrade mode: latency x / bandwidth / "
                              "factor for the slow cloud (default 200)")

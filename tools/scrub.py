@@ -103,7 +103,8 @@ def run_scenario(scenario: str, seed: int, n_files: int,
                     if c.cloud_id == record.locations[index]
                 )
                 injector.silent_corruption(
-                    cloud, writer.pipeline.block_path(record, index),
+                    cloud,
+                    writer.pipeline.block_path(record.segment_id, index),
                     at=sim.now,
                 )
             sim.run_process(_wait(sim, 1.0))
