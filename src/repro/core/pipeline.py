@@ -133,23 +133,16 @@ class SyntheticPayload:
         return f"SyntheticPayload({self.nbytes})"
 
 
-#: Shared zero block buffers by size — synthetic uploads at one theta
-#: produce mostly one block size, so the cache is tiny; entries are
-#: immutable ``bytes`` safely shared across schedulers and stores.
-_ZERO_BLOCKS: "OrderedDict[int, bytes]" = OrderedDict()
-_ZERO_BLOCKS_MAX = 64
+#: The zero bytes every synthetic block is a read-only prefix view of:
+#: one buffer, grown on demand, shared across schedulers and stores.
+_ZEROS = memoryview(b"")
 
 
-def _zero_block(size: int) -> bytes:
-    block = _ZERO_BLOCKS.get(size)
-    if block is None:
-        block = bytes(size)
-        _ZERO_BLOCKS[size] = block
-        while len(_ZERO_BLOCKS) > _ZERO_BLOCKS_MAX:
-            _ZERO_BLOCKS.popitem(last=False)
-    else:
-        _ZERO_BLOCKS.move_to_end(size)
-    return block
+def _zero_block(size: int) -> memoryview:
+    global _ZEROS
+    if size > len(_ZEROS):
+        _ZEROS = memoryview(bytes(max(size, 2 * len(_ZEROS))))
+    return _ZEROS[:size]
 
 
 #: Segments whose padded shard matrices stay resident.  Each entry costs
@@ -247,13 +240,14 @@ class BlockPipeline:
         for segment_id in segment_ids:
             self._encode_cache.pop(segment_id, None)
 
-    def encode_block(self, segment_id: str, data: bytes, index: int) -> bytes:
+    def encode_block(self, segment_id: str, data: bytes, index: int):
         """Block ``index`` of a segment via the shard cache.
 
         The hot path for the upload schedulers: the padded shard matrix
         is built once per segment, the first block request encodes all
         ``n`` rows in one fused matmul, and every block is then a slice
-        of the cached encoded matrix.
+        of the cached encoded matrix.  A :class:`SyntheticPayload`'s
+        block is a read-only ``memoryview`` of zeros.
         """
         if type(data) is SyntheticPayload:
             return _zero_block(self.code.shard_size(data.nbytes))

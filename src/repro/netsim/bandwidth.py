@@ -18,17 +18,13 @@ fade (heavy tail).
 The link shares its connection's rng with the latency and failure draws,
 so each chunk of :data:`CHUNK_EPOCHS` epochs consumes, in order, a block
 of normal innovations, a block of fade coins and a block of fade depths
-(one 64-bit word per epoch each).  Drawing a chunk keeps its shocks in
-one reused buffer and skips the fade blocks with ``advance``; only the
-epochs a caller reads are evaluated, then memoised.  ``x_j`` sums
-``ar**(j-m) * s_m`` over the last K shocks, plus ``ar**(j+1)`` times the
-previous chunk's final ``x`` while ``j < K``, where ``ar**K <= 2**-53``
-(K = 165 at ``ar = 0.8``): elementwise products and ``math.fsum``, no
-BLAS, so every host rounds identically.  The fade coin and depth of
-epoch ``j`` are words ``j`` and ``n + j`` after the innovation block,
-read by a scratch PCG64 kept positioned there.  Per chunk drawn a link
-keeps only the rng state before its draws and the AR(1) carry into it;
-a read of an older chunk replays its innovations on the scratch.
+(one 64-bit word per epoch each).  ``x_j`` sums ``ar**(j-m) * s_m`` over
+the last K shocks, plus ``ar**(j+1)`` times the previous chunk's final
+``x`` while ``j < K``, where ``ar**K <= 2**-53`` (K = 165 at ``ar = 0.8``):
+elementwise products and ``math.fsum``, no BLAS, so every host rounds
+identically.  A link keeps no shocks: per chunk drawn, a few generator
+states (:meth:`BandwidthProcess._draw`), from which a read redraws the K
+shocks it sums, and its fade coin and depth, on a scratch PCG64.
 """
 
 from __future__ import annotations
@@ -38,17 +34,16 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "BandwidthProcess",
-    "ConstantBandwidth",
-    "MBPS",
-    "CHUNK_EPOCHS",
-]
+__all__ = ["BandwidthProcess", "ConstantBandwidth", "MBPS", "CHUNK_EPOCHS"]
 
 MBPS = 1_000_000 / 8.0  # bytes per second in one megabit per second
 
 #: Epochs per chunk of rng draws; part of the draw order.
 CHUNK_EPOCHS = 4096
+
+#: Innovations between a chunk's generator checkpoints: how far back a
+#: read may have to redraw, not part of the draw order.
+CHECKPOINT_EPOCHS = 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,90 +111,95 @@ class BandwidthProcess:
         self._floor = mean_rate * 1e-3
         self._window = _ar_window(ar_coefficient)
         self._memo: dict = {}  # epoch index -> multiplier, every epoch read
-        self._records: list = []  # per chunk: (rng state before it, carry in)
-        self._shocks = None  # the latest chunk's shocks, one reused buffer
-        self._coin_base = None  # rng state at the latest chunk's coin block
-        self._scratch = None  # PCG64 positioned in some chunk's fade blocks
-        self._scratch_at = (-1, 0)  # (chunk, word offset) it reads next
+        # Per chunk: (carry in, state at its coin block, the state before
+        # each block of CHECKPOINT_EPOCHS innovations, None if not kept).
+        self._records: list = []
+        self._carry = 0.0  # x at the latest chunk's last epoch
+        # The PCG64 stream of every kept state, and a Generator set to them.
+        self._inc = self._scratch = None
 
     # -- drawing ---------------------------------------------------------
 
-    def _fill_shocks(self, rng, out: np.ndarray, first: bool) -> np.ndarray:
-        """Draw one chunk's innovations into ``out`` and scale them."""
-        rng.standard_normal(out=out)
-        out[int(first):] *= self._innovation_scale
-        if first:  # epoch 0 starts at the stationary distribution
-            out[0] *= self.volatility
-        return out
+    def _scale(self, shocks: np.ndarray, first: bool) -> np.ndarray:
+        """Scale innovations in place; ``first`` if they start at epoch 0."""
+        shocks[int(first):] *= self._innovation_scale
+        shocks[:int(first)] *= self.volatility  # x_0 is stationary
+        return shocks
 
-    def _draw(self) -> None:
-        """Consume the next chunk's draws from the connection's rng."""
-        size = self.chunk_epochs
-        if self._records:
-            carry = self._x(self._shocks, size - 1, self._records[-1][1])
-        else:
-            carry = 0.0
-            self._shocks = np.empty(size)
-            # Seeded like the connection's (cheap); its state is always set.
-            self._scratch = np.random.PCG64(self._rng.bit_generator.seed_seq)
-        bit_generator = self._rng.bit_generator
-        self._records.append((bit_generator.state, carry))
-        self._fill_shocks(self._rng, self._shocks, len(self._records) == 1)
-        self._coin_base = coin_base = bit_generator.state
+    def _draw(self, read: int | None) -> np.ndarray:
+        """Consume the next chunk's draws from the connection's rng and
+        return its shocks, keeping the state before its first block and
+        before each block from the one holding ``read``'s window on."""
+        size, stride, rng = self.chunk_epochs, CHECKPOINT_EPOCHS, self._rng
+        bit_generator = rng.bit_generator
+        if self._scratch is None:  # seeded cheaply; _seek sets all its state
+            self._inc = bit_generator.state["state"]["inc"]
+            self._scratch = np.random.Generator(
+                np.random.PCG64(bit_generator.seed_seq))
+        after = size if read is None else read + 1 - len(self._window) - stride
+        states = [None] * -(-size // stride)
+        shocks = np.empty(size)
+        for at in range(0, size, stride):
+            if not at or at > after:
+                states[at // stride] = bit_generator.state["state"]["state"]
+            rng.standard_normal(out=shocks[at:at + stride])
+        self._scale(shocks, not self._records)
+        coin = bit_generator.state
         bit_generator.advance(2 * size)
-        if coin_base["has_uint32"] or coin_base["uinteger"]:
-            # `advance` clears the buffered 32-bit half word, which the
-            # skipped 64-bit draws would have left in place.
+        if coin["has_uint32"] or coin["uinteger"]:
+            # `advance` cleared the buffered 32-bit half word: restore it.
             bit_generator.state = dict(
-                bit_generator.state, has_uint32=coin_base["has_uint32"],
-                uinteger=coin_base["uinteger"])
+                bit_generator.state, has_uint32=coin["has_uint32"],
+                uinteger=coin["uinteger"])
+        self._records.append((self._carry, coin["state"]["state"], states))
+        self._carry = self._x(shocks, size - 1, self._carry)
+        return shocks
+
+    def _seek(self, state: int) -> np.random.Generator:
+        """The scratch generator, set to one of the kept states."""
+        self._scratch.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": self._inc}}
+        return self._scratch
 
     def _x(self, shocks: np.ndarray, j: int, carry: float) -> float:
-        """The AR(1) log-state at epoch ``j`` of a chunk."""
+        """The AR(1) log-state at epoch ``j`` of a chunk, from ``shocks``
+        ending at ``j``: at least its last K, or all from the chunk start."""
         window = self._window
         size = len(window)
         if j >= size:
-            terms = (shocks[j + 1 - size:j + 1] * window).tolist()
+            terms = (shocks[-size:] * window).tolist()
         else:
-            terms = (shocks[:j + 1] * window[size - 1 - j:]).tolist()
+            terms = (shocks[-1 - j:] * window[size - 1 - j:]).tolist()
             terms.append(self.ar ** (j + 1) * carry)
         return math.fsum(terms)
 
-    def _uniform(self, chunk: int, offset: int) -> float:
-        """The double in [0, 1) from word ``offset`` of a chunk's fade blocks."""
-        scratch = self._scratch
-        at_chunk, at = self._scratch_at
-        if at_chunk != chunk:
-            scratch.state = self._coin_base
-            at = 0
-        if offset != at:
-            scratch.advance(offset - at)  # modulo 2**128: back is fine too
-        self._scratch_at = (chunk, offset + 1)
-        return (scratch.random_raw() >> 11) * (1.0 / 9007199254740992.0)
-
-    def _replay(self, chunk: int) -> np.ndarray:
-        """An older chunk's shocks, redrawn on the scratch generator,
-        which is left at that chunk's coin block."""
-        self._scratch.state = self._records[chunk][0]
-        self._scratch_at = (chunk, 0)
-        return self._fill_shocks(np.random.Generator(self._scratch),
-                                 np.empty(self.chunk_epochs), chunk == 0)
+    def _fade(self, coin: int, j: int) -> float:
+        """Epoch ``j``'s fade divisor: 1.0 unless its coin, word ``j`` from
+        state ``coin``, falls below the fade probability."""
+        words = self._seek(coin).bit_generator
+        words.advance(j)
+        if (words.random_raw() >> 11) * 2.0**-53 >= self.fade_probability:
+            return 1.0
+        words.advance(self.chunk_epochs - 1)  # to word n + j: the depth
+        depth = (words.random_raw() >> 11) * 2.0**-53
+        return 2.0 + (self.fade_depth - 2.0) * depth
 
     def _multiplier(self, index: int) -> float:
         chunk, j = divmod(index, self.chunk_epochs)
+        shocks = None  # the read that draws a chunk uses the fresh fill
         while len(self._records) <= chunk:
-            self._draw()
-        if chunk == len(self._records) - 1:
-            shocks = self._shocks
-        else:
-            shocks = self._replay(chunk)
-        multiplier = math.exp(
-            self._x(shocks, j, self._records[chunk][1]) - self._offset
-        )
-        if self._uniform(chunk, j) < self.fade_probability:
-            depth = self._uniform(chunk, self.chunk_epochs + j)
-            multiplier /= 2.0 + (self.fade_depth - 2.0) * depth
-        return multiplier
+            shocks = self._draw(j if len(self._records) == chunk else None)
+        carry, coin, states = self._records[chunk]
+        if shocks is None:  # redraw from the last state before j's window
+            block = max(0, j + 1 - len(self._window)) // CHECKPOINT_EPOCHS
+            while states[block] is None:
+                block -= 1
+            at = block * CHECKPOINT_EPOCHS
+            shocks = self._scale(self._seek(states[block]).standard_normal(
+                j + 1 - at), chunk == 0 and at == 0)
+        x = self._x(shocks[:j + 1], j, carry)
+        return math.exp(x - self._offset) / self._fade(coin, j)
 
     # -- queries ---------------------------------------------------------
 

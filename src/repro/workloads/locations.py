@@ -263,8 +263,9 @@ def connect_location(
     40 Mbps total, which limited UniDrive's download-side gains).
 
     Each link evaluates its bandwidth only at the epochs a transfer
-    reads and retains one chunk of shocks, so fleet-scale trials with
-    thousands of links need no separate memory mode.
+    reads and keeps a few generator states per chunk drawn, not its
+    shocks, so fleet-scale trials with thousands of links need no
+    separate memory mode.
     """
     down_nic = SharedNic(nic_down_mbps * MBPS) if nic_down_mbps else None
     up_nic = SharedNic(nic_up_mbps * MBPS) if nic_up_mbps else None

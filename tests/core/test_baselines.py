@@ -155,6 +155,19 @@ def test_benchmark_unknown_download_rejected():
         sim.run_process(benchmark.download("/never-uploaded"))
 
 
+def test_synthetic_upload_traffic_meters_pinned():
+    """Zero-block views meter exactly the coded bytes: a 1 MB synthetic
+    upload over flaky links of mixed speed (tail segment included)."""
+    sim, clouds, conns = make_env([4.0, 8.0, 12.0, 16.0, 20.0], seed=3,
+                                  failure_rate=0.1)
+    benchmark = MultiCloudBenchmark(sim, conns, CONFIG)
+    outcome = sim.run_process(benchmark.upload_sized("/f", 1_000_000))
+    assert outcome.succeeded
+    assert [c.traffic.payload_up for c in conns] == [
+        333336, 333336, 87382, 333336, 333336]
+    assert [c.traffic.requests for c in conns] == [12, 10, 5, 9, 9]
+
+
 def test_intuitive_requires_clients():
     sim = Simulator()
     with pytest.raises(ValueError):

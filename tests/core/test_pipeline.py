@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import UniDriveConfig
 from repro.core.pipeline import (
-    BlockPipeline, block_hash, block_hash_many, block_hash_rows,
+    BlockPipeline, SyntheticPayload, block_hash, block_hash_many,
+    block_hash_rows,
 )
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
@@ -166,3 +167,18 @@ def test_encode_block_with_digest_accepts_segment_views():
         )
         assert block == pipeline.code.encode(view.to_bytes())[0]
         assert digest == block_hash(block)
+
+
+def test_synthetic_blocks_are_views_of_one_zero_buffer():
+    """Synthetic blocks of two sizes are read-only prefixes of one
+    shared zero buffer, each exactly its coded length."""
+    pipeline = make()
+    large, small = SyntheticPayload(CONFIG.theta), SyntheticPayload(1000)
+    big_block, digest = pipeline.encode_block_with_digest("syn-a", large, 0)
+    small_block = pipeline.encode_block("syn-b", small, 4)
+    assert len(big_block) == pipeline.code.shard_size(CONFIG.theta)
+    assert len(small_block) == pipeline.code.shard_size(1000)
+    assert small_block.obj is big_block.obj
+    assert small_block.readonly and big_block.readonly
+    assert not any(big_block)
+    assert digest == f"{0:016x}{len(big_block):08x}"

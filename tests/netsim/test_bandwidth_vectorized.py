@@ -11,6 +11,11 @@ to the few-ulp difference between the truncated window sum and the
 sequential recursion (so 1e-12 relative at zero absolute tolerance is a
 tight pin), and the same rng state after every query, so the latency
 and failure draws that share the rng are unchanged.
+
+:class:`_WholeChunkOracle` pins the arithmetic bit for bit: it fills
+each chunk's shocks in one draw and sums them with the process's own
+``_x``, so a read that redraws only its window from a generator
+checkpoint must return exactly the same rate.
 """
 
 import math
@@ -22,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import BandwidthProcess, MBPS
-from repro.netsim.bandwidth import CHUNK_EPOCHS
+from repro.netsim.bandwidth import CHECKPOINT_EPOCHS, CHUNK_EPOCHS, _ar_window
 
 EPOCH = 60.0
 DAY = 86400.0
@@ -75,6 +80,46 @@ class _Reference:
                 2 * math.pi * t / self.diurnal_period + self.phase
             )
         return max(rate, self.mean_rate * 1e-3)
+
+
+class _WholeChunkOracle:
+    """Bulk draws per chunk, whole-chunk shocks, the process's ``_x``."""
+
+    def __init__(self, rng, process):
+        self.rng = rng
+        self.process = process
+        self.phase = rng.uniform(0, 2 * math.pi)
+        self.chunks = []  # per chunk: (shocks, coins, depths, carry in)
+        self.carry = 0.0
+
+    def _extend(self):
+        p = self.process
+        size = p.chunk_epochs
+        shocks = self.rng.standard_normal(size)
+        coins = self.rng.random(size)
+        depths = self.rng.uniform(2.0, p.fade_depth, size)
+        first = int(not self.chunks)
+        shocks[first:] *= p.volatility * math.sqrt(1 - p.ar**2)
+        shocks[:first] *= p.volatility
+        self.chunks.append((shocks, coins, depths, self.carry))
+        self.carry = p._x(shocks, size - 1, self.carry)
+
+    def rate_at(self, t):
+        p = self.process
+        chunk, j = divmod(int(t // p.epoch), p.chunk_epochs)
+        while len(self.chunks) <= chunk:
+            self._extend()
+        shocks, coins, depths, carry = self.chunks[chunk]
+        multiplier = math.exp(
+            p._x(shocks[:j + 1], j, carry) - p.volatility**2 / 2)
+        if coins[j] < p.fade_probability:
+            multiplier /= depths[j]
+        rate = p.mean_rate * multiplier
+        if p.diurnal_amplitude:
+            rate *= 1.0 + p.diurnal_amplitude * math.sin(
+                2 * math.pi * t / p.diurnal_period + self.phase
+            )
+        return max(rate, p.mean_rate * 1e-3)
 
 
 def make_pair(seed, **params):
@@ -131,6 +176,56 @@ def test_vectorized_matches_scalar_reference(
             # generator; the skipped fade blocks must keep it.
             assert process._rng.integers(0, 7) == reference.rng.integers(0, 7)
     assert process.next_change_after(t) == (t // EPOCH + 1) * EPOCH
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    volatility=st.floats(0.0, 1.5),
+    ar=st.one_of(st.just(0.0), st.floats(0.95, 0.995)),
+    fade_probability=st.floats(0.0, 1.0),
+    diurnal=st.floats(0.0, 0.9),
+    order=st.sampled_from(["forward", "backward", "random"]),
+    half_words=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_checkpointed_reads_match_whole_chunk_oracle(
+    seed, volatility, ar, fade_probability, diurnal, order, half_words, data,
+):
+    """Chunks around and above the checkpoint stride and above the
+    K-shock window (K = 1 at ar = 0; hundreds to thousands at
+    ar >= 0.95): every rate is bit-identical to the whole-chunk oracle
+    and the shared rng state matches after every query."""
+    window = len(_ar_window(ar))
+    chunk = data.draw(st.one_of(
+        st.integers(CHECKPOINT_EPOCHS - 3, 2 * CHECKPOINT_EPOCHS + 3),
+        st.integers(window, 2 * window + CHECKPOINT_EPOCHS),
+    ), label="chunk")
+    process = BandwidthProcess(
+        np.random.default_rng(seed), 10 * MBPS, volatility=volatility,
+        ar_coefficient=ar, epoch=EPOCH, fade_probability=fade_probability,
+        diurnal_amplitude=diurnal, chunk_epochs=chunk,
+    )
+    oracle = _WholeChunkOracle(np.random.default_rng(seed), process)
+    # Runs of neighbouring epochs, as a transfer reads them, from a few
+    # starts spread over four chunks.
+    starts = data.draw(st.lists(st.integers(0, 4 * chunk), min_size=1,
+                                max_size=6), label="starts")
+    epochs = [start + step for start in starts
+              for step in range(data.draw(st.integers(1, 4), label="run"))]
+    if order == "forward":
+        epochs.sort()
+    elif order == "backward":
+        epochs.sort(reverse=True)
+    else:
+        epochs = data.draw(st.permutations(epochs), label="shuffled")
+    for index in epochs:
+        t = EPOCH * (index + data.draw(st.floats(0.0, 0.99), label="offset"))
+        assert process.rate_at(t) == oracle.rate_at(t)
+        assert (process._rng.bit_generator.state
+                == oracle.rng.bit_generator.state)
+        if half_words:
+            assert process._rng.integers(0, 7) == oracle.rng.integers(0, 7)
 
 
 def test_backward_query_replays_a_chunk_without_touching_the_rng():
@@ -196,8 +291,9 @@ def test_floor_and_positivity_preserved():
 
 
 def test_link_retains_one_chunk_of_shocks():
-    """Reads spread over a week keep one chunk's shocks plus a small
-    record per chunk drawn — not every epoch up to the latest read."""
+    """Reads spread over a week keep no shocks at all: per chunk drawn,
+    the AR carry and a few generator states as ints — not one chunk's
+    32 KiB of shocks, nor every epoch up to the latest read."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -208,5 +304,5 @@ def test_link_retains_one_chunk_of_shocks():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= 48 * 1024
+    assert retained <= 12 * 1024
     assert len(process._records) == 3

@@ -1,5 +1,9 @@
 """Tests for the synthetic 272-user trial."""
 
+import gc
+import tracemalloc
+
+from repro.netsim import bandwidth
 from repro.workloads import bucket_of, run_trial
 
 
@@ -51,3 +55,31 @@ def test_trial_deterministic():
     assert [(r.t, r.duration) for r in a.records] == [
         (r.t, r.duration) for r in b.records
     ]
+
+
+def test_trial_links_retain_little_bandwidth_state(monkeypatch):
+    """A 60-user, 7-day synthetic trial: what its links still hold,
+    traced to ``bandwidth.py``, is at most 12 KiB per link a transfer
+    read (no per-link shock buffer)."""
+    links = []
+    init = bandwidth.BandwidthProcess.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        links.append(self)
+
+    monkeypatch.setattr(bandwidth.BandwidthProcess, "__init__", keep)
+    tracemalloc.start()
+    try:
+        run_trial(n_users=60, uploads_per_user=4, seed=3, days=7,
+                  payload="synthetic")
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    traced = snapshot.filter_traces(
+        [tracemalloc.Filter(True, bandwidth.__file__)])
+    retained = sum(stat.size for stat in traced.statistics("filename"))
+    read = sum(1 for link in links if link._memo)
+    assert read >= 100
+    assert retained <= 12 * 1024 * read

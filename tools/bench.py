@@ -70,11 +70,11 @@ RESULTS_PATH = os.path.join(
 
 #: Memory ceiling for the cohorted trial (MB): the smallest power of two
 #: at least twice the measured peak.  10 000 users in 500-user cohorts
-#: peak around 180 MB (a one-day trial draws one bandwidth chunk per
-#: link); the ceiling leaves headroom for interpreter/numpy baseline
-#: drift while still catching any regression that re-materializes
-#: per-user records.
-TRIAL_RSS_LIMIT_MB = 512.0
+#: peak around 52 MB (each link keeps a few generator states per
+#: bandwidth chunk drawn, no shocks); the ceiling leaves headroom for
+#: interpreter/numpy baseline drift while still catching any regression
+#: that re-materializes per-user records or per-link shock buffers.
+TRIAL_RSS_LIMIT_MB = 128.0
 
 
 def _pin_allocator():
