@@ -1,17 +1,17 @@
 """Degradation control plane: breakers, deadlines, hedging, debt.
 
-The :class:`~repro.obs.health.HealthScoreboard` *observes* cloud
-degradation; this module *acts* on it.  Every
+A client learns a cloud's state only from its own requests, so this
+module acts on that evidence alone.  Every
 :class:`~repro.core.client.UniDriveClient` runs one controller; four
-mechanisms close the health-to-action loop:
+mechanisms turn failed and slow requests into dispatch decisions:
 
 * **Per-cloud circuit breakers** — a closed/open/half-open state
   machine driven purely by the failure evidence the data path already
   produces (RetryPolicy classifications from scheduler workers and
-  ``client._replicate``) plus the health scoreboard's score.  An open
-  cloud receives *no* regular dispatch — only a bounded number of
-  half-open probes after a deterministic sim-clock cooldown — instead
-  of a fresh full retry budget every sync round.
+  ``client._replicate``).  An open cloud receives *no* regular
+  dispatch — only a bounded number of half-open probes after a
+  deterministic sim-clock cooldown — instead of a fresh full retry
+  budget every sync round.
 
 * **Deadline budgets** — :class:`DeadlineBudget` carries one sync
   round's remaining time through metadata fetch, upload/download
@@ -33,8 +33,9 @@ mechanisms close the health-to-action loop:
   once breakers close.
 
 Everything here is pure bookkeeping on the caller's sim clock: no
-randomness is drawn and no events are scheduled, so consulting the
-controller can never perturb a deterministic run.
+randomness is drawn, no events are scheduled and no telemetry is read,
+so consulting the controller can never perturb a deterministic run,
+and a run decides the same with observability on, off or absent.
 """
 
 from __future__ import annotations
@@ -208,25 +209,17 @@ class DeadlineBudget:
 
 
 class DegradeController:
-    """Fleet-wide admission control consulted by the data path.
+    """Per-client admission control consulted by the data path.
 
     One controller lives on the client (sharing breaker state across
     every upload/download batch and metadata operation of that client),
-    and is handed to both schedulers and ``_replicate``.  Admission
-    combines two signals:
-
-    * the cloud's own :class:`CircuitBreaker` (failure evidence from
-      this client's requests), and
-    * the health scoreboard, through the process telemetry hub's
-      safe-while-disabled queries — a cloud the scoreboard pins
-      ``unavailable`` gets no regular dispatch even before this
-      client's own breaker has gathered evidence.
+    and is handed to both schedulers and ``_replicate``.  Admission is
+    each cloud's own :class:`CircuitBreaker`: the failure evidence of
+    this client's requests, and nothing else.
     """
 
-    def __init__(self, config: UniDriveConfig,
-                 health_gate: bool = True):
+    def __init__(self, config: UniDriveConfig):
         self.config = config
-        self.health_gate = health_gate
         self._breakers: Dict[str, CircuitBreaker] = {}
         # Clouds whose breaker is open or half-open: every move to or
         # from closed runs through on_success / on_failure.
@@ -249,27 +242,14 @@ class DegradeController:
 
     def admits(self, cloud_id: str, t: float) -> bool:
         """Whether regular dispatch (or a probe slot) is available."""
-        gated = self.health_gate and OBS.enabled
-        if cloud_id not in self._unsettled:
-            if not gated:
-                return True  # a closed breaker, and no pin to consult
-        elif not self._breakers[cloud_id].admits(t):
-            return False
-        if gated and OBS.health_pinned(cloud_id):
-            # The scoreboard is inside an authoritative outage window
-            # for this cloud — don't burn a fresh failure budget
-            # rediscovering it.  Only the *pin* denies here: once the
-            # window closes traffic resumes immediately, because the
-            # sticky unavailable state can only recover through the
-            # very evidence a hard gate would starve it of.
-            return False
-        return True
+        return (cloud_id not in self._unsettled
+                or self._breakers[cloud_id].admits(t))
 
     def refusing(self, cloud_ids, sim) -> frozenset:
         """The clouds among ``cloud_ids`` that :meth:`admits` turns away
         now, on ``sim``'s clock: empty, without asking each one, while
-        every breaker is closed and no health pin can apply."""
-        if not self._unsettled and not (self.health_gate and OBS.enabled):
+        every breaker is closed."""
+        if not self._unsettled:
             return _NONE
         t = sim.now
         return frozenset(c for c in cloud_ids if not self.admits(c, t))

@@ -323,11 +323,10 @@ class _SlotScheduler:
 
     def _admits(self, cloud_id: str) -> bool:
         """Regular dispatch to ``cloud_id``: not after an abort, not to a
-        dead cloud, and not while its breaker is open (or the scoreboard
-        pins it unavailable) — the fix for the degraded-cloud retry
-        burn, where every fresh batch used to grant a known-bad cloud a
-        full paced retry budget.  Half-open probes pass through
-        ``admits()`` bounded by the probe quota."""
+        dead cloud, and not while its breaker is open — the fix for the
+        degraded-cloud retry burn, where every fresh batch used to grant
+        a known-bad cloud a full paced retry budget.  Half-open probes
+        pass through ``admits()`` bounded by the probe quota."""
         if self._aborted:
             return False
         if self._degrade is not None and not self._degrade.admits(

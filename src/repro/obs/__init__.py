@@ -29,10 +29,10 @@ from typing import Any, Callable, Optional, Tuple, Union
 from . import export, health, slo, timeseries
 from .health import HealthScoreboard
 from .hub import OBS, ObsHub
-from .metrics import DEFAULT_BUCKETS, Metrics, merge_snapshots
+from .metrics import Metrics, merge_snapshots
 from .slo import SLO, SLOEngine
 from .telemetry import Telemetry
-from .timeseries import TimeSeries, merge_window_snapshots
+from .timeseries import TimeSeries
 from .tracer import NULL_SPAN, EventRecord, SpanRecord, Tracer, ctx_attrs
 
 __all__ = [
@@ -54,9 +54,7 @@ __all__ = [
     "SpanRecord",
     "EventRecord",
     "NULL_SPAN",
-    "DEFAULT_BUCKETS",
     "merge_snapshots",
-    "merge_window_snapshots",
     "ctx_attrs",
     "export",
     "health",

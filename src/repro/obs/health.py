@@ -25,17 +25,17 @@ remains ``unavailable`` until the score itself recovers — a cloud is
 not trusted again the instant its provider says so.
 
 The scoreboard is pure bookkeeping: it never draws randomness, never
-touches the simulator, and is only fed when a telemetry pipeline is
-installed, so simulation results are byte-identical with or without it.
-Each transition is mirrored as a ``health_transition`` trace event on
-the cloud's track (when tracing is enabled), which is also how
-:func:`HealthScoreboard.from_records` and the Chrome exporter's score
-counter-track reconstruct timelines post-hoc.
+touches the simulator, is only fed when a telemetry pipeline is
+installed, and nothing in the library reads it, so simulation results
+are byte-identical with or without it.  Each transition is mirrored as
+a ``health_transition`` trace event on the cloud's track (when tracing
+is enabled), which is how the Chrome exporter's score counter-track
+reconstructs the timeline post-hoc.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .hub import OBS
 
@@ -235,68 +235,12 @@ class HealthScoreboard:
         entry = self._clouds.get(cloud)
         return 1.0 if entry is None else self._effective_score(entry)
 
-    def pinned(self, cloud: str) -> bool:
-        """Inside an authoritative outage/loss window right now.
-
-        Unlike :meth:`state` this lifts the moment the window closes:
-        the degradation control plane keys hard admission denial on
-        the pin and lets probe traffic rebuild the score afterwards
-        (gating on the sticky ``unavailable`` state instead would
-        starve the scoreboard of the very evidence recovery needs).
-        """
-        entry = self._clouds.get(cloud)
-        return False if entry is None else entry.pinned
-
     def transitions(self, cloud: str) -> List[Dict[str, Any]]:
         entry = self._clouds.get(cloud)
         return [] if entry is None else list(entry.transitions)
-
-    def clouds(self) -> List[str]:
-        return sorted(self._clouds)
 
     def snapshot(self) -> Dict[str, Any]:
         return {
             cloud: self._clouds[cloud].to_json()
             for cloud in sorted(self._clouds)
         }
-
-    # -- post-hoc reconstruction ------------------------------------------
-
-    @classmethod
-    def from_records(cls, rows: Iterable[Dict[str, Any]],
-                     **kwargs: Any) -> "HealthScoreboard":
-        """Fold a portable trace stream (JSONL rows) into a scoreboard.
-
-        Consumes ``transfer`` spans (outcome = absence of an ``error``
-        attr, timed at span end) and ``fault`` events, replayed in a
-        single merged time order — the same evidence the live hooks
-        feed, so a post-hoc fold of a recorded run reproduces the run's
-        live scoreboard timeline.
-        """
-        board = cls(**kwargs)
-        evidence = []
-        for row in rows:
-            kind = row.get("type")
-            if kind == "span" and row.get("name") == "transfer":
-                t = row.get("t1")
-                if t is None:
-                    continue
-                attrs = row.get("attrs", {})
-                evidence.append((
-                    t, 0, "transfer", row["track"],
-                    "error" not in attrs, attrs.get("retry_action"),
-                ))
-            elif kind == "event" and row.get("name") == "fault":
-                evidence.append((
-                    row["t"], 1, "fault", row["track"],
-                    row.get("attrs", {}).get("kind", ""), None,
-                ))
-        # Stable sort by time only: equal-time evidence keeps stream
-        # order, mirroring live arrival.
-        evidence.sort(key=lambda item: item[0])
-        for t, _, what, track, a, b in evidence:
-            if what == "transfer":
-                board.transfer(track, t, a, retry_action=b)
-            else:
-                board.fault(track, t, a)
-        return board

@@ -19,13 +19,15 @@ the only thing a disabled site reads; reporting never draws randomness,
 schedules simulator events or mutates domain state; and within a fact
 the sinks are fed tracer, metrics, telemetry — so results are
 byte-identical with observability on, off or absent, and the artifacts
-are a pure function of the instrumented program.
+are a pure function of the instrumented program.  The hub is write-only:
+no library code reads a sink back, so no decision can depend on which
+sinks are installed.  Tools read a sink's own snapshot after the run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
 from .tracer import ctx_attrs
 
@@ -250,31 +252,6 @@ class ObsHub:
         self.event("fault", t=t, track=target, kind=kind)
         if self.telemetry is not None:
             self.telemetry.fault(target, t, kind)
-
-    # -- read side: safe (and optimistic) while disabled -------------------
-
-    def health_state(self, cloud: str) -> str:
-        if self.telemetry is None:
-            return "healthy"  # health.HEALTHY (health.py imports this hub)
-        return self.telemetry.health.state(cloud)
-
-    def health_score(self, cloud: str) -> float:
-        if self.telemetry is None:
-            return 1.0
-        return self.telemetry.health.score(cloud)
-
-    def health_pinned(self, cloud: str) -> bool:
-        return (self.telemetry is not None
-                and self.telemetry.health.pinned(cloud))
-
-    def alerts(self) -> List[Dict[str, Any]]:
-        telemetry = self.telemetry
-        if telemetry is None:
-            return []
-        return telemetry.slo.alerts(telemetry.last_t)
-
-    def snapshot(self) -> Optional[Dict[str, Any]]:
-        return None if self.telemetry is None else self.telemetry.snapshot()
 
 
 #: The process-global hub.  Disabled (no sinks) by default; install

@@ -9,11 +9,9 @@ is installed; recording never draws randomness, schedules simulator
 events, or mutates domain state, so simulation results are
 byte-identical with telemetry enabled, disabled, or absent.
 
-The hub's queries (``health_state``, ``health_pinned``, ``alerts``, …)
-are safe while no pipeline is installed and return optimistic
-defaults: a scheduler may consult the signal unconditionally without
-perturbing un-instrumented runs.  This is the read side the future
-asyncio service's admission control and backpressure will hang off.
+Nothing in the library reads the pipeline back: the health states and
+SLO burn rates are for people and tools (``tools/health.py`` renders
+:meth:`Telemetry.snapshot`), never an input to dispatch.
 """
 
 from __future__ import annotations

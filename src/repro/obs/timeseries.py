@@ -1,4 +1,4 @@
-"""Sim-clock windowed time-series aggregation.
+"""Sim-clock windowed time-series aggregation, and the log histogram.
 
 End-of-run metric snapshots (:mod:`repro.obs.metrics`) answer "how much,
 in total"; this module answers "how much, *when*".  Observations are
@@ -9,22 +9,13 @@ forever in bounded memory.
 
 Per window, three instrument kinds mirror the flat registry:
 
-* **counters** — sums, labelled, merge by addition;
+* **counters** — sums, labelled;
 * **gauges** — last-writer-wins *by observation time* (ties resolved
-  toward the later submission), so merged snapshots agree with a single
-  stream;
+  toward the later submission);
 * **log histograms** — fixed-size base-2 histograms (:class:`LogHist`,
-  shared with the campaign reducers in ``repro/workloads``) with
-  approximate quantiles, merging by vector addition.
-
-Snapshots follow the PR-7 reducer laws (see ``repro/workloads/reduce.py``):
-absorbing observations one at a time equals batch absorption, and
-``merge_window_snapshots([s1, s2, ...])`` over any contiguous partition
-of one observation stream equals aggregating the whole stream in one
-:class:`TimeSeries` — counters/histograms are commutative sums and sim
-time is monotone within a stream, so the parallel campaign runner can
-fold per-cell snapshots in submission order without changing a digit.
-(Equality assumes no window was evicted, i.e. ``ring`` spans the run.)
+  the one histogram type in the repo: the metrics registry and the
+  campaign reducers in ``repro/workloads`` use it too) with approximate
+  quantiles, merging by vector addition.
 
 Everything here is plain floats/dicts — recording never draws
 randomness, never touches the simulator, and snapshots are JSON-safe,
@@ -35,17 +26,24 @@ over unchanged.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import _render_key, _series_key
+__all__ = ["LogHist", "TimeSeries"]
 
-__all__ = [
-    "LogHist",
-    "TimeSeries",
-    "merge_window_snapshots",
-    "snapshot_percentile",
-    "counter_series",
-]
+_SeriesKey = Tuple[Any, ...]
+
+
+def _series_key(name: str, labels: Dict[str, Any]) -> _SeriesKey:
+    if not labels:
+        return (name,)
+    return (name,) + tuple(sorted(labels.items()))
+
+
+def _render_key(key: _SeriesKey) -> str:
+    if len(key) == 1:
+        return key[0]
+    inner = ",".join(f"{k}={v}" for k, v in key[1:])
+    return f"{key[0]}{{{inner}}}"
 
 
 class LogHist:
@@ -246,109 +244,3 @@ class TimeSeries:
                 },
             }
         return {"width": self.width, "ring": self.ring, "windows": windows}
-
-
-def merge_window_snapshots(
-    snapshots: Iterable[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Fold per-cell window snapshots, in submission order.
-
-    Counters and histograms sum; gauges keep the observation with the
-    latest time (ties toward the later snapshot).  Widths must agree —
-    windows of different size are not comparable.  The result trims to
-    the largest ``ring`` seen, evicting the oldest windows, exactly as
-    a single live :class:`TimeSeries` would have.
-    """
-    width: Optional[float] = None
-    ring = 1
-    merged: Dict[int, Dict[str, Any]] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        if width is None:
-            width = snap["width"]
-        elif snap["width"] != width:
-            raise ValueError(
-                f"window width mismatch: {snap['width']} != {width}"
-            )
-        ring = max(ring, int(snap.get("ring", 1)))
-        for index_str, win in snap.get("windows", {}).items():
-            index = int(index_str)
-            have = merged.get(index)
-            if have is None:
-                merged[index] = {
-                    "t0": win["t0"],
-                    "counters": dict(win.get("counters", {})),
-                    "gauges": {
-                        k: list(v) for k, v in win.get("gauges", {}).items()
-                    },
-                    "histograms": {
-                        k: LogHist.from_json(h).to_json()
-                        for k, h in win.get("histograms", {}).items()
-                    },
-                }
-                continue
-            counters = have["counters"]
-            for key, value in win.get("counters", {}).items():
-                counters[key] = counters.get(key, 0.0) + value
-            gauges = have["gauges"]
-            for key, (t, value) in win.get("gauges", {}).items():
-                current = gauges.get(key)
-                if current is None or t >= current[0]:
-                    gauges[key] = [t, value]
-            hists = have["histograms"]
-            for key, data in win.get("histograms", {}).items():
-                current = hists.get(key)
-                if current is None:
-                    hists[key] = LogHist.from_json(data).to_json()
-                else:
-                    left = LogHist.from_json(current)
-                    left.update(LogHist.from_json(data))
-                    hists[key] = left.to_json()
-    if width is None:
-        return {"width": None, "ring": ring, "windows": {}}
-    for index in sorted(merged)[:-ring] if len(merged) > ring else []:
-        del merged[index]
-    return {
-        "width": width,
-        "ring": ring,
-        "windows": {
-            str(i): {
-                "t0": merged[i]["t0"],
-                "counters": dict(sorted(merged[i]["counters"].items())),
-                "gauges": dict(sorted(merged[i]["gauges"].items())),
-                "histograms": dict(sorted(merged[i]["histograms"].items())),
-            }
-            for i in sorted(merged)
-        },
-    }
-
-
-def snapshot_percentile(
-    snapshot: Dict[str, Any],
-    name: str,
-    q: float,
-    window: Optional[int] = None,
-) -> Optional[float]:
-    """Quantile of rendered series ``name`` from a snapshot dict."""
-    pooled = LogHist()
-    for index_str, win in snapshot.get("windows", {}).items():
-        if window is not None and int(index_str) != window:
-            continue
-        data = win.get("histograms", {}).get(name)
-        if data is not None:
-            pooled.update(LogHist.from_json(data))
-    return pooled.quantile(q)
-
-
-def counter_series(
-    snapshot: Dict[str, Any], name: str
-) -> List[Tuple[float, float]]:
-    """``(window start, value)`` pairs of one rendered counter series."""
-    out: List[Tuple[float, float]] = []
-    for index_str in sorted(snapshot.get("windows", {}), key=int):
-        win = snapshot["windows"][index_str]
-        value = win.get("counters", {}).get(name)
-        if value is not None:
-            out.append((win["t0"], value))
-    return out

@@ -100,22 +100,6 @@ class Event:
         return self._processed
 
     @property
-    def callbacks(self) -> Optional[List[Callable[["Event"], None]]]:
-        """Snapshot of pending callbacks; ``None`` once processed.
-
-        Exposed for introspection only — register through
-        :meth:`add_callback`.
-        """
-        if self._processed:
-            return None
-        cbs = self._cbs
-        if cbs is None:
-            return []
-        if type(cbs) is list:
-            return list(cbs)
-        return [cbs]
-
-    @property
     def ok(self) -> bool:
         if not self.triggered:
             raise SimulationError("event value not yet available")
@@ -393,10 +377,6 @@ class Simulator:
         follow that first step's effects (e.g. shared RNG draws)."""
         return Process(self, generator, inline=True)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-
     # -- observability helpers ------------------------------------------
     #
     # Convenience bridges to :mod:`repro.obs` with this simulator's
@@ -448,38 +428,14 @@ class Simulator:
                     heapq.heapify(queue)
                 return
 
-    def _schedule_call(self, func: Callable[[], None]) -> None:
-        self.call_later(0.0, func)
-
     # -- execution ------------------------------------------------------
-
-    def _step(self) -> None:
-        when, _, event, func = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = when
-        self._steps += 1
-        if func is not None:
-            func()
-            return
-        cbs = event._cbs
-        event._cbs = None
-        event._processed = True
-        if cbs is not None:
-            if type(cbs) is list:
-                for callback in cbs:
-                    callback(event)
-            else:
-                cbs(event)
-        if not event._ok and not event.defused:
-            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time exceeds ``until``.
 
-        The :meth:`_step` body is inlined here with hoisted locals —
-        this loop executes once per simulated event, and the call plus
-        repeated attribute lookups are measurable at campaign scale.
+        One step is inlined here with hoisted locals — this loop
+        executes once per simulated event, and a per-step method call
+        plus repeated attribute lookups are measurable at campaign scale.
         """
         queue = self._queue
         pop = heapq.heappop

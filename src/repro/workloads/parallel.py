@@ -190,41 +190,27 @@ def _run_cell(cell: Cell, reducer=None):
     raise ValueError(f"unknown cell kind {cell.kind!r}")
 
 
-def _run_cell_traced(cell: Cell, reducer=None, telemetry: bool = False):
+def _run_cell_traced(cell: Cell, reducer=None):
     """Execute one cell under a fresh per-process trace buffer.
 
-    Returns ``(result, records, metrics_snapshot, windows)``.  Each cell
-    gets its own isolated tracer/metrics pair, so worker processes (and
-    inline runs) buffer identically; instrumented call sites stamp spans
-    with explicit sim times, so records carry each cell's own virtual
-    clock.  With ``telemetry`` the cell also runs under an isolated
-    :class:`~repro.obs.Telemetry` pipeline and its window snapshot comes
-    back for the parent's submission-order merge (``windows`` is None
-    otherwise).
+    Returns ``(result, records, metrics_snapshot)``.  Each cell gets its
+    own isolated tracer/metrics pair, so worker processes (and inline
+    runs) buffer identically; instrumented call sites stamp spans with
+    explicit sim times, so records carry each cell's own virtual clock.
     """
     from repro import obs
 
-    with obs.isolated(telemetry=True if telemetry else None) as (
-        tracer, metrics,
-    ):
+    with obs.isolated() as (tracer, metrics):
         result = _run_cell(cell, reducer)
-        windows = (
-            obs.get_telemetry().timeseries.snapshot() if telemetry else None
-        )
-        return result, tracer.drain(), metrics.snapshot(), windows
+        return result, tracer.drain(), metrics.snapshot()
 
 
-def _run_chunk(indices: Tuple[int, ...], collect_traces: bool,
-               collect_telemetry: bool = False) -> list:
+def _run_chunk(indices: Tuple[int, ...], collect_traces: bool) -> list:
     """Execute a batch of cells from the shared table, in index order."""
     cells = _SHARED_CELLS
     reducer = _SHARED_REDUCER
-    if collect_traces:
-        return [
-            _run_cell_traced(cells[index], reducer, collect_telemetry)
-            for index in indices
-        ]
-    return [_run_cell(cells[index], reducer) for index in indices]
+    run = _run_cell_traced if collect_traces else _run_cell
+    return [run(cells[index], reducer) for index in indices]
 
 
 # -- parent side ----------------------------------------------------------
@@ -244,7 +230,6 @@ def _cell_users(cell: Cell) -> int:
 def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
               chunk_size: Optional[int] = None,
               collect_traces: bool = False,
-              collect_telemetry: bool = False,
               reducer=None):
     """Run ``cells`` and return their results in submission order.
 
@@ -266,22 +251,13 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
     concatenated in submission order (each prefixed by a ``cell``
     boundary event), plus the per-cell metrics snapshots merged in the
     same order — deterministic regardless of worker scheduling.
-    ``collect_telemetry=True`` (implies trace collection) additionally
-    runs each cell under an isolated telemetry pipeline and appends a
-    fourth element: the per-cell window snapshots merged in submission
-    order via :func:`repro.obs.merge_window_snapshots` — the same
-    partition-invariance law the streaming reducers obey, so worker
-    count and chunk size never change the merged windows.
 
     Progress is observable through the PR 4 metrics hub when enabled:
     ``cells_done`` and ``users_simulated`` counters advance as cells
     complete.
     """
     cells = list(cells)
-    collect_traces = collect_traces or collect_telemetry
     if not cells:
-        if collect_telemetry:
-            return [], [], None, None
         return ([], [], None) if collect_traces else []
     workers = default_workers(len(cells)) if max_workers is None else min(
         max(int(max_workers), 1), len(cells)
@@ -314,11 +290,7 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
         # through _run_chunk here would materialize every per-cell
         # state before the fold (the memory the streaming path exists
         # to avoid) and hold progress at zero until the very end.
-        if collect_traces:
-            def runner(cell, reducer):
-                return _run_cell_traced(cell, reducer, collect_telemetry)
-        else:
-            runner = _run_cell
+        runner = _run_cell_traced if collect_traces else _run_cell
         if streaming:
             chunk_outs = None
             for index, cell in enumerate(cells):
@@ -348,8 +320,7 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
                 initializer=_worker_init, initargs=initargs,
             ) as pool:
                 futures = {
-                    pool.submit(_run_chunk, indices, collect_traces,
-                                collect_telemetry): indices
+                    pool.submit(_run_chunk, indices, collect_traces): indices
                     for indices in chunks
                 }
                 order = {indices: pos for pos, indices
@@ -387,19 +358,12 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
         outs.extend(chunk)
 
     if collect_traces:
-        from repro.obs import (
-            EventRecord,
-            merge_snapshots,
-            merge_window_snapshots,
-        )
+        from repro.obs import EventRecord, merge_snapshots
 
         results: List[Any] = []
         records: List[Any] = []
         snapshots = []
-        window_snaps = []
-        for index, (result, cell_records, snapshot, windows) in enumerate(
-            outs
-        ):
+        for index, (result, cell_records, snapshot) in enumerate(outs):
             results.append(result)
             records.append(EventRecord(
                 "cell", "runner", 0.0,
@@ -407,17 +371,11 @@ def run_cells(cells: Sequence[Cell], max_workers: Optional[int] = None,
             ))
             records.extend(cell_records)
             snapshots.append(snapshot)
-            window_snaps.append(windows)
         if reducer is not None:
             merged = reducer.init()
             for state in results:
                 merged = reducer.merge(merged, state)
             results = reducer.finalize(merged)
-        if collect_telemetry:
-            return results, records, merge_snapshots(snapshots), \
-                merge_window_snapshots(
-                    [w for w in window_snaps if w is not None]
-                )
         return results, records, merge_snapshots(snapshots)
 
     return outs

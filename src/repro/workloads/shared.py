@@ -296,8 +296,10 @@ def run_shared(scenario: SharedScenario,
     run's extent (restoring whatever was installed before) and attaches
     its snapshot — windows, per-cloud health timeline, SLO burn rates,
     and each device's throughput-estimator state — as
-    ``result.telemetry``; simulated outcomes are byte-identical either
-    way (the overhead contract).
+    ``result.telemetry``.  Every other field is identical either way:
+    the pipeline only records, and no device reads it
+    (``tests/obs/test_noop_identity.py`` runs the degrade arc both
+    ways).
     """
     if not telemetry:
         return _run_shared(scenario)
@@ -514,8 +516,9 @@ def _run_shared(scenario: SharedScenario) -> SharedResult:
                 breaker_transitions.get(cloud_id, 0),
                 len(breaker.transitions),
             )
-    telemetry_snapshot = OBS.snapshot()
-    if telemetry_snapshot is not None:
+    telemetry_snapshot = None
+    if OBS.telemetry is not None:
+        telemetry_snapshot = OBS.telemetry.snapshot()
         telemetry_snapshot["estimators"] = {
             d.name: d.client.estimator.snapshot() for d in live
         }

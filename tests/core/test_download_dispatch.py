@@ -123,7 +123,7 @@ def test_hedged_batch_settles_every_race():
     log = log_requests(sim, conns)
     down = DownloadScheduler(
         sim, conns, pipeline, config, estimator=estimator,
-        degrade=DegradeController(config, health_gate=False),
+        degrade=DegradeController(config),
     )
     batch = sim.run_process(down.run_batch(requests))
     assert batch.all_completed

@@ -297,12 +297,11 @@ def run_download_scenario(reference, down_failure_rates=None,
         ).run_batch(requests))
     if disturb is not None:
         disturb(sim, conns, estimator)
-    # Armed like a client's batches: a controller without the
-    # process-wide health gate.
+    # Armed like a client's batches.
     down = DownloadScheduler(
         sim, conns, pipeline, config, estimator=estimator,
         dynamic=dynamic,
-        degrade=DegradeController(config, health_gate=False),
+        degrade=DegradeController(config),
     )
     if reference:
         down._next_ready = partial(next_request_reference, down)

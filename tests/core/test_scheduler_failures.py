@@ -135,7 +135,7 @@ def test_breaker_stops_degraded_cloud_retry_burn():
         clouds[3].set_available(False)
         config = UniDriveConfig(theta=64 * 1024)
         controller = (
-            DegradeController(config, health_gate=False) if degrade
+            DegradeController(config) if degrade
             else None
         )
         failed = []

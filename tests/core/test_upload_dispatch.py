@@ -63,7 +63,7 @@ def degrade_budget_digest():
     injector = FaultInjector(sim)
     injector.force_drops(conns[1], count=3)
     injector.outage(clouds[3], start=0.25)
-    degrade = DegradeController(config, health_gate=False)
+    degrade = DegradeController(config)
     scheduler = UploadScheduler(
         sim, conns, pipeline, config, degrade=degrade,
         budget=DeadlineBudget(sim, 0.5),

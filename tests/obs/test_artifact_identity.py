@@ -37,19 +37,20 @@ LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 #: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "3f3b994d6a9c89d851c515238e71d0aa52ce3037df5368603eb9959239fbadcc",
-    "chrome": "f7618318d6c336046c698a5e67aa3415b8e0d9f2b30e12e720b0ce1bcda89156",
-    "telemetry": "558f39c2bd855ef28f54821654647cb49384c80184c7072cc81c308af4d87156",
+    "jsonl": "40666bdfa3f81e54e83af107a3af3802d8c98c626ed3fb154cbd60e625dbd63b",
+    "chrome": "9abcbfb46a2f09665a1a601c2b8a0e30cb4b3ca7af954890296acc65b01a768f",
+    "telemetry": "284f7222b8d8c51cf4466ab8aeff15911ede44465dd2e5ce24914053a93ac208",
 }
 
 
 def _fleet(sim):
     """Writer and reader.  The reader's link to cloud2 is inaccessible
-    (the provider is blocked where it sits): nothing announces it, so
-    every request it sends there fails with ``CloudUnavailableError``.
-    The announced outage cannot raise that error — the plane's health
-    gate stops dispatch to cloud3 from the outage's first instant, and
-    a cloud's availability is checked only when a request starts."""
+    (the provider is blocked where it sits), so every request it sends
+    there fails with ``CloudUnavailableError``.  The outage announced
+    on cloud3 looks the same to the writer: a client learns a cloud is
+    down only from its own requests, so its block uploads there fail
+    with that error too, and each device's breaker opens on its own
+    evidence."""
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(len(LINK_MBPS))]
     devices = []
     for d in range(2):

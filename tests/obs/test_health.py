@@ -1,5 +1,4 @@
-"""Health scoreboard: scoring, hysteresis, dwell, outage pinning, and
-post-hoc reconstruction from a portable trace stream."""
+"""Health scoreboard: scoring, hysteresis, dwell and outage pinning."""
 
 import pytest
 
@@ -132,56 +131,8 @@ def test_transition_emits_trace_event():
     assert events[0].attrs["forced"] is True
 
 
-def test_hub_read_side_defaults_then_delegates():
-    """Schedulers may consult the hub unconditionally: optimistic
-    answers with no pipeline installed, the scoreboard's otherwise."""
-    obs.disable()
-    hub = obs.OBS
-    assert hub.health_state("c0") == HEALTHY
-    assert hub.health_score("c0") == 1.0
-    assert not hub.health_pinned("c0")
-    assert hub.alerts() == [] and hub.snapshot() is None
-    with obs.isolated(telemetry=True, tracer=False, metrics=False):
-        hub.fault("c0", 7.0, "outage-begin")
-        assert hub.health_state("c0") == UNAVAILABLE
-        assert hub.health_score("c0") == 0.0
-        assert hub.health_pinned("c0")
-        assert hub.snapshot()["health"]["c0"]["pinned"] is True
-        assert hub.alerts() == obs.get_telemetry().slo.alerts(7.0)
-    assert hub.health_state("c0") == HEALTHY
-
-
 def test_invalid_thresholds_rejected():
     with pytest.raises(ValueError):
         HealthScoreboard(alpha=0.0)
     with pytest.raises(ValueError):
         HealthScoreboard(degraded_below=0.9, healthy_above=0.8)
-
-
-def test_from_records_reproduces_the_live_timeline():
-    """Feeding the live hooks and folding the equivalent portable trace
-    rows must yield identical snapshots."""
-    evidence = [
-        ("transfer", "c0", 10.0, True, None),
-        ("transfer", "c0", 20.0, False, "fail-fast"),
-        ("fault", "c0", 30.0, "outage-begin", None),
-        ("fault", "c0", 90.0, "outage-end", None),
-        ("transfer", "c1", 40.0, True, None),
-        ("transfer", "c0", 100.0, True, None),
-        ("transfer", "c0", 110.0, True, None),
-    ]
-    live = _board()
-    rows = []
-    for what, cloud, t, a, b in evidence:
-        if what == "transfer":
-            live.transfer(cloud, t, a, retry_action=b)
-            attrs = {} if a else {"error": "boom", "retry_action": b}
-            rows.append({"type": "span", "name": "transfer",
-                         "track": cloud, "t0": t - 1.0, "t1": t,
-                         "attrs": attrs})
-        else:
-            live.fault(cloud, t, a)
-            rows.append({"type": "event", "name": "fault", "track": cloud,
-                         "t": t, "attrs": {"kind": a}})
-    rebuilt = HealthScoreboard.from_records(rows, min_dwell=5.0)
-    assert rebuilt.snapshot() == live.snapshot()

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.obs import OBS, Metrics, merge_snapshots
+from repro.obs.timeseries import LogHist
 
 
 def test_counter_labels_are_order_insensitive():
@@ -28,17 +29,19 @@ def test_snapshot_renders_prometheus_style_keys_sorted():
     assert snap["gauges"] == {"queue_depth{cloud=gdrive}": 3}
 
 
-def test_histogram_buckets_and_registration():
+def test_histogram_series_is_a_loghist():
     m = Metrics()
-    m.register_buckets("lat", [1.0, 10.0])
-    m.observe("lat", 0.5)
-    m.observe("lat", 5.0)
-    m.observe("lat", 99.0)
+    expected = LogHist()
+    for value in (0.5, 5.0, 99.0, 0.0):
+        m.observe("lat", value)
+        expected.add(value)
     hist = m.snapshot()["histograms"]["lat"]
-    assert hist["bounds"] == [1.0, 10.0]
-    assert hist["counts"] == [1, 1, 1]  # <=1, <=10, overflow
-    assert hist["count"] == 3
+    assert hist == expected.to_json()
+    assert hist["count"] == 3 and hist["nulls"] == 1  # 0.0 is a null
     assert hist["sum"] == pytest.approx(104.5)
+    assert LogHist.from_json(hist).quantile(0.5) == LogHist.bucket_value(
+        LogHist.bucket_index(5.0)
+    )
 
 
 def test_merge_snapshots_sums_counters_and_histograms():
@@ -60,15 +63,16 @@ def test_merge_snapshots_sums_counters_and_histograms():
     assert merged["histograms"]["h"]["sum"] == pytest.approx(1.2)
 
 
-def test_merge_snapshots_rejects_mismatched_bounds():
-    a = Metrics()
-    a.register_buckets("h", [1.0])
-    a.observe("h", 0.5)
-    b = Metrics()
-    b.register_buckets("h", [2.0])
-    b.observe("h", 0.5)
-    with pytest.raises(ValueError):
-        merge_snapshots([a.snapshot(), b.snapshot()])
+def test_merge_snapshots_equals_one_registry():
+    """Histograms of any range add: merging two registries' snapshots
+    equals one registry that observed every value."""
+    values = (2.0 ** -20, 0.5, 3.0, 0.0, 2e4, 7.0)  # sums exact in floats
+    a, b, whole = Metrics(), Metrics(), Metrics()
+    for i, value in enumerate(values):
+        (a if i % 2 else b).observe("h", value, cloud="c1")
+        whole.observe("h", value, cloud="c1")
+    merged = merge_snapshots([a.snapshot(), b.snapshot()])
+    assert merged["histograms"] == whole.snapshot()["histograms"]
 
 
 def test_disabled_hub_drops_everything():

@@ -1,8 +1,12 @@
-"""The overhead contract's behavioural half: tracing must never perturb
-simulation results (enabled, disabled, or absent), and the parallel
-runner's merged trace must be deterministic across worker counts."""
+"""The overhead contract's behavioural half: tracing and telemetry must
+never perturb simulation results (enabled, disabled, or absent), and
+the parallel runner's merged trace must be deterministic across worker
+counts."""
+
+from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.cloud import SimulatedCloud, make_instant_connection
@@ -11,6 +15,7 @@ from repro.core.config import UniDriveConfig
 from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
 from repro.workloads import run_cells, transfers_cell
+from repro.workloads.shared import SharedScenario, run_shared
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
 
@@ -54,6 +59,30 @@ def test_sync_identical_enabled_vs_disabled():
     after = _sync_digest()
     # ...without changing a single simulated outcome.
     assert before == traced == after
+
+
+@pytest.mark.parametrize(
+    "policy", ["retain-both", "last-writer-wins", "per-path"],
+)
+def test_degrade_arc_identical_with_and_without_telemetry(policy):
+    """The degradation plane decides from its own requests only: the
+    ``--degrade`` campaign's arc (cloud 1 slowed 200x, cloud 2 down,
+    both recovering before a repaying scrub) yields the same commits,
+    hedges, debt and breaker history whether or not a telemetry
+    pipeline is recording the outage."""
+    obs.disable()
+    scenario = SharedScenario(
+        writers=4, rounds=8, seed=7, policy=policy,
+        slow=((1, 48.0, 288.0, 200.0),), outages=((2, 96.0, 336.0),),
+        scrub_after=True,
+    )
+    plain = run_shared(scenario)
+    recorded = run_shared(scenario, telemetry=True)
+    assert plain.telemetry is None and recorded.telemetry is not None
+    assert plain.breaker_transitions["c2"] > 0  # the outage is felt
+    names = [f.name for f in fields(plain) if f.name != "telemetry"]
+    assert ({n: getattr(recorded, n) for n in names}
+            == {n: getattr(plain, n) for n in names})
 
 
 def _cells():

@@ -1,15 +1,5 @@
-"""Windowed time-series units + the reduction laws, property-tested.
-
-The laws mirror ``repro/workloads/reduce.py``: merging per-cell window
-snapshots over any contiguous partition of one observation stream — in
-any merge order, when gauge timestamps are unique — equals aggregating
-the whole stream in a single :class:`TimeSeries`, and window quantiles
-equal a brute-force recompute over the bucketed raw values.
-
-Counter/histogram values are drawn as integers so sums are exact in
-floats regardless of association order — the laws are about *semantics*,
-not float rounding.
-"""
+"""Windowed time-series units, and window quantiles property-tested
+against a brute-force recompute over the bucketed raw values."""
 
 import json
 import math
@@ -18,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.timeseries import (
-    LogHist,
-    TimeSeries,
-    counter_series,
-    merge_window_snapshots,
-    snapshot_percentile,
-)
+from repro.obs.timeseries import LogHist, TimeSeries
 
 WIDTH = 60.0
 
@@ -41,9 +25,6 @@ def test_counters_bucket_by_tumbling_window():
     assert ts.counter_value("blocks", 0, cloud="c0") == 3.0
     assert ts.counter_value("blocks", 1, cloud="c0") == 4.0
     assert ts.counter_value("blocks", 2, cloud="c0") == 0.0
-    assert counter_series(ts.snapshot(), "blocks{cloud=c0}") == [
-        (0.0, 3.0), (60.0, 4.0),
-    ]
 
 
 def test_gauge_last_writer_by_observation_time():
@@ -68,11 +49,6 @@ def test_invalid_parameters_rejected():
         TimeSeries(width=0.0)
     with pytest.raises(ValueError):
         TimeSeries(ring=0)
-    narrow, wide = TimeSeries(width=30.0), TimeSeries(width=60.0)
-    narrow.inc("n", 1.0)
-    wide.inc("n", 1.0)
-    with pytest.raises(ValueError):
-        merge_window_snapshots([narrow.snapshot(), wide.snapshot()])
 
 
 def test_snapshot_is_json_safe_and_percentile_reads_back():
@@ -82,84 +58,8 @@ def test_snapshot_is_json_safe_and_percentile_reads_back():
     snap = json.loads(json.dumps(ts.snapshot()))
     direct = ts.percentile("lat", 0.5, device="d0")
     assert direct is not None
-    assert snapshot_percentile(snap, "lat{device=d0}", 0.5) == direct
-
-
-# -- property: partition/order invariance -----------------------------------
-
-_OP = st.tuples(
-    st.sampled_from(["inc", "gauge", "observe"]),
-    st.sampled_from(["a", "b"]),
-    st.integers(min_value=1, max_value=1000),       # exact-in-float value
-    st.sampled_from(["x", "y"]),
-)
-
-
-@st.composite
-def partitioned_stream(draw):
-    """One time-ordered stream with unique timestamps, cut into
-    contiguous parts, plus a merge order for the parts."""
-    ops = draw(st.lists(_OP, max_size=40))
-    times = sorted(draw(st.lists(
-        st.floats(min_value=0.0, max_value=600.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=len(ops), max_size=len(ops), unique=True,
-    )))
-    stream = [(kind, name, t, float(value), label)
-              for (kind, name, value, label), t in zip(ops, times)]
-    n_cuts = draw(st.integers(min_value=0, max_value=3))
-    cuts = sorted(draw(st.lists(
-        st.integers(min_value=0, max_value=len(stream)),
-        min_size=n_cuts, max_size=n_cuts,
-    )))
-    parts, prev = [], 0
-    for cut in cuts + [len(stream)]:
-        parts.append(stream[prev:cut])
-        prev = cut
-    order = draw(st.permutations(range(len(parts))))
-    return stream, parts, order
-
-
-def _aggregate(ops):
-    ts = TimeSeries(width=WIDTH)
-    for kind, name, t, value, label in ops:
-        getattr(ts, kind)(name, t, value, tag=label)
-    return ts
-
-
-def _canon(snapshot):
-    return json.dumps(snapshot, sort_keys=True)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=partitioned_stream())
-def test_merge_of_contiguous_partition_equals_single_stream(data):
-    stream, parts, _ = data
-    whole = _aggregate(stream).snapshot()
-    merged = merge_window_snapshots(
-        [_aggregate(part).snapshot() for part in parts]
-    )
-    assert _canon(merged) == _canon(whole)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=partitioned_stream())
-def test_merge_order_does_not_matter_with_unique_timestamps(data):
-    stream, parts, order = data
-    whole = _aggregate(stream).snapshot()
-    shuffled = merge_window_snapshots(
-        [_aggregate(parts[i]).snapshot() for i in order]
-    )
-    assert _canon(shuffled) == _canon(whole)
-
-
-def test_merge_is_not_double_counting():
-    # Merging a snapshot with itself must NOT equal the snapshot —
-    # guards against a merge that overwrites instead of sums being
-    # accepted by the identity properties above.
-    ts = _aggregate([("inc", "a", 1.0, 5.0, "x")])
-    doubled = merge_window_snapshots([ts.snapshot(), ts.snapshot()])
-    assert doubled["windows"]["0"]["counters"]["a{tag=x}"] == 10.0
+    stored = snap["windows"]["0"]["histograms"]["lat{device=d0}"]
+    assert LogHist.from_json(stored).quantile(0.5) == direct
 
 
 # -- property: percentiles match brute force --------------------------------

@@ -205,7 +205,7 @@ def bench_guards():
     rounds = 5
     span = range(n)
     hub = obs.OBS
-    degrade = DegradeController(UniDriveConfig(), health_gate=False)
+    degrade = DegradeController(UniDriveConfig())
     degrade.breaker("cloud0")
 
     def loop_empty():
