@@ -15,9 +15,9 @@ import pytest
 
 from repro.core import MultiCloudBenchmark, UniDriveConfig
 from repro.core.capacity import replication_capacity, unidrive_capacity
-from repro.cloud import QuotaExceededError, SimulatedCloud, make_instant_connection
+from repro.cloud import QuotaExceededError, SimulatedCloud
 from repro.simkernel import Simulator
-from repro.workloads import random_bytes
+from repro.workloads import connect, random_bytes
 
 _MB = 1024 * 1024
 QUOTA = 30 * _MB  # per cloud
@@ -33,8 +33,7 @@ def fill_unidrive():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}", quota_bytes=QUOTA)
               for i in range(3)]
-    conns = [make_instant_connection(sim, c, seed=i)
-             for i, c in enumerate(clouds)]
+    conns = connect(sim, clouds, seed=0)
     config = UniDriveConfig(k_blocks=2, k_reliability=2, k_security=1,
                             theta=2 * _MB)
     client = MultiCloudBenchmark(sim, conns, config)
@@ -54,8 +53,7 @@ def fill_replication():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}", quota_bytes=QUOTA)
               for i in range(3)]
-    conns = [make_instant_connection(sim, c, seed=i)
-             for i, c in enumerate(clouds)]
+    conns = connect(sim, clouds, seed=0)
     rng = np.random.default_rng(0)
     stored = 0
 

@@ -11,30 +11,16 @@ encrypted metadata with Delta-sync, and conflict handling — on
 
 import numpy as np
 
-from repro import SimulatedCloud, Simulator, UniDriveConfig, UniDriveClient
-from repro.cloud import make_instant_connection
-from repro.fsmodel import VirtualFileSystem
-
-
-def make_device(sim, clouds, name, seed):
-    fs = VirtualFileSystem()
-    connections = [
-        make_instant_connection(sim, cloud, seed=seed + i)
-        for i, cloud in enumerate(clouds)
-    ]
-    client = UniDriveClient(
-        sim, name, fs, connections,
-        config=UniDriveConfig(theta=256 * 1024),
-        rng=np.random.default_rng(seed),
-    )
-    return client
+from repro import SimulatedCloud, Simulator, UniDriveConfig
+from repro.workloads import make_device
 
 
 def main():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    laptop = make_device(sim, clouds, "laptop", seed=1)
-    desktop = make_device(sim, clouds, "desktop", seed=2)
+    config = UniDriveConfig(theta=256 * 1024)
+    laptop = make_device(sim, clouds, "laptop", seed=1, config=config)
+    desktop = make_device(sim, clouds, "desktop", seed=2, config=config)
 
     print("== 1. laptop writes files and syncs ==")
     laptop.fs.write_file("/notes/todo.txt", b"buy milk\nship unidrive\n",

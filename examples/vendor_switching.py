@@ -12,9 +12,8 @@ onto the survivors) — all while files stay fully readable.
 
 import numpy as np
 
-from repro import SimulatedCloud, Simulator, UniDriveConfig, UniDriveClient
-from repro.cloud import make_instant_connection
-from repro.fsmodel import VirtualFileSystem
+from repro import SimulatedCloud, Simulator, UniDriveConfig
+from repro.workloads import connect, make_device
 
 
 def block_census(clouds):
@@ -35,15 +34,8 @@ def main():
         SimulatedCloud(sim, name)
         for name in ("dropbox", "onedrive", "gdrive", "baidupcs", "dbank")
     ]
-    fs = VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=i) for i, c in enumerate(clouds)
-    ]
-    client = UniDriveClient(
-        sim, "laptop", fs, conns,
-        config=UniDriveConfig(theta=128 * 1024),
-        rng=np.random.default_rng(0),
-    )
+    config = UniDriveConfig(theta=128 * 1024)
+    client = make_device(sim, clouds, "laptop", seed=0, config=config)
 
     rng = np.random.default_rng(1)
     files = {
@@ -53,15 +45,14 @@ def main():
         for i in range(3)
     }
     for path, data in files.items():
-        fs.write_file(path, data, mtime=sim.now)
+        client.fs.write_file(path, data, mtime=sim.now)
     sim.run_process(client.sync())
     print("initial block placement:", block_census(clouds))
 
     print("\n== a new provider launches; enroll it ==")
     newcloud = SimulatedCloud(sim, "newcloud")
-    sim.run_process(
-        client.add_cloud(make_instant_connection(sim, newcloud, seed=99))
-    )
+    (connection,) = connect(sim, [newcloud], seed=99)
+    sim.run_process(client.add_cloud(connection))
     census = block_census(clouds + [newcloud])
     print("after add_cloud:", census)
     assert census["newcloud"] > 0
@@ -74,22 +65,14 @@ def main():
 
     print("\n== every file is still perfectly readable ==")
     # Prove it from a second, fresh device that never saw the originals.
-    fs2 = VirtualFileSystem()
     active_clouds = [c for c in clouds if c.cloud_id != "dbank"] + [newcloud]
-    conns2 = [
-        make_instant_connection(sim, c, seed=50 + i)
-        for i, c in enumerate(active_clouds)
-    ]
     # Note: metadata still references the old cloud set; the fresh
     # device only needs any K_r of the clouds that hold blocks.
-    reader = UniDriveClient(
-        sim, "fresh-device", fs2, conns2,
-        config=UniDriveConfig(theta=128 * 1024),
-        rng=np.random.default_rng(2),
-    )
+    reader = make_device(sim, active_clouds, "fresh-device", seed=50,
+                         config=config)
     sim.run_process(reader.sync())
     for path, data in files.items():
-        assert fs2.read_file(path) == data, path
+        assert reader.fs.read_file(path) == data, path
     print(f"   fresh device reconstructed all {len(files)} files. "
           "No vendor ever had a veto.")
 

@@ -25,17 +25,13 @@ A from-scratch Python implementation of the system described in
 
 Quick start::
 
-    from repro import Simulator, SimulatedCloud, UniDriveClient
-    from repro.cloud import make_instant_connection
-    from repro.fsmodel import VirtualFileSystem
+    from repro import Simulator, SimulatedCloud
+    from repro.workloads import make_device
 
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    fs = VirtualFileSystem()
-    conns = [make_instant_connection(sim, c, seed=i)
-             for i, c in enumerate(clouds)]
-    client = UniDriveClient(sim, "laptop", fs, conns)
-    fs.write_file("/hello.txt", b"hi", mtime=0.0)
+    client = make_device(sim, clouds, "laptop", seed=0)
+    client.fs.write_file("/hello.txt", b"hi", mtime=0.0)
     report = sim.run_process(client.sync())
 """
 

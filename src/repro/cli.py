@@ -76,26 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_demo() -> int:
-    import numpy as np
-
-    from . import SimulatedCloud, Simulator, UniDriveClient, UniDriveConfig
-    from .cloud import make_instant_connection
-    from .fsmodel import VirtualFileSystem
+    from . import SimulatedCloud, Simulator, UniDriveConfig
+    from .workloads import make_device
 
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for name in ("laptop", "phone"):
-        fs = VirtualFileSystem()
-        conns = [
-            make_instant_connection(sim, c, seed=hash(name) % 97 + i)
-            for i, c in enumerate(clouds)
-        ]
-        clients.append(UniDriveClient(
-            sim, name, fs, conns, config=UniDriveConfig(theta=128 * 1024),
-            rng=np.random.default_rng(len(name)),
-        ))
-    laptop, phone = clients
+    config = UniDriveConfig(theta=128 * 1024)
+    laptop, phone = (
+        make_device(sim, clouds, name, seed=31 * d, config=config)
+        for d, name in enumerate(("laptop", "phone"))
+    )
     laptop.fs.write_file("/hello.txt", b"hello from the laptop",
                          mtime=sim.now)
     sim.run_process(laptop.sync())

@@ -161,7 +161,6 @@ class UniDriveClient:
         )
         #: v_o — the image both this device and the cloud agreed on last.
         self.image = SyncFolderImage(device)
-        self._known_remote = VersionStamp(0, "")
         self._pending_changes: Dict[str, ChangeKind] = {}
         self._pending_fetch: set = set()
         # Per-cloud version counters from the most recent poll
@@ -310,9 +309,6 @@ class UniDriveClient:
             return  # empty cloud: pending local files commit normally
         cloud_image = yield from self._fetch_metadata(expect=remote.counter)
         self.image = cloud_image
-        self._known_remote = VersionStamp(
-            cloud_image.version.counter, cloud_image.version.device
-        )
         to_fetch: List[str] = []
         for path, entry in sorted(cloud_image.files.items()):
             if not self.fs.exists(path):
@@ -433,9 +429,6 @@ class UniDriveClient:
                 ops.append(op_set_version(local.version.counter, self.device))
                 yield from self._publish_delta(local, ops)
                 self.image = local
-            self._known_remote = VersionStamp(
-                self.image.version.counter, self.image.version.device
-            )
             report.committed_version = self.image.version.counter
         finally:
             yield from self.lock.release()
@@ -585,11 +578,20 @@ class UniDriveClient:
     def _apply_cloud_only_update(self, report: SyncReport,
                                  remote: VersionStamp):
         cloud_image = yield from self._fetch_metadata(expect=remote.counter)
+        # A sync round gets here with nothing pending.  A conflict
+        # resolution may hold local edits: one to a path the newer image
+        # changed needs a sync round's merge, not an overwrite.
+        raced = self._pending_changes and sorted(
+            self._pending_changes.keys()
+            & diff_images(self.image, cloud_image).keys()
+        )
+        if raced:
+            raise SyncError(
+                f"{self.device}: local edits to {raced} race newer "
+                "commits; sync first"
+            )
         previous = self.image
         self.image = cloud_image
-        self._known_remote = VersionStamp(
-            cloud_image.version.counter, cloud_image.version.device
-        )
         yield from self._materialize_diff(previous, cloud_image, report)
 
     # -- metadata transport -------------------------------------------------
@@ -1091,6 +1093,9 @@ class UniDriveClient:
         cloud version stays); ``keep="local"`` promotes the retained
         snapshot back to current — its content is fetched and written to
         the local path before the losing version's data is released.
+        Commits peers made since the last sync are adopted and
+        materialised first; a local edit racing one of them raises
+        :class:`SyncError` with nothing adopted (sync, then resolve).
         """
         if keep not in ("cloud", "local"):
             raise ValueError(f"keep must be 'cloud' or 'local', not {keep!r}")
@@ -1099,16 +1104,22 @@ class UniDriveClient:
             raise KeyError(f"no unresolved conflict at {path}")
         yield from self.lock.acquire()
         try:
+            # Record the user's edits before any write of ours: the
+            # watcher events our writes raise are swallowed below.
+            self._collect_local_changes()
             remote = yield from self._check_cloud_update()
-            image = (
-                (yield from self._fetch_metadata(expect=remote.counter))
-                if remote is not None else self.image.copy()
-            )
+            if remote is not None:
+                # Adopt and materialise what peers committed since our
+                # last sync, as a sync round would: the image must never
+                # run ahead of the folder.
+                yield from self._apply_cloud_only_update(
+                    SyncReport(device=self.device, started_at=self.sim.now),
+                    remote,
+                )
+            image = self.image.copy()
             entry = image.files.get(path)
             if entry is None or not entry.conflicts:
-                # Someone else resolved it meanwhile; nothing to do.
-                self.image = image
-                return
+                return  # someone else resolved it meanwhile
             keep_index = len(entry.conflicts) - 1 if keep == "local" else None
             if keep == "local":
                 # Materialize the promoted content before committing.
@@ -1277,9 +1288,6 @@ class UniDriveClient:
                 self.image.version.counter + 1, self.device
             )
             yield from self._publish_base(self.image)
-            self._known_remote = VersionStamp(
-                self.image.version.counter, self.device
-            )
         finally:
             yield from self.lock.release()
 

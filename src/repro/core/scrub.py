@@ -294,26 +294,18 @@ class Scrubber:
                     seg=segment_id[:12], blocks=len(damaged[segment_id]),
                 )
             try:
-                blocks = yield from client._fetch_blocks(
-                    record, record.k, client.connections
-                )
+                put = yield from self._reencode(record, client.connections)
             except SyncError:
                 out.unrecoverable.append(segment_id)
                 if span is not None:
                     OBS.end(span, t=client.sim.now, error="unrecoverable")
                 continue
-            content = client.pipeline.decode_segment(record, blocks)
-            state = client.pipeline.encode_state(record.segment_id, content)
             for index, cloud_id in sorted(set(damaged[segment_id])):
                 conn = client._connection(cloud_id)
                 if conn is None:
                     continue
-                block = state.block(index)
-                self._note_hash(segment_id, index, block)
                 try:
-                    yield from conn.upload(
-                        client.pipeline.block_path(segment_id, index), block
-                    )
+                    yield from put(conn, index)
                 except CloudError:
                     continue  # still damaged; a later scrub retries
                 out.repaired.append((segment_id, index, cloud_id))
@@ -324,6 +316,26 @@ class Scrubber:
                         repaired=len(damaged[segment_id]))
         out.finished_at = client.sim.now
         return out
+
+    def _reencode(self, record, connections):
+        """Decode ``record`` from any ``k`` verified blocks fetched over
+        ``connections``; returns ``put(conn, index)``, which uploads the
+        re-encoded block ``index`` to ``conn`` after noting its
+        fingerprint (blocks are deterministic in ``(content, index)``).
+        Raises :class:`SyncError` when fewer than ``k`` blocks verify."""
+        client = self.client
+        blocks = yield from client._fetch_blocks(record, record.k, connections)
+        content = client.pipeline.decode_segment(record, blocks)
+        state = client.pipeline.encode_state(record.segment_id, content)
+
+        def put(conn, index):
+            block = state.block(index)
+            self._note_hash(record.segment_id, index, block)
+            yield from conn.upload(
+                client.pipeline.block_path(record.segment_id, index), block
+            )
+
+        return put
 
     def _note_hash(self, segment_id: str, index: int, block) -> None:
         """Record a re-encoded block's fingerprint unless one is known."""
@@ -403,16 +415,12 @@ class Scrubber:
                     owed=len(record.debt),
                 )
             try:
-                blocks = yield from client._fetch_blocks(
-                    record, record.k, client.connections
-                )
+                put = yield from self._reencode(record, client.connections)
             except SyncError:
                 out.unrecoverable.append(segment_id)
                 if span is not None:
                     OBS.end(span, t=client.sim.now, error="unrecoverable")
                 continue
-            content = client.pipeline.decode_segment(record, blocks)
-            state = client.pipeline.encode_state(segment_id, content)
             for index in sorted(record.debt):
                 target = self._debt_target(record)
                 if target is None:
@@ -422,12 +430,8 @@ class Scrubber:
                     continue
                 if degrade is not None:
                     degrade.note_dispatch(target, client.sim.now)
-                block = state.block(index)
-                self._note_hash(segment_id, index, block)
                 try:
-                    yield from conn.upload(
-                        client.pipeline.block_path(segment_id, index), block
-                    )
+                    yield from put(conn, index)
                 except CloudError:
                     if degrade is not None:
                         degrade.on_failure(target, client.sim.now)
@@ -536,18 +540,9 @@ class Scrubber:
             if moves:
                 # Any k verified blocks from the survivors reconstruct
                 # the segment; the departed cloud is already excluded.
-                blocks = yield from client._fetch_blocks(
-                    record, record.k, remaining
-                )
-                content = client.pipeline.decode_segment(record, blocks)
-                state = client.pipeline.encode_state(segment_id, content)
+                put = yield from self._reencode(record, remaining)
                 for index, target in moves:
-                    block = state.block(index)
-                    self._note_hash(segment_id, index, block)
-                    conn = client._connection(target)
-                    yield from conn.upload(
-                        client.pipeline.block_path(segment_id, index), block
-                    )
+                    yield from put(client._connection(target), index)
                     moved_total += 1
                     if OBS.enabled:
                         OBS.inc("blocks_repaired", cloud=target)
@@ -607,17 +602,9 @@ class Scrubber:
                 and old_locations.get(index) != connection.cloud_id
             ]
             if adopted:
-                blocks = yield from client._fetch_blocks(
-                    record, record.k, client.connections
-                )
-                content = client.pipeline.decode_segment(record, blocks)
-                state = client.pipeline.encode_state(segment_id, content)
+                put = yield from self._reencode(record, client.connections)
                 for index in sorted(adopted):
-                    block = state.block(index)
-                    self._note_hash(segment_id, index, block)
-                    yield from connection.upload(
-                        client.pipeline.block_path(segment_id, index), block
-                    )
+                    yield from put(connection, index)
                     adopted_total += 1
                     donor = old_locations.get(index)
                     donor_conn = (

@@ -33,7 +33,7 @@ from .metrics import Metrics, merge_snapshots
 from .slo import SLO, SLOEngine
 from .telemetry import Telemetry
 from .timeseries import TimeSeries
-from .tracer import NULL_SPAN, EventRecord, SpanRecord, Tracer, ctx_attrs
+from .tracer import EventRecord, SpanRecord, Tracer, ctx_attrs
 
 __all__ = [
     "configure",
@@ -53,7 +53,6 @@ __all__ = [
     "SLOEngine",
     "SpanRecord",
     "EventRecord",
-    "NULL_SPAN",
     "merge_snapshots",
     "ctx_attrs",
     "export",

@@ -26,7 +26,6 @@ __all__ = [
     "SpanRecord",
     "EventRecord",
     "Tracer",
-    "NULL_SPAN",
     "ctx_attrs",
 ]
 
@@ -127,49 +126,6 @@ class EventRecord:
 Record = Union[SpanRecord, EventRecord]
 
 
-class _NullSpan:
-    """Shared no-op span ``Simulator.span`` hands out while no tracer is
-    installed."""
-
-    __slots__ = ()
-
-    def finish(self, t: float = 0.0, **attrs: Any) -> None:
-        pass
-
-    @property
-    def duration(self) -> None:
-        return None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
-class _SpanContext:
-    """Context manager that closes a span on exit using a bound clock."""
-
-    __slots__ = ("_span", "_clock")
-
-    def __init__(self, span: SpanRecord, clock: Callable[[], float]):
-        self._span = span
-        self._clock = clock
-
-    def __enter__(self) -> SpanRecord:
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._span.finish(self._clock())
-        else:
-            self._span.finish(self._clock(), error=exc_type.__name__)
-        return False
-
-
 class Tracer:
     """An enabled trace buffer bound to a clock (usually ``sim.now``)."""
 
@@ -209,21 +165,6 @@ class Tracer:
 
     def end(self, span, t: Optional[float] = None, **attrs: Any) -> None:
         span.finish(self.clock() if t is None else t, **attrs)
-
-    def span(
-        self,
-        name: str,
-        t: Optional[float] = None,
-        track: str = "client",
-        clock: Optional[Callable[[], float]] = None,
-        **attrs: Any,
-    ) -> _SpanContext:
-        """Context-manager form; closes the span (stamping ``error`` on
-        exceptions) with ``clock`` (default: the tracer's clock)."""
-        clock = self.clock if clock is None else clock
-        record = SpanRecord(name, track, clock() if t is None else t, attrs)
-        self.records.append(record)
-        return _SpanContext(record, clock)
 
     # -- events ----------------------------------------------------------
 

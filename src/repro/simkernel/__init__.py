@@ -9,17 +9,13 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .sync import Gate, Resource, Store
 
 __all__ = [
     "AllOf",
     "Event",
-    "Gate",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

@@ -27,7 +27,6 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..obs import NULL_SPAN, OBS
 
 __all__ = [
     "Event",
@@ -376,25 +375,6 @@ class Simulator:
         not one step later.  Use it inside a step whose later actions must
         follow that first step's effects (e.g. shared RNG draws)."""
         return Process(self, generator, inline=True)
-
-    # -- observability helpers ------------------------------------------
-    #
-    # Convenience bridges to :mod:`repro.obs` with this simulator's
-    # clock; both are no-ops (``span`` returning the shared null span)
-    # while no tracer is installed.
-
-    def span(self, name: str, track: str = "sim", **attrs: Any):
-        """Context manager tracing a section against ``self.now``."""
-        tracer = OBS.tracer
-        if tracer is None:
-            return NULL_SPAN
-        return tracer.span(name, track=track, clock=lambda: self._now,
-                           **attrs)
-
-    def trace_event(self, name: str, track: str = "sim", **attrs: Any) -> None:
-        """Record a point event at the current virtual time."""
-        if OBS.enabled:
-            OBS.event(name, t=self._now, track=track, **attrs)
 
     # -- scheduling -----------------------------------------------------
 

@@ -38,9 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cloud import SimulatedCloud, make_instant_connection
+from ..cloud import SimulatedCloud
 from ..core import (
-    MergePolicy,
     SyncError,
     SyncJournal,
     UniDriveClient,
@@ -52,6 +51,7 @@ from ..faults import FaultInjector
 from ..fsmodel import VirtualFileSystem
 from ..obs import OBS, isolated
 from ..simkernel import Simulator
+from .fleet import make_device
 from .parallel import derive_seed
 
 __all__ = [
@@ -258,21 +258,11 @@ class _Device:
         self.stalled = False
 
     def _incarnate(self) -> UniDriveClient:
-        conns = [
-            make_instant_connection(
-                self.sim, cloud,
-                seed=derive_seed(self.scenario.seed, self.name, i),
-            )
-            for i, cloud in enumerate(self.clouds)
-        ]
-        return UniDriveClient(
-            self.sim, self.name, self.fs, conns,
-            config=self.scenario.config(),
-            rng=np.random.default_rng(
-                derive_seed(self.scenario.seed, f"rng-{self.name}", 0)
-            ),
-            journal=self.journal,
-            conflict_resolver=self.resolver,
+        return make_device(
+            self.sim, self.clouds, self.name,
+            seed=derive_seed(self.scenario.seed, self.name),
+            config=self.scenario.config(), fs=self.fs,
+            journal=self.journal, conflict_resolver=self.resolver,
         )
 
     def resume_after_crash(self) -> None:

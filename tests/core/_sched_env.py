@@ -1,19 +1,18 @@
 """The simulated multi-cloud the scheduler tests run on.
 
-Every cloud gets one :class:`CloudConnection` whose RNG is
-``default_rng(seed + i)`` for the i-th cloud, over a quiet link
-(:func:`profile`); tests that pin request orders depend on exactly
-these seeds and link fields.
+Every cloud gets one connection from the fleet builder (the i-th draws
+from ``default_rng(seed + i)``) over a quiet link (:func:`profile`);
+tests that pin request orders depend on exactly these seeds and link
+fields.
 """
 
-import numpy as np
-
-from repro.cloud import CloudConnection, SimulatedCloud
+from repro.cloud import SimulatedCloud
 from repro.cloud.errors import CloudError
 from repro.core.config import UniDriveConfig
 from repro.core.pipeline import BlockPipeline
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
+from repro.workloads import connect
 
 #: Small segments for fast tests.
 CONFIG = UniDriveConfig(theta=64 * 1024)
@@ -43,13 +42,9 @@ def make_env(up_speeds=(8.0,) * N_CLOUDS, failure_rates=None, seed=0,
     sim = Simulator()
     failure_rates = failure_rates or [0.0] * len(up_speeds)
     clouds = [SimulatedCloud(sim, cid) for cid in cloud_ids[:len(up_speeds)]]
-    conns = [
-        CloudConnection(sim, cloud, profile(up, rate, **link),
-                        np.random.default_rng(seed + i))
-        for i, (cloud, up, rate) in enumerate(
-            zip(clouds, up_speeds, failure_rates)
-        )
-    ]
+    conns = connect(sim, clouds, seed, [
+        profile(up, rate, **link) for up, rate in zip(up_speeds, failure_rates)
+    ])
     pipeline = None if config is None else BlockPipeline(config, len(clouds))
     return sim, clouds, conns, pipeline
 

@@ -1,32 +1,13 @@
 """Tests for client-level conflict resolution (paper §5.2: the user can
 resolve retained conflicts later)."""
 
-import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
-from repro.simkernel import Simulator
+from repro.core import UniDriveConfig
+from repro.core.client import SyncError
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
-
-
-def make_env(n_devices=2, seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for d in range(n_devices):
-        fs = VirtualFileSystem()
-        conns = [
-            make_instant_connection(sim, c, seed=seed + 10 * d + i)
-            for i, c in enumerate(clouds)
-        ]
-        clients.append(
-            UniDriveClient(sim, f"device{d}", fs, conns, config=CONFIG,
-                           rng=np.random.default_rng(seed + d))
-        )
-    return sim, clouds, clients
 
 
 def make_conflict(sim, clients, path="/doc", base=b"base",
@@ -43,14 +24,14 @@ def make_conflict(sim, clients, path="/doc", base=b"base",
 
 
 def test_conflicted_paths_listed():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     assert clients[1].conflicted_paths() == [path]
     assert clients[0].conflicted_paths() == []
 
 
 def test_resolve_keep_cloud_drops_retained_snapshot():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
     assert clients[1].conflicted_paths() == []
@@ -61,7 +42,7 @@ def test_resolve_keep_cloud_drops_retained_snapshot():
 
 
 def test_resolve_keep_local_promotes_content():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     sim.run_process(clients[1].resolve_conflict(path, keep="local"))
     assert clients[1].conflicted_paths() == []
@@ -72,7 +53,7 @@ def test_resolve_keep_local_promotes_content():
 
 
 def test_resolution_releases_loser_segments():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
     sim.run()  # drain the fire-and-forget block GC
@@ -82,7 +63,7 @@ def test_resolution_releases_loser_segments():
 
 
 def test_resolve_invalid_arguments():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     with pytest.raises(KeyError):
         sim.run_process(clients[0].resolve_conflict("/nope"))
     path = make_conflict(sim, clients)
@@ -92,7 +73,7 @@ def test_resolve_invalid_arguments():
 
 def test_double_resolution_is_noop():
     """A second device resolving an already-resolved conflict no-ops."""
-    sim, clouds, clients = make_env(n_devices=2)
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
     # device1 tries again before re-syncing: image still lists it? No —
@@ -104,8 +85,50 @@ def test_double_resolution_is_noop():
 
 
 def test_version_counter_advances_on_resolution():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     path = make_conflict(sim, clients)
     before = clients[1].image.version.counter
     sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
     assert clients[1].image.version.counter == before + 1
+
+
+@pytest.mark.parametrize("peer_resolved", [False, True])
+def test_resolution_materialises_the_image_it_adopts(peer_resolved):
+    """Resolving without syncing first adopts the newer cloud image; its
+    files land in the folder with it, whether the conflict is still open
+    or a peer already resolved it (the early return)."""
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
+    path = make_conflict(sim, clients)
+    if peer_resolved:
+        sim.run_process(clients[0].sync())
+        sim.run_process(clients[0].resolve_conflict(path, keep="cloud"))
+    clients[0].fs.write_file("/new", b"committed by device0", mtime=sim.now)
+    sim.run_process(clients[0].sync())
+    clients[1].fs.write_file("/mine", b"device1's own edit", mtime=sim.now)
+    sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
+    assert "/new" in clients[1].image.files
+    assert clients[1].fs.read_file("/new") == b"committed by device0"
+    assert clients[1].conflicted_paths() == []
+    # The edit made before resolving is neither overwritten nor lost.
+    sim.run_process(clients[1].sync())
+    sim.run_process(clients[0].sync())
+    assert clients[0].fs.read_file("/mine") == b"device1's own edit"
+
+
+def test_resolution_refuses_to_overwrite_a_raced_local_edit():
+    """A local edit to a path a peer changed since our last sync is left
+    for a sync round to merge: resolving refuses, and adopts nothing."""
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
+    path = make_conflict(sim, clients)
+    before = clients[1].image.version.counter
+    clients[0].fs.write_file("/new", b"device0's", mtime=sim.now)
+    sim.run_process(clients[0].sync())
+    clients[1].fs.write_file("/new", b"device1's", mtime=sim.now)
+    with pytest.raises(SyncError):
+        sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
+    assert clients[1].fs.read_file("/new") == b"device1's"
+    assert clients[1].image.version.counter == before
+    assert not clients[1].lock.held
+    sim.run_process(clients[1].sync())
+    sim.run_process(clients[1].resolve_conflict(path, keep="cloud"))
+    assert path not in clients[1].conflicted_paths()

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import Scrubber, UniDriveClient, UniDriveConfig
+from repro.core import Scrubber, UniDriveConfig
 from repro.core.degrade import (
     CLOSED,
     HALF_OPEN,
@@ -27,8 +26,8 @@ from repro.core.degrade import (
     DegradeController,
 )
 from repro.core.placement import normal_block_count
-from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
+from repro.workloads import make_fleet
 
 # ---------------------------------------------------------------------------
 # Breaker state machine — unit anchors.
@@ -218,26 +217,12 @@ def test_hedge_threshold_requires_an_estimate():
 # ---------------------------------------------------------------------------
 
 
-def _debt_env(seed, n_files):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    fs = VirtualFileSystem()
+def _fill(fs, seed, n_files):
+    """``n_files`` files of 96 KiB drawn from ``default_rng(seed + 50)``."""
     rng = np.random.default_rng(seed + 50)
     for i in range(n_files):
-        content = rng.integers(
-            0, 256, size=96 * 1024, dtype=np.uint8
-        ).tobytes()
-        fs.write_file(f"/f{i}", content, mtime=0.0)
-    config = UniDriveConfig(theta=64 * 1024)
-    client = UniDriveClient(
-        sim, "device0", fs, conns, config=config,
-        rng=np.random.default_rng(seed + 99),
-    )
-    return sim, clouds, client, config
+        content = rng.integers(0, 256, size=96 * 1024, dtype=np.uint8)
+        fs.write_file(f"/f{i}", content.tobytes(), mtime=0.0)
 
 
 def _fair_indices(client, record):
@@ -260,7 +245,9 @@ def test_repay_after_debt_restores_fair_share_placement(seed, n_files,
                                                         down):
     """debt -> recover -> repay restores the exact fair-share index set
     of every segment, and a second repayment is a no-op."""
-    sim, clouds, client, config = _debt_env(seed, n_files)
+    config = UniDriveConfig(theta=64 * 1024)
+    sim, clouds, (client,) = make_fleet(seed=seed, config=config)
+    _fill(client.fs, seed, n_files)
     clouds[down].set_available(False)
     sim.run_process(client.sync())
     owed = {
@@ -311,7 +298,9 @@ def test_healthy_commits_record_no_debt(seed, down):
     """Debt only exists when a commit actually browned out: with every
     cloud reachable the ledger stays empty (the over-provisioning
     indices past the fair share are not debt)."""
-    sim, clouds, client, _config = _debt_env(seed, 2)
+    sim, clouds, (client,) = make_fleet(
+        seed=seed, config=UniDriveConfig(theta=64 * 1024))
+    _fill(client.fs, seed, 2)
     sim.run_process(client.sync())
     assert all(
         rec.debt == [] for rec in client.image.segments.values()

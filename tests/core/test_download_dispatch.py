@@ -14,7 +14,6 @@ import hashlib
 import numpy as np
 
 from _sched_env import CONFIG, make_env, log_requests, profile
-from repro.cloud import CloudConnection
 from repro.core.config import UniDriveConfig
 from repro.core.degrade import DegradeController
 from repro.core.probing import ThroughputEstimator
@@ -25,6 +24,7 @@ from repro.core.scheduler import (
     UploadScheduler,
 )
 from repro.faults import FaultInjector
+from repro.workloads import connect
 
 #: 5/10/20/40/80 Mbps downlinks (``profile`` doubles the uplink figure).
 SKEWED = [2.5, 5, 10, 20, 40]
@@ -52,17 +52,6 @@ def upload_files(sim, conns, pipeline, count, seed,
     ]
 
 
-def reader_conns(sim, clouds, failure_rates, seed):
-    """A second device's connections to the same clouds."""
-    return [
-        CloudConnection(sim, cloud, profile(up, rate, latency_jitter=0.2),
-                        np.random.default_rng(seed + i))
-        for i, (cloud, up, rate) in enumerate(
-            zip(clouds, SKEWED, failure_rates)
-        )
-    ]
-
-
 def digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
@@ -77,8 +66,10 @@ def two_reader_digest():
     FaultInjector(sim).outage(clouds[3], start=sim.now + 0.4)
     runs = []
     for reader in range(2):
-        conns = reader_conns(sim, clouds, [0.0, 0.0, 0.2, 0.0, 0.0],
-                             seed=100 * (reader + 1))
+        conns = connect(sim, clouds, 100 * (reader + 1), [
+            profile(up, rate, latency_jitter=0.2)
+            for up, rate in zip(SKEWED, [0.0, 0.0, 0.2, 0.0, 0.0])
+        ])
         down = DownloadScheduler(sim, conns, pipeline, CONFIG,
                                  estimator=ThroughputEstimator())
         log = log_requests(sim, conns)

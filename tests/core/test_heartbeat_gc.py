@@ -3,29 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
-from repro.simkernel import Simulator
+from repro.core import UniDriveConfig
+from repro.workloads import make_device, make_fleet
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
-
-
-def make_env(n_devices=2, seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for d in range(n_devices):
-        fs = VirtualFileSystem()
-        conns = [
-            make_instant_connection(sim, c, seed=seed + 10 * d + i)
-            for i, c in enumerate(clouds)
-        ]
-        clients.append(
-            UniDriveClient(sim, f"device{d}", fs, conns, config=CONFIG,
-                           rng=np.random.default_rng(seed + d))
-        )
-    return sim, clouds, clients
 
 
 def payload(seed, size=180 * 1024):
@@ -41,7 +22,7 @@ def total_blocks(clouds):
 
 
 def test_heartbeats_published_after_sync():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     clients[0].fs.write_file("/f", payload(1), mtime=sim.now)
     sim.run_process(clients[0].sync())
     sim.run_process(clients[1].sync())
@@ -51,7 +32,7 @@ def test_heartbeats_published_after_sync():
 
 def lagging_fleet():
     """Device 0 at version 2, device 1's heartbeat still at version 1."""
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     clients[0].fs.write_file("/f", payload(2), mtime=sim.now)
     sim.run_process(clients[0].sync())
     sim.run_process(clients[1].sync())  # both at version 1
@@ -94,7 +75,7 @@ def test_rotted_heartbeat_does_not_hide_lagging_device(rotted, seen):
 
 
 def test_gc_keeps_data_recoverable():
-    sim, clouds, clients = make_env()
+    sim, clouds, clients = make_fleet(2, config=CONFIG)
     data = payload(4)
     clients[0].fs.write_file("/keep", data, mtime=sim.now)
     sim.run_process(clients[0].sync())
@@ -110,18 +91,12 @@ def test_gc_keeps_data_recoverable():
             per_segment[seg] = per_segment.get(seg, 0) + 1
         assert all(count == 1 for count in per_segment.values())
     # ...and a third device can still reconstruct everything.
-    fs = VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=77 + i)
-        for i, c in enumerate(clouds)
-    ]
-    fresh = UniDriveClient(sim, "late-device", fs, conns, config=CONFIG,
-                           rng=np.random.default_rng(99))
+    fresh = make_device(sim, clouds, "late-device", seed=77, config=CONFIG)
     sim.run_process(fresh.sync())
-    assert fs.read_file("/keep") == data
+    assert fresh.fs.read_file("/keep") == data
 
 
 def test_no_heartbeats_means_no_gc():
-    sim, clouds, clients = make_env(n_devices=1)
+    sim, clouds, clients = make_fleet(config=CONFIG)
     # Nothing synced yet: no heartbeat files exist.
     assert sim.run_process(clients[0].gc_if_fully_synced()) is False

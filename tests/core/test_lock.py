@@ -3,33 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
 from repro.core.config import UniDriveConfig
 from repro.core.lock import LockTimeout, QuorumLock
 from repro.simkernel import Simulator
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(lock_stale_seconds=120.0, lock_acquire_timeout=600.0,
                         lock_backoff_max=2.0)
 
 
-def make_env(n_clouds=5, n_devices=1, seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(n_clouds)]
-    locks = []
-    for d in range(n_devices):
-        conns = [
-            make_instant_connection(sim, cloud, seed=seed + 100 * d + i)
-            for i, cloud in enumerate(clouds)
-        ]
-        locks.append(
-            QuorumLock(sim, conns, f"device{d}", CONFIG,
-                       np.random.default_rng(seed + d))
-        )
-    return sim, clouds, locks
+def make_locks(n_devices=1, seed=0):
+    """The fleet's devices' quorum locks (each shares its client's rng)."""
+    sim, clouds, devices = make_fleet(n_devices, seed=seed, config=CONFIG)
+    return sim, clouds, [device.lock for device in devices]
 
 
 def test_single_device_acquires_and_releases():
-    sim, clouds, (lock,) = make_env()
+    sim, clouds, (lock,) = make_locks()
 
     def proc():
         yield from lock.acquire()
@@ -48,7 +38,7 @@ def test_single_device_acquires_and_releases():
 
 
 def test_reacquire_after_release():
-    sim, clouds, (lock,) = make_env()
+    sim, clouds, (lock,) = make_locks()
 
     def proc():
         yield from lock.acquire()
@@ -61,7 +51,7 @@ def test_reacquire_after_release():
 
 
 def test_double_acquire_rejected():
-    sim, clouds, (lock,) = make_env()
+    sim, clouds, (lock,) = make_locks()
 
     def proc():
         yield from lock.acquire()
@@ -73,7 +63,7 @@ def test_double_acquire_rejected():
 
 
 def test_mutual_exclusion_two_devices():
-    sim, clouds, (lock_a, lock_b) = make_env(n_devices=2)
+    sim, clouds, (lock_a, lock_b) = make_locks(n_devices=2)
     holder = []
 
     def critical(lock, name, hold_time):
@@ -92,7 +82,7 @@ def test_mutual_exclusion_two_devices():
 
 
 def test_many_devices_serialize():
-    sim, clouds, locks = make_env(n_devices=5, seed=7)
+    sim, clouds, locks = make_locks(n_devices=5, seed=7)
     active = []
     peak = []
 
@@ -112,7 +102,7 @@ def test_many_devices_serialize():
 
 
 def test_quorum_tolerates_minority_outage():
-    sim, clouds, (lock,) = make_env()
+    sim, clouds, (lock,) = make_locks()
     clouds[0].set_available(False)
     clouds[1].set_available(False)  # 3 of 5 still up -> quorum possible
 
@@ -126,7 +116,7 @@ def test_quorum_tolerates_minority_outage():
 
 
 def test_majority_outage_blocks_lock():
-    sim, clouds, (lock,) = make_env()
+    sim, clouds, (lock,) = make_locks()
     for cloud in clouds[:3]:  # only 2 of 5 reachable
         cloud.set_available(False)
 
@@ -141,7 +131,7 @@ def test_majority_outage_blocks_lock():
 
 def test_stale_lock_broken_after_delta_t():
     """A crashed holder's lock is broken once unrefreshed past ΔT."""
-    sim, clouds, (lock_a, lock_b) = make_env(n_devices=2)
+    sim, clouds, (lock_a, lock_b) = make_locks(n_devices=2)
 
     def crasher():
         yield from lock_a.acquire()
@@ -169,7 +159,7 @@ def test_stale_lock_broken_after_delta_t():
 
 def test_refresh_prevents_breaking():
     """A live holder keeps the lock well past ΔT."""
-    sim, clouds, (lock_a, lock_b) = make_env(n_devices=2)
+    sim, clouds, (lock_a, lock_b) = make_locks(n_devices=2)
     events = []
 
     def holder():

@@ -2,11 +2,10 @@
 
 import numpy as np
 
-from repro.cloud import CloudConnection, SimulatedCloud
 from repro.core.config import UniDriveConfig
-from repro.core.lock import LockTimeout, QuorumLock
+from repro.core.lock import LockTimeout
 from repro.netsim import LinkProfile
-from repro.simkernel import Simulator
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(lock_stale_seconds=60.0, lock_acquire_timeout=900.0,
                         lock_backoff_max=2.0)
@@ -20,25 +19,18 @@ def flaky_profile(failure_rate):
     )
 
 
-def make_env(n_devices, failure_rate=0.0, seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    locks = []
-    for d in range(n_devices):
-        conns = [
-            CloudConnection(sim, cloud, flaky_profile(failure_rate),
-                            np.random.default_rng(seed + 31 * d + i))
-            for i, cloud in enumerate(clouds)
-        ]
-        locks.append(QuorumLock(sim, conns, f"dev{d}", CONFIG,
-                                np.random.default_rng(seed + d)))
-    return sim, clouds, locks
+def make_locks(n_devices, failure_rate=0.0, seed=0):
+    """The fleet's devices' quorum locks over flaky links."""
+    sim, clouds, devices = make_fleet(
+        n_devices, seed=seed, link=flaky_profile(failure_rate), config=CONFIG
+    )
+    return sim, clouds, [device.lock for device in devices]
 
 
 def test_mutual_exclusion_with_transient_failures():
     """5% request failures: everyone still enters exactly once, and the
     critical sections never overlap."""
-    sim, clouds, locks = make_env(4, failure_rate=0.05, seed=1)
+    sim, clouds, locks = make_locks(4, failure_rate=0.05, seed=1)
     sections = []
 
     def worker(lock):
@@ -60,7 +52,7 @@ def test_mutual_exclusion_with_transient_failures():
 def test_exclusion_while_clouds_flap():
     """Clouds go down and come back while devices contend; as long as a
     majority stays reachable at lock time, sections never overlap."""
-    sim, clouds, locks = make_env(3, failure_rate=0.02, seed=2)
+    sim, clouds, locks = make_locks(3, failure_rate=0.02, seed=2)
     sections = []
 
     def flapper():
@@ -95,7 +87,7 @@ def test_exclusion_while_clouds_flap():
 
 def test_lock_is_deterministic():
     def run():
-        sim, clouds, locks = make_env(3, failure_rate=0.05, seed=4)
+        sim, clouds, locks = make_locks(3, failure_rate=0.05, seed=4)
         order = []
 
         def worker(lock):

@@ -11,13 +11,10 @@ the delta.)
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core.client import UniDriveClient
 from repro.core.config import UniDriveConfig
 from repro.core.metadata import FileEntry, SegmentRecord
-from repro.fsmodel import VirtualFileSystem
 from repro.fsmodel.virtual_fs import FileStat
-from repro.simkernel import Simulator
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(
     theta=64 * 1024, lock_backoff_max=1.0,
@@ -41,17 +38,7 @@ def constructions(monkeypatch):
 def edit_rounds(n_files, counts):
     """Sync an ``n_files`` folder to two devices, edit one file twice;
     return what the second edit's editor and reader rounds built."""
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    devices = [
-        UniDriveClient(
-            sim, f"device{d}", VirtualFileSystem(),
-            [make_instant_connection(sim, cloud, seed=31 * d + i)
-             for i, cloud in enumerate(clouds)],
-            config=CONFIG, rng=np.random.default_rng(d),
-        )
-        for d in range(2)
-    ]
+    sim, _, devices = make_fleet(2, config=CONFIG)
     editor, reader = devices
     rng = np.random.default_rng(7)
     folder = {

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from _sched_env import CONFIG, N_CLOUDS, make_env, profile
 from reference_dispatch import next_request_reference, next_task_reference
 from repro import obs
-from repro.cloud import CloudConnection
 from repro.cloud.errors import NotFoundError, RequestFailedError
 from repro.core.config import UniDriveConfig
 from repro.core.degrade import DegradeController
@@ -40,6 +39,7 @@ from repro.core.scheduler import (
     UploadScheduler,
 )
 from repro.faults import FaultInjector
+from repro.workloads import connect
 
 #: Every ``(over_provision, dynamic)`` pair; the first is production's.
 UPLOAD_MODES = [(True, True), (False, True), (True, False), (False, False)]
@@ -277,13 +277,10 @@ def run_download_scenario(reference, down_failure_rates=None,
         # connections for the download phase.
         speeds = down_speeds or [20.0] * N_CLOUDS
         rates = down_failure_rates or [0.0] * N_CLOUDS
-        conns = [
-            CloudConnection(sim, cloud, profile(up, rate, **(link or {})),
-                            np.random.default_rng(seed + 100 + i))
-            for i, (cloud, up, rate) in enumerate(
-                zip(clouds, speeds, rates)
-            )
-        ]
+        conns = connect(sim, clouds, seed + 100, [
+            profile(up, rate, **(link or {}))
+            for up, rate in zip(speeds, rates)
+        ])
     if prime:
         for conn, mbps in zip(conns, prime):
             estimator.record(conn.cloud_id, "down", int(mbps * 125000), 1.0)

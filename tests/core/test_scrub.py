@@ -5,26 +5,10 @@ import posixpath
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import Scrubber, UniDriveClient, UniDriveConfig, block_hash
-from repro.fsmodel import VirtualFileSystem
-from repro.simkernel import Simulator
+from repro.core import Scrubber, UniDriveConfig, block_hash
+from repro.workloads import make_device, make_fleet
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
-
-
-def make_env(seed=0):
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    client = UniDriveClient(
-        sim, "device0", VirtualFileSystem(), conns, config=CONFIG,
-        rng=np.random.default_rng(seed),
-    )
-    return sim, clouds, client
 
 
 def content_bytes(seed, size=100 * 1024):
@@ -34,7 +18,7 @@ def content_bytes(seed, size=100 * 1024):
 
 
 def synced_env(seed=0, size=100 * 1024):
-    sim, clouds, client = make_env(seed)
+    sim, clouds, (client,) = make_fleet(seed=seed, config=CONFIG)
     client.fs.write_file("/doc", content_bytes(seed + 100, size),
                          mtime=sim.now)
     sim.run_process(client.sync())
@@ -67,12 +51,7 @@ def test_block_hashes_recorded_at_encode_time():
 
 def test_block_hashes_survive_metadata_round_trip():
     sim, clouds, client = synced_env(seed=3)
-    other = UniDriveClient(
-        sim, "device1", VirtualFileSystem(),
-        [make_instant_connection(sim, c, seed=50 + i)
-         for i, c in enumerate(clouds)],
-        config=CONFIG, rng=np.random.default_rng(9),
-    )
+    other = make_device(sim, clouds, "device1", seed=50, config=CONFIG)
     sim.run_process(other.sync())
     for sid, record in client.image.segments.items():
         assert other.image.segments[sid].block_hashes == record.block_hashes

@@ -1,13 +1,11 @@
 """Tests for metadata serialization, encryption, and Delta-sync."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient
+from repro.cloud import SimulatedCloud
 from repro.core.config import UniDriveConfig
 from repro.core.deltasync import (
     DeltaLog,
@@ -34,8 +32,8 @@ from repro.core.serialization import (
     serialize_version,
 )
 from repro.crypto import encrypt_cbc, synthetic_iv
-from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 KEY = b"UniDrive"
 
@@ -364,18 +362,11 @@ def test_client_skips_a_cbc_era_replica():
     config = UniDriveConfig(theta=64 * 1024, metadata_key=KEY)
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-
-    def client(name, seed):
-        conns = [make_instant_connection(sim, cloud, seed=seed + i)
-                 for i, cloud in enumerate(clouds)]
-        return UniDriveClient(sim, name, VirtualFileSystem(), conns,
-                              config=config, rng=np.random.default_rng(seed))
-
-    writer = client("writer", 1)
+    writer = make_device(sim, clouds, "writer", seed=1, config=config)
     writer.fs.write_file("/one", b"v2 metadata" * 100, mtime=sim.now)
     sim.run_process(writer.sync())
     clouds[0].store.put("/unidrive/meta/base", CBC_ERA_BASE, mtime=0.0)
-    reader = client("reader", 10)
+    reader = make_device(sim, clouds, "reader", seed=10, config=config)
     with obs.isolated(sim=sim) as (_tracer, metrics):
         report = sim.run_process(reader.sync())
         skips = metrics.counter_value(

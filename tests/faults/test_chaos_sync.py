@@ -12,42 +12,25 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cloud import CloudConnection, SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
+from repro.cloud import SimulatedCloud
+from repro.core import UniDriveConfig
 from repro.faults import FaultInjector
-from repro.fsmodel import VirtualFileSystem
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
 
 chaos_smoke = pytest.mark.chaos_smoke
 
 
-def make_client(sim, clouds, name, fs=None, seed=0, config=CONFIG):
-    fs = fs if fs is not None else VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, fs, conns, config=config,
-                          rng=np.random.default_rng(seed))
-
-
-def make_real_client(sim, clouds, name, seed=0, up_mbps=20.0):
-    """A client over realistic (non-instant) links, so transfers take
-    virtual time and mid-transfer faults can actually hit them."""
-    profile = LinkProfile(
-        up_mbps=up_mbps, down_mbps=2 * up_mbps, rtt_seconds=0.05,
-        latency_jitter=0.0, failure_rate=0.0, volatility=0.0,
-        fade_probability=0.0, diurnal_amplitude=0.0,
-    )
-    conns = [
-        CloudConnection(sim, c, profile, np.random.default_rng(seed + i))
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, VirtualFileSystem(), conns,
-                          config=CONFIG, rng=np.random.default_rng(seed))
+#: Realistic (non-instant) links: transfers take virtual time, so
+#: mid-transfer faults can actually hit them.
+SLOW_LINK = LinkProfile(
+    up_mbps=20.0, down_mbps=40.0, rtt_seconds=0.05, latency_jitter=0.0,
+    failure_rate=0.0, volatility=0.0, fade_probability=0.0,
+    diurnal_amplitude=0.0,
+)
 
 
 def payload(seed, size=96 * 1024):
@@ -75,7 +58,7 @@ def test_sync_converges_with_any_two_clouds_down(dead):
     injector = FaultInjector(sim)
     for index in dead:
         injector.outage(clouds[index], start=0.0)
-    writer = make_client(sim, clouds, "writer", seed=1)
+    writer = make_device(sim, clouds, "writer", seed=1, config=CONFIG)
     files = {"/a": payload(1), "/b": payload(2)}
     for path, data in files.items():
         writer.fs.write_file(path, data, mtime=sim.now)
@@ -88,7 +71,7 @@ def test_sync_converges_with_any_two_clouds_down(dead):
     assert report.duration < 300.0
     # A fresh device joining during the same outage converges too: any
     # K_r = 3 live clouds hold >= k = 3 blocks of every segment.
-    reader = make_client(sim, clouds, "reader", seed=7)
+    reader = make_device(sim, clouds, "reader", seed=7, config=CONFIG)
     fetched = sim.run_process(reader.sync())
     assert sorted(fetched.downloaded_files) == sorted(files)
     for path, data in files.items():
@@ -116,8 +99,8 @@ def test_rolling_outages_converge():
     for i in range(5):
         injector.outage(clouds[i], start=400.0 * i + 50.0,
                         end=400.0 * i + 350.0)
-    alice = make_client(sim, clouds, "alice", seed=11)
-    bob = make_client(sim, clouds, "bob", seed=12)
+    alice = make_device(sim, clouds, "alice", seed=11, config=CONFIG)
+    bob = make_device(sim, clouds, "bob", seed=12, config=CONFIG)
     for round_no in range(5):
         sim.run_process(wait(sim, 100.0))  # inside cloud round_no's window
         alice.fs.write_file(f"/doc{round_no}", payload(100 + round_no),
@@ -142,7 +125,7 @@ def test_sync_through_flaky_clouds():
     (with backoff) and the campaign still converges losslessly."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=21)
+    writer = make_device(sim, clouds, "writer", seed=21, config=CONFIG)
     injector = FaultInjector(sim)
     injector.flaky(writer.connections[1], rate=0.3)
     injector.flaky(writer.connections[4], rate=0.3)
@@ -153,7 +136,7 @@ def test_sync_through_flaky_clouds():
     assert report.committed_version == 1
     assert report.upload_report.all_available
     assert writer.traffic_totals()["failed_requests"] > 0
-    reader = make_client(sim, clouds, "reader", seed=22)
+    reader = make_device(sim, clouds, "reader", seed=22, config=CONFIG)
     fetched = sim.run_process(reader.sync())
     assert sorted(fetched.downloaded_files) == sorted(files)
     for path, data in files.items():
@@ -165,7 +148,7 @@ def test_sync_with_stress_pinned_cloud():
     for the whole campaign behaves like a persistently flaky member."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=31)
+    writer = make_device(sim, clouds, "writer", seed=31, config=CONFIG)
     injector = FaultInjector(sim)
     # Base rate 0.02 * STRESS_FACTOR 30 = 0.6 while pinned.
     for conn in writer.connections:
@@ -175,7 +158,7 @@ def test_sync_with_stress_pinned_cloud():
     report = sim.run_process(writer.sync())
     assert report.committed_version == 1
     assert report.upload_report.all_available
-    reader = make_client(sim, clouds, "reader", seed=32)
+    reader = make_device(sim, clouds, "reader", seed=32, config=CONFIG)
     sim.run_process(reader.sync())
     assert reader.fs.read_file("/doc") == payload(300)
 
@@ -191,7 +174,9 @@ def test_cloud_death_mid_sync_batch():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
     injector = FaultInjector(sim)
-    writer = make_real_client(sim, clouds, "writer", seed=41)
+    writer = make_device(
+        sim, clouds, "writer", seed=41, link=SLOW_LINK, config=CONFIG,
+    )
     # ~2 MB over 20 Mbps links: the batch runs for several virtual
     # seconds, so an outage at t=0.5 lands mid-transfer.
     writer.fs.write_file("/big", payload(400, size=2 * 1024 * 1024),
@@ -204,6 +189,6 @@ def test_cloud_death_mid_sync_batch():
     assert upload.degraded  # c2's fair share was abandoned mid-batch
     assert upload.blocks_per_cloud["c2"] < upload.blocks_per_cloud["c0"]
     # A fresh device (c2 still dark) reconstructs everything.
-    reader = make_client(sim, clouds, "reader", seed=42)
+    reader = make_device(sim, clouds, "reader", seed=42, config=CONFIG)
     sim.run_process(reader.sync())
     assert reader.fs.read_file("/big") == payload(400, size=2 * 1024 * 1024)

@@ -12,49 +12,26 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloud import CloudConnection, SimulatedCloud, make_instant_connection
-from repro.core import (
-    Scrubber,
-    SyncJournal,
-    UniDriveClient,
-    UniDriveConfig,
-    fair_share,
-)
+from repro.cloud import SimulatedCloud
+from repro.core import Scrubber, SyncJournal, UniDriveConfig, fair_share
 from repro.faults import FaultInjector
 from repro.fsmodel import VirtualFileSystem
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_stale_seconds=30.0)
 
 chaos_smoke = pytest.mark.chaos_smoke
 
 
-def make_client(sim, clouds, name, fs=None, seed=0, journal=None):
-    fs = fs if fs is not None else VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, fs, conns, config=CONFIG,
-                          rng=np.random.default_rng(seed), journal=journal)
-
-
-def make_real_client(sim, clouds, name, fs=None, seed=0, up_mbps=2.0):
-    """Slow links: transfers take virtual seconds, so a mid-upload crash
-    actually interrupts the batch."""
-    profile = LinkProfile(
-        up_mbps=up_mbps, down_mbps=2 * up_mbps, rtt_seconds=0.05,
-        latency_jitter=0.0, failure_rate=0.0, volatility=0.0,
-        fade_probability=0.0, diurnal_amplitude=0.0,
-    )
-    fs = fs if fs is not None else VirtualFileSystem()
-    conns = [
-        CloudConnection(sim, c, profile, np.random.default_rng(seed + i))
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, fs, conns, config=CONFIG,
-                          rng=np.random.default_rng(seed))
+#: Slow links: transfers take virtual seconds, so a mid-upload crash
+#: actually interrupts the batch.
+SLOW_LINK = LinkProfile(
+    up_mbps=2.0, down_mbps=4.0, rtt_seconds=0.05, latency_jitter=0.0,
+    failure_rate=0.0, volatility=0.0, fade_probability=0.0,
+    diurnal_amplitude=0.0,
+)
 
 
 def payload(seed, size=96 * 1024):
@@ -95,7 +72,7 @@ def test_permanent_loss_decommission_restores_fair_share():
     byte-identically on a fresh device that never saw the dead cloud."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=1)
+    writer = make_device(sim, clouds, "writer", seed=1, config=CONFIG)
     files = {"/a": payload(1), "/b": payload(2, size=160 * 1024)}
     for path, data in files.items():
         writer.fs.write_file(path, data, mtime=sim.now)
@@ -120,8 +97,10 @@ def test_permanent_loss_decommission_restores_fair_share():
             )
             assert held >= share
     # A fresh device enrolled only with the survivors reconstructs all.
-    reader = make_client(sim, [c for c in clouds if c.cloud_id != "c2"],
-                         "reader", seed=9)
+    reader = make_device(
+        sim, [c for c in clouds if c.cloud_id != "c2"], "reader", seed=9,
+        config=CONFIG,
+    )
     sim.run_process(reader.sync())
     for path, data in files.items():
         assert reader.fs.read_file(path) == data
@@ -137,7 +116,7 @@ def test_silent_corruption_detected_on_download_and_refetched():
     and the file still materializes byte-identically."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=11)
+    writer = make_device(sim, clouds, "writer", seed=11, config=CONFIG)
     data = payload(21, size=128 * 1024)
     writer.fs.write_file("/doc", data, mtime=sim.now)
     sim.run_process(writer.sync())
@@ -152,7 +131,7 @@ def test_silent_corruption_detected_on_download_and_refetched():
     assert injector.events[-1].kind == "corruption"
 
     with obs.isolated(sim=sim) as (_tracer, metrics):
-        reader = make_client(sim, clouds, "reader", seed=12)
+        reader = make_device(sim, clouds, "reader", seed=12, config=CONFIG)
         sim.run_process(reader.sync())
         assert reader.fs.read_file("/doc") == data
         assert counter_total(metrics, "corrupt_detected") >= 1
@@ -164,7 +143,7 @@ def test_silent_corruption_deep_scrub_repairs_in_place():
     comes back clean."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=31)
+    writer = make_device(sim, clouds, "writer", seed=31, config=CONFIG)
     data = payload(41, size=128 * 1024)
     writer.fs.write_file("/doc", data, mtime=sim.now)
     sim.run_process(writer.sync())
@@ -188,7 +167,7 @@ def test_silent_corruption_deep_scrub_repairs_in_place():
     again = sim.run_process(scrubber.audit(deep=True))
     assert again.clean
     # The repaired replica serves reads again.
-    reader = make_client(sim, clouds, "reader", seed=32)
+    reader = make_device(sim, clouds, "reader", seed=32, config=CONFIG)
     sim.run_process(reader.sync())
     assert reader.fs.read_file("/doc") == data
 
@@ -204,7 +183,9 @@ def test_client_crash_mid_upload_resumes_without_reuploading():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
     disk = VirtualFileSystem()
-    writer = make_real_client(sim, clouds, "writer", fs=disk, seed=51)
+    writer = make_device(
+        sim, clouds, "writer", fs=disk, seed=51, link=SLOW_LINK, config=CONFIG,
+    )
     data = payload(61, size=1024 * 1024)
     disk.write_file("/big", data, mtime=sim.now)
 
@@ -230,9 +211,10 @@ def test_client_crash_mid_upload_resumes_without_reuploading():
         mtimes[(sid, idx, cid)] = cloud.store.stat(path).mtime
 
     # The device reboots: same disk, same journal, fresh connections.
-    revived = make_client(
+    revived = make_device(
         sim, clouds, "writer", fs=disk, seed=52,
         journal=SyncJournal.from_bytes(writer.journal.to_bytes()),
+        config=CONFIG,
     )
     report = sim.run_process(revived.sync())
     assert report.committed_version == 1
@@ -248,7 +230,7 @@ def test_client_crash_mid_upload_resumes_without_reuploading():
     # Zero orphans and full integrity after resume.
     audit = sim.run_process(Scrubber(revived).audit(deep=True))
     assert audit.clean
-    reader = make_client(sim, clouds, "reader", seed=53)
+    reader = make_device(sim, clouds, "reader", seed=53, config=CONFIG)
     sim.run_process(reader.sync())
     assert reader.fs.read_file("/big") == data
 
@@ -258,10 +240,10 @@ def test_crash_drops_decoded_metadata_and_keeps_the_journal():
     it, and the next incarnation decrypts what it reads again."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=54)
+    writer = make_device(sim, clouds, "writer", seed=54, config=CONFIG)
     writer.fs.write_file("/a", payload(62), mtime=sim.now)
     sim.run_process(writer.sync())
-    reader = make_client(sim, clouds, "reader", seed=55)
+    reader = make_device(sim, clouds, "reader", seed=55, config=CONFIG)
     sim.run_process(reader.sync())
     assert set(writer._held) == set(reader._held) == {"base", "delta"}
     journal = reader.journal
@@ -283,7 +265,9 @@ def test_crashed_holder_lock_break_then_scrub_converges():
     folder is fully decodable and clean."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    crasher = make_real_client(sim, clouds, "crasher", seed=71)
+    crasher = make_device(
+        sim, clouds, "crasher", seed=71, link=SLOW_LINK, config=CONFIG,
+    )
     crasher.fs.write_file("/dead", payload(81, size=512 * 1024),
                           mtime=sim.now)
     proc = sim.process(crasher.sync())
@@ -301,7 +285,7 @@ def test_crashed_holder_lock_break_then_scrub_converges():
     # between uploading them and withdrawing).
     sim.run_process(crasher.lock._try_once())
 
-    survivor = make_client(sim, clouds, "survivor", seed=72)
+    survivor = make_device(sim, clouds, "survivor", seed=72, config=CONFIG)
     good = payload(82)
     survivor.fs.write_file("/alive", good, mtime=sim.now)
     started = sim.now
@@ -317,6 +301,6 @@ def test_crashed_holder_lock_break_then_scrub_converges():
     assert not audit.missing and not audit.corrupt
     again = sim.run_process(Scrubber(survivor).audit(deep=True))
     assert again.clean
-    reader = make_client(sim, clouds, "reader", seed=73)
+    reader = make_device(sim, clouds, "reader", seed=73, config=CONFIG)
     sim.run_process(reader.sync())
     assert reader.fs.read_file("/alive") == good

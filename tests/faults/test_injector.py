@@ -1,10 +1,10 @@
 """Unit tests for the deterministic fault-injection harness."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud import (
-    CloudConnection,
     CloudUnavailableError,
     RequestFailedError,
     SimulatedCloud,
@@ -12,23 +12,21 @@ from repro.cloud import (
 from repro.faults import FaultInjector, ForcedFailures, PinnedStress
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
+from repro.workloads import connect
 
 
-def make_conn(sim, cloud_id="c0", seed=0, failure_rate=0.0):
-    cloud = SimulatedCloud(sim, cloud_id)
-    profile = LinkProfile(
-        up_mbps=20.0, down_mbps=40.0, rtt_seconds=0.05, latency_jitter=0.0,
-        failure_rate=failure_rate, volatility=0.0, fade_probability=0.0,
-        diurnal_amplitude=0.0,
-    )
-    conn = CloudConnection(sim, cloud, profile,
-                           np.random.default_rng(seed))
-    return cloud, conn
+#: A quiet 20/40 Mbps link; tests that need failures replace the rate.
+LINK = LinkProfile(
+    up_mbps=20.0, down_mbps=40.0, rtt_seconds=0.05, latency_jitter=0.0,
+    failure_rate=0.0, volatility=0.0, fade_probability=0.0,
+    diurnal_amplitude=0.0,
+)
 
 
 def test_outage_window_opens_and_closes():
     sim = Simulator()
-    cloud, conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, LINK)
     injector = FaultInjector(sim)
     injector.outage(cloud, start=5.0, end=40.0)
 
@@ -53,7 +51,8 @@ def test_outage_window_opens_and_closes():
 
 def test_open_ended_outage_never_recovers():
     sim = Simulator()
-    cloud, conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, LINK)
     injector = FaultInjector(sim)
     injector.outage(cloud, start=1.0)
 
@@ -68,7 +67,8 @@ def test_open_ended_outage_never_recovers():
 
 def test_flaky_override_and_restore():
     sim = Simulator()
-    cloud, conn = make_conn(sim, failure_rate=0.01)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, replace(LINK, failure_rate=0.01))
     injector = FaultInjector(sim)
     injector.flaky(conn, rate=0.75, start=2.0, end=10.0)
 
@@ -93,7 +93,8 @@ def test_flaky_rate_validation():
 
 def test_force_drops_fails_exactly_n_payload_transfers():
     sim = Simulator()
-    cloud, conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, LINK)
     injector = FaultInjector(sim)
     wrapper = injector.force_drops(conn, count=2)
     assert isinstance(conn.conditions.failures, ForcedFailures)
@@ -117,7 +118,8 @@ def test_force_drops_fails_exactly_n_payload_transfers():
 
 def test_force_drops_accumulates_on_rearm():
     sim = Simulator()
-    cloud, conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, LINK)
     injector = FaultInjector(sim)
     first = injector.force_drops(conn, count=1)
     second = injector.force_drops(conn, count=1)
@@ -128,7 +130,8 @@ def test_force_drops_accumulates_on_rearm():
 def test_force_drops_spares_zero_byte_requests():
     """Preamble checks and empty payloads must delegate, not consume."""
     sim = Simulator()
-    cloud, conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, LINK)
     injector = FaultInjector(sim)
     wrapper = injector.force_drops(conn, count=1)
 
@@ -142,7 +145,8 @@ def test_force_drops_spares_zero_byte_requests():
 
 def test_pin_stress_holds_elevated_failure_rate():
     sim = Simulator()
-    cloud, conn = make_conn(sim, failure_rate=0.01)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 0, replace(LINK, failure_rate=0.01))
     original_stress = conn.conditions.failures.stress
     injector = FaultInjector(sim)
     injector.pin_stress([conn], "c0", start=0.0, end=100.0)
@@ -172,7 +176,8 @@ def test_slow_cloud_degrades_and_restores_throughput():
     fully restores the link when it closes — same rng streams, so the
     post-window transfer matches a never-slowed run."""
     sim = Simulator()
-    cloud, conn = make_conn(sim, seed=12)
+    cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [cloud], 12, LINK)
     injector = FaultInjector(sim)
     injector.slow_cloud(conn, factor=20.0, start=10.0, end=50.0)
 
@@ -198,7 +203,8 @@ def test_slow_cloud_degrades_and_restores_throughput():
 
 def test_slow_cloud_rejects_degenerate_factor():
     sim = Simulator()
-    _cloud, conn = make_conn(sim)
+    _cloud = SimulatedCloud(sim, "c0")
+    (conn,) = connect(sim, [_cloud], 0, LINK)
     injector = FaultInjector(sim)
     with pytest.raises(ValueError):
         injector.slow_cloud(conn, factor=1.0)
@@ -208,7 +214,8 @@ def test_slow_cloud_rejects_degenerate_factor():
 
 def test_silent_corruption_logs_a_missing_path_as_a_miss():
     sim = Simulator()
-    cloud, _conn = make_conn(sim)
+    cloud = SimulatedCloud(sim, "c0")
+    (_conn,) = connect(sim, [cloud], 0, LINK)
     cloud.store.put("/blocks/b0", b"payload", mtime=0.0)
     injector = FaultInjector(sim)
     injector.silent_corruption(cloud, "/blocks/b0", at=1.0)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
+from repro.cloud import SimulatedCloud
+from repro.core import UniDriveConfig
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 #: Short ΔT so crashed-holder tests stay quick in virtual time.
 CONFIG = UniDriveConfig(
@@ -14,15 +14,6 @@ CONFIG = UniDriveConfig(
 )
 
 chaos_smoke = pytest.mark.chaos_smoke
-
-
-def make_client(sim, clouds, name, seed=0):
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, VirtualFileSystem(), conns,
-                          config=CONFIG, rng=np.random.default_rng(seed))
 
 
 def payload(seed, size=64 * 1024):
@@ -42,13 +33,13 @@ def test_crashed_holder_lock_is_broken_and_sync_proceeds():
     and commits its pending change."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    crasher = make_client(sim, clouds, "crasher", seed=1)
+    crasher = make_device(sim, clouds, "crasher", seed=1, config=CONFIG)
     sim.run_process(crasher.lock.acquire())
     assert crasher.lock.held
     # The crash: the refresher process dies with the lock files still in
     # every cloud's lock directory — exactly what a killed device leaves.
     crasher.lock._refresher.interrupt("crash")
-    contender = make_client(sim, clouds, "contender", seed=2)
+    contender = make_device(sim, clouds, "contender", seed=2, config=CONFIG)
     contender.fs.write_file("/doc", payload(10), mtime=sim.now)
     started = sim.now
     report = sim.run_process(contender.sync())
@@ -77,14 +68,9 @@ def test_live_holder_is_not_broken():
     import dataclasses
 
     short = dataclasses.replace(CONFIG, lock_acquire_timeout=120.0)
-    holder = make_client(sim, clouds, "holder", seed=3)
+    holder = make_device(sim, clouds, "holder", seed=3, config=CONFIG)
     sim.run_process(holder.lock.acquire())
-    contender = UniDriveClient(
-        sim, "contender", VirtualFileSystem(),
-        [make_instant_connection(sim, c, seed=20 + i)
-         for i, c in enumerate(clouds)],
-        config=short, rng=np.random.default_rng(4),
-    )
+    contender = make_device(sim, clouds, "contender", seed=20, config=short)
     with pytest.raises(LockTimeout):
         sim.run_process(contender.lock.acquire())
     assert holder.lock.held
@@ -101,9 +87,9 @@ def test_first_seen_observations_stay_bounded():
     must stay bounded by the number of *live* lock files."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    holder = make_client(sim, clouds, "holder", seed=5)
+    holder = make_device(sim, clouds, "holder", seed=5, config=CONFIG)
     sim.run_process(holder.lock.acquire())
-    contender = make_client(sim, clouds, "contender", seed=6)
+    contender = make_device(sim, clouds, "contender", seed=6, config=CONFIG)
     period = CONFIG.lock_stale_seconds / 3.0
     rounds = 12
     for _ in range(rounds):
@@ -126,12 +112,11 @@ def test_interrupted_acquire_withdraws_lock_files():
     to wait out the ΔT staleness break.  acquire() must withdraw them
     before propagating the exception."""
     from repro.netsim import LinkProfile
-    from repro.cloud import CloudConnection
     from repro.simkernel import Interrupt
 
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    holder = make_client(sim, clouds, "holder", seed=7)
+    holder = make_device(sim, clouds, "holder", seed=7, config=CONFIG)
     sim.run_process(holder.lock.acquire())
     # Latency-carrying links: an acquisition round takes ~2 RTTs, so an
     # interrupt at t+0.07 lands after the uploads, during the listings.
@@ -140,11 +125,8 @@ def test_interrupted_acquire_withdraws_lock_files():
         latency_jitter=0.0, failure_rate=0.0, volatility=0.0,
         fade_probability=0.0, diurnal_amplitude=0.0,
     )
-    contender = UniDriveClient(
-        sim, "contender", VirtualFileSystem(),
-        [CloudConnection(sim, c, profile, np.random.default_rng(30 + i))
-         for i, c in enumerate(clouds)],
-        config=CONFIG, rng=np.random.default_rng(8),
+    contender = make_device(
+        sim, clouds, "contender", seed=30, link=profile, config=CONFIG
     )
     proc = sim.process(contender.lock.acquire())
 
@@ -182,7 +164,7 @@ def test_sync_failure_inside_lock_releases_immediately():
 
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=9)
+    writer = make_device(sim, clouds, "writer", seed=9, config=CONFIG)
     writer.fs.write_file("/one", payload(1), mtime=sim.now)
     assert sim.run_process(writer.sync()).committed_version == 1
     # Poison: every cloud advertises v5, but no replica can serve it —
@@ -203,7 +185,7 @@ def test_sync_failure_inside_lock_releases_immediately():
         ]
         assert "lock_writer" not in names
     # A peer acquires immediately — far below the staleness window.
-    contender = make_client(sim, clouds, "contender", seed=10)
+    contender = make_device(sim, clouds, "contender", seed=10, config=CONFIG)
     started = sim.now
     sim.run_process(contender.lock.acquire())
     assert contender.lock.held
@@ -220,7 +202,7 @@ def test_withdraw_retries_transient_delete_failures():
 
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    first = make_client(sim, clouds, "first", seed=11)
+    first = make_device(sim, clouds, "first", seed=11, config=CONFIG)
 
     # Every cloud's first delete fails transiently (an API blip), then
     # the cloud recovers — exactly the shape a one-shot delete loses.
@@ -252,7 +234,7 @@ def test_withdraw_retries_transient_delete_failures():
     assert all(count >= 2 for count in attempts.values())
 
     # A second writer therefore syncs without waiting out ΔT.
-    second = make_client(sim, clouds, "second", seed=12)
+    second = make_device(sim, clouds, "second", seed=12, config=CONFIG)
     second.fs.write_file("/doc", payload(21), mtime=sim.now)
     started = sim.now
     report = sim.run_process(second.sync())

@@ -27,13 +27,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
+from repro.cloud import SimulatedCloud
+from repro.core import UniDriveConfig
 from repro.core.client import SyncError
 from repro.core.metadata import MetadataError
 from repro.faults import FaultInjector
-from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
 
@@ -42,16 +42,6 @@ CONFIG = UniDriveConfig(theta=64 * 1024)
 DELTA_CONFIG = UniDriveConfig(
     theta=64 * 1024, delta_merge_ratio=1000.0, delta_merge_bytes=10 ** 9,
 )
-
-
-def make_client(sim, clouds, name, fs=None, seed=0, config=CONFIG):
-    fs = fs if fs is not None else VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, fs, conns, config=config,
-                          rng=np.random.default_rng(seed))
 
 
 def payload(seed, size=8 * 1024):
@@ -65,7 +55,7 @@ def test_replicate_fails_fast_on_unavailable_cloud():
     max_retries of them back-to-back (4 x 10 s pre-fix)."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=1)
+    writer = make_device(sim, clouds, "writer", seed=1, config=CONFIG)
     clouds[0].set_available(False)
     started = sim.now
     sim.run_process(writer._replicate([("/unidrive/meta/version", b"v")]))
@@ -83,7 +73,7 @@ def test_replicate_backs_off_between_transient_retries():
     delay, not hammered immediately."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=2)
+    writer = make_device(sim, clouds, "writer", seed=2, config=CONFIG)
     injector = FaultInjector(sim)
     injector.force_drops(writer.connections[1], count=1)
     started = sim.now
@@ -105,7 +95,7 @@ def test_publish_delta_preserves_ops_committed_during_outage():
     the next commit extends (silently dropping the missed op)."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=3, config=DELTA_CONFIG)
+    writer = make_device(sim, clouds, "writer", seed=3, config=DELTA_CONFIG)
     # v1: baseline commit, full base everywhere.
     writer.fs.write_file("/seed", payload(30), mtime=sim.now)
     assert sim.run_process(writer.sync()).committed_version == 1
@@ -124,8 +114,9 @@ def test_publish_delta_preserves_ops_committed_during_outage():
     # A brand-new device must see every committed file — including via
     # c0, which the v3 replication healed (fresh delta extends c0's v1
     # base consistently, thanks to the base-version marker).
-    observer = make_client(sim, clouds, "observer", seed=4,
-                           config=DELTA_CONFIG)
+    observer = make_device(
+        sim, clouds, "observer", seed=4, config=DELTA_CONFIG,
+    )
     report = sim.run_process(observer.sync())
     assert sorted(report.downloaded_files) == ["/seed", "/x", "/y"]
     assert observer.fs.read_file("/x") == payload(31)
@@ -138,7 +129,7 @@ def test_fetch_metadata_skips_stale_cloud():
     only reconstructs an older version must be skipped, not adopted."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=5)
+    writer = make_device(sim, clouds, "writer", seed=5, config=CONFIG)
     writer.fs.write_file("/one", payload(50), mtime=sim.now)
     sim.run_process(writer.sync())
     clouds[0].set_available(False)
@@ -146,7 +137,7 @@ def test_fetch_metadata_skips_stale_cloud():
     sim.run_process(writer.sync())
     clouds[0].set_available(True)
     # c0 is the first connection and reachable, but holds only v1.
-    observer = make_client(sim, clouds, "observer", seed=6)
+    observer = make_device(sim, clouds, "observer", seed=6, config=CONFIG)
     image = sim.run_process(observer._fetch_metadata(expect=2))
     assert image.version.counter == 2
     assert "/two" in image.files
@@ -166,13 +157,13 @@ def test_fetch_metadata_skips_undecodable_replica(name):
     skip it (reason ``undecodable``) and read the next cloud."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=7, config=DELTA_CONFIG)
+    writer = make_device(sim, clouds, "writer", seed=7, config=DELTA_CONFIG)
     writer.fs.write_file("/one", payload(60), mtime=sim.now)
     sim.run_process(writer.sync())
     writer.fs.write_file("/two", payload(61), mtime=sim.now)
     sim.run_process(writer.sync())  # a real delta on top of the base
     rot(clouds[0], f"/unidrive/meta/{name}")
-    reader = make_client(sim, clouds, "reader", seed=8, config=DELTA_CONFIG)
+    reader = make_device(sim, clouds, "reader", seed=8, config=DELTA_CONFIG)
     with obs.isolated(sim=sim) as (_tracer, metrics):
         report = sim.run_process(reader.sync())
         skips = metrics.counter_value(
@@ -190,13 +181,13 @@ def test_fetch_metadata_skips_undecodable_replica(name):
 def test_fetch_metadata_fails_typed_when_every_replica_is_rotten():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=9)
+    writer = make_device(sim, clouds, "writer", seed=9, config=CONFIG)
     writer.fs.write_file("/one", payload(62), mtime=sim.now)
     sim.run_process(writer.sync())
     for cloud in clouds:
         # Truncated to a misaligned length, garbled, emptied of padding.
         rot(cloud, "/unidrive/meta/base", size=100 + int(cloud.cloud_id[1]))
-    reader = make_client(sim, clouds, "reader", seed=10)
+    reader = make_device(sim, clouds, "reader", seed=10, config=CONFIG)
     with pytest.raises(SyncError, match="undecodable"):
         sim.run_process(reader.sync())
     assert "base" not in reader._held  # never cached
@@ -207,19 +198,20 @@ def test_publish_delta_skips_undecodable_donor():
     one neither crashes the commit nor lands in the cache."""
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    first = make_client(sim, clouds, "first", seed=11, config=DELTA_CONFIG)
+    first = make_device(sim, clouds, "first", seed=11, config=DELTA_CONFIG)
     first.fs.write_file("/one", payload(63), mtime=sim.now)
     sim.run_process(first.sync())
     first.fs.write_file("/two", payload(64), mtime=sim.now)
     sim.run_process(first.sync())
-    second = make_client(sim, clouds, "second", seed=12, config=DELTA_CONFIG)
+    second = make_device(sim, clouds, "second", seed=12, config=DELTA_CONFIG)
     sim.run_process(second.sync())
     rot(clouds[0], "/unidrive/meta/delta")
     second.fs.write_file("/three", payload(65), mtime=sim.now)
     report = sim.run_process(second.sync())
     assert report.committed_version == 3
-    observer = make_client(sim, clouds, "observer", seed=13,
-                           config=DELTA_CONFIG)
+    observer = make_device(
+        sim, clouds, "observer", seed=13, config=DELTA_CONFIG,
+    )
     sim.run_process(observer.sync())
     assert sorted(observer.image.files) == ["/one", "/three", "/two"]
     with pytest.raises(MetadataError):

@@ -6,22 +6,13 @@ device can always be rebuilt from the metadata plus blocks.
 
 import numpy as np
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
+from repro.cloud import SimulatedCloud
+from repro.core import UniDriveConfig
 from repro.fsmodel import VirtualFileSystem
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
-
-
-def make_client(sim, clouds, name, fs=None, seed=0):
-    fs = fs if fs is not None else VirtualFileSystem()
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(sim, name, fs, conns, config=CONFIG,
-                          rng=np.random.default_rng(seed))
 
 
 def payload(seed, size=150 * 1024):
@@ -33,13 +24,13 @@ def payload(seed, size=150 * 1024):
 def test_fresh_device_bootstraps_entire_folder():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=1)
+    writer = make_device(sim, clouds, "writer", seed=1, config=CONFIG)
     files = {f"/dir/f{i}": payload(i) for i in range(5)}
     for path, data in files.items():
         writer.fs.write_file(path, data, mtime=sim.now)
     sim.run_process(writer.sync())
     # A brand-new device with an empty folder joins.
-    newcomer = make_client(sim, clouds, "newcomer", seed=2)
+    newcomer = make_device(sim, clouds, "newcomer", seed=2, config=CONFIG)
     report = sim.run_process(newcomer.sync())
     assert sorted(report.downloaded_files) == sorted(files)
     for path, data in files.items():
@@ -53,7 +44,7 @@ def test_crash_before_metadata_commit_is_invisible():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
     fs = VirtualFileSystem()
-    victim = make_client(sim, clouds, "victim", fs=fs, seed=3)
+    victim = make_device(sim, clouds, "victim", fs=fs, seed=3, config=CONFIG)
     fs.write_file("/doc", payload(10), mtime=sim.now)
     # Simulate the crash: run only the data-plane part by killing the
     # client right after its blocks are uploaded — easiest done by
@@ -69,12 +60,12 @@ def test_crash_before_metadata_commit_is_invisible():
     for cloud in clouds[1:]:
         cloud.set_available(True)
     # Another device sees nothing (no committed metadata).
-    observer = make_client(sim, clouds, "observer", seed=4)
+    observer = make_device(sim, clouds, "observer", seed=4, config=CONFIG)
     report = sim.run_process(observer.sync())
     assert report.downloaded_files == []
     # The "restarted" victim process (fresh client, same folder) syncs;
     # the bootstrap path treats the never-committed file as pending.
-    reborn = make_client(sim, clouds, "victim", fs=fs, seed=5)
+    reborn = make_device(sim, clouds, "victim", fs=fs, seed=5, config=CONFIG)
     sim.run_process(reborn.sync())
     report = sim.run_process(observer.sync())
     assert report.downloaded_files == ["/doc"]
@@ -87,12 +78,12 @@ def test_reinstall_with_existing_folder_converges():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
     fs = VirtualFileSystem()
-    original = make_client(sim, clouds, "dev", fs=fs, seed=6)
+    original = make_device(sim, clouds, "dev", fs=fs, seed=6, config=CONFIG)
     data = payload(20)
     fs.write_file("/kept", data, mtime=sim.now)
     sim.run_process(original.sync())
     # Reinstall: new client object, same folder contents, empty image.
-    reinstalled = make_client(sim, clouds, "dev", fs=fs, seed=7)
+    reinstalled = make_device(sim, clouds, "dev", fs=fs, seed=7, config=CONFIG)
     report = sim.run_process(reinstalled.sync())
     # Local files equal cloud content: after the round the device is
     # consistent and nothing was lost.
@@ -107,19 +98,19 @@ def test_reinstall_with_divergent_local_file_keeps_both():
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
     fs = VirtualFileSystem()
-    original = make_client(sim, clouds, "dev", fs=fs, seed=8)
+    original = make_device(sim, clouds, "dev", fs=fs, seed=8, config=CONFIG)
     cloud_version = payload(30)
     fs.write_file("/doc", cloud_version, mtime=sim.now)
     sim.run_process(original.sync())
     # Wipe the client, edit the file offline, reinstall.
     offline_edit = payload(31)
     fs.write_file("/doc", offline_edit, mtime=sim.now)
-    reinstalled = make_client(sim, clouds, "dev", fs=fs, seed=9)
+    reinstalled = make_device(sim, clouds, "dev", fs=fs, seed=9, config=CONFIG)
     sim.run_process(reinstalled.sync())
     assert fs.read_file("/doc") == cloud_version
     assert fs.read_file("/doc.conflict-dev") == offline_edit
     # The conflict copy syncs to other devices as a regular file.
-    observer = make_client(sim, clouds, "observer", seed=10)
+    observer = make_device(sim, clouds, "observer", seed=10, config=CONFIG)
     sim.run_process(observer.sync())
     assert observer.fs.read_file("/doc.conflict-dev") == offline_edit
 
@@ -136,8 +127,8 @@ def test_reused_content_survives_garbage_collection():
     """
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed=40)
-    reader = make_client(sim, clouds, "reader", seed=41)
+    writer = make_device(sim, clouds, "writer", seed=40, config=CONFIG)
+    reader = make_device(sim, clouds, "reader", seed=41, config=CONFIG)
     data = payload(40)
     writer.fs.write_file("/doc", data, mtime=sim.now)
     sim.run_process(writer.sync())
@@ -153,7 +144,7 @@ def test_reused_content_survives_garbage_collection():
     reader.fs.write_file("/doc.bak", data, mtime=sim.now)
     sim.run_process(reader.sync())
     # A newcomer must be able to materialize both files from the clouds.
-    newcomer = make_client(sim, clouds, "newcomer", seed=42)
+    newcomer = make_device(sim, clouds, "newcomer", seed=42, config=CONFIG)
     sim.run_process(newcomer.sync())
     assert newcomer.fs.read_file("/doc.bak") == data
     assert newcomer.fs.read_file("/doc") == payload(41)
@@ -171,8 +162,8 @@ def test_promoted_own_retention_rematerializes_on_disk():
     """
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    dev_a = make_client(sim, clouds, "devA", seed=50)
-    dev_b = make_client(sim, clouds, "devB", seed=51)
+    dev_a = make_device(sim, clouds, "devA", seed=50, config=CONFIG)
+    dev_b = make_device(sim, clouds, "devB", seed=51, config=CONFIG)
     base = payload(50)
     dev_a.fs.write_file("/f", base, mtime=sim.now)
     sim.run_process(dev_a.sync())

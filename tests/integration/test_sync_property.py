@@ -10,10 +10,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core import UniDriveClient, UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
-from repro.simkernel import Simulator
+from repro.core import UniDriveConfig
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(theta=64 * 1024)
 PATHS = ["/a", "/b", "/c"]
@@ -26,28 +24,11 @@ operation = st.tuples(
 )
 
 
-def build_env():
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for d in range(2):
-        fs = VirtualFileSystem()
-        conns = [
-            make_instant_connection(sim, c, seed=100 * d + i)
-            for i, c in enumerate(clouds)
-        ]
-        clients.append(
-            UniDriveClient(sim, f"dev{d}", fs, conns, config=CONFIG,
-                           rng=np.random.default_rng(d))
-        )
-    return sim, clients
-
-
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(operation, min_size=1, max_size=12))
 def test_random_edit_scripts_converge(script):
-    sim, clients = build_env()
+    sim, _, clients = make_fleet(2, config=CONFIG)
     for device, action, path, seed in script:
         client = clients[device]
         if action == "write":

@@ -11,12 +11,9 @@ import json
 import numpy as np
 
 from repro import obs
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core.client import UniDriveClient
 from repro.core.config import UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
 from repro.obs.export import chrome_trace
-from repro.simkernel import Simulator
+from repro.workloads import make_fleet
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
 
@@ -24,19 +21,7 @@ CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
 def _traced_sync_pair():
     """One writer-then-reader sync under tracing + telemetry; returns
     ``(records, windows_snapshot)``."""
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for d in range(2):
-        conns = [
-            make_instant_connection(sim, cloud, seed=31 * d + i)
-            for i, cloud in enumerate(clouds)
-        ]
-        clients.append(UniDriveClient(
-            sim, f"device{d}", VirtualFileSystem(), conns, config=CONFIG,
-            rng=np.random.default_rng(d),
-        ))
-    writer, reader = clients
+    sim, _, (writer, reader) = make_fleet(2, config=CONFIG)
     rng = np.random.default_rng(7)
     with obs.isolated(sim=sim, telemetry=True) as (tracer, _):
         for i in range(2):

@@ -9,12 +9,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloud import SimulatedCloud, make_instant_connection
-from repro.core.client import UniDriveClient
 from repro.core.config import UniDriveConfig
-from repro.fsmodel import VirtualFileSystem
-from repro.simkernel import Simulator
-from repro.workloads import run_cells, transfers_cell
+from repro.workloads import make_fleet, run_cells, transfers_cell
 from repro.workloads.shared import SharedScenario, run_shared
 
 CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
@@ -23,19 +19,7 @@ CONFIG = UniDriveConfig(theta=64 * 1024, lock_backoff_max=1.0)
 def _sync_digest():
     """One writer-then-reader sync pair; returns a repr of every
     externally-visible outcome."""
-    sim = Simulator()
-    clouds = [SimulatedCloud(sim, f"cloud{i}") for i in range(5)]
-    clients = []
-    for d in range(2):
-        conns = [
-            make_instant_connection(sim, cloud, seed=31 * d + i)
-            for i, cloud in enumerate(clouds)
-        ]
-        clients.append(UniDriveClient(
-            sim, f"device{d}", VirtualFileSystem(), conns, config=CONFIG,
-            rng=np.random.default_rng(d),
-        ))
-    writer, reader = clients
+    sim, _, (writer, reader) = make_fleet(2, config=CONFIG)
     rng = np.random.default_rng(7)
     for i in range(3):
         writer.fs.write_file(f"/f{i}.bin", rng.bytes(96 * 1024), mtime=sim.now)

@@ -4,7 +4,7 @@ the disabled-mode no-op contract."""
 import pickle
 
 from repro import obs
-from repro.obs import NULL_SPAN, OBS, EventRecord, SpanRecord, Tracer
+from repro.obs import OBS, EventRecord, SpanRecord, Tracer
 from repro.simkernel import Simulator
 
 
@@ -31,11 +31,13 @@ def test_span_nesting_under_event_kernel():
     with obs.isolated(sim=sim) as (tracer, _metrics):
 
         def worker():
-            with sim.span("outer", track="w"):
-                yield sim.timeout(5.0)
-                with sim.span("inner", track="w"):
-                    yield sim.timeout(2.0)
-                yield sim.timeout(1.0)
+            outer, _ = OBS.begin("outer", t=sim.now, track="w")
+            yield sim.timeout(5.0)
+            inner, _ = OBS.begin("inner", t=sim.now, track="w")
+            yield sim.timeout(2.0)
+            OBS.end(inner, t=sim.now)
+            yield sim.timeout(1.0)
+            OBS.end(outer, t=sim.now)
 
         sim.run_process(worker())
         records = tracer.drain()
@@ -54,8 +56,9 @@ def test_buffer_order_is_begin_order_across_processes():
 
         def worker(name, delay, hold):
             yield sim.timeout(delay)
-            with sim.span("work", track=name):
-                yield sim.timeout(hold)
+            span, _ = OBS.begin("work", t=sim.now, track=name)
+            yield sim.timeout(hold)
+            OBS.end(span, t=sim.now)
 
         # b begins before a (t=1 vs t=2) despite being spawned second.
         sim.process(worker("a", 2.0, 10.0))
@@ -66,26 +69,13 @@ def test_buffer_order_is_begin_order_across_processes():
     assert [(r.track, r.t0) for r in records] == [("b", 1.0), ("a", 2.0)]
 
 
-def test_span_context_stamps_error_on_exception():
-    sim = Simulator()
-    with obs.isolated(sim=sim) as (tracer, _metrics):
-        try:
-            with sim.span("doomed", track="w"):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        (span,) = tracer.drain()
-    assert span.attrs["error"] == "RuntimeError"
-    assert span.t1 is not None
-
-
 def test_event_records_point_in_time():
     sim = Simulator()
     with obs.isolated(sim=sim) as (tracer, _metrics):
 
         def worker():
             yield sim.timeout(4.0)
-            sim.trace_event("fault", track="gdrive", kind="outage-begin")
+            OBS.event("fault", t=sim.now, track="gdrive", kind="outage-begin")
 
         sim.run_process(worker())
         (event,) = tracer.drain()
@@ -101,10 +91,6 @@ def test_disabled_hub_is_noop():
     assert span is None and ctx is None
     OBS.end(span, t=1.0)  # must not raise
     OBS.event("x", t=0.0)
-    sim = Simulator()
-    with sim.span("x") as inner:
-        assert inner is NULL_SPAN
-    sim.trace_event("x")
 
 
 def test_begin_links_spans_into_one_trace():
@@ -133,8 +119,6 @@ def test_metrics_only_sink_allocates_no_span():
         assert OBS.begin("x", t=0.0) == (None, None)
         assert OBS.begin("x", t=0.0, ctx=None) == (None, None)
         OBS.event("x", t=0.0)
-        sim = Simulator()
-        assert sim.span("x") is NULL_SPAN
         # A fan-out fact still reaches the sink that is there.
         OBS.lock_break("cloud0", 1.0, victim="lock_a", breaker="b")
         assert metrics.counter_value("lock_breaks", cloud="cloud0") == 1

@@ -24,9 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import CloudConnection, SimulatedCloud, make_instant_connection
+from repro.cloud import SimulatedCloud
 from repro.cloud.errors import NotFoundError
-from repro.core import UniDriveClient, UniDriveConfig
+from repro.core import UniDriveConfig
 from repro.core.deltasync import DeltaLog
 from repro.core.journal import SyncJournal
 from repro.core.serialization import deserialize_image
@@ -34,6 +34,7 @@ from repro.faults import FaultInjector
 from repro.fsmodel import VirtualFileSystem
 from repro.netsim import LinkProfile
 from repro.simkernel import Simulator
+from repro.workloads import make_device
 from repro.workloads.shared import (
     SharedScenario,
     churn_profile,
@@ -182,24 +183,6 @@ SLOW_PROFILE = LinkProfile(
 ROUND_PATHS = ("/n0", "/n1", "/n2")
 
 
-def txn_client(sim, clouds, name, seed, fs, journal, slow=False):
-    if slow:
-        conns = [
-            CloudConnection(sim, c, SLOW_PROFILE,
-                            np.random.default_rng(seed + i))
-            for i, c in enumerate(clouds)
-        ]
-    else:
-        conns = [
-            make_instant_connection(sim, c, seed=seed + i)
-            for i, c in enumerate(clouds)
-        ]
-    return UniDriveClient(
-        sim, name, fs, conns, config=TXN_CONFIG,
-        rng=np.random.default_rng(seed), journal=journal,
-    )
-
-
 def replica_images(clouds, config):
     """Reconstruct what a reader would see from each cloud *alone*."""
     out = {}
@@ -239,15 +222,16 @@ def test_transactional_round_is_all_or_nothing(seed, delay):
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
 
-    seeder = txn_client(sim, clouds, "seeder", seed * 7 + 1,
-                        VirtualFileSystem(), SyncJournal())
+    seeder = make_device(sim, clouds, "seeder", seed * 7 + 1,
+                         config=TXN_CONFIG)
     seeder.fs.write_file("/seed", rng.bytes(512), mtime=sim.now)
     assert sim.run_process(seeder.sync()).committed_version == 1
 
     fs = VirtualFileSystem()
     journal = SyncJournal()
-    writer = txn_client(sim, clouds, "writer", seed * 7 + 2,
-                        fs, journal, slow=True)
+    writer = make_device(sim, clouds, "writer", seed * 7 + 2,
+                         link=SLOW_PROFILE, config=TXN_CONFIG, fs=fs,
+                         journal=journal)
     sim.run_process(writer.sync())  # adopt v1
     for path in ROUND_PATHS:
         fs.write_file(path, rng.bytes(2048), mtime=sim.now)
@@ -273,9 +257,9 @@ def test_transactional_round_is_all_or_nothing(seed, delay):
             assert image.files["/seed"].current.size == 512
 
     # Resume from the journal and finish the round.
-    resumed = txn_client(
-        sim, clouds, "writer", seed * 7 + 3, fs,
-        SyncJournal.from_bytes(journal.to_bytes()),
+    resumed = make_device(
+        sim, clouds, "writer", seed * 7 + 3, config=TXN_CONFIG, fs=fs,
+        journal=SyncJournal.from_bytes(journal.to_bytes()),
     )
     committed = None
     for _ in range(4):

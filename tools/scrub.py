@@ -37,37 +37,21 @@ if _SRC not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.cloud import SimulatedCloud, make_instant_connection  # noqa: E402
-from repro.core import (  # noqa: E402
-    Scrubber,
-    SyncJournal,
-    UniDriveClient,
-    UniDriveConfig,
-)
+from repro.cloud import SimulatedCloud  # noqa: E402
+from repro.core import Scrubber, SyncJournal, UniDriveConfig  # noqa: E402
 from repro.faults import FaultInjector  # noqa: E402
-from repro.fsmodel import VirtualFileSystem  # noqa: E402
 from repro.simkernel import Simulator  # noqa: E402
+from repro.workloads import make_device  # noqa: E402
 
 SCENARIOS = ("clean", "corruption", "loss", "crash")
 LOST_CLOUD = "c2"
+CONFIG = UniDriveConfig(theta=64 * 1024)
 
 
 def payload(seed: int, size: int) -> bytes:
     return np.random.default_rng(seed).integers(
         0, 256, size=size, dtype=np.uint8
     ).tobytes()
-
-
-def make_client(sim, clouds, name, seed, fs=None, journal=None):
-    conns = [
-        make_instant_connection(sim, c, seed=seed + i)
-        for i, c in enumerate(clouds)
-    ]
-    return UniDriveClient(
-        sim, name, fs if fs is not None else VirtualFileSystem(), conns,
-        config=UniDriveConfig(theta=64 * 1024),
-        rng=np.random.default_rng(seed), journal=journal,
-    )
 
 
 def counter_total(metrics, name: str) -> float:
@@ -81,7 +65,7 @@ def run_scenario(scenario: str, seed: int, n_files: int,
                  size_kb: int) -> dict:
     sim = Simulator()
     clouds = [SimulatedCloud(sim, f"c{i}") for i in range(5)]
-    writer = make_client(sim, clouds, "writer", seed)
+    writer = make_device(sim, clouds, "writer", seed, config=CONFIG)
     files = {
         f"/file{i}": payload(seed + i, size_kb * 1024)
         for i in range(n_files)
@@ -124,8 +108,8 @@ def run_scenario(scenario: str, seed: int, n_files: int,
             injector.client_crash(writer, proc, at=sim.now)
             sim.run()
             files["/late"] = writer.fs.read_file("/late")
-            writer = make_client(
-                sim, clouds, "writer", seed + 1, fs=writer.fs,
+            writer = make_device(
+                sim, clouds, "writer", seed + 1, config=CONFIG, fs=writer.fs,
                 journal=SyncJournal.from_bytes(writer.journal.to_bytes()),
             )
             sim.run_process(writer.sync())
@@ -153,7 +137,7 @@ def run_scenario(scenario: str, seed: int, n_files: int,
         }
 
     # Recovery proof: a device that never saw the fault decodes all.
-    reader = make_client(sim, clouds, "reader", seed + 1000)
+    reader = make_device(sim, clouds, "reader", seed + 1000, config=CONFIG)
     sim.run_process(reader.sync())
     verified = all(
         reader.fs.exists(path) and reader.fs.read_file(path) == data
