@@ -8,21 +8,18 @@ precomputed 256x256 product table (``MUL_TABLE``), so scalar-times-vector
 is a single one-row gather — no log/exp double lookup and no special
 handling of zero elements.
 
-Three table families serve the vector kernels:
+Two table families serve the vector kernels:
 
 * ``MUL_TABLE`` — the full 256x256 product table; one row per scalar.
-* ``MUL_LO``/``MUL_HI`` — the nibble-split decomposition used by
-  SSSE3/NEON ``pshufb`` Reed-Solomon kernels (ISA-L, klauspost):
-  ``a*b == MUL_LO[a][b & 15] ^ MUL_HI[a][b >> 4]``.  In native SIMD the
-  16-entry tables live in registers; under numpy a gather costs the
-  same per element regardless of table size, so the nibble form is kept
-  as the structural reference (see :func:`mul_vec_nibble`) while the
-  production matmul goes the other way — *fusing* coefficients into
-  wider tables so each gather retires more than one multiply
-  (:func:`pair_table`, and the packed output tables built in
-  :mod:`repro.codec.matrix`).
 * ``pair_table(c1, c2)`` — a 65536-entry table over adjacent input-byte
   pairs: one gather evaluates ``c1*b1 ^ c2*b2``.
+
+Native SIMD kernels (ISA-L, klauspost) split each multiply into two
+16-entry nibble tables that live in registers.  Under numpy a gather
+costs the same per element regardless of table size, so the production
+matmul goes the other way — *fusing* coefficients into wider tables so
+each gather retires more than one multiply (:func:`pair_table`, and the
+packed output tables built in :mod:`repro.codec.matrix`).
 """
 
 from __future__ import annotations
@@ -39,14 +36,11 @@ __all__ = [
     "inv",
     "pow",
     "mul_vec",
-    "mul_vec_nibble",
     "addmul_vec",
     "pair_table",
     "EXP_TABLE",
     "LOG_TABLE",
     "MUL_TABLE",
-    "MUL_LO",
-    "MUL_HI",
 ]
 
 PRIMITIVE_POLY = 0x11D
@@ -88,20 +82,6 @@ def _build_mul_table():
 
 MUL_TABLE = _build_mul_table()
 _MUL = MUL_TABLE
-
-
-def _build_nibble_tables():
-    """Nibble-split product tables: ``MUL_LO[a]`` maps the low nibble,
-    ``MUL_HI[a]`` the high nibble, so that for any byte ``b``
-    ``a*b == MUL_LO[a][b & 0x0F] ^ MUL_HI[a][b >> 4]`` — the
-    decomposition behind the SSSE3 ``pshufb`` RS kernels.  8 KiB total.
-    """
-    lo = MUL_TABLE[:, :16].copy()
-    hi = MUL_TABLE[:, ::16].copy()
-    return lo, hi
-
-
-MUL_LO, MUL_HI = _build_nibble_tables()
 
 
 def pair_table(c1: int, c2: int) -> np.ndarray:
@@ -175,21 +155,6 @@ def mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
     out = np.empty_like(vec)
     np.take(_MUL[scalar], vec, out=out, mode="clip")
     return out
-
-
-def mul_vec_nibble(scalar: int, vec: np.ndarray) -> np.ndarray:
-    """:func:`mul_vec` via the nibble-split tables (``pshufb`` shape).
-
-    Two 16-entry gathers plus an XOR — the literal form of the SIMD
-    trick, retained as an executable cross-check of ``MUL_LO``/
-    ``MUL_HI``.  Not the numpy hot path: both gathers stream the full
-    index vector, so it costs ~2x the single ``MUL_TABLE`` row gather.
-    """
-    if scalar == 0:
-        return np.zeros_like(vec)
-    if scalar == 1:
-        return vec.copy()
-    return MUL_LO[scalar][vec & 0x0F] ^ MUL_HI[scalar][vec >> 4]
 
 
 def addmul_vec(acc: np.ndarray, scalar: int, vec: np.ndarray) -> None:

@@ -16,7 +16,6 @@ copies retained.
 
 from __future__ import annotations
 
-import json
 import posixpath
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ import numpy as np
 from ..cloud import CloudAPI, CloudError, NotFoundError
 from ..fsmodel import ChangeKind, FolderWatcher
 from ..obs import OBS
-from ..simkernel import Simulator
+from ..simkernel import Interrupt, Simulator
 from .config import UniDriveConfig
 from .degrade import DegradeController
 from .deltasync import (
@@ -40,7 +39,7 @@ from .deltasync import (
     should_merge,
 )
 from .journal import SyncJournal
-from .lock import QuorumLock
+from .lock import LockTimeout, QuorumLock
 from .merge import (
     MergePolicy,
     diff_images,
@@ -65,8 +64,10 @@ from .scheduler import (
     UploadScheduler,
 )
 from .serialization import (
+    deserialize_heartbeat,
     deserialize_image,
     deserialize_version,
+    serialize_heartbeat,
     serialize_image,
     serialize_version,
 )
@@ -132,7 +133,7 @@ class UniDriveClient:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.estimator = estimator or ThroughputEstimator()
         #: Unified failure policy for every metadata-plane request.
-        self.retry = RetryPolicy.from_config(self.config)
+        self.retry = RetryPolicy()
         #: Degradation control plane: circuit breakers shared across
         #: every batch and metadata operation of this device, round
         #: deadline budgets, hedged reads and brownout writes.
@@ -165,8 +166,8 @@ class UniDriveClient:
         self._pending_fetch: set = set()
         # Per-cloud version counters from the most recent poll
         # (_check_cloud_update); _publish_delta consults them to pick a
-        # *fresh* cloud to extend the delta from.  None = unreachable or
-        # unparseable at poll time.
+        # *fresh* cloud to extend the delta from.  None = unreachable,
+        # missing or undecodable at poll time.
         self._poll_counters: Dict[str, Optional[int]] = {}
         #: This device's decoded metadata, one slot per cloud file:
         #: ``"base" -> (blob, SyncFolderImage)``, ``"delta" -> (blob,
@@ -281,8 +282,6 @@ class UniDriveClient:
         Transient sync failures (no write quorum, lock timeout) are
         retried on the next round — pending changes are preserved.
         """
-        from .lock import LockTimeout
-
         while True:
             try:
                 yield from self.sync()
@@ -390,7 +389,7 @@ class UniDriveClient:
         self.journal.mark_lock(True)
         try:
             yield from self.lock.acquire()
-        except Exception:
+        except (LockTimeout, Interrupt):
             # acquire() withdrew its lock files before propagating, so
             # a resumed device need not clean up after this failure.  (A
             # hard kill skips both the withdraw and this line — then the
@@ -448,11 +447,10 @@ class UniDriveClient:
         readmits traffic.  Only the *fair-share* indices count as debt:
         indices past ``fair_share * N`` are the dynamic scheduler's
         opportunistic over-provisioning pool and are legitimately
-        unplaced on a healthy run.  A commit below ``k +
-        brownout_floor`` placed blocks is refused outright — debt is
-        for lost *redundancy*, never for lost *readability margin*.
+        unplaced on a healthy run.  Debt is for lost *redundancy*, never
+        for lost readability: a segment with fewer than k blocks placed
+        made its file unavailable, and the round already failed.
         """
-        floor = self.config.k_blocks + self.config.brownout_floor
         for record in records:
             normal = min(
                 record.n,
@@ -466,12 +464,6 @@ class UniDriveClient:
             )
             if not missing:
                 continue
-            if len(record.locations) < floor:
-                raise SyncError(
-                    f"{self.device}: brownout floor violated for "
-                    f"{record.segment_id}: {len(record.locations)}/"
-                    f"{record.n} blocks placed, floor is {floor}"
-                )
             record.write(debt=missing)
             if OBS.enabled:
                 OBS.debt_recorded(
@@ -547,27 +539,43 @@ class UniDriveClient:
     # -- cloud-update path (lines 15-19 of Algorithm 1) ---------------------
 
     def _check_cloud_update(self):
-        """Poll version files; returns the newest stamp if it is news."""
+        """Poll version files; returns the newest stamp if it is news.
+
+        A cloud whose version file does not download or parse is one we
+        cannot poll; when files exist but none parses, the round fails
+        (:class:`SyncError`) — a rotted folder is not an empty one.
+        """
+
+        def poll(conn):
+            try:
+                blob, stamp = yield from self._read_replica(
+                    conn, self._version_path, deserialize_version,
+                    retried=False,
+                )
+            except (CloudError, MetadataError) as exc:
+                return exc
+            self.metadata_bytes += len(blob)
+            return stamp
+
         outcomes = yield from gather_safe(
-            self.sim,
-            [conn.download(self._version_path) for conn in self.connections],
+            self.sim, [poll(conn) for conn in self.connections]
         )
         best: Optional[VersionStamp] = None
-        poll: Dict[str, Optional[int]] = {}
-        for conn, (ok, blob) in zip(self.connections, outcomes):
-            poll[conn.cloud_id] = None
-            if not ok:
+        counters: Dict[str, Optional[int]] = {}
+        for conn, (_ok, stamp) in zip(self.connections, outcomes):
+            counters[conn.cloud_id] = None
+            if not isinstance(stamp, VersionStamp):
                 continue
-            try:
-                stamp = deserialize_version(blob)
-            except (ValueError, KeyError, TypeError):
-                continue  # not a version file: a cloud we cannot poll
-            self.metadata_bytes += len(blob)
-            poll[conn.cloud_id] = stamp.counter
+            counters[conn.cloud_id] = stamp.counter
             if best is None or stamp.counter > best.counter:
                 best = stamp
-        self._poll_counters = poll
+        self._poll_counters = counters
         if best is None:
+            if any(isinstance(stamp, MetadataError)
+                   for _ok, stamp in outcomes):
+                raise SyncError(
+                    f"{self.device}: no version file decodes"
+                )
             return None
         # Commit counters strictly increase under the quorum lock, so a
         # higher counter than our last-synced image is exactly "news".
@@ -623,77 +631,39 @@ class UniDriveClient:
             if not self.degrade.admits(conn.cloud_id, self.sim.now):
                 continue  # breaker open: don't burn a retry budget here
             try:
-                base_blob = yield from self.retry.run(
-                    self.sim,
-                    lambda c=conn: c.download(self._base_path),
-                    rng=self.rng,
+                base_blob, image = yield from self._read_replica(
+                    conn, self._base_path,
+                    lambda blob: self._decode("base", blob),
                     budget=self._budget,
                 )
-            except CloudError as exc:
-                last_error = exc
-                if OBS.enabled:
-                    OBS.event(
-                        "metadata_skip", t=self.sim.now,
-                        track=conn.cloud_id, reason=type(exc).__name__,
-                    )
-                continue
-            try:
-                image = self._decode("base", base_blob)
-            except MetadataError as exc:
-                last_error = exc
-                if OBS.enabled:
-                    OBS.metadata_skip(conn.cloud_id, self.sim.now,
-                                      "undecodable")
-                continue
-            self.metadata_bytes += len(base_blob)
-            try:
-                delta_blob = yield from self.retry.run(
-                    self.sim,
-                    lambda c=conn: c.download(self._delta_path),
-                    rng=self.rng,
-                    budget=self._budget,
-                )
-            except NotFoundError:
-                delta_blob = None
-            except CloudError as exc:
-                last_error = exc
-                if OBS.enabled:
-                    OBS.event(
-                        "metadata_skip", t=self.sim.now,
-                        track=conn.cloud_id, reason=type(exc).__name__,
-                    )
-                continue
-            if delta_blob:
-                self.metadata_bytes += len(delta_blob)
+                self.metadata_bytes += len(base_blob)
                 try:
-                    delta = self._decode("delta", delta_blob)
-                    marker = delta.base_marker()
-                    paired = marker < 0 or marker == image.version.counter
-                    if paired:
-                        delta.apply_to(image)
-                except MetadataError as exc:
-                    last_error = exc
-                    if OBS.enabled:
-                        OBS.metadata_skip(conn.cloud_id, self.sim.now,
-                                          "undecodable")
-                    continue
-                if not paired:
-                    last_error = (
-                        f"{conn.cloud_id}: base/delta pair mismatch "
-                        f"(base v{image.version.counter}, delta extends "
-                        f"v{marker})"
+                    delta_blob, delta = yield from self._read_replica(
+                        conn, self._delta_path,
+                        lambda blob: self._decode("delta", blob),
+                        budget=self._budget,
                     )
-                    if OBS.enabled:
-                        OBS.metadata_skip(conn.cloud_id, self.sim.now,
-                                          "corrupt-pair")
-                    continue
-            if expect is not None and image.version.counter < expect:
-                last_error = (
-                    f"{conn.cloud_id}: stale metadata "
-                    f"(v{image.version.counter} < expected v{expect})"
-                )
-                if OBS.enabled:
-                    OBS.metadata_skip(conn.cloud_id, self.sim.now, "stale")
+                except NotFoundError:
+                    delta = None  # never folded: the base is the image
+                if delta is not None:
+                    self.metadata_bytes += len(delta_blob)
+                    marker = delta.base_marker()
+                    if marker >= 0 and marker != image.version.counter:
+                        raise MetadataError(
+                            f"{conn.cloud_id}: base/delta pair mismatch "
+                            f"(base v{image.version.counter}, delta "
+                            f"extends v{marker})", "corrupt-pair",
+                        )
+                    delta.apply_to(image)
+                if expect is not None and image.version.counter < expect:
+                    raise MetadataError(
+                        f"{conn.cloud_id}: stale metadata "
+                        f"(v{image.version.counter} < expected v{expect})",
+                        "stale",
+                    )
+            except (CloudError, MetadataError) as exc:
+                last_error = exc
+                self._skip(conn, exc)
                 continue
             recompute_refcounts(image)
             if span is not None:
@@ -703,6 +673,33 @@ class UniDriveClient:
         if span is not None:
             OBS.end(span, t=self.sim.now, error="SyncError")
         raise SyncError(f"{self.device}: no cloud served metadata ({last_error})")
+
+    def _read_replica(self, conn: CloudAPI, path: str, parse,
+                      retried: bool = True, budget=None):
+        """``(blob, parse(blob))`` for one cloud's replica of ``path``.
+
+        Every metadata file this client reads from a cloud comes through
+        here, and fails only with :class:`CloudError` or
+        :class:`MetadataError`.  ``retried`` downloads under the retry
+        policy (stopped by ``budget``); polls and heartbeat reads send
+        one request.
+        """
+        if retried:
+            blob = yield from self.retry.run(
+                self.sim, lambda: conn.download(path), rng=self.rng,
+                budget=budget,
+            )
+        else:
+            blob = yield from conn.download(path)
+        return blob, parse(blob)
+
+    def _skip(self, conn: CloudAPI, exc: Exception) -> None:
+        """Report a base / delta replica the reader moved past, and why:
+        the :class:`MetadataError` reason, or the cloud error's class."""
+        if OBS.enabled:
+            reason = (exc.reason if isinstance(exc, MetadataError)
+                      else type(exc).__name__)
+            OBS.metadata_skip(conn.cloud_id, self.sim.now, reason)
 
     def _decode(self, slot: str, blob: bytes):
         """A private copy of what the ``slot`` file's ``blob`` decodes to.
@@ -756,12 +753,10 @@ class UniDriveClient:
         ``image.version.counter - 1``.  The donor cloud is chosen from
         the version counters of the poll that ran moments ago under the
         same lock hold (:meth:`_check_cloud_update`): only clouds whose
-        version file matched the previous commit are candidates.
-        Extending the first merely *reachable* cloud — the old behavior
-        — could pick a replica that missed earlier commits and silently
-        drop their operations from the log for every future reader.
-        When no reachable cloud holds a fresh pair, fall back to
-        folding: publishing a full base from our own image is always
+        version file matched the previous commit are candidates, since
+        a replica that missed commits would drop their operations from
+        the log.  When no reachable cloud holds a fresh pair, fall back
+        to folding: publishing a full base from our own image is always
         safe and heals stale replicas.
         """
         expected = image.version.counter - 1
@@ -774,25 +769,24 @@ class UniDriveClient:
         base_size = 0
         for conn in fresh:
             try:
-                blob = yield from self.retry.run(
-                    self.sim,
-                    lambda c=conn: c.download(self._delta_path),
-                    rng=self.rng,
+                blob, candidate = yield from self._read_replica(
+                    conn, self._delta_path,
+                    lambda blob: self._decode("delta", blob),
                 )
-                candidate = self._decode("delta", blob)
-            except CloudError:
-                continue
-            except MetadataError:
-                if OBS.enabled:
-                    OBS.metadata_skip(conn.cloud_id, self.sim.now,
-                                      "undecodable")
-                continue
-            # Defense in depth: the pair must actually reconstruct the
-            # previous commit (version files only witness the write).
-            reaches = max(
-                candidate.latest_version(), candidate.base_marker(), 0
-            )
-            if expected > 0 and reaches != expected:
+                # Defense in depth: the pair must actually reconstruct
+                # the previous commit (version files only witness the
+                # write).
+                reaches = max(
+                    candidate.latest_version(), candidate.base_marker(), 0
+                )
+                if expected > 0 and reaches != expected:
+                    raise MetadataError(
+                        f"{conn.cloud_id}: delta reaches v{reaches}, "
+                        f"not v{expected}",
+                        "stale" if reaches < expected else "corrupt-pair",
+                    )
+            except (CloudError, MetadataError) as exc:
+                self._skip(conn, exc)
                 continue
             self.metadata_bytes += len(blob)
             existing = candidate
@@ -836,10 +830,9 @@ class UniDriveClient:
         transient failures back off (with jitter) and retry — metadata
         files are small, so retries are cheap and the write quorum is
         the real safety net — while an *unavailable* cloud fails fast
-        after a single attempt.  Each probe of a down cloud burns the
-        full unavailability timeout, so hammering it ``max_retries``
-        times back-to-back only multiplied the stall; the quorum
-        tolerates the miss and a later round heals the replica.
+        after a single attempt (each probe of a down cloud burns the
+        full unavailability timeout); the quorum tolerates the miss and
+        a later round heals the replica.
 
         Clouds whose breaker is open are skipped entirely (their retry
         budget is not burned); if fewer than a quorum of clouds admit
@@ -1012,9 +1005,7 @@ class UniDriveClient:
         over-provisioned blocks (§6.2).  Best effort: a stale heartbeat
         only delays garbage collection, never correctness.
         """
-        blob = json.dumps(
-            {"device": self.device, "applied": self.image.version.counter}
-        ).encode()
+        blob = serialize_heartbeat(self.device, self.image.version.counter)
         yield from gather_safe(
             self.sim,
             [conn.upload(self._heartbeat_path, blob) for conn in self.connections],
@@ -1024,10 +1015,11 @@ class UniDriveClient:
         """Read every device's heartbeat; returns {device: version}.
 
         Each heartbeat is taken from the first cloud whose replica
-        downloads *and* parses — the cloud is untrusted, so a rotted
-        replica is skipped like an unreachable one.  A heartbeat that
-        is listed but readable nowhere maps its device to ``None``: the
-        device exists, what it has applied is unknown.
+        downloads *and* parses as that device's heartbeat — the cloud is
+        untrusted, so a rotted replica is skipped like an unreachable
+        one.  A heartbeat that is listed but readable nowhere maps its
+        device to ``None``: the device exists, what it has applied is
+        unknown.
         """
         listings = yield from gather_safe(
             self.sim,
@@ -1042,21 +1034,18 @@ class UniDriveClient:
                     names.add(entry.name)
         versions = {}
         for name in sorted(names):
+            device = name.removeprefix("device_")
+            versions[device] = None
             for conn in self.connections:
                 try:
-                    blob = yield from conn.download(
-                        posixpath.join(self.config.meta_dir, name)
+                    _blob, versions[device] = yield from self._read_replica(
+                        conn, posixpath.join(self.config.meta_dir, name),
+                        lambda blob: deserialize_heartbeat(blob, device),
+                        retried=False,
                     )
-                except CloudError:
-                    continue
-                try:
-                    payload = json.loads(blob.decode())
-                    versions[payload["device"]] = int(payload["applied"])
-                except (ValueError, KeyError, TypeError):
+                except (CloudError, MetadataError):
                     continue
                 break
-            else:
-                versions[name.removeprefix("device_")] = None
         return versions
 
     def gc_if_fully_synced(self):
@@ -1292,22 +1281,24 @@ class UniDriveClient:
             yield from self.lock.release()
 
     def _fetch_blocks(self, record: SegmentRecord, count: int,
-                      connections: Sequence[CloudAPI],
-                      verify: bool = True):
-        """Fetch any ``count`` blocks of a segment from given clouds.
+                      connections: Sequence[CloudAPI], placed=None):
+        """Fetch up to ``count`` verified blocks of a segment.
 
-        With ``verify`` (the default), a fetched block whose bytes do
-        not match the recorded integrity hash counts as unreachable —
-        feeding rotten shards into a repair decode would propagate the
-        corruption into freshly minted blocks.  Verification is
-        batched: fetched blocks queue up and are fingerprinted together
-        (one reduction via :func:`block_hash_many`) once enough are in
-        hand to possibly satisfy ``count`` — the same blocks are
-        downloaded in the same order as immediate per-block hashing,
-        only the host-CPU hash work is coalesced.
+        Tries the ``(index, cloud_id)`` pairs of ``placed`` in order
+        (default: every recorded location) on ``connections``.  A block
+        that does not download is *missing*, one whose bytes fail the
+        recorded integrity hash *corrupt*; neither is returned, so rot
+        never feeds a repair decode.  Fetched blocks are fingerprinted
+        together (one :func:`block_hash_many` reduction) once enough
+        are in hand to satisfy ``count``.  Returns ``(blocks, missing,
+        corrupt)``: index -> bytes, and ``(segment_id, index,
+        cloud_id)`` for each damaged block seen.
         """
         by_id = {c.cloud_id: c for c in connections}
+        segment_id = record.segment_id
         blocks: Dict[int, bytes] = {}
+        missing: List[Tuple[str, int, str]] = []
+        corrupt: List[Tuple[str, int, str]] = []
         pending: List[tuple] = []  # (index, cloud_id, block, expected, t)
 
         def flush_verify():
@@ -1316,17 +1307,18 @@ class UniDriveClient:
                 pending, digests
             ):
                 if digest != expected:
+                    corrupt.append((segment_id, index, cloud_id))
                     if OBS.enabled:
                         # t is the sim time the rotten block finished
                         # downloading — detection is host CPU work.
-                        OBS.corrupt_detected(
-                            cloud_id, t, record.segment_id, index
-                        )
+                        OBS.corrupt_detected(cloud_id, t, segment_id, index)
                     continue
                 blocks[index] = block
             pending.clear()
 
-        for index, cloud_id in sorted(record.locations.items()):
+        if placed is None:
+            placed = sorted(record.locations.items())
+        for index, cloud_id in placed:
             if len(blocks) + len(pending) >= count:
                 flush_verify()
                 if len(blocks) >= count:
@@ -1336,14 +1328,14 @@ class UniDriveClient:
                 continue
             try:
                 block = yield from conn.download(
-                    self.pipeline.block_path(record.segment_id, index)
+                    self.pipeline.block_path(segment_id, index)
                 )
             except CloudError:
+                missing.append((segment_id, index, cloud_id))
                 continue
             expected = (
                 record.block_hashes.get(index)
-                if verify and getattr(conn, "retains_content", True)
-                else None
+                if getattr(conn, "retains_content", True) else None
             )
             if expected is not None:
                 pending.append(
@@ -1352,12 +1344,7 @@ class UniDriveClient:
             else:
                 blocks[index] = block
         flush_verify()
-        if len(blocks) < count:
-            raise SyncError(
-                f"{self.device}: only {len(blocks)}/{count} blocks of "
-                f"{record.segment_id} reachable"
-            )
-        return blocks
+        return blocks, missing, corrupt
 
     def _connection(self, cloud_id: str) -> Optional[CloudAPI]:
         for conn in self.connections:

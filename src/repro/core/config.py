@@ -8,7 +8,7 @@ from §3.2), and up to 5 connections per cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["UniDriveConfig"]
 
@@ -45,16 +45,6 @@ class UniDriveConfig:
     delta_merge_bytes: int = 10 * 1024
     #: DES key protecting metadata at rest in the clouds.
     metadata_key: bytes = b"UniDrive"
-    #: Per-request retry budget for data-plane transfers.
-    max_retries: int = 4
-    #: First retry backoff delay, virtual seconds (doubles per attempt).
-    retry_base_delay: float = 0.5
-    #: Retry backoff ceiling, virtual seconds.
-    retry_max_delay: float = 30.0
-    #: Exponential growth factor between consecutive retry backoffs.
-    retry_multiplier: float = 2.0
-    #: Jitter fraction of each backoff (delays land in [d*(1-j), d]).
-    retry_jitter: float = 0.5
     #: Consecutive failures after which a cloud is considered down for
     #: the remainder of a transfer job.
     cloud_failure_threshold: int = 3
@@ -63,37 +53,18 @@ class UniDriveConfig:
     #: then device-name tiebreak), or "per-path" (client-supplied
     #: resolver callback — see core.merge.MergePolicy).
     conflict_policy: str = "retain-both"
-    #: Consecutive transient failures that open a cloud's breaker
-    #: (fatal classifications open it immediately).
-    breaker_failure_threshold: int = 3
-    #: Virtual seconds an open breaker waits before admitting
-    #: half-open probes.
-    breaker_cooldown_seconds: float = 30.0
-    #: Maximum probe dispatches per half-open episode.
-    breaker_probe_quota: int = 1
-    #: Probe successes required to close a half-open breaker.
-    breaker_close_after: int = 1
     #: Per-sync-round deadline budget, virtual seconds (0 = unbounded).
     #: Propagated through metadata fetch, upload/download batches, and
     #: lock acquisition so a round aborts cleanly instead of stacking
     #: worst-case timeouts.
     round_deadline_seconds: float = 0.0
-    #: Hedged block fetches: a duplicate request races to the
-    #: next-healthiest cloud once an in-flight fetch exceeds this
-    #: multiple of its estimator-predicted duration.
-    hedge_latency_factor: float = 3.0
     #: Cap on hedge traffic as a fraction of the batch's expected
     #: fetch bytes (0 disables hedging).
     hedge_bytes_fraction: float = 0.1
-    #: Brownout floor: commits during a brownout must place at least
-    #: ``k + brownout_floor`` blocks of every segment; the indices left
-    #: unplaced are recorded as redundancy debt for scrub to repay.
-    brownout_floor: int = 0
     #: Cloud-side directory layout.
     blocks_dir: str = "/unidrive/blocks"
     meta_dir: str = "/unidrive/meta"
     lock_dir: str = "/unidrive/locks"
-    extra: dict = field(default_factory=dict)
 
     def validate(self, n_clouds: int) -> None:
         """Check parameter consistency for a deployment of N clouds.
@@ -128,34 +99,7 @@ class UniDriveConfig:
                 f"reliability needs {share} blocks/cloud but security "
                 f"allows at most {cap}; relax K_s or K_r"
             )
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown_seconds <= 0:
-            raise ValueError("breaker_cooldown_seconds must be > 0")
-        if self.breaker_probe_quota < 1:
-            raise ValueError("breaker_probe_quota must be >= 1")
-        if not 1 <= self.breaker_close_after <= self.breaker_probe_quota:
-            raise ValueError(
-                "require 1 <= breaker_close_after <= breaker_probe_quota"
-            )
         if self.round_deadline_seconds < 0:
             raise ValueError("round_deadline_seconds must be >= 0")
-        if self.hedge_latency_factor < 1.0:
-            raise ValueError("hedge_latency_factor must be >= 1")
         if not 0.0 <= self.hedge_bytes_fraction <= 1.0:
             raise ValueError("hedge_bytes_fraction must be in [0, 1]")
-        if self.brownout_floor < 0:
-            raise ValueError("brownout_floor must be >= 0")
-        # A brownout commit may never demand more blocks than a segment
-        # has: k + floor must stay within the normal placement's
-        # n = fair_share * N total blocks.
-        from .placement import normal_block_count
-
-        surplus = normal_block_count(
-            self.k_blocks, self.k_reliability, n_clouds
-        ) - self.k_blocks
-        if self.brownout_floor > surplus:
-            raise ValueError(
-                f"brownout_floor {self.brownout_floor} exceeds the "
-                f"redundancy surplus n - k = {surplus}"
-            )

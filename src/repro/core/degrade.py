@@ -27,10 +27,10 @@ mechanisms turn failed and slow requests into dispatch decisions:
   bytes.
 
 * **Brownout writes** — when fewer than n blocks can be placed, the
-  commit proceeds with the reachable subset (never below
-  ``k + brownout_floor``) and the missing indices are recorded as
-  *redundancy debt* in segment metadata for ``core/scrub.py`` to repay
-  once breakers close.
+  commit proceeds with the reachable subset (at least k blocks of
+  every segment, or the file is unavailable and the round fails) and
+  the missing indices are recorded as *redundancy debt* in segment
+  metadata for ``core/scrub.py`` to repay once breakers close.
 
 Everything here is pure bookkeeping on the caller's sim clock: no
 randomness is drawn, no events are scheduled and no telemetry is read,
@@ -49,6 +49,7 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
+    "HEDGE_LATENCY_FACTOR",
     "CircuitBreaker",
     "DeadlineBudget",
     "DegradeController",
@@ -57,6 +58,10 @@ __all__ = [
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+
+#: A fetch becomes hedge-eligible once it has run this many times the
+#: duration the estimator predicted for it at dispatch.
+HEDGE_LATENCY_FACTOR = 3.0
 
 _NONE: frozenset = frozenset()
 
@@ -230,14 +235,7 @@ class DegradeController:
     def breaker(self, cloud_id: str) -> CircuitBreaker:
         breaker = self._breakers.get(cloud_id)
         if breaker is None:
-            breaker = CircuitBreaker(
-                cloud_id,
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown=self.config.breaker_cooldown_seconds,
-                probe_quota=self.config.breaker_probe_quota,
-                close_after=self.config.breaker_close_after,
-            )
-            self._breakers[cloud_id] = breaker
+            breaker = self._breakers[cloud_id] = CircuitBreaker(cloud_id)
         return breaker
 
     def admits(self, cloud_id: str, t: float) -> bool:
@@ -299,7 +297,7 @@ class DegradeController:
         """
         if estimate_bps <= 0 or estimate_bps == float("inf"):
             return None
-        return (nbytes / estimate_bps) * self.config.hedge_latency_factor
+        return (nbytes / estimate_bps) * HEDGE_LATENCY_FACTOR
 
     def snapshot(self) -> dict:
         return {

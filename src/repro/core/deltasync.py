@@ -25,6 +25,8 @@ from .metadata import (
     MetadataError,
     SegmentRecord,
     SyncFolderImage,
+    VersionStamp,
+    wire_counter,
 )
 
 __all__ = [
@@ -102,9 +104,6 @@ class DeltaLog:
 
     def extend(self, ops: List[dict]) -> None:
         self.ops.extend(ops)
-
-    def clear(self) -> None:
-        self.ops.clear()
 
     def apply_to(self, image: SyncFolderImage) -> None:
         """Replay every operation, in order, onto ``image`` (in place).
@@ -205,15 +204,18 @@ class DeltaLog:
                 for line in lines.decode().splitlines() if line
             ]
             for op in ops:
-                if op["op"] not in _KINDS:
-                    raise ValueError(f"unknown delta operation {op['op']!r}")
-            log = DeltaLog(ops)
-            # The two counters a client reads before replaying must parse.
-            log.base_marker()
-            log.latest_version()
+                kind = op["op"]
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown delta operation {kind!r}")
+                # The counters a client compares before replaying, and
+                # the stamp a replay sets, must be well-typed.
+                if kind == "set_version":
+                    VersionStamp.from_dict(op)
+                elif kind == "base_version":
+                    wire_counter(op["counter"])
         except MALFORMED as exc:
             raise MetadataError(f"undecodable delta log: {exc!r}") from exc
-        return log
+        return DeltaLog(ops)
 
 
 def should_merge(base_size: int, delta_size: int,

@@ -159,16 +159,13 @@ class QuorumLock:
                 backoff = self._backoff.backoff(attempt, self._rng)
                 attempt += 1
                 yield self.sim.timeout(backoff)
-        except LockTimeout:
-            raise
-        except Exception:
-            # Interrupted (or otherwise aborted) mid-round: _try_once
-            # may already have uploaded our lock files.  Leaving them
-            # behind would make every peer wait out the ΔT staleness
-            # window before breaking them — withdraw before
-            # propagating.  (A hard process kill skips this cleanup,
-            # exactly like a real crash; the journal's lock_pending
-            # flag lets the owner clean up on resume.)
+        except Interrupt:
+            # Interrupted mid-round: _try_once may already have uploaded
+            # our lock files.  Leaving them behind would make every peer
+            # wait out the ΔT staleness window before breaking them —
+            # withdraw before propagating.  (A hard process kill skips
+            # this cleanup, exactly like a real crash; the journal's
+            # lock_pending flag lets the owner clean up on resume.)
             self._op_ctx = None
             if span is not None:
                 OBS.end(span, t=self.sim.now,

@@ -31,16 +31,22 @@ __all__ = [
     "SegmentRecord",
     "SyncFolderImage",
     "VersionStamp",
+    "wire_counter",
 ]
 
 
 class MetadataError(ValueError):
-    """A metadata blob fetched from a cloud does not decode.
+    """A metadata replica fetched from a cloud must not be adopted.
 
-    Clouds are untrusted: bad padding, bad UTF-8, bad JSON and a
-    document of the wrong shape all surface as this one error, which
-    the client answers by trying the next replica.
+    ``reason`` says why: ``undecodable`` (what every parser of cloud
+    bytes raises), ``stale`` (older than the poll proved exists) or
+    ``corrupt-pair`` (its delta extends another base).  The client
+    answers each by trying the next replica.
     """
+
+    def __init__(self, message: str, reason: str = "undecodable"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class FrozenRecordError(RuntimeError):
@@ -66,8 +72,18 @@ class _Record:
 
 #: What decrypting and parsing untrusted bytes can raise before the
 #: shape checks are through (PaddingError, UnicodeDecodeError and
-#: JSONDecodeError are all ValueErrors).
-MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+#: JSONDecodeError are all ValueErrors; ``int()`` of ``Infinity``
+#: overflows; JSON nested too deep raises RecursionError).
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError,
+             OverflowError, RecursionError)
+
+
+def wire_counter(value) -> int:
+    """``value`` if it is a non-negative int, else TypeError (``"7"``,
+    ``1.5``, ``true`` and ``Infinity`` must not reach a comparison)."""
+    if type(value) is not int or value < 0:
+        raise TypeError(f"not a version counter: {value!r}")
+    return value
 
 
 @dataclass
@@ -221,18 +237,15 @@ class VersionStamp:
     counter: int = 0
     device: str = ""
 
-    def newer_than(self, other: "VersionStamp") -> bool:
-        return self.counter > other.counter
-
-    def differs_from(self, other: "VersionStamp") -> bool:
-        return self.counter != other.counter or self.device != other.device
-
     def to_dict(self) -> dict:
         return {"counter": self.counter, "device": self.device}
 
     @staticmethod
     def from_dict(data: dict) -> "VersionStamp":
-        return VersionStamp(counter=data["counter"], device=data["device"])
+        device = data["device"]
+        if type(device) is not str:
+            raise TypeError(f"not a device name: {device!r}")
+        return VersionStamp(wire_counter(data["counter"]), device)
 
 
 class SyncFolderImage:

@@ -1,12 +1,8 @@
 """Unified retry/backoff policy for cloud operations.
 
-Every failure path in UniDrive used to roll its own loop: ``_replicate``
-retried ``CloudUnavailableError`` back-to-back (burning the 10-virtual-
-second unavailability probe each time), the metadata fetch gave up on a
-cloud after a single transient blip, the quorum lock had a bespoke
-backoff formula, and the schedulers re-dispatched failed blocks with no
-delay at all.  This module centralizes the policy those call sites now
-share:
+Every cloud request that retries — metadata reads and writes, the
+quorum lock's backoff and withdrawals, the data-plane schedulers —
+shares this policy:
 
 * **Error classification.**  Each :mod:`repro.cloud.errors` class
   carries a ``retry_action`` attribute — ``CloudUnavailableError`` fails
@@ -26,7 +22,7 @@ share:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Tuple, Type
+from typing import Callable, Generator, Optional
 
 from ..cloud import CloudError
 from ..obs import OBS
@@ -66,30 +62,14 @@ class RetryPolicy:
         if not 0 <= self.jitter <= 1:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """The deployment-wide data/metadata policy (knobs in config)."""
-        return cls(
-            max_attempts=config.max_retries,
-            base_delay=config.retry_base_delay,
-            max_delay=config.retry_max_delay,
-            multiplier=config.retry_multiplier,
-            jitter=config.retry_jitter,
-        )
-
     # -- classification ----------------------------------------------------
 
     @staticmethod
-    def classify(exc: BaseException) -> str:
-        """Map an exception to one of RETRY / FAIL_FAST / GIVE_UP.
-
-        Cloud errors carry their own ``retry_action``; anything else
-        (programming errors, simulator interrupts) is never retried.
-        """
-        if isinstance(exc, CloudError):
-            action = getattr(exc, "retry_action", RETRY)
-            return action if action in _ACTIONS else RETRY
-        return GIVE_UP
+    def classify(exc: CloudError) -> str:
+        """Map a cloud error to one of RETRY / FAIL_FAST / GIVE_UP by its
+        ``retry_action`` (an unknown action retries)."""
+        action = getattr(exc, "retry_action", RETRY)
+        return action if action in _ACTIONS else RETRY
 
     # -- backoff schedule --------------------------------------------------
 
@@ -116,8 +96,10 @@ class RetryPolicy:
 
         ``operation`` is a zero-argument callable returning a *fresh*
         generator per call (generators are single-shot, so the retry
-        loop needs a factory, not a generator).  Fail-fast and give-up
-        errors propagate after the first attempt; retryable errors are
+        loop needs a factory, not a generator).  Only a
+        :class:`CloudError` is classified: any other exception
+        propagates at once, unreported.  Fail-fast and give-up cloud
+        errors propagate after the first attempt; retryable ones are
         re-attempted up to ``max_attempts`` times with jittered
         exponential backoff in virtual time.  ``on_failure(exc, attempt)``
         is invoked before each backoff — schedulers use it to feed the
@@ -131,7 +113,7 @@ class RetryPolicy:
         while True:
             try:
                 value = yield from operation()
-            except Exception as exc:
+            except CloudError as exc:
                 action = self.classify(exc)
                 exhausted = attempt >= self.max_attempts or (
                     budget is not None and budget.expired
@@ -160,6 +142,3 @@ class RetryPolicy:
                 continue
             return value
 
-
-# Typing helper for call sites that keep tuples of error classes around.
-ErrorClasses = Tuple[Type[BaseException], ...]

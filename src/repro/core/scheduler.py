@@ -227,7 +227,7 @@ class _SlotScheduler:
         # Unified failure policy: classifies errors (fail-fast vs
         # transient) and paces re-dispatch after transient failures.
         # rng=None keeps the backoff schedule deterministic.
-        self.retry = retry_policy or RetryPolicy.from_config(config)
+        self.retry = retry_policy or RetryPolicy()
         self.rng = rng
         # Trace-correlation ancestry for this batch's transfer spans and
         # tenant identity for per-tenant SLO accounting; both optional
@@ -1276,7 +1276,7 @@ class DownloadScheduler(_SlotScheduler):
 
     # -- hedging -------------------------------------------------------------
     #
-    # A fetch becomes hedge-eligible ``hedge_latency_factor`` times its
+    # A fetch becomes hedge-eligible ``HEDGE_LATENCY_FACTOR`` times its
     # estimator-predicted duration after dispatch; the prediction is
     # made once, at dispatch.  Fetches wait in a heap keyed by that
     # instant, and the batch's one hedge timer moves them to the

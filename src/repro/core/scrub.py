@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cloud import CloudAPI, CloudError, NotFoundError
 from ..obs import OBS
+from .client import SyncError
 from .lock import QuorumLock
-from .pipeline import block_hash, block_hash_many
+from .pipeline import block_hash
 from .placement import (
     max_blocks_per_cloud,
     rebalance_on_add,
@@ -68,12 +69,6 @@ class ScrubReport:
     unreachable: List[str] = field(default_factory=list)
     segments_checked: int = 0
     blocks_checked: int = 0
-
-    @property
-    def damaged_segments(self) -> List[str]:
-        """Segments needing repair, in deterministic order."""
-        return sorted({sid for sid, _i, _c in self.missing}
-                      | {sid for sid, _i, _c in self.corrupt})
 
     @property
     def orphan_count(self) -> int:
@@ -182,14 +177,21 @@ class Scrubber:
                     report.missing.append((segment_id, index, cloud_id))
                     continue
                 if entry.size != expected_size:
-                    self._flag_corrupt(report, segment_id, index, cloud_id)
+                    report.corrupt.append((segment_id, index, cloud_id))
+                    if OBS.enabled:
+                        OBS.corrupt_detected(
+                            cloud_id, client.sim.now, segment_id, index
+                        )
                     continue
                 if deep:
                     deep_pending.append((index, cloud_id))
             if deep_pending:
-                yield from self._deep_check_segment(
-                    report, record, segment_id, deep_pending
+                _blocks, missing, corrupt = yield from client._fetch_blocks(
+                    record, len(deep_pending), client.connections,
+                    deep_pending,
                 )
+                report.missing += missing
+                report.corrupt += corrupt
         for cloud_id, held in sorted(listings.items()):
             known = referenced.get(cloud_id, set())
             orphans = sorted(
@@ -210,51 +212,6 @@ class Scrubber:
         except NotFoundError:
             return []
         return entries
-
-    def _deep_check_segment(self, report, record, segment_id, pending):
-        """Deep-verify one segment's referenced blocks.
-
-        Downloads run sequentially in index order (same order and sim
-        timing as per-block checking); the content fingerprints are
-        then verified together in one batched reduction
-        (:func:`block_hash_many`) — only host-CPU hash work is
-        coalesced, and corruption events carry the sim time each rotten
-        block finished downloading.
-        """
-        client = self.client
-        fetched = []  # (index, cloud_id, block, expected, downloaded_at)
-        for index, cloud_id in pending:
-            conn = client._connection(cloud_id)
-            if conn is None:
-                continue
-            try:
-                block = yield from conn.download(
-                    client.pipeline.block_path(segment_id, index)
-                )
-            except CloudError:
-                report.missing.append((segment_id, index, cloud_id))
-                continue
-            expected = record.block_hashes.get(index)
-            if expected is None or not getattr(conn, "retains_content", True):
-                continue
-            fetched.append(
-                (index, cloud_id, block, expected, client.sim.now)
-            )
-        digests = block_hash_many([item[2] for item in fetched])
-        for (index, cloud_id, _, expected, t), digest in zip(
-            fetched, digests
-        ):
-            if digest != expected:
-                self._flag_corrupt(report, segment_id, index, cloud_id, t=t)
-
-    def _flag_corrupt(self, report, segment_id, index, cloud_id,
-                      t: Optional[float] = None) -> None:
-        report.corrupt.append((segment_id, index, cloud_id))
-        if OBS.enabled:
-            OBS.corrupt_detected(
-                cloud_id, self.client.sim.now if t is None else t,
-                segment_id, index,
-            )
 
     # -- repair ------------------------------------------------------------
 
@@ -281,8 +238,6 @@ class Scrubber:
         damaged: Dict[str, List[Tuple[int, str]]] = {}
         for segment_id, index, cloud_id in report.missing + report.corrupt:
             damaged.setdefault(segment_id, []).append((index, cloud_id))
-        from .client import SyncError
-
         for segment_id in sorted(damaged):
             record = client.image.segments.get(segment_id)
             if record is None:
@@ -324,7 +279,14 @@ class Scrubber:
         fingerprint (blocks are deterministic in ``(content, index)``).
         Raises :class:`SyncError` when fewer than ``k`` blocks verify."""
         client = self.client
-        blocks = yield from client._fetch_blocks(record, record.k, connections)
+        blocks, _missing, _corrupt = yield from client._fetch_blocks(
+            record, record.k, connections
+        )
+        if len(blocks) < record.k:
+            raise SyncError(
+                f"{client.device}: only {len(blocks)}/{record.k} blocks "
+                f"of {record.segment_id} reachable"
+            )
         content = client.pipeline.decode_segment(record, blocks)
         state = client.pipeline.encode_state(record.segment_id, content)
 
@@ -402,8 +364,6 @@ class Scrubber:
         client = self.client
         degrade = getattr(client, "degrade", None)
         out = RepairReport(started_at=client.sim.now)
-        from .client import SyncError
-
         repaid_any = False
         for segment_id in self.owed_segments():
             record = client.image.segments[segment_id]

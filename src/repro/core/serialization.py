@@ -1,4 +1,4 @@
-"""Metadata (de)serialization and at-rest encryption.
+"""Metadata wire formats: every metadata file a cloud holds.
 
 The image serializes to canonical JSON (sorted keys, compact
 separators) so identical logical states produce identical bytes, then is
@@ -13,7 +13,10 @@ remembers.
 
 The tiny version file is deliberately *not* encrypted: it contains only
 a counter and a device name and must stay as small as possible because
-it is polled every τ seconds.
+it is polled every τ seconds.  Device heartbeats (the version each
+device has applied) are plain JSON too.  The delta log's format lives
+with the log (:mod:`repro.core.deltasync`).  Every parser here returns
+a value whose field types are checked or raises :class:`MetadataError`.
 """
 
 from __future__ import annotations
@@ -21,13 +24,21 @@ from __future__ import annotations
 import json
 
 from ..crypto import decrypt_cbc, encrypt_cbc, synthetic_iv
-from .metadata import MALFORMED, MetadataError, SyncFolderImage, VersionStamp
+from .metadata import (
+    MALFORMED,
+    MetadataError,
+    SyncFolderImage,
+    VersionStamp,
+    wire_counter,
+)
 
 __all__ = [
     "serialize_image",
     "deserialize_image",
     "serialize_version",
     "deserialize_version",
+    "serialize_heartbeat",
+    "deserialize_heartbeat",
     "canonical_json",
 ]
 
@@ -60,4 +71,26 @@ def serialize_version(stamp: VersionStamp) -> bytes:
 
 
 def deserialize_version(blob: bytes) -> VersionStamp:
-    return VersionStamp.from_dict(json.loads(blob.decode()))
+    """Parse a version file; :class:`MetadataError` unless well-typed."""
+    try:
+        return VersionStamp.from_dict(json.loads(blob.decode()))
+    except MALFORMED as exc:
+        raise MetadataError(f"undecodable version file: {exc!r}") from exc
+
+
+def serialize_heartbeat(device: str, applied: int) -> bytes:
+    """A device's heartbeat: the metadata version it has applied."""
+    return json.dumps({"device": device, "applied": applied}).encode()
+
+
+def deserialize_heartbeat(blob: bytes, device: str) -> int:
+    """The version ``device``'s heartbeat says it has applied.  One
+    naming another device is undecodable: it would stand in for that
+    device and drop ``device`` from the fleet."""
+    try:
+        payload = json.loads(blob.decode())
+        if payload["device"] != device:
+            raise ValueError(f"heartbeat of {payload['device']!r}")
+        return wire_counter(payload["applied"])
+    except MALFORMED as exc:
+        raise MetadataError(f"undecodable heartbeat: {exc!r}") from exc

@@ -104,8 +104,6 @@ class SharedScenario:
     slow: Tuple[Tuple[int, float, float, float], ...] = ()
     #: Per-sync-round deadline budget in sim seconds (0 = unbounded).
     round_deadline: float = 0.0
-    #: Extra blocks above k a brownout commit must still place.
-    brownout_floor: int = 0
     #: After quiescence, run one scrub round (debt repayment included)
     #: on the first live device and re-sync the fleet.
     scrub_after: bool = False
@@ -126,7 +124,6 @@ class SharedScenario:
             lock_acquire_timeout=900.0,
             conflict_policy=self.policy,
             round_deadline_seconds=self.round_deadline,
-            brownout_floor=self.brownout_floor,
         )
 
 

@@ -184,24 +184,7 @@ def test_decode_roundtrip_after_table_rewrite():
                            len(data)) == data
 
 
-# -- nibble tables and the fused wide-width kernel --------------------------
-
-
-def test_nibble_tables_reconstruct_product_table():
-    """``a*b == MUL_LO[a][b & 15] ^ MUL_HI[a][b >> 4]`` for all (a, b)."""
-    assert gf256.MUL_LO.shape == (256, 16)
-    assert gf256.MUL_HI.shape == (256, 16)
-    b = np.arange(256)
-    rebuilt = gf256.MUL_LO[:, b & 0x0F] ^ gf256.MUL_HI[:, b >> 4]
-    assert (rebuilt == gf256.MUL_TABLE).all()
-
-
-@given(scalar=st.integers(0, 255), vec=st.binary(min_size=0, max_size=512))
-def test_mul_vec_nibble_matches_mul_vec(scalar, vec):
-    arr = np.frombuffer(vec, dtype=np.uint8)
-    nibble = gf256.mul_vec_nibble(scalar, arr)
-    assert nibble.dtype == np.uint8
-    assert (nibble == gf256.mul_vec(scalar, arr)).all()
+# -- the fused wide-width kernel --------------------------------------------
 
 
 @given(

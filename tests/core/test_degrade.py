@@ -20,6 +20,7 @@ from repro.core import Scrubber, UniDriveConfig
 from repro.core.degrade import (
     CLOSED,
     HALF_OPEN,
+    HEDGE_LATENCY_FACTOR,
     OPEN,
     CircuitBreaker,
     DeadlineBudget,
@@ -209,7 +210,7 @@ def test_hedge_threshold_requires_an_estimate():
     assert controller.hedge_threshold(float("inf"), 1024) is None
     assert controller.hedge_threshold(0.0, 1024) is None
     threshold = controller.hedge_threshold(1024.0, 1024)
-    assert threshold == pytest.approx(config.hedge_latency_factor)
+    assert threshold == pytest.approx(HEDGE_LATENCY_FACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,8 @@ def test_repay_after_debt_restores_fair_share_placement(seed, n_files,
     clouds[down].set_available(True)
 
     def settle():
-        yield sim.timeout(config.breaker_cooldown_seconds + 1.0)
+        cooldown = client.degrade.breaker(clouds[down].cloud_id).cooldown
+        yield sim.timeout(cooldown + 1.0)
 
     sim.run_process(settle())
     scrubber = Scrubber(client)

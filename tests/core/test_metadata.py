@@ -135,12 +135,14 @@ def test_conflict_resolution_promote():
 
 
 def test_version_stamp_semantics():
-    a = VersionStamp(1, "d1")
-    b = VersionStamp(2, "d2")
-    assert b.newer_than(a)
-    assert not a.newer_than(b)
-    assert a.differs_from(b)
-    assert not a.differs_from(VersionStamp(1, "d1"))
+    stamp = VersionStamp(2, "d2")
+    assert VersionStamp.from_dict(stamp.to_dict()) == stamp
+    # The counter is a non-negative int and the device a str, or the
+    # stamp is not read at all.
+    for counter, device in (("2", "d2"), (2.0, "d2"), (True, "d2"),
+                            (-1, "d2"), (None, "d2"), (2, 7), (2, None)):
+        with pytest.raises(TypeError):
+            VersionStamp.from_dict({"counter": counter, "device": device})
 
 
 def test_serialization_roundtrip_dict():

@@ -10,7 +10,6 @@ from repro.cloud import (
     QuotaExceededError,
     RequestFailedError,
 )
-from repro.core.config import UniDriveConfig
 from repro.core.retry import FAIL_FAST, GIVE_UP, RETRY, RetryPolicy
 from repro.simkernel import Simulator
 
@@ -39,8 +38,6 @@ def test_classification_follows_error_taxonomy():
     assert RetryPolicy.classify(CloudUnavailableError("c")) == FAIL_FAST
     assert RetryPolicy.classify(NotFoundError("c")) == GIVE_UP
     assert RetryPolicy.classify(QuotaExceededError("c")) == GIVE_UP
-    # Non-cloud errors are never retried.
-    assert RetryPolicy.classify(ValueError("x")) == GIVE_UP
 
 
 def test_classification_tolerates_unknown_action():
@@ -87,19 +84,6 @@ def test_validation_errors():
         RetryPolicy(multiplier=0.5)
     with pytest.raises(ValueError):
         RetryPolicy(jitter=1.5)
-
-
-def test_from_config_reads_knobs():
-    config = UniDriveConfig(
-        max_retries=7, retry_base_delay=0.1, retry_max_delay=2.0,
-        retry_multiplier=3.0, retry_jitter=0.25,
-    )
-    policy = RetryPolicy.from_config(config)
-    assert policy.max_attempts == 7
-    assert policy.base_delay == 0.1
-    assert policy.max_delay == 2.0
-    assert policy.multiplier == 3.0
-    assert policy.jitter == 0.25
 
 
 # -- the retry loop ---------------------------------------------------------

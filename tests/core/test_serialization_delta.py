@@ -26,8 +26,10 @@ from repro.core.metadata import (
 )
 from repro.core.serialization import (
     canonical_json,
+    deserialize_heartbeat,
     deserialize_image,
     deserialize_version,
+    serialize_heartbeat,
     serialize_image,
     serialize_version,
 )
@@ -234,6 +236,7 @@ UNDECODABLE = {
     "bad json": sealed(b'{"op": '),
     "json scalar": sealed(b"42"),
     "json list": sealed(b"[1, 2]"),
+    "nested too deep": sealed(b"[" * 100_000),
 }
 
 
@@ -252,6 +255,10 @@ def test_undecodable_blobs_raise_metadata_error(blob):
     lambda d: d["files"]["/docs/a.txt"].pop("current"),
     lambda d: d["segments"]["s1"].update(locations={"x": "c"}),
     lambda d: d["segments"].update(s1=None),
+    lambda d: d["version"].update(counter="3"),
+    lambda d: d["version"].update(counter=3.5),
+    lambda d: d["version"].update(device=None),
+    lambda d: d["segments"]["s1"].update(debt=[float("inf")]),
 ])
 def test_malformed_image_dict_raises_metadata_error(mutate):
     document = build_image().to_dict()
@@ -266,6 +273,11 @@ def test_malformed_image_dict_raises_metadata_error(mutate):
     b'"upsert_file"',
     b'{"op":"base_version"}',
     b'{"op":"set_version","counter":"many","device":"d"}',
+    b'{"op":"set_version","counter":"2","device":"d"}',
+    b'{"op":"set_version","counter":2.5,"device":"d"}',
+    b'{"op":"set_version","counter":2,"device":null}',
+    b'{"op":"base_version","counter":Infinity}',
+    b'{"op":"base_version","counter":-1}',
     b'{"op":"txn_round","counter":null}',
     # Record kinds no client writes, well-formed otherwise: a merge
     # publishes a full base, and a round's version stamp is its own
@@ -279,6 +291,48 @@ def test_malformed_delta_record_raises_metadata_error(line):
     with pytest.raises(MetadataError):
         DeltaLog.from_bytes(sealed(b'{"op":"delete_file","path":"/a"}\n'
                                    + line), KEY)
+
+
+#: Plain JSON (version files, heartbeats) that must not be read: the
+#: documents carry both a ``counter`` and an ``applied`` field so each
+#: one is ill-typed for both parsers.
+PLAIN_UNDECODABLE = {
+    "bad utf-8": b"\xff\xfe",
+    "truncated": b'{"counter": 1, "dev',
+    "null": b"null",
+    "list": b"[1, 2]",
+    "nested too deep": b"[" * 100_000,
+    "missing fields": b"{}",
+    **{
+        f"{name} counter": (
+            b'{"counter": %s, "applied": %s, "device": "d"}' % (v, v)
+        )
+        for name, v in (("string", b'"7"'), ("float", b"1.5"),
+                        ("bool", b"true"), ("null", b"null"),
+                        ("negative", b"-1"), ("infinite", b"Infinity"),
+                        ("NaN", b"NaN"))
+    },
+    "numeric device": b'{"counter": 1, "applied": 1, "device": 7}',
+}
+
+
+@pytest.mark.parametrize("blob", PLAIN_UNDECODABLE.values(),
+                         ids=PLAIN_UNDECODABLE.keys())
+def test_plain_metadata_parsers_raise_metadata_error(blob):
+    with pytest.raises(MetadataError) as caught:
+        deserialize_version(blob)
+    assert caught.value.reason == "undecodable"
+    with pytest.raises(MetadataError):
+        deserialize_heartbeat(blob, "d")
+
+
+def test_heartbeat_roundtrip_names_its_device():
+    blob = serialize_heartbeat("device-A", 12)
+    assert blob == b'{"device": "device-A", "applied": 12}'
+    assert deserialize_heartbeat(blob, "device-A") == 12
+    # Another device's heartbeat cannot stand in for this one's.
+    with pytest.raises(MetadataError):
+        deserialize_heartbeat(blob, "device-B")
 
 
 def test_unreplayable_record_raises_metadata_error():

@@ -84,7 +84,7 @@ def test_replicate_backs_off_between_transient_retries():
     # ...after at least the jitter floor of the first backoff
     # (base_delay * (1 - jitter) = 0.25 s).  Pre-fix: immediate retry,
     # elapsed ~ 0.
-    floor = CONFIG.retry_base_delay * (1.0 - CONFIG.retry_jitter)
+    floor = writer.retry.base_delay * (1.0 - writer.retry.jitter)
     assert elapsed >= floor * 0.9
     assert elapsed < 10.0
 

@@ -37,7 +37,7 @@ LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 #: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "40666bdfa3f81e54e83af107a3af3802d8c98c626ed3fb154cbd60e625dbd63b",
+    "jsonl": "a677b2e3ff955bf9826a2a6bebba8493c96ece969487bba26d325da1e8dd1256",
     "chrome": "9abcbfb46a2f09665a1a601c2b8a0e30cb4b3ca7af954890296acc65b01a768f",
     "telemetry": "284f7222b8d8c51cf4466ab8aeff15911ede44465dd2e5ce24914053a93ac208",
 }
