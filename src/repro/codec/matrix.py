@@ -228,7 +228,9 @@ class _FusedPlan:
         than XOR-ing through the strided view.  All working buffers
         live in module-level scratch (grown on demand, never shrunk)
         because faulting fresh multi-megabyte mappings per call costs
-        as much as the gathers themselves.
+        as much as the gathers themselves.  Sharing that scratch across
+        clients is safe: ``apply`` never yields, and it writes every
+        buffer before reading it.
         """
         width = out.shape[1]
         dtypes = [dt for _, dt in self.groups]

@@ -31,6 +31,7 @@ class ThroughputEstimator:
         self._estimates: Dict[Tuple[str, str], float] = {}
         self._samples: Dict[Tuple[str, str], int] = {}
         self._updated: Dict[Tuple[str, str], float] = {}
+        self.generation = 0  #: bumped by every estimate change
 
     def record(self, cloud_id: str, direction: str, nbytes: float,
                duration: float, now: Optional[float] = None) -> None:
@@ -52,6 +53,7 @@ class ThroughputEstimator:
                 self.alpha * throughput + (1 - self.alpha) * current
             )
         self._samples[key] = self._samples.get(key, 0) + 1
+        self.generation += 1
         if now is not None:
             self._updated[key] = now
         if OBS.enabled:
@@ -82,6 +84,7 @@ class ThroughputEstimator:
             self._estimates[key] = seed
         else:
             self._estimates[key] = current * (1 - self.alpha)
+        self.generation += 1
         if now is not None:
             self._updated[key] = now
         if OBS.enabled:

@@ -87,3 +87,43 @@ def test_matmul_associativity():
     left = gfm.matmul(gfm.matmul(a, b), c)
     right = gfm.matmul(a, gfm.matmul(b, c))
     assert np.array_equal(left, right)
+
+
+def scribble_scratch(rng):
+    """Overwrite every buffer of the fused kernel's module-level scratch
+    with random bytes, as another client's product would leave it."""
+    buffers = [gfm._IDX16_SCRATCH, gfm._IDX_SCRATCH,
+               *gfm._PACKED_SCRATCH.values(), *gfm._ACC_SCRATCH.values()]
+    for buffer in buffers:
+        raw = buffer.reshape(-1).view(np.uint8)
+        raw[:] = rng.integers(0, 256, size=raw.size, dtype=np.uint8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=12),  # rows
+        st.integers(min_value=1, max_value=10),  # inner
+        st.integers(min_value=4096, max_value=12_000),  # width
+        st.integers(min_value=0, max_value=2 ** 32 - 1),  # seed
+    ),
+    min_size=2, max_size=4,
+))
+def test_fused_kernel_reads_no_stale_scratch(shapes):
+    # The scratch is shared by every client in the process.  With it
+    # full of garbage before each product, over widths that first grow
+    # the buffers and then use a prefix of them, the fused kernel (via
+    # matmul and matmul_rows) still equals the reference product.
+    ordered = sorted(shapes, key=lambda shape: shape[2])
+    for rows, inner, width, seed in ordered + ordered[::-1]:
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 256, size=(rows, inner), dtype=np.uint8)
+        # Some 0/1-only columns and rows: the kernel's simple paths.
+        a[:, rng.random(inner) < 0.3] %= 2
+        a[rng.random(rows) < 0.2] %= 2
+        b = rng.integers(0, 256, size=(inner, width), dtype=np.uint8)
+        expected = gfm.matmul_reference(a, b)
+        scribble_scratch(rng)
+        assert np.array_equal(gfm.matmul(a, b), expected)
+        scribble_scratch(rng)
+        assert np.array_equal(gfm.matmul_rows(a, list(b)), expected)

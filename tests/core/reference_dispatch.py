@@ -1,9 +1,12 @@
-"""The original O(files x segments) dispatch ladders, as test oracles.
+"""The original O(files x segments) dispatch ladders and the broadcast
+wake-up, as test oracles.
 
 The schedulers' production dispatchers (upload: phase cursors;
 download: per-cloud ready heaps; the static baseline: either of them
-behind a file gate) must pick exactly what these ladders pick.  They
-are plain functions over a scheduler, swapped in for its dispatcher by
+behind a file gate) must pick exactly what these ladders pick, and the
+slot core's dispatch step, which asks only the clouds that can act,
+exactly what asking every parked slot picks.  They are plain functions
+over a scheduler, swapped in for its own by
 ``tests/core/test_scheduler_equivalence.py``.
 """
 
@@ -101,6 +104,30 @@ def candidate_index(state, cloud_id):
     return None
 
 
+def defer_to_faster_reference(sched, state, cloud_id):
+    """The defer verdict read straight from the estimator: strictly
+    faster clouds, neither dead nor refused, hold at least the blocks
+    the segment is missing."""
+    needed = (state.k - len(state.blocks) - len(state.inflight)
+              + len(state.hedged))
+    estimate = sched.estimator.estimate
+    mine = estimate(cloud_id, "down")
+    threshold = sched.config.cloud_failure_threshold
+    faster_supply = 0
+    for index, holder in state.record.locations.items():
+        if holder == cloud_id or holder in sched._refused:
+            continue
+        if index in state.blocks or index in state.inflight:
+            continue
+        if (index, holder) in state.exhausted:
+            continue
+        if sched._dead.get(holder, 0) >= threshold:
+            continue
+        if estimate(holder, "down") > mine:
+            faster_supply += 1
+    return faster_supply >= needed
+
+
 def next_request_reference(sched, cloud_id):
     """The original O(files x segments) scan — the executable
     specification the download ready-heap dispatcher must match."""
@@ -114,7 +141,9 @@ def next_request_reference(sched, cloud_id):
             index = candidate_index(state, cloud_id)
             if index is None:
                 continue
-            if sched.dynamic and sched._defer_to_faster(state, cloud_id):
+            if sched.dynamic and defer_to_faster_reference(
+                sched, state, cloud_id
+            ):
                 continue
             return (state, index)
         if not sched.dynamic:
@@ -124,3 +153,15 @@ def next_request_reference(sched, cloud_id):
             ):
                 return None
     return None
+
+
+def dispatch_reference(sched, slots):
+    """The broadcast wake-up: every slot parked before the pulse is
+    asked, in park order, as a woken worker would ask."""
+    if not sched._live:
+        return
+    for slot in slots:
+        task = sched._claim(slot)
+        if task is not None:
+            slot.proc = sched.sim.start(sched._worker(slot, task))
+            slot.proc.add_callback(sched._worker_exit)
