@@ -30,6 +30,7 @@ from .config import UniDriveConfig
 from .degrade import DegradeController
 from .deltasync import (
     DeltaLog,
+    base_name,
     op_add_segment,
     op_base_version,
     op_delete_file,
@@ -605,7 +606,12 @@ class UniDriveClient:
     # -- metadata transport -------------------------------------------------
 
     def _fetch_metadata(self, expect: Optional[int] = None):
-        """Download base + delta from a *fresh* reachable cloud.
+        """Download delta + base from a *fresh* reachable cloud.
+
+        The delta comes first: when its :func:`op_base_version` marker
+        names the base this device holds (:attr:`_held`), the delta
+        extends a copy of that image and the base is not downloaded —
+        between folds, a reader fetches only the delta.
 
         ``expect`` is the version counter the caller just observed in
         the version-file poll.  A reachable cloud can still be stale —
@@ -631,22 +637,27 @@ class UniDriveClient:
             if not self.degrade.admits(conn.cloud_id, self.sim.now):
                 continue  # breaker open: don't burn a retry budget here
             try:
-                base_blob, image = yield from self._read_replica(
-                    conn, self._base_path,
-                    lambda blob: self._decode("base", blob),
-                    budget=self._budget,
-                )
-                self.metadata_bytes += len(base_blob)
                 try:
                     delta_blob, delta = yield from self._read_replica(
                         conn, self._delta_path,
                         lambda blob: self._decode("delta", blob),
                         budget=self._budget,
                     )
+                    self.metadata_bytes += len(delta_blob)
                 except NotFoundError:
                     delta = None  # never folded: the base is the image
+                held = self._held.get("base")
+                if (delta is not None and held is not None
+                        and delta.named_base() == base_name(held[0])):
+                    image = held[1].copy()
+                else:
+                    base_blob, image = yield from self._read_replica(
+                        conn, self._base_path,
+                        lambda blob: self._decode("base", blob),
+                        budget=self._budget,
+                    )
+                    self.metadata_bytes += len(base_blob)
                 if delta is not None:
-                    self.metadata_bytes += len(delta_blob)
                     marker = delta.base_marker()
                     if marker >= 0 and marker != image.version.counter:
                         raise MetadataError(
@@ -705,11 +716,10 @@ class UniDriveClient:
         """A private copy of what the ``slot`` file's ``blob`` decodes to.
 
         The cipher and the parser run only for bytes this device does
-        not already hold (:attr:`_held`): between folds every fetch
-        downloads the same base and pays one copy for it, and the delta
-        a committer extends is far more often than not the one it
-        published last round.  A blob that does not decode raises
-        :class:`MetadataError` and is not kept.
+        not already hold (:attr:`_held`): the delta a committer extends
+        is far more often than not the one it published last round.  A
+        blob that does not decode raises :class:`MetadataError` and is
+        not kept.
         """
         held = self._held.get(slot)
         if held is None or held[0] != blob:
@@ -726,11 +736,14 @@ class UniDriveClient:
 
         The fresh delta is not empty: it opens with a base-version
         marker so readers can detect a replica whose base missed this
-        fold but whose delta received later appends (see
+        fold but whose delta received later appends, and so a reader
+        that holds this base skips its download (see
         :meth:`_fetch_metadata`).
         """
         base_blob = serialize_image(image, self.config.metadata_key)
-        fresh_delta = DeltaLog([op_base_version(image.version.counter)])
+        fresh_delta = DeltaLog([
+            op_base_version(image.version.counter, base_name(base_blob))
+        ])
         delta_blob = fresh_delta.to_bytes(self.config.metadata_key)
         version_blob = serialize_version(image.version)
         yield from self._replicate(

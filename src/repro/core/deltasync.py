@@ -14,7 +14,7 @@ of re-uploading the base (measured in the Figure 13 benchmark).
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import List, Optional
 
 from ..crypto import decrypt_cbc, encrypt_cbc, synthetic_iv
 from ..crypto.des import BLOCK_SIZE
@@ -37,6 +37,7 @@ __all__ = [
     "op_resolve_conflict",
     "op_set_version",
     "op_base_version",
+    "base_name",
     "should_merge",
 ]
 
@@ -57,14 +58,26 @@ def op_set_version(counter: int, device: str) -> dict:
     return {"op": "set_version", "counter": counter, "device": device}
 
 
-def op_base_version(counter: int) -> dict:
+def op_base_version(counter: int, base: Optional[str] = None) -> dict:
     """Marker stamped as a fresh delta's first op at fold time.
 
-    Records which base version the log extends, so a reader can detect
-    a *corrupt pair* — a cloud that missed a fold (stale base) but later
-    received replicated delta appends.  Applying the marker is a no-op.
+    Records which base the log extends: its version ``counter``, so a
+    reader can detect a *corrupt pair* — a cloud that missed a fold
+    (stale base) but later received replicated delta appends — and its
+    :func:`base_name`, so a reader that holds that base need not
+    download it again.  Applying the marker is a no-op.
     """
-    return {"op": "base_version", "counter": counter}
+    op = {"op": "base_version", "counter": counter}
+    if base is not None:
+        op["base"] = base
+    return op
+
+
+def base_name(blob: bytes) -> str:
+    """The name a marker gives the sealed base ``blob``: its synthetic
+    IV, ``HMAC-SHA1(key, plaintext)[:8]``, in hex.  Sealing is
+    deterministic, so equal names mean byte-equal blobs."""
+    return blob[:BLOCK_SIZE].hex()
 
 
 def op_resolve_conflict(path: str, keep_conflict_index=None) -> dict:
@@ -168,6 +181,14 @@ class DeltaLog:
                 return int(op["counter"])
         return -1
 
+    def named_base(self) -> Optional[str]:
+        """The :func:`base_name` the marker gives, or None (no marker,
+        or a marker written before markers named their base)."""
+        for op in self.ops:
+            if op["op"] == "base_version":
+                return op.get("base")
+        return None
+
     # -- wire format -----------------------------------------------------
 
     def _encode(self) -> bytes:
@@ -207,12 +228,17 @@ class DeltaLog:
                 kind = op["op"]
                 if kind not in _KINDS:
                     raise ValueError(f"unknown delta operation {kind!r}")
-                # The counters a client compares before replaying, and
-                # the stamp a replay sets, must be well-typed.
+                # The counters and base name a client compares before
+                # replaying, and the stamp a replay sets, must be
+                # well-typed.
                 if kind == "set_version":
                     VersionStamp.from_dict(op)
                 elif kind == "base_version":
                     wire_counter(op["counter"])
+                    name = op.get("base", "00" * BLOCK_SIZE)
+                    if (len(name) != 2 * BLOCK_SIZE
+                            or bytes.fromhex(name).hex() != name):
+                        raise ValueError(f"not a base name: {name!r}")
         except MALFORMED as exc:
             raise MetadataError(f"undecodable delta log: {exc!r}") from exc
         return DeltaLog(ops)

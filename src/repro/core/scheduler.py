@@ -1217,10 +1217,6 @@ class DownloadScheduler(_SlotScheduler):
         self._hedge_eligible: List[tuple] = []
         self._hedge_timer: Optional[tuple] = None
         self._begin(files)
-        holders = dict.fromkeys(self.cloud_ids)
-        for state in self._ordered:
-            holders.update(dict.fromkeys(state.record.locations.values()))
-        self._holders = list(holders)
         if self._degrade is not None and self._degrade.hedging:
             # Hedge traffic is capped as a fraction of the batch's
             # expected fetch volume (k blocks per unique segment).
@@ -1604,26 +1600,28 @@ class DownloadScheduler(_SlotScheduler):
         return None
 
     def _faster_clouds(self, cloud_id: str) -> Tuple[str, ...]:
-        """The admitted clouds whose download estimate strictly beats
-        ``cloud_id``'s — with a segment's own state, the only input of
-        :meth:`_defer_to_faster` (ties, e.g. two unprobed clouds at
-        ``+inf``, are not faster).  Memoized over one read of each
-        holder's estimate until the estimator's ``generation``, a
-        failure count or the refused set moves."""
+        """The admitted connected clouds whose download estimate
+        strictly beats ``cloud_id``'s — with a segment's own state, the
+        only input of :meth:`_defer_to_faster` (ties, e.g. two unprobed
+        clouds at ``+inf``, are not faster).  A holder the batch has no
+        connection to supplies nothing, so it is never faster.
+        Memoized over one read of each connected cloud's estimate until
+        the estimator's ``generation``, a failure count or the refused
+        set moves."""
         key = (self.estimator.generation, self._refused,
                tuple(self._dead.values()))
         if key != self._faster_key:
             estimate = self.estimator.estimate
-            self._rates = {h: estimate(h, DOWNLOAD) for h in self._holders}
+            self._rates = {c: estimate(c, DOWNLOAD) for c in self.cloud_ids}
             self._faster_key, self._faster_memo = key, {}
         faster = self._faster_memo.get(cloud_id)
         if faster is None:
             rates = self._rates
             faster = self._faster_memo[cloud_id] = tuple(
-                holder for holder in self._holders
-                if holder != cloud_id and holder not in self._refused
-                and not self._is_dead(holder)
-                and rates[holder] > rates[cloud_id]
+                other for other in self.cloud_ids
+                if other != cloud_id and other not in self._refused
+                and not self._is_dead(other)
+                and rates[other] > rates[cloud_id]
             )
         return faster
 

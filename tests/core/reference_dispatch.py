@@ -106,8 +106,8 @@ def candidate_index(state, cloud_id):
 
 def defer_to_faster_reference(sched, state, cloud_id):
     """The defer verdict read straight from the estimator: strictly
-    faster clouds, neither dead nor refused, hold at least the blocks
-    the segment is missing."""
+    faster connected clouds, neither dead nor refused, hold at least the
+    blocks the segment is missing."""
     needed = (state.k - len(state.blocks) - len(state.inflight)
               + len(state.hedged))
     estimate = sched.estimator.estimate
@@ -115,7 +115,8 @@ def defer_to_faster_reference(sched, state, cloud_id):
     threshold = sched.config.cloud_failure_threshold
     faster_supply = 0
     for index, holder in state.record.locations.items():
-        if holder == cloud_id or holder in sched._refused:
+        if (holder == cloud_id or holder not in sched.cloud_ids
+                or holder in sched._refused):
             continue
         if index in state.blocks or index in state.inflight:
             continue

@@ -148,3 +148,19 @@ def test_small_batch_kernel_steps():
     batch = sim.run_process(down.run_batch(requests))
     assert batch.all_completed
     assert sim.steps - before <= 80
+
+
+def test_an_unconnected_holder_is_never_faster():
+    """Blocks on five clouds, fetched over connections to the first four
+    with a fresh estimator: the fifth holder has no estimate in this
+    batch (``+inf``), and F(c) once counted it as faster than every
+    probed cloud, which then deferred to it.  Files 2 and 3 came back
+    with ``content=None`` although the four connected clouds hold every
+    segment's k blocks."""
+    sim, _clouds, conns, pipeline = make_env(up_speeds=(8, 4, 2, 1, 16))
+    requests = upload_files(sim, conns, pipeline, 4, seed=3,
+                            sizes=(100_000, 100_001))
+    down = DownloadScheduler(sim, conns[:4], pipeline, CONFIG,
+                             estimator=ThroughputEstimator())
+    batch = sim.run_process(down.run_batch(requests))
+    assert [f.content is not None for f in batch.files] == [True] * 4

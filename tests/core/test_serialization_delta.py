@@ -9,6 +9,7 @@ from repro.cloud import SimulatedCloud
 from repro.core.config import UniDriveConfig
 from repro.core.deltasync import (
     DeltaLog,
+    base_name,
     op_add_segment,
     op_base_version,
     op_delete_file,
@@ -136,6 +137,20 @@ def test_delta_log_wire_roundtrip():
     blob = log.to_bytes(KEY)
     restored = DeltaLog.from_bytes(blob, KEY)
     assert restored.ops == log.ops
+
+
+def test_marker_names_the_sealed_base():
+    """The name is the base blob's synthetic IV, the same for the same
+    image however often it is sealed, and it survives the wire."""
+    blob = serialize_image(build_image(), KEY)
+    name = base_name(blob)
+    assert name == synthetic_iv(KEY, canonical_json(
+        build_image().to_dict())).hex()
+    assert name == base_name(serialize_image(build_image(), KEY))
+    log = DeltaLog([op_base_version(3, name), op_set_version(4, "d")])
+    restored = DeltaLog.from_bytes(log.to_bytes(KEY), KEY)
+    assert (restored.base_marker(), restored.named_base()) == (3, name)
+    assert DeltaLog([op_base_version(3)]).named_base() is None
 
 
 def test_delta_log_empty_roundtrip():
@@ -278,6 +293,15 @@ def test_malformed_image_dict_raises_metadata_error(mutate):
     b'{"op":"set_version","counter":2,"device":null}',
     b'{"op":"base_version","counter":Infinity}',
     b'{"op":"base_version","counter":-1}',
+    # A base name is 16 lowercase hex digits, present or absent.
+    b'{"op":"base_version","counter":1,"base":"0123456789ABCDEF"}',
+    b'{"op":"base_version","counter":1,"base":"0123456789abcde"}',
+    b'{"op":"base_version","counter":1,"base":"0123456789abcdef0"}',
+    b'{"op":"base_version","counter":1,"base":"0123456789abcdeg"}',
+    b'{"op":"base_version","counter":1,"base":"0123456789abcdef\\n"}',
+    b'{"op":"base_version","counter":1,"base":81985529216486895}',
+    b'{"op":"base_version","counter":1,"base":null}',
+    b'{"op":"base_version","counter":1,"base":["0123456789abcdef"]}',
     b'{"op":"txn_round","counter":null}',
     # Record kinds no client writes, well-formed otherwise: a merge
     # publishes a full base, and a round's version stamp is its own

@@ -204,3 +204,102 @@ def test_infinite_heartbeat_is_unknown_not_a_crash():
     versions = env.sim.run_process(writer.fleet_applied_versions())
     assert versions == {"device0": 2, "device1": None}
     assert env.sim.run_process(writer.gc_if_fully_synced()) is False
+
+
+# -- a reader that holds the base a delta names -------------------------------
+
+
+def base_downloads(device):
+    """Wrap ``device``'s downloads; the returned list collects the cloud
+    id of every base download it starts."""
+    started = []
+    for conn in device.connections:
+        def download(path, *args, _raw=conn.download, _cloud=conn.cloud_id,
+                     **kwargs):
+            if path == f"{META}/base":
+                started.append(_cloud)
+            return (yield from _raw(path, *args, **kwargs))
+        conn.download = download
+    return started
+
+
+def commit(device, sim, name, seed):
+    device.fs.write_file(name, payload(seed), mtime=sim.now)
+    sim.run_process(device.sync())
+
+
+def test_a_rotted_base_the_reader_holds_is_not_read():
+    """The reader holds base v1; device0's third commit extends it, so
+    the reader fetches only cloud0's delta and never meets the garbage
+    on cloud0's base replica."""
+    env = committed_fleet()
+    writer, reader = env.devices
+    env.sim.run_process(reader.sync())
+    held = reader._held["base"][0]
+    commit(writer, env.sim, "/three", 3)
+    env.clouds[0].store.put(f"{META}/base", b"\x00" * len(held), mtime=0.0)
+    started = base_downloads(reader)
+    with obs.isolated(sim=env.sim) as (_tracer, metrics):
+        env.sim.run_process(reader.sync())
+    assert reader.image.version.counter == 3
+    assert reader.fs.read_file("/three") == payload(3)
+    assert started == []
+    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+                                 reason="undecodable") == 0
+    assert reader._held["base"][0] == held
+
+
+def test_a_rotted_base_after_a_fold_is_skipped():
+    """The reader holds base v1, and a merge folded the folder into base
+    v4 since: the marker names a base the reader lacks, so it downloads
+    cloud0's rotted base, skips that cloud as undecodable and reads
+    cloud1's pair."""
+    env = make_fleet(3, config=CONFIG)
+    writer, reader, other = env.devices
+    for name, seed in (("/one", 1), ("/two", 2)):
+        commit(writer, env.sim, name, seed)
+    env.sim.run_process(reader.sync())
+    env.sim.run_process(other.sync())
+    commit(writer, env.sim, "/three", 3)
+    commit(other, env.sim, "/four", 4)  # v3 is news: a merge, a new base
+    assert other.image.version.counter == 4
+    damage(env.clouds[0], "base", f"{META}/base", "bit-flipped")
+    started = base_downloads(reader)
+    with obs.isolated(sim=env.sim) as (_tracer, metrics):
+        env.sim.run_process(reader.sync())
+    assert reader.image.version.counter == 4
+    assert reader.fs.read_file("/four") == payload(4)
+    assert started == ["cloud0", "cloud1"]
+    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+                                 reason="undecodable") == 1
+    assert reader._held["base"][0] == env.clouds[1].store.get(f"{META}/base")
+
+
+@pytest.mark.parametrize("counter, skipped", [(1, 0), (0, 1)],
+                         ids=["pair-ok", "corrupt-pair"])
+def test_a_marker_naming_another_base_downloads_the_base(counter, skipped):
+    """cloud0's delta is resealed with a marker that names a base the
+    reader does not hold: the reader downloads cloud0's base and runs
+    the pair check on it — it passes when the marker's counter matches
+    that base, and skips the cloud as a corrupt pair when not."""
+    env = committed_fleet()
+    writer, reader = env.devices
+    env.sim.run_process(reader.sync())
+    commit(writer, env.sim, "/three", 3)
+    path = f"{META}/delta"
+    ops = [json.loads(line) for line in
+           decrypt_cbc(KEY, env.clouds[0].store.get(path)).splitlines()]
+    assert ops[0]["op"] == "base_version"
+    ops[0].update(counter=counter, base="0123456789abcdef")
+    env.clouds[0].store.put(
+        path, seal("\n".join(json.dumps(op) for op in ops).encode()),
+        mtime=0.0,
+    )
+    started = base_downloads(reader)
+    with obs.isolated(sim=env.sim) as (_tracer, metrics):
+        env.sim.run_process(reader.sync())
+    assert reader.image.version.counter == 3
+    assert reader.fs.read_file("/three") == payload(3)
+    assert started == ["cloud0"]
+    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+                                 reason="corrupt-pair") == skipped

@@ -37,9 +37,9 @@ LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 #: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "a677b2e3ff955bf9826a2a6bebba8493c96ece969487bba26d325da1e8dd1256",
-    "chrome": "9abcbfb46a2f09665a1a601c2b8a0e30cb4b3ca7af954890296acc65b01a768f",
-    "telemetry": "284f7222b8d8c51cf4466ab8aeff15911ede44465dd2e5ce24914053a93ac208",
+    "jsonl": "2c13fae5189643d0511b216a5256d495057e4685fcad99830e6e4eb32fa74590",
+    "chrome": "1876a10a564c54e4c20169871a9852fd370e788f5a00f93f781fa7e6fd5b8ec7",
+    "telemetry": "856780bfeb6a1476609cd6621f9c6d21f230f63510f0d2f5d48243fe7f88406b",
 }
 
 
