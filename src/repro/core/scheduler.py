@@ -381,17 +381,18 @@ class _SlotScheduler:
 
     def _done(self) -> bool:
         """Whether an idle slot may retire: nothing in flight and no
-        cloud has a pick.  Behind the file gate, not while a worker sits
-        out a back-off and a breaker refuses a cloud, whose half-open
-        fetch can settle the gate's file and unlock work for every
-        cloud: the slot stays parked (``_held``) until the wait ends."""
+        cloud has a pick.  Not while a worker sits out a back-off and a
+        breaker refuses a cloud: the breaker may half-open by the time
+        the wait ends, and the refused cloud's work (behind the file
+        gate, every cloud's) would then find its slots retired.  The
+        slot stays parked (``_held``) and the end of the wait pulses."""
         if self._inflight_total > 0 or any(
             self._next_task(cid, peek=True) is not None
             for cid in self.cloud_ids
         ):
             return False
         self._held = bool(
-            not self.dynamic and self._waits and self._degrade is not None
+            self._waits and self._degrade is not None
             and self._degrade.refusing(self.cloud_ids, self.sim))
         return not self._held
 
@@ -578,9 +579,12 @@ class _SegmentUploadState:
                  cloud_ids: Sequence[str], config: UniDriveConfig):
         self.record = record
         self.data = data
-        # Position in the batch's flattened first-occurrence scan order;
-        # assigned by the scheduler, used by the cursor dispatcher.
+        # Dispatch bookkeeping (see UploadScheduler._next_ready): the
+        # position in the batch's first-occurrence scan order (the ready
+        # heaps' key) and the (cloud, phase) pairs that parked this
+        # segment until a mutation that can unpark it.
         self.position = 0
+        self.parked: List[Tuple[str, int]] = []
         # Progress-counter bookkeeping (set once, when the transition
         # is first observed after a completed block).
         self.counted_available = False
@@ -769,13 +773,14 @@ class UploadScheduler(_SlotScheduler):
     def run_batch(self, files: Sequence[FileUpload]):
         """Upload a batch; generator returns an :class:`UploadBatchReport`."""
         started = self.sim.now
+        # Each cloud's ready heaps (see _next_ready), one per phase: late
+        # over-provisioning only runs in dynamic mode.  Positions are
+        # appended in increasing order, so each starts out a valid heap.
+        phases = 3 if self.over_provision and self.dynamic else 2
+        self._ready: Dict[str, List[List[int]]] = {
+            cid: [[] for _ in range(phases)] for cid in self.cloud_ids
+        }
         self._begin(files)
-        # Cursor dispatch (see _next_task): per-cloud phase cursors and
-        # each cloud's drained mark, the limit its scan last ran out at.
-        self._ptr_a = {cid: 0 for cid in self.cloud_ids}
-        self._ptr_b = {cid: 0 for cid in self.cloud_ids}
-        self._ptr_c = {cid: 0 for cid in self.cloud_ids}
-        self._drained: Dict[str, int] = {}
         if self.resume:
             # Preseeded blocks count as completed progress right away
             # (countdowns, availability stamps) — they just never
@@ -811,16 +816,10 @@ class UploadScheduler(_SlotScheduler):
                 if cid in self.cloud_ids:
                     state.preseed(idx, cid)
             self._add_state(state)
+            for heaps in self._ready.values():
+                for heap in heaps:
+                    heap.append(state.position)
         return state
-
-    def _can_act(self, cloud_id: str) -> bool:
-        # Exact: a refused, dead or drained cloud's _next_task is None;
-        # admits() is the ask's breaker clock check.
-        if (self._degrade is not None
-                and not self._degrade.admits(cloud_id, self.sim.now)):
-            return False
-        return (self._drained.get(cloud_id) != self._limit()
-                and not self._is_dead(cloud_id))
 
     def _next(self, slot: _Slot) -> Optional[_UploadTask]:
         return self._next_task(slot.cloud_id)
@@ -857,10 +856,7 @@ class UploadScheduler(_SlotScheduler):
                 self._inflight_total -= 1
                 _action, dead = self._failed(cloud_id, UPLOAD, exc, span)
                 state.fail(index, cloud_id, task.is_fair, cloud_dead=dead)
-                # A failure restores candidacy: the failed index went
-                # back to this cloud's fair queue or to the shared
-                # extras pool, and this cloud regained cap room.
-                self._rewind_cursors(state.position)
+                self._touch(state)
                 self._pulse()
                 if not dead:
                     yield from self._back_off(cloud_id, UPLOAD)
@@ -871,9 +867,7 @@ class UploadScheduler(_SlotScheduler):
                             redundant=not task.is_fair)
             state.complete(index, cloud_id, task.is_fair)
             if task.is_fair:
-                # Completing a fair block may flip fair_done for this
-                # cloud, unlocking this segment's extras for it.
-                self._rewind_cursors(state.position, only_cloud=cloud_id)
+                self._touch(state)
             if self.on_block_uploaded is not None:
                 self.on_block_uploaded(
                     state.record.segment_id, index, cloud_id
@@ -885,132 +879,89 @@ class UploadScheduler(_SlotScheduler):
 
     # -- dispatch policy ----------------------------------------------------
 
-    def _next_task(self, cloud_id: str,
-                   peek: bool = False) -> Optional[_UploadTask]:
-        """Pick (and unless ``peek``, commit) the next block for a cloud.
+    def _can_act(self, cloud_id: str) -> bool:
+        # Exact: _next_task's pick, which commits nothing; _admits() is
+        # the ask's breaker clock check.
+        return (self._admits(cloud_id)
+                and self._next_ready(cloud_id) is not None)
 
-        The three phase cursors below walk the same ladder in peek and
-        commit mode, so a successful peek guarantees the subsequent
-        commit would succeed.  A cloud whose scan finds nothing is
-        *drained* at the current limit until a rewind (or, for the
-        static baseline, the file gate) moves.
-        """
+    def _next_task(self, cloud_id: str, peek: bool = False):
+        """Pick the next block for a cloud and, unless ``peek``, commit
+        it: an :class:`_UploadTask`, the uncommitted ``(state,
+        is_fair)`` when peeking, or None."""
         if not self._admits(cloud_id):
             return None
-        limit = self._limit()
-        if self._drained.get(cloud_id) == limit:
-            return None
-        task = self._scan_phase_a(cloud_id, peek, limit)
-        if task is None:
-            task = self._scan_phase_b(cloud_id, peek, limit)
-        if task is None and self.over_provision and self.dynamic:
-            task = self._scan_phase_c(cloud_id, peek, limit)
-        if task is None:
-            self._drained[cloud_id] = limit
-        elif not peek and self._degrade is not None:
+        pick = self._next_ready(cloud_id)
+        if pick is None or peek:
+            return pick
+        state, is_fair = pick
+        if self._degrade is not None:
             self._degrade.note_dispatch(cloud_id, self.sim.now)
-        return task
+        index = (state.take_fair(cloud_id) if is_fair
+                 else state.take_extra(cloud_id))
+        return _UploadTask(state, index, is_fair)
 
-    # The three phase scans share one structure: walk the flattened
-    # first-occurrence state order from this cloud's cursor up to the
-    # limit, skipping states that cannot currently yield a task.  Every
-    # skip is *permanent* with respect to this cloud's own actions — a
-    # skipped state can only become dispatchable again through an event
-    # that calls _rewind_cursors (a failed request re-queues an index
-    # and frees cap room; a completed fair share unlocks extras; a dead
-    # cloud's abandoned fair queue refills the extras pool) — so the
-    # cursor never needs to revisit the prefix and dispatch cost is
-    # amortized O(1) per block instead of O(files x segments).
+    def _next_ready(self, cloud_id: str):
+        """The paper's upload order for one cloud, as ``(state,
+        is_fair)``: the first segment in scan order, below the limit,
+        with a pick in the first phase that has one.
 
-    def _scan_phase_a(self, cloud_id: str, peek: bool,
-                      limit: int) -> Optional[_UploadTask]:
-        """Availability-first: earliest file not yet available."""
+        0. *Availability-first*: a segment not yet available — a fair
+           block, or once this cloud's fair share of it is done (and
+           over-provisioning is on), an extra.
+        1. *Reliability-second*: a fair block still queued.
+        2. *Late over-provisioning* (dynamic mode only): an extra,
+           while slower clouds still owe fair shares of the segment
+           (stop once the slowest cloud finished its share, §6.2).
+
+        Each cloud keeps one min-heap of scan positions per phase.
+        Evaluating a head either drops it for good (available; this
+        cloud's fair share done; no fair work left anywhere — each
+        monotone), returns it, leaving it at the head, or *parks* it
+        until :meth:`_touch`: every other input of a verdict (the
+        cloud's fair queue and cap room, its fair progress, the extras
+        pool) changes toward a pick only where the state is touched —
+        a failure, a fair completion, a cloud's death.  The smallest
+        position with a pick is therefore what a scan of every segment
+        in order returns.
+        """
+        limit = self._limit()
         ordered = self._ordered
-        ptr = self._ptr_a[cloud_id]
-        while ptr < limit:
-            state = ordered[ptr]
-            self._dispatch_scans += 1
-            if not state.available:
-                if state.fair_pending(cloud_id):
-                    if state.cap_room(cloud_id):
-                        self._ptr_a[cloud_id] = ptr
-                        if peek:
-                            return _UploadTask(state, -1, is_fair=True)
-                        return _UploadTask(
-                            state, state.take_fair(cloud_id), is_fair=True
-                        )
-                elif (self.over_provision and state.fair_done(cloud_id)
-                        and state.extras and state.cap_room(cloud_id)):
-                    self._ptr_a[cloud_id] = ptr
-                    if peek:
-                        return _UploadTask(state, -1, is_fair=False)
-                    return _UploadTask(
-                        state, state.take_extra(cloud_id), is_fair=False
-                    )
-            ptr += 1
-        self._ptr_a[cloud_id] = limit
+        for phase, ready in enumerate(self._ready[cloud_id]):
+            while ready and ready[0] < limit:
+                state = ordered[ready[0]]
+                self._dispatch_scans += 1
+                if phase == 0:
+                    gone = state.available
+                    is_fair = state.fair_pending(cloud_id)
+                    can = is_fair or (self.over_provision
+                                      and state.fair_done(cloud_id)
+                                      and bool(state.extras))
+                elif phase == 1:
+                    gone = state.fair_done(cloud_id)
+                    is_fair = can = state.fair_pending(cloud_id)
+                else:
+                    gone = not state.fair_outstanding
+                    is_fair = False
+                    can = state.fair_done(cloud_id) and bool(state.extras)
+                if not gone:
+                    if can and state.cap_room(cloud_id):
+                        return state, is_fair
+                    state.parked.append((cloud_id, phase))
+                heappop(ready)
         return None
 
-    def _scan_phase_b(self, cloud_id: str, peek: bool,
-                      limit: int) -> Optional[_UploadTask]:
-        """Reliability-second: top up outstanding fair shares."""
-        ordered = self._ordered
-        ptr = self._ptr_b[cloud_id]
-        while ptr < limit:
-            state = ordered[ptr]
-            self._dispatch_scans += 1
-            if state.fair_pending(cloud_id) and state.cap_room(cloud_id):
-                self._ptr_b[cloud_id] = ptr
-                if peek:
-                    return _UploadTask(state, -1, is_fair=True)
-                return _UploadTask(
-                    state, state.take_fair(cloud_id), is_fair=True
-                )
-            ptr += 1
-        self._ptr_b[cloud_id] = limit
-        return None
-
-    def _scan_phase_c(self, cloud_id: str, peek: bool,
-                      limit: int) -> Optional[_UploadTask]:
-        """Over-provision while slower clouds still owe fair shares
-        (stop once the slowest cloud finished its fair share, §6.2)."""
-        ordered = self._ordered
-        ptr = self._ptr_c[cloud_id]
-        while ptr < limit:
-            state = ordered[ptr]
-            self._dispatch_scans += 1
-            if (state.fair_outstanding and state.fair_done(cloud_id)
-                    and state.extras and state.cap_room(cloud_id)):
-                self._ptr_c[cloud_id] = ptr
-                if peek:
-                    return _UploadTask(state, -1, is_fair=False)
-                return _UploadTask(
-                    state, state.take_extra(cloud_id), is_fair=False
-                )
-            ptr += 1
-        self._ptr_c[cloud_id] = limit
-        return None
-
-    def _rewind_cursors(self, position: int,
-                        only_cloud: Optional[str] = None) -> None:
-        """Pull phase cursors back to ``position`` after an event that
-        may have restored a skipped state's candidacy.  An event for
-        every cloud may also re-queue a fair share, unsettling the
-        files that hold ``position``: the file gate moves back too."""
-        if only_cloud is None:
-            clouds = self.cloud_ids
-            self._gate = min(self._gate,
-                             bisect_right(self._file_ends, position))
-        else:
-            clouds = (only_cloud,)
-        for cid in clouds:
-            self._drained.pop(cid, None)
-            if self._ptr_a[cid] > position:
-                self._ptr_a[cid] = position
-            if self._ptr_b[cid] > position:
-                self._ptr_b[cid] = position
-            if self._ptr_c[cid] > position:
-                self._ptr_c[cid] = position
+    def _touch(self, state: _SegmentUploadState) -> None:
+        """A failure, a fair completion or a dead cloud's abandoned queue
+        just changed ``state``: re-queue it for every (cloud, phase)
+        that parked it.  A failure may re-queue a fair share and so
+        unsettle the files holding ``state``: the file gate moves
+        back too."""
+        position = state.position
+        for cloud_id, phase in state.parked:
+            heappush(self._ready[cloud_id][phase], position)
+        state.parked.clear()
+        self._gate = min(self._gate, bisect_right(self._file_ends, position))
 
     def _settled(self, path: str) -> bool:
         """A file the static baseline is done with: every segment
@@ -1023,9 +974,7 @@ class UploadScheduler(_SlotScheduler):
     def _cloud_died(self, cloud_id: str) -> None:
         for state in self._states.values():
             state.abandon_cloud(cloud_id)
-        # Abandoned fair queues refilled the extras pool across the
-        # whole batch; every cursor must rescan from the start.
-        self._rewind_cursors(0)
+            self._touch(state)
 
     # -- progress & termination -------------------------------------------
 

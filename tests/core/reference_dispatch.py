@@ -1,24 +1,22 @@
 """The original O(files x segments) dispatch ladders and the broadcast
 wake-up, as test oracles.
 
-The schedulers' production dispatchers (upload: phase cursors;
-download: per-cloud ready heaps; the static baseline: either of them
-behind a file gate) must pick exactly what these ladders pick, and the
-slot core's dispatch step, which asks only the clouds that can act,
-exactly what asking every parked slot picks.  They are plain functions
-over a scheduler, swapped in for its own by
-``tests/core/test_scheduler_equivalence.py``.
+The schedulers' production dispatchers (per-cloud ready heaps in both
+directions; the static baseline: the same heaps behind a file gate)
+must pick exactly what these ladders pick, and the slot core's dispatch
+step, which asks only the clouds that can act, exactly what asking
+every parked slot picks.  They are plain functions over a scheduler,
+swapped in for its own by ``tests/core/test_scheduler_equivalence.py``.
 """
 
-from repro.core.scheduler import _UploadTask
 
-
-def next_task_reference(sched, cloud_id, peek=False):
+def next_ready_reference(sched, cloud_id):
     """The original O(files x segments) decision-ladder dispatcher.
 
     The executable specification of the upload scheduling policy: the
-    cursor dispatcher must pick byte-identical blocks, in dynamic mode
-    and behind the static baseline's file gate.
+    ready-heap dispatcher must pick byte-identical blocks, in dynamic
+    mode and behind the static baseline's file gate.  Returns the pick
+    as ``(state, is_fair)``; the scheduler commits it.
     """
     if sched._is_dead(cloud_id):
         return None
@@ -26,9 +24,7 @@ def next_task_reference(sched, cloud_id, peek=False):
     def fair(state):
         if not state.fair_pending(cloud_id) or not state.cap_room(cloud_id):
             return None
-        if peek:
-            return _UploadTask(state, -1, is_fair=True)
-        return _UploadTask(state, state.take_fair(cloud_id), is_fair=True)
+        return state, True
 
     def extra(state):
         # Over-provisioned blocks go only to clouds that already
@@ -38,10 +34,7 @@ def next_task_reference(sched, cloud_id, peek=False):
             return None
         if not state.extras or not state.cap_room(cloud_id):
             return None
-        if peek:
-            return _UploadTask(state, -1, is_fair=False)
-        return _UploadTask(state, state.take_extra(cloud_id),
-                           is_fair=False)
+        return state, False
 
     # Phase A: availability-first, files strictly in order.  Every
     # cloud keeps pulling blocks for the earliest file that is not

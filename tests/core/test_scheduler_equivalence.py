@@ -1,8 +1,8 @@
 """Production dispatcher ⇔ reference decision ladder equivalence.
 
-The dispatchers in :mod:`repro.core.scheduler` (upload: phase cursors;
-download: per-cloud ready heaps with parked segments; the static
-benchmark baseline: the same dispatchers behind a file gate) must be
+The dispatchers in :mod:`repro.core.scheduler` (per-cloud ready heaps
+with parked segments, in both directions; the static benchmark
+baseline: the same dispatchers behind a file gate) must be
 *behavior-preserving*: for any seeded batch they must pick exactly the
 blocks the original O(files x segments) ladders in
 ``reference_dispatch.py`` pick, in the same order, yielding
@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 from _sched_env import CONFIG, N_CLOUDS, make_env, profile
 from reference_dispatch import (
     dispatch_reference,
+    next_ready_reference,
     next_request_reference,
-    next_task_reference,
 )
 from repro import obs
 from repro.cloud.errors import NotFoundError, RequestFailedError
@@ -107,6 +107,15 @@ def upload_snapshot(batch, files, clouds):
     }
 
 
+def breaker_moves(degrade):
+    """Where a skipped ask would move the clock: every breaker move of
+    ``degrade`` (None: no controller)."""
+    return {} if degrade is None else {
+        cid: tuple(breaker.transitions)
+        for cid, breaker in sorted(degrade._breakers.items())
+    }
+
+
 def log_picks(up):
     """Record every block ``up`` hands a slot as ``(sim time, cloud,
     segment, index, fair)``, in the order the slots take them."""
@@ -127,24 +136,35 @@ def log_picks(up):
 
 def run_upload_scenario(reference, up_speeds, failure_rates=None,
                         kill_clouds=(), over_provision=True, dynamic=True,
-                        seed=0, count=6, size=None):
+                        seed=0, count=6, size=None, config=CONFIG,
+                        cooldown=None):
+    """Upload one batch; with a ``cooldown`` (seconds), armed like a
+    client's batches, by a controller whose breakers half-open that
+    long after they open.  ``config`` is the scheduler's and the
+    controller's."""
     sim, clouds, conns, pipeline = make_env(
         up_speeds, failure_rates, seed=seed
     )
     for cloud_index in kill_clouds:
         clouds[cloud_index].set_available(False)
+    degrade = None
+    if cooldown is not None:
+        degrade = DegradeController(config)
+        for conn in conns:
+            degrade.breaker(conn.cloud_id).cooldown = cooldown
     scheduler = UploadScheduler(
-        sim, conns, pipeline, CONFIG, estimator=ThroughputEstimator(),
-        over_provision=over_provision, dynamic=dynamic,
+        sim, conns, pipeline, config, estimator=ThroughputEstimator(),
+        over_provision=over_provision, dynamic=dynamic, degrade=degrade,
     )
     if reference:
         ask_every_slot(scheduler)
-        scheduler._next_task = partial(next_task_reference, scheduler)
+        scheduler._next_ready = partial(next_ready_reference, scheduler)
     picks = log_picks(scheduler)
     files = make_batch(pipeline, count=count, size=size)
     batch = sim.run_process(scheduler.run_batch(files))
     snapshot = upload_snapshot(batch, files, clouds)
     snapshot["picks"] = picks
+    snapshot["breakers"] = breaker_moves(degrade)
     return snapshot, scheduler
 
 
@@ -157,7 +177,7 @@ def assert_upload_equivalent(modes=UPLOAD_MODES, **kwargs):
         ref, ref_sched = run_upload_scenario(True, **mode, **kwargs)
         assert fast["picks"] == ref["picks"], mode
         assert fast == ref, mode
-        # The point of the cursor dispatcher: same decisions, fewer visits.
+        # The point of the ready heaps: same decisions, fewer visits.
         assert fast_sched._dispatch_scans <= ref_sched._dispatch_scans
         snapshots.append(fast)
     return snapshots
@@ -194,6 +214,50 @@ def test_upload_equivalence_dead_cloud():
     ):
         # The abandon/degraded path was exercised.
         assert any(r[5] for r in snapshot["reports"])
+
+
+def test_upload_slots_wait_out_a_refused_clouds_back_off():
+    # cloud1's drops open its breaker (2 s cooldown); the batch keeps the
+    # cloud alive.  While cloud4's last worker sits out a back-off,
+    # nothing is in flight and no admitted cloud has a pick.  That
+    # worker's own retire check at 2.395 s half-opens cloud1's breaker
+    # and finds cloud1's work, so it parks; a slot core that had let
+    # the idle slots, cloud1's among them, retire during the wait left
+    # nothing to ask for that work, and the batch ran out of events
+    # (SimulationError: process starved).
+    snapshot, = assert_upload_equivalent(
+        modes=UPLOAD_MODES[:1], up_speeds=[1] * N_CLOUDS,
+        failure_rates=[0, .6, 0, 0, .1], seed=0, count=4, cooldown=2.0,
+        config=UniDriveConfig(theta=CONFIG.theta, cloud_failure_threshold=8),
+    )
+    assert all(r[3] is not None for r in snapshot["reports"])  # available
+    half_open = [t for t, *move in snapshot["breakers"]["cloud1"]
+                 if move == ["open", "half-open"]]
+    assert half_open and half_open[0] < snapshot["batch"][1]
+
+
+def test_shared_controller_upload_batches_wait_out_a_back_off():
+    # A client's controller (30 s breaker cooldown) and estimator,
+    # shared by two batches on slow, flaky links.  In the second,
+    # cloud2's half-open probe fails at 30.399 s and its worker backs
+    # off while the other slots, cloud0's among them, go idle; the
+    # worker's retire check at 30.899 s half-opens cloud0's breaker,
+    # opened in the first batch.  The same starvation as above, with
+    # the breaker's history carried across batches.
+    sim, _clouds, conns, pipeline = make_env(
+        [1.0, 0.05, 0.25, 0.05, 5.0], [0.4, 0.2, 0.4, 0.0, 0.0],
+        seed=42848,
+    )
+    degrade, estimator = DegradeController(CONFIG), ThroughputEstimator()
+    for seed in (3, 4):
+        scheduler = UploadScheduler(sim, conns, pipeline, CONFIG,
+                                    estimator=estimator, degrade=degrade)
+        batch = sim.run_process(scheduler.run_batch(
+            make_batch(pipeline, count=5, seed=seed)))
+        assert batch.all_available
+    half_open = degrade.breaker("cloud0").transitions[1]
+    assert half_open[1:] == ("open", "half-open")
+    assert batch.started_at < half_open[0] < batch.finished_at
 
 
 #: 5/10/20/40/80 Mbps downlinks (``profile`` doubles the uplink figure):
@@ -289,11 +353,7 @@ def download_snapshot(batch, down, picks, world):
         "picks": picks,
         "world": world,
         "hedges": (down.hedges_fired, down.hedged_bytes),
-        # Where a skipped ask would move the clock: every breaker move.
-        "breakers": {
-            cid: tuple(breaker.transitions)
-            for cid, breaker in sorted(down._degrade._breakers.items())
-        },
+        "breakers": breaker_moves(down._degrade),
     }
 
 
@@ -648,6 +708,9 @@ def upload_scripts(draw):
         )),
         "kill_clouds": tuple(draw(st.sets(clouds, max_size=2))),
         "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+        # The breaker arm, as in download_scripts.
+        "cooldown": draw(st.none() | st.floats(min_value=0.02,
+                                               max_value=2.0)),
     }
 
 
@@ -655,11 +718,18 @@ def upload_scripts(draw):
 @given(upload_scripts())
 def test_upload_pick_log_matches_reference(script):
     """Any file count and sizes, link speeds, failure rates and dead
-    clouds, in all four ``(over_provision, dynamic)`` modes: the cursor
+    clouds, with or without breakers driven open, half-open and closed,
+    in all four ``(over_provision, dynamic)`` modes: the ready-heap
     dispatcher, asking only the clouds that can act, hands out the
     blocks the reference ladder does with every slot asked, in the
-    same order, at the same instants."""
-    assert_upload_equivalent(**script)
+    same order, at the same instants, and every breaker moves at the
+    same instants."""
+    armed = script["cooldown"] is not None
+    assert_upload_equivalent(
+        **script,
+        config=UniDriveConfig(theta=CONFIG.theta,
+                              cloud_failure_threshold=8) if armed else CONFIG,
+    )
 
 
 @pytest.mark.parametrize("direction, large", [
@@ -669,9 +739,9 @@ def test_upload_pick_log_matches_reference(script):
 def test_dispatch_scans_per_block_flat(direction, large):
     # Blocked work is not rescanned: with a stable estimate order
     # (equal-size segments on skewed links) the states evaluated per
-    # dispatched block must not grow with the batch.  The download
-    # side's cursor scan, which rescanned its blocked tail, grew
-    # ~linearly: 27 -> 1 164 from 10 to 640 segments.
+    # dispatched block must not grow with the batch.  A download scan
+    # that rescanned its blocked tail grew ~linearly: 27 -> 1 164 from
+    # 10 to 640 segments.
     per_block = {}
     for count in (10, large):
         if direction == "upload":
