@@ -12,12 +12,14 @@ Two multiplication kernels coexist:
 * the fused tiled kernel behind :func:`matmul` — wide products go
   through a cached :class:`_FusedPlan` that gathers through
   coefficient-*pair* tables (two multiplies per gather, see
-  :func:`repro.codec.gf256.pair_table`) packed up to eight output rows
-  deep into one gather word (``uint64`` down to ``uint8``, sized to
-  the rows that actually need gathers), so one pass over the input
-  bytes feeds a whole group of output rows.  Rows whose coefficients
-  are all 0/1 never enter a gather group at all — they are built from
-  plain XORs of the input rows.  Bit-identical to the reference by
+  :func:`repro.codec.gf256.pair_table`; a square decode matrix on
+  narrow operands gathers one coefficient per 256-entry table
+  instead) packed up to eight output rows deep into one gather word
+  (``uint64`` down to ``uint8``, sized to the rows that actually need
+  gathers), so one pass over the input bytes feeds a whole group of
+  output rows.  Rows whose coefficients are all 0/1 never enter a
+  gather group at all — they are built from plain XORs of the input
+  rows.  Bit-identical to the reference by
   construction and by the equivalence suite in
   ``tests/codec/test_table_equivalence.py``.
 """
@@ -135,35 +137,45 @@ class _FusedPlan:
       rows*: their output is the XOR of their 1-coefficient input
       rows, no gather at all.
     * the other rows are packed into gather groups of up to eight.
-      Each general-column pair gets, per group, a 65536-entry table
-      packing the rows' :func:`gf256.pair_table` values one per byte
-      lane of the group's word dtype (``uint64`` for 8 lanes, down to
-      ``uint8`` for a lone row — the narrowest word that fits keeps
-      the table cache-resident).  A single gather then advances the
-      whole group by two coefficients.
-    * an odd general column left over gets 256-entry packed tables of
+      In a *paired* plan each general-column pair gets, per group, a
+      65536-entry table packing the rows' :func:`gf256.pair_table`
+      values one per byte lane of the group's word dtype (``uint64``
+      for 8 lanes, down to ``uint8`` for a lone row — the narrowest
+      word that fits keeps the table cache-resident).  A single gather
+      then advances the whole group by two coefficients.
+    * every other general column — an odd one left over, or each
+      column of an unpaired plan — gets 256-entry packed tables of
       the same shape.
 
-    ``apply`` runs one gather per (pair, group), XOR-accumulates the
-    packed words, deinterleaves each byte lane once, and folds the
-    simple-column XORs in as contiguous word-wide passes.
+    :func:`_plan_for` pairs the plans of matrices with more rows than
+    columns (an encode generator, one per code) and the plans of
+    operands at least :data:`_PAIRED_MIN_WIDTH` wide.  A code has
+    C(n, k) square decode matrices (120 for the default 3-of-10) and a
+    read of small segments cycles through as many as its blocks'
+    clouds combine: a pair table made each of their plans 256 KiB, for
+    one gather fewer per decode.
+
+    ``apply`` runs one gather per (pair or single column, group),
+    XOR-accumulates the packed words, deinterleaves each byte lane
+    once, and folds the simple-column XORs in as contiguous word-wide
+    passes.
     """
 
-    __slots__ = ("rows", "inner", "pairs", "leftover", "ones_cols",
+    __slots__ = ("rows", "inner", "pairs", "singles", "ones_cols",
                  "simple_rows", "groups", "pair_tables",
-                 "leftover_tables")
+                 "single_tables")
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, paired: bool):
         rows, inner = a.shape
         self.rows = rows
         self.inner = inner
         simple = [j for j in range(inner) if np.all(a[:, j] <= 1)]
         general = [j for j in range(inner) if j not in set(simple)]
+        paired = len(general) - len(general) % 2 if paired else 0
         self.pairs = [
-            (general[i], general[i + 1])
-            for i in range(0, len(general) - 1, 2)
+            (general[i], general[i + 1]) for i in range(0, paired, 2)
         ]
-        self.leftover = general[-1] if len(general) % 2 else None
+        self.singles = general[paired:]
         #: per output row, the simple columns whose coefficient is 1.
         self.ones_cols = [
             [j for j in simple if a[i, j] == 1] for i in range(rows)
@@ -188,7 +200,7 @@ class _FusedPlan:
             rest = packed[pos:]
             self.groups.append((tuple(rest), _pack_dtype(len(rest))))
         self.pair_tables = []
-        self.leftover_tables = []
+        self.single_tables = []
         for grows, dt in self.groups:
             word = dt.itemsize
             per_pair = []
@@ -200,15 +212,15 @@ class _FusedPlan:
                               << dt.type(8 * _lane_byte(s, word)))
                 per_pair.append(table)
             self.pair_tables.append(per_pair)
-            if self.leftover is not None:
+            per_single = []
+            for j in self.singles:
                 table = np.zeros(256, dtype=dt)
                 for s, r in enumerate(grows):
-                    row = gf256.MUL_TABLE[int(a[r, self.leftover])]
+                    row = gf256.MUL_TABLE[int(a[r, j])]
                     table |= (row.astype(dt)
                               << dt.type(8 * _lane_byte(s, word)))
-                self.leftover_tables.append(table)
-            else:
-                self.leftover_tables.append(None)
+                per_single.append(table)
+            self.single_tables.append(per_single)
 
     def apply(self, b_rows: Sequence[np.ndarray],
               out: np.ndarray) -> np.ndarray:
@@ -253,15 +265,15 @@ class _FusedPlan:
                     np.take(self.pair_tables[gi][pi], idx,
                             out=packed, mode="clip")
                     np.bitwise_xor(acc[gi], packed, out=acc[gi])
-        if self.leftover is not None:
-            np.copyto(idx, b_rows[self.leftover])
+        for si, j in enumerate(self.singles):
+            np.copyto(idx, b_rows[j])
             for gi, dt in enumerate(dtypes):
-                if not self.pairs:
-                    np.take(self.leftover_tables[gi], idx,
+                if not self.pairs and si == 0:
+                    np.take(self.single_tables[gi][si], idx,
                             out=acc[gi], mode="clip")
                 else:
                     packed = _packed_scratch(width, dt)
-                    np.take(self.leftover_tables[gi], idx,
+                    np.take(self.single_tables[gi][si], idx,
                             out=packed, mode="clip")
                     np.bitwise_xor(acc[gi], packed, out=acc[gi])
         for gi, (grows, dt) in enumerate(self.groups):
@@ -336,17 +348,24 @@ def _packed_scratch(width: int, dt: np.dtype) -> np.ndarray:
     return pool[:width]
 
 
-# Plans are pure functions of the coefficient matrix; RS codecs reuse a
-# handful of generator/decode matrices, so a small LRU holds them all.
+# Plans are pure functions of the coefficient matrix and the pairing;
+# RS codecs reuse a handful of generator/decode matrices, so a small LRU
+# holds them all.
 _PLAN_CACHE: "OrderedDict[tuple, _FusedPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = 128
 
+#: Operand width from which any plan pairs its columns: a row at least
+#: as large as a packed pair table (256 KiB for a 3-row group), which
+#: one gather fewer per pair then repays within a few products.
+_PAIRED_MIN_WIDTH = 1 << 18
 
-def _plan_for(a: np.ndarray) -> _FusedPlan:
-    key = (a.shape, a.tobytes())
+
+def _plan_for(a: np.ndarray, width: int) -> _FusedPlan:
+    paired = a.shape[0] > a.shape[1] or width >= _PAIRED_MIN_WIDTH
+    key = (a.shape, a.tobytes(), paired)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = _FusedPlan(a)
+        plan = _FusedPlan(a, paired)
         _PLAN_CACHE[key] = plan
         if len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
             _PLAN_CACHE.popitem(last=False)
@@ -371,7 +390,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if rows == 0 or inner == 0 or width < _FUSED_MIN_WIDTH:
         return matmul_reference(a, b)
     out = np.empty((rows, width), dtype=np.uint8)
-    return _plan_for(a).apply([b[j] for j in range(inner)], out)
+    return _plan_for(a, width).apply([b[j] for j in range(inner)], out)
 
 
 def matmul_rows(a: np.ndarray, b_rows: Sequence[np.ndarray],
@@ -398,7 +417,7 @@ def matmul_rows(a: np.ndarray, b_rows: Sequence[np.ndarray],
         )
         out[:] = matmul_reference(a, stacked)
         return out
-    return _plan_for(a).apply(b_rows, out)
+    return _plan_for(a, width).apply(b_rows, out)
 
 
 def invert(matrix: np.ndarray) -> np.ndarray:

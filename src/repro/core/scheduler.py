@@ -19,9 +19,10 @@ Upload policy, per batch of files:
 
 Download policy: any k blocks per segment suffice; idle connections pull
 block indices their cloud holds, never requesting more than k per
-segment, and a slower cloud defers to faster clouds that can still
-supply a segment.  Under a degradation controller, an otherwise idle
-connection hedges a fetch that outran its predicted duration.
+segment, and a slower cloud defers to the faster clouds that would
+finish a block no later than it and can still supply a segment.  Under
+a degradation controller, an otherwise idle connection hedges a fetch
+that outran its predicted duration.
 
 Both directions run on one connection-slot core (:class:`_SlotScheduler`,
 DESIGN.md "Connection slots"): a batch has ``connections_per_cloud``
@@ -867,7 +868,7 @@ class UploadScheduler(_SlotScheduler):
                             redundant=not task.is_fair)
             state.complete(index, cloud_id, task.is_fair)
             if task.is_fair:
-                self._touch(state)
+                self._touch(state, completed_by=cloud_id)
             if self.on_block_uploaded is not None:
                 self.on_block_uploaded(
                     state.record.segment_id, index, cloud_id
@@ -951,13 +952,25 @@ class UploadScheduler(_SlotScheduler):
                 heappop(ready)
         return None
 
-    def _touch(self, state: _SegmentUploadState) -> None:
-        """A failure, a fair completion or a dead cloud's abandoned queue
-        just changed ``state``: re-queue it for every (cloud, phase)
-        that parked it.  A failure may re-queue a fair share and so
-        unsettle the files holding ``state``: the file gate moves
-        back too."""
+    def _touch(self, state: _SegmentUploadState,
+               completed_by: Optional[str] = None) -> None:
+        """A failure or a dead cloud's abandoned queue just changed
+        ``state``: re-queue it for every (cloud, phase) that parked it.
+        A failure may re-queue a fair share and so unsettle the files
+        holding ``state``: the file gate moves back too.  A fair
+        completion by ``completed_by`` moves only that cloud's fair
+        progress, so only its pairs re-queue, and the gate stays (a
+        completion re-queues no fair share)."""
         position = state.position
+        if completed_by is not None:
+            kept = []
+            for cloud_id, phase in state.parked:
+                if cloud_id == completed_by:
+                    heappush(self._ready[cloud_id][phase], position)
+                else:
+                    kept.append((cloud_id, phase))
+            state.parked = kept
+            return
         for cloud_id, phase in state.parked:
             heappush(self._ready[cloud_id][phase], position)
         state.parked.clear()
@@ -1041,9 +1054,10 @@ class UploadScheduler(_SlotScheduler):
 class _SegmentDownloadState:
     """Book-keeping for one segment being fetched."""
 
-    def __init__(self, record: SegmentRecord):
+    def __init__(self, record: SegmentRecord, block_size: int):
         self.record = record
         self.k = record.k
+        self.block_size = block_size  # bytes in each of its blocks
         self.blocks: Dict[int, bytes] = {}
         self.inflight: Dict[int, str] = {}
         self.exhausted: set = set()  # (index, cloud) pairs that failed
@@ -1104,6 +1118,89 @@ class _SegmentDownloadState:
         return None, not pending
 
 
+class _Cover:
+    """All a defer verdict read of its segment (see
+    :meth:`DownloadScheduler._defer_to_faster`): the blocks it needs
+    and the holder (a bit) of each block it could still fetch from
+    F(c), sorted.  One object per distinct cover in a batch, so covers
+    key dicts by identity and remember which finisher sets meet them."""
+
+    __slots__ = ("needed", "held", "clouds", "verdicts")
+
+    def __init__(self, needed: int, held: Tuple[int, ...]):
+        self.needed = needed
+        self.held = held
+        self.clouds = 0  # every holder's bit
+        for bit in held:
+            self.clouds |= bit
+        self.verdicts: Dict[int, bool] = {}  # finishers -> met
+
+    def met_by(self, finishers: int) -> bool:
+        """Whether ``finishers`` hold the blocks the cover needs."""
+        met = self.verdicts.get(finishers)
+        if met is None:
+            met = self.verdicts[finishers] = sum(
+                1 for bit in self.held if bit & finishers) >= self.needed
+        return met
+
+
+class _Deferrals:
+    """One cloud's parked defer verdicts, grouped by cover (see
+    :meth:`DownloadScheduler._next_ready`): the cover of each deferred
+    scan position; per cover, the members to re-queue if it is rejected
+    (those not re-queued already) and a heap of ``(block size,
+    position)``, whose entries for positions that left the cover are
+    skipped where met; the stamp of the last check; and a block no
+    member is smaller than."""
+
+    __slots__ = ("where", "covers", "stamp", "least")
+
+    def __init__(self):
+        self.where: Dict[int, _Cover] = {}  # position -> its cover
+        self.covers: Dict[_Cover, Tuple[set, list]] = {}
+        self.stamp: Optional[tuple] = None
+        self.least = 0
+
+    def add(self, position: int, cover: _Cover, size: int) -> None:
+        if not self.where:  # what is kept describes no member
+            self.covers.clear()
+            self.least = size
+        self.least = min(self.least, size)
+        self.where[position] = cover
+        members = self.covers.get(cover)
+        if members is None:
+            members = self.covers[cover] = (set(), [])
+        members[0].add(position)
+        heappush(members[1], (size, position))
+
+    def keep(self, position: int) -> None:
+        """A re-queued member its cover meets again stays deferred."""
+        self.covers[self.where[position]][0].add(position)
+
+    def queued(self, position: int) -> bool:
+        """Whether a deferred ``position`` sits re-queued."""
+        return position not in self.covers[self.where[position]][0]
+
+    def smallest(self, cover: _Cover) -> Optional[int]:
+        """The smallest block deferred under ``cover``; None (and the
+        cover forgotten) once it has no member."""
+        sizes = self.covers[cover][1]
+        while sizes and self.where.get(sizes[0][1]) != cover:
+            heappop(sizes)
+        if sizes:
+            return sizes[0][0]
+        del self.covers[cover]
+        return None
+
+    def reject(self, cover: _Cover) -> List[int]:
+        """The members of ``cover`` to re-queue: asked again where the
+        dispatcher reaches them, unless the cover is met again by then."""
+        members = self.covers[cover][0]
+        released = [p for p in members if self.where.get(p) == cover]
+        members.clear()
+        return released
+
+
 class DownloadScheduler(_SlotScheduler):
     """Schedules one batch of file downloads from the multi-cloud."""
 
@@ -1150,14 +1247,26 @@ class DownloadScheduler(_SlotScheduler):
         self.fetch_latencies = []
         # Dispatch structures (see _next_ready): each cloud's heap of
         # ready scan positions — positions are appended in increasing
-        # order, so each starts out a valid heap — and the positions
-        # each cloud parked on a defer verdict together with the
-        # faster-cloud set that verdict was computed under.
+        # order, so each starts out a valid heap — and its deferrals,
+        # grouped by cover (clouds as bits; see _defer_to_faster).
         self._ready: Dict[str, List[int]] = {cid: [] for cid in self.cloud_ids}
-        self._deferred: Dict[str, set] = {cid: set() for cid in self.cloud_ids}
-        self._faster: Dict[str, Tuple[str, ...]] = {}
+        self._deferred: Dict[str, _Deferrals] = {
+            cid: _Deferrals() for cid in self.cloud_ids}
+        self._cover_memo: Dict[tuple, _Cover] = {}
+        self._bits = {cid: 1 << i for i, cid in enumerate(self.cloud_ids)}
         self._refused: frozenset = frozenset()
-        self._faster_key: Optional[tuple] = None  # see _faster_clouds
+        self._faster_key: Optional[tuple] = None  # see _down_rates
+        self._rates: Dict[str, float] = {}
+        # Each cloud's fetches in flight by predicted end, and its free
+        # instant (see _occupy): None while a connection is idle.
+        self._busy: Dict[str, List[float]] = {
+            cid: [] for cid in self.cloud_ids}
+        self._free: Dict[str, Optional[float]] = dict.fromkeys(self.cloud_ids)
+        # How often each cloud may have begun to finish a block later
+        # (its estimate fell, or its last idle connection was taken) and
+        # how often its estimate rose: the deferred verdicts' stamps.
+        self._later: Dict[str, int] = dict.fromkeys(self.cloud_ids, 0)
+        self._rises: Dict[str, int] = dict.fromkeys(self.cloud_ids, 0)
         # The hedge index (see _next_hedge): in-flight fetches by the
         # instant each becomes hedge-eligible, the eligible ones in
         # scan order, and the batch's pending hedge timer as
@@ -1166,13 +1275,12 @@ class DownloadScheduler(_SlotScheduler):
         self._hedge_eligible: List[tuple] = []
         self._hedge_timer: Optional[tuple] = None
         self._begin(files)
+        sizes = [state.block_size for state in self._ordered] or [0]
+        self._block_sizes = (min(sizes), max(sizes))  # see _terms
         if self._degrade is not None and self._degrade.hedging:
             # Hedge traffic is capped as a fraction of the batch's
             # expected fetch volume (k blocks per unique segment).
-            expected = sum(
-                s.k * self.pipeline.block_size(s.record)
-                for s in self._ordered
-            )
+            expected = sum(s.k * s.block_size for s in self._ordered)
             self._hedge_budget = (
                 self.config.hedge_bytes_fraction * expected
             )
@@ -1206,7 +1314,8 @@ class DownloadScheduler(_SlotScheduler):
     def _state_for(self, record: SegmentRecord) -> _SegmentDownloadState:
         state = self._states.get(record.segment_id)
         if state is None:
-            state = _SegmentDownloadState(record)
+            state = _SegmentDownloadState(record,
+                                          self.pipeline.block_size(record))
             self._add_state(state)
             for cid in self.cloud_ids:
                 indices = record.blocks_on(cid)
@@ -1282,8 +1391,7 @@ class DownloadScheduler(_SlotScheduler):
         """Index a fetch just dispatched by its hedge-eligible instant
         (never, while ``cloud_id`` has no finite download estimate)."""
         threshold = self._degrade.hedge_threshold(
-            self.estimator.estimate(cloud_id, DOWNLOAD),
-            self.pipeline.block_size(state.record),
+            self.estimator.estimate(cloud_id, DOWNLOAD), state.block_size,
         )
         if threshold is not None:
             now = self.sim.now
@@ -1355,7 +1463,7 @@ class DownloadScheduler(_SlotScheduler):
             index, _exhausted = state.candidate_for(cloud_id)
             if index is None:
                 continue
-            nbytes = self.pipeline.block_size(state.record)
+            nbytes = state.block_size
             if self.hedged_bytes + nbytes > self._hedge_budget:
                 continue
             del eligible[position - 1]  # one hedge per slow fetch
@@ -1398,6 +1506,7 @@ class DownloadScheduler(_SlotScheduler):
         conn, cloud_id = slot.conn, slot.cloud_id
         path = self.pipeline.block_path(state.record.segment_id, index)
         start = self.sim.now
+        end = self._occupy(cloud_id, state)
         span = block_ctx = None
         if OBS.enabled:
             span, block_ctx = OBS.begin(
@@ -1414,6 +1523,7 @@ class DownloadScheduler(_SlotScheduler):
             except CloudError as exc:
                 settled = True
                 self._inflight_total -= 1
+                self._release(cloud_id, end)
                 state.settle(index)
                 state.exhausted.add((index, cloud_id))
                 self._touch(state)
@@ -1424,6 +1534,7 @@ class DownloadScheduler(_SlotScheduler):
                 return
             settled = True
             self._inflight_total -= 1
+            self._release(cloud_id, end)
             state.settle(index)
             expected = state.record.block_hashes.get(index)
             if (
@@ -1466,6 +1577,7 @@ class DownloadScheduler(_SlotScheduler):
                 # see a consistent world, and hand the slot back for
                 # the winner's pulse.
                 self._inflight_total -= 1
+                self._release(cloud_id, end)
                 if state.inflight.get(index) == cloud_id:
                     state.settle(index)
                 self._touch(state)
@@ -1504,27 +1616,40 @@ class DownloadScheduler(_SlotScheduler):
         head.  A parked segment is never evaluated again until an input
         of its verdict changes: its own ``blocks``/``inflight``/
         ``exhausted`` (each mutation that can unpark it calls
-        :meth:`_touch`), or —
-        for a defer verdict — the set F(c) of admitted clouds strictly
-        faster than this one, compared on entry with the one the parked
-        verdicts saw, so that estimator updates from anywhere, ``_dead``
-        flips and breaker moves in either direction are all seen.  The
-        ready segments are therefore a superset of the requestable ones,
-        and the smallest requestable position is what a scan of every
-        segment in order would return, in O(clouds · log segments) host
-        work per block.
+        :meth:`_touch`), or — for a defer verdict — its finishers.  A
+        defer verdict keeps its *cover* (:meth:`_defer_to_faster`), and
+        the segment only moves toward a defer between touches, so the
+        verdict stays a defer while this cloud's finishers meet the
+        cover.  Deferred segments are grouped by cover
+        (:class:`_Deferrals`).  When the stamp of the terms moved,
+        :meth:`_recheck` re-queues the members of the covers that may
+        have stopped being met; where the walk reaches such a member
+        whose cover is met again, it stays deferred without being
+        asked.  The ready segments are therefore a superset of the
+        requestable ones, and the smallest requestable position is what
+        a scan of every segment in order would return, in O(clouds ·
+        log segments) host work per block.
         """
         ready = self._ready[cloud_id]
         deferred = self._deferred[cloud_id]
-        faster = self._faster_clouds(cloud_id) if deferred else None
-        if deferred and faster != self._faster[cloud_id]:
-            for position in deferred:
-                self._ordered[position].parked.remove(cloud_id)
-                heappush(ready, position)
-            deferred.clear()
+        terms = None  # this ask's view of F(c), see _terms
+        if deferred.where:
+            terms = self._terms(cloud_id)
+            if terms[3] != deferred.stamp:
+                for position in self._recheck(deferred, terms):
+                    heappush(ready, position)
         limit = self._limit()
         while ready and ready[0] < limit:
             state = self._ordered[ready[0]]
+            cover = deferred.where.get(state.position)
+            if cover is not None:  # re-queued by a rejected cover
+                finishers = self._finishers(terms, state.block_size)
+                if cover.met_by(finishers):  # met again: still a defer
+                    heappop(ready)
+                    deferred.keep(state.position)
+                    continue
+                del deferred.where[state.position]
+                state.parked.remove(cloud_id)
             self._dispatch_scans += 1
             if state.complete:
                 heappop(ready)
@@ -1536,36 +1661,26 @@ class DownloadScheduler(_SlotScheduler):
                     state.parked.append(cloud_id)
                 continue
             if not state.saturated:
-                if faster is None:
-                    faster = (self._faster_clouds(cloud_id) if self.dynamic
-                              else ())
-                if not self._defer_to_faster(state, faster):
+                terms = terms or self._terms(cloud_id)
+                cover = self._defer_to_faster(state, terms)
+                if cover is None:
                     return (state, index)
-                if not deferred:
-                    self._faster[cloud_id] = faster
-                deferred.add(state.position)
+                deferred.add(state.position, cover, state.block_size)
             heappop(ready)
             state.parked.append(cloud_id)
+        if deferred.where:
+            deferred.stamp = terms[3]
         return None
 
     def _faster_clouds(self, cloud_id: str) -> Tuple[str, ...]:
-        """The admitted connected clouds whose download estimate
-        strictly beats ``cloud_id``'s — with a segment's own state, the
-        only input of :meth:`_defer_to_faster` (ties, e.g. two unprobed
-        clouds at ``+inf``, are not faster).  A holder the batch has no
-        connection to supplies nothing, so it is never faster.
-        Memoized over one read of each connected cloud's estimate until
-        the estimator's ``generation``, a failure count or the refused
-        set moves."""
-        key = (self.estimator.generation, self._refused,
-               tuple(self._dead.values()))
-        if key != self._faster_key:
-            estimate = self.estimator.estimate
-            self._rates = {c: estimate(c, DOWNLOAD) for c in self.cloud_ids}
-            self._faster_key, self._faster_memo = key, {}
+        """F(c): the admitted connected clouds whose download estimate
+        strictly beats ``cloud_id``'s (ties, e.g. two unprobed clouds at
+        ``+inf``, are not faster).  A holder the batch has no connection
+        to supplies nothing, so it is never faster.  Memoized over one
+        read of each connected cloud's estimate (:meth:`_down_rates`)."""
+        rates = self._down_rates()
         faster = self._faster_memo.get(cloud_id)
         if faster is None:
-            rates = self._rates
             faster = self._faster_memo[cloud_id] = tuple(
                 other for other in self.cloud_ids
                 if other != cloud_id and other not in self._refused
@@ -1574,33 +1689,182 @@ class DownloadScheduler(_SlotScheduler):
             )
         return faster
 
+    def _down_rates(self) -> Dict[str, float]:
+        """Every connected cloud's download estimate, read once until the
+        estimator's ``generation``, a failure count or the refused set
+        moves (the key of the faster-cloud memo it also resets)."""
+        key = (self.estimator.generation, self._refused,
+               tuple(self._dead.values()))
+        if key != self._faster_key:
+            estimate, was = self.estimator.estimate, self._rates
+            self._rates = {c: estimate(c, DOWNLOAD) for c in self.cloud_ids}
+            for cid, rate in self._rates.items():
+                if rate < was.get(cid, rate):
+                    self._later[cid] += 1
+                elif rate > was.get(cid, rate):
+                    self._rises[cid] += 1
+            self._faster_key, self._faster_memo = key, {}
+        return self._rates
+
+    def _terms(self, cloud_id: str) -> tuple:
+        """The per-ask terms of ``cloud_id``'s defer verdicts, clouds as
+        bits: F(c); ``(f, wait, gap)`` for each cloud f of F(c) whose
+        connections are all busy, with ``wait = free_f - now`` and ``gap
+        = 1/est_c - 1/est_f``; the finishers of every block of the batch
+        when those of its smallest and largest block agree (None
+        otherwise); and the stamp of what they have seen: F(c), how
+        often c's estimate rose, and how often each cloud of F(c) may
+        have begun to finish later (its estimate fell, or its last idle
+        connection was taken).  Nothing else makes a finisher stop
+        being one; the clock moving on never does.  The static baseline
+        defers to nobody."""
+        if not self.dynamic:
+            return 0, (), 0, None
+        clouds = self._faster_clouds(cloud_id)
+        rates, free, bits, later = (self._rates, self._free, self._bits,
+                                    self._later)
+        faster, busy, now = 0, [], self.sim.now
+        inverse = 1 / rates[cloud_id]
+        for other in clouds:
+            faster |= bits[other]
+            if free[other] is not None:
+                busy.append((bits[other], free[other] - now,
+                             inverse - 1 / rates[other]))
+        uniform = faster
+        if busy:  # the finishers of the smallest and largest block
+            least, most = self._block_sizes
+            smallest = largest = faster
+            for bit, wait, gap in busy:
+                if wait > least * gap:
+                    smallest &= ~bit
+                if wait > most * gap:
+                    largest &= ~bit
+            uniform = smallest if smallest == largest else None
+        stamp = (clouds, self._rises[cloud_id],
+                 tuple(map(later.__getitem__, clouds)))
+        return faster, busy, uniform, stamp
+
+    @staticmethod
+    def _finishers(terms: tuple, size: int) -> int:
+        """The clouds of F(c) (bits) that finish a ``size``-byte block no
+        later than c would, starting it now: ``(free_f or now) + size /
+        est_f <= now + size / est_c``, evaluated as ``wait <= size *
+        gap`` — monotone in the block size, the clock, each free instant
+        and each estimate, which the parking of defer verdicts relies
+        on.  A cloud with an idle connection always does (it is
+        faster)."""
+        finishers, busy, uniform = terms[:3]
+        if uniform is not None:
+            return uniform
+        for bit, wait, gap in busy:
+            if wait > size * gap:
+                finishers &= ~bit
+        return finishers
+
+    def _recheck(self, deferred: _Deferrals, terms: tuple) -> List[int]:
+        """The stamp moved since ``deferred`` was last checked: reject
+        the covers this ask's finishers may have stopped meeting, and
+        return their members to re-queue.  Once F(c) changed, that is
+        any cover.  Otherwise only a cloud of F(c) that does not finish
+        first for the smallest deferred block, and whose estimate fell
+        or whose last idle connection was taken since (or any such
+        cloud, if c's estimate rose), can have dropped out, so only the
+        covers counting one are suspect."""
+        stamp, was = terms[3], deferred.stamp
+        changed = -1  # every cloud
+        if was is not None and stamp[0] == was[0]:
+            changed = terms[0] & ~self._finishers(terms, deferred.least)
+            if changed and stamp[1] == was[1]:
+                moved = 0
+                for other, now, then in zip(stamp[0], stamp[2], was[2]):
+                    if now != then:
+                        moved |= self._bits[other]
+                changed &= moved
+        if not changed:
+            return []
+        return [position for cover, (members, _sizes)
+                in list(deferred.covers.items())
+                if members and cover.clouds & changed
+                and not self._still_met(deferred, terms, cover)
+                for position in deferred.reject(cover)]
+
+    def _still_met(self, deferred: _Deferrals, terms: tuple,
+                   cover: _Cover) -> bool:
+        """Whether this ask's finishers meet ``cover`` for its smallest
+        block (finishing first is monotone in the block size)."""
+        if terms[2] is not None:  # the same for every block
+            return cover.met_by(terms[2])
+        if cover.met_by(self._finishers(terms, deferred.least)):
+            return True
+        smallest = deferred.smallest(cover)
+        return smallest is None or cover.met_by(
+            self._finishers(terms, smallest))
+
+    def _occupy(self, cloud_id: str,
+                state: _SegmentDownloadState) -> Optional[float]:
+        """A fetch of one of ``state``'s blocks starts on a connection of
+        ``cloud_id``: returns its predicted end, ``now + block size /
+        estimate``.  Taking the cloud's last idle connection sets its
+        free instant to the earliest predicted end in flight.  The
+        static baseline predicts nothing."""
+        if not self.dynamic:
+            return None
+        end = self.sim.now + state.block_size / self._down_rates()[cloud_id]
+        busy = self._busy[cloud_id]
+        busy.append(end)
+        if len(busy) == self.config.connections_per_cloud:
+            self._free[cloud_id] = min(busy)
+            self._later[cloud_id] += 1
+        return end
+
+    def _release(self, cloud_id: str, end: Optional[float]) -> None:
+        """The fetch :meth:`_occupy` predicted to end at ``end`` settled:
+        its connection is idle, so the cloud is free now."""
+        if end is not None:
+            self._busy[cloud_id].remove(end)
+            self._free[cloud_id] = None
+
     def _touch(self, state: _SegmentDownloadState) -> None:
         """``state``'s blocks/inflight/exhausted just changed: re-queue
         it for every cloud that parked it."""
         position = state.position
         for cloud_id in state.parked:
-            heappush(self._ready[cloud_id], position)
-            self._deferred[cloud_id].discard(position)
+            deferred = self._deferred[cloud_id]
+            if not (position in deferred.where and deferred.queued(position)):
+                heappush(self._ready[cloud_id], position)
+            deferred.where.pop(position, None)
         state.parked.clear()
 
     def _defer_to_faster(self, state: _SegmentDownloadState,
-                         faster: Tuple[str, ...]) -> bool:
+                         terms: tuple) -> Optional[_Cover]:
         """The paper's sorted assignment: the next block goes to the
-        idle connection of the *fastest* cloud.  A slower cloud backs
-        off whenever ``faster``, its F(c) (strictly faster, neither dead
-        nor refused), can still supply all the blocks this segment is
-        missing.  The static baseline never defers."""
-        if not self.dynamic:
-            return False
+        idle connection of the *fastest* cloud.  A slower cloud c backs
+        off when its *finishers* — the clouds of its F(c) (strictly
+        faster, neither dead nor refused) that finish a block of this
+        segment no later than c would (:meth:`_finishers` of this ask's
+        ``terms``) — can still supply all the blocks the segment is
+        missing.  While a faster holder has an idle connection this is
+        the paper's rule; when all its connections are busy past c's
+        own finish, c fetches.  The static baseline has no F(c), so it
+        never defers.  Returns None (fetch) or the verdict's cover."""
+        faster, bits = terms[0], self._bits
         needed = (state.k - len(state.blocks) - len(state.inflight)
                   + len(state.hedged))
-        faster_supply = 0
-        for index, holder in state.record.locations.items():
-            if (holder in faster and index not in state.blocks
-                    and index not in state.inflight
-                    and (index, holder) not in state.exhausted):
-                faster_supply += 1
-        return faster_supply >= needed
+        blocks, inflight, exhausted = (state.blocks, state.inflight,
+                                       state.exhausted)
+        held = [bit for index, holder in state.record.locations.items()
+                if (bit := bits.get(holder, 0) & faster)
+                and index not in blocks and index not in inflight
+                and not (exhausted and (index, holder) in exhausted)]
+        finishers = self._finishers(terms, state.block_size)
+        if sum(map(bool, map(finishers.__and__, held))) < needed:
+            return None
+        held.sort()
+        key = (needed, tuple(held))
+        cover = self._cover_memo.get(key)
+        if cover is None:
+            cover = self._cover_memo[key] = _Cover(*key)
+        return cover
 
     def _settled(self, path: str) -> bool:
         """A file the static baseline is done with: every segment

@@ -245,3 +245,27 @@ def test_fused_matmul_matches_chunked_reference(rows, inner, width, seed,
     got = gfm.matmul_rows(a, [b[j] for j in range(inner)], out)
     assert got is out
     assert (out == expected).all()
+
+
+def test_narrow_decode_plans_hold_no_pair_tables():
+    """A k x k decode matrix is one of the C(n, k) a read cycles through
+    (120 for 3-of-10): on small segments its plan gathers one
+    coefficient per 256-entry table instead of holding a 64 Ki-entry
+    table per column pair (256 KiB per plan).  Wide operands, and the
+    encode generator (one per code), keep the pair tables.  Every plan
+    stays bit-identical to the reference."""
+    code = ReedSolomonCode(10, 3)
+    generator = code.generator_matrix
+    decode = gfm.invert(generator[[4, 7, 9]])
+    narrow = gfm._FUSED_MIN_WIDTH
+    plan = gfm._plan_for(decode, narrow)
+    assert not plan.pairs and plan.singles == [0, 1, 2]
+    assert sum(table.nbytes for tables in plan.single_tables
+               for table in tables) <= 4096
+    assert gfm._plan_for(decode, gfm._PAIRED_MIN_WIDTH).pairs
+    assert gfm._plan_for(generator, narrow).pairs
+    rng = np.random.default_rng(5)
+    for width in (narrow + 3, gfm._PAIRED_MIN_WIDTH):
+        b = rng.integers(0, 256, size=(3, width), dtype=np.uint8)
+        for a in (decode, generator):
+            assert (gfm.matmul(a, b) == gfm.matmul_reference(a, b)).all()

@@ -97,14 +97,30 @@ def candidate_index(state, cloud_id):
     return None
 
 
+def free_instant(sched, cloud_id):
+    """When ``cloud_id`` can start a fetch: now while fewer fetches run
+    on it than it has connections, else the earliest predicted end
+    among them."""
+    busy = sched._busy[cloud_id]
+    if len(busy) < sched.config.connections_per_cloud:
+        return sched.sim.now
+    return min(busy)
+
+
 def defer_to_faster_reference(sched, state, cloud_id):
-    """The defer verdict read straight from the estimator: strictly
-    faster connected clouds, neither dead nor refused, hold at least the
-    blocks the segment is missing."""
+    """The defer verdict read straight from the estimator and the
+    fetches in flight: strictly faster connected clouds, neither dead
+    nor refused, that finish a block no later than ``cloud_id`` would,
+    starting it now, hold at least the blocks the segment is missing.
+    "Finish no later", ``free + size/est_f <= now + size/est_c``, is
+    evaluated as ``free - now <= size * (1/est_c - 1/est_f)``, the
+    float-monotone form the scheduler parks on."""
     needed = (state.k - len(state.blocks) - len(state.inflight)
               + len(state.hedged))
     estimate = sched.estimator.estimate
     mine = estimate(cloud_id, "down")
+    size = sched.pipeline.block_size(state.record)
+    now = sched.sim.now
     threshold = sched.config.cloud_failure_threshold
     faster_supply = 0
     for index, holder in state.record.locations.items():
@@ -117,7 +133,9 @@ def defer_to_faster_reference(sched, state, cloud_id):
             continue
         if sched._dead.get(holder, 0) >= threshold:
             continue
-        if estimate(holder, "down") > mine:
+        rate = estimate(holder, "down")
+        if rate > mine and (free_instant(sched, holder) - now
+                            <= size * (1 / mine - 1 / rate)):
             faster_supply += 1
     return faster_supply >= needed
 

@@ -37,9 +37,9 @@ LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 #: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "2c13fae5189643d0511b216a5256d495057e4685fcad99830e6e4eb32fa74590",
-    "chrome": "1876a10a564c54e4c20169871a9852fd370e788f5a00f93f781fa7e6fd5b8ec7",
-    "telemetry": "856780bfeb6a1476609cd6621f9c6d21f230f63510f0d2f5d48243fe7f88406b",
+    "jsonl": "765df87404d180d4d23a731f73efbee239686f2e69889a0ec86cb96700a287b6",
+    "chrome": "5bbf1925b474941d7ab56c355b2b7d5595e82863ade17657dc5ab954f3be64f7",
+    "telemetry": "474d3d3f3a3454a78c0ac3239a4a7915bc0e418ef653386bd4737ec185e198cd",
 }
 
 
