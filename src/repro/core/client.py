@@ -56,7 +56,7 @@ from .metadata import (
 )
 from .pipeline import BlockPipeline, block_hash_many
 from .placement import fair_share, normal_block_count
-from .probing import ThroughputEstimator
+from .probing import DOWNLOAD, ThroughputEstimator
 from .retry import RetryPolicy
 from .scheduler import (
     DownloadScheduler,
@@ -81,6 +81,11 @@ class SyncError(Exception):
     """A sync round could not complete (e.g. metadata quorum failed)."""
 
 
+def _reaches(delta: DeltaLog) -> int:
+    """The version a base + ``delta`` pair reconstructs."""
+    return max(delta.latest_version(), delta.base_marker(), 0)
+
+
 @dataclass
 class SyncReport:
     """What one :meth:`UniDriveClient.sync` round did."""
@@ -95,6 +100,9 @@ class SyncReport:
     upload_report: Optional[object] = None
     download_report: Optional[object] = None
     committed_version: Optional[int] = None
+    #: Paths the image lists that this device could not download yet
+    #: (too few blocks reachable); a later round retries them.
+    unfetched: List[str] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -166,10 +174,12 @@ class UniDriveClient:
         self._pending_changes: Dict[str, ChangeKind] = {}
         self._pending_fetch: set = set()
         # Per-cloud version counters from the most recent poll
-        # (_check_cloud_update); _publish_delta consults them to pick a
-        # *fresh* cloud to extend the delta from.  None = unreachable,
-        # missing or undecodable at poll time.
+        # (_check_cloud_update); metadata reads try replicas known to be
+        # stale last, and _publish_delta extends only a *fresh* one.
+        # None = unreachable, missing or undecodable at poll time.
         self._poll_counters: Dict[str, Optional[int]] = {}
+        #: Set by a round that changed something; the next poll pays it.
+        self._heartbeat_due = False
         #: This device's decoded metadata, one slot per cloud file:
         #: ``"base" -> (blob, SyncFolderImage)``, ``"delta" -> (blob,
         #: DeltaLog)``.  Keyed by the blob *bytes* this device downloaded
@@ -257,11 +267,12 @@ class UniDriveClient:
             yield from self.lock.cleanup()
             self.journal.mark_lock(False)
         self._collect_local_changes()
-        if self.image.version.counter == 0:
+        bootstrap = self.image.version.counter == 0
+        if bootstrap:
             yield from self._bootstrap(report)
         if self._pending_changes:
             yield from self._commit_local_update(report)
-        else:
+        elif not bootstrap:  # a bootstrap has just polled
             remote = yield from self._check_cloud_update()
             if remote is not None:
                 yield from self._apply_cloud_only_update(report, remote)
@@ -274,8 +285,9 @@ class UniDriveClient:
             yield from self._materialize(
                 self.image, sorted(self._pending_fetch), report
             )
+        report.unfetched = sorted(self._pending_fetch)
         if report.changed_anything or report.committed_version is not None:
-            yield from self._publish_heartbeat()
+            self._heartbeat_due = True
 
     def run_forever(self):
         """Periodic sync loop (interval τ plus small jitter).
@@ -309,7 +321,11 @@ class UniDriveClient:
             return  # empty cloud: pending local files commit normally
         cloud_image = yield from self._fetch_metadata(expect=remote.counter)
         self.image = cloud_image
+        # Adopting a version applies it, even into a folder that matches
+        # (a reinstall, or a resume whose crash lost a due heartbeat).
+        self._heartbeat_due = True
         to_fetch: List[str] = []
+        copies: List[str] = []
         for path, entry in sorted(cloud_image.files.items()):
             if not self.fs.exists(path):
                 to_fetch.append(path)
@@ -329,8 +345,9 @@ class UniDriveClient:
                 )
                 self._pending_changes.pop(path, None)
                 self._pending_changes[copy_path] = ChangeKind.ADD
+                copies.append(copy_path)
                 to_fetch.append(path)
-        yield from self._materialize(cloud_image, to_fetch, report)
+        yield from self._materialize(cloud_image, to_fetch, report, copies)
 
     # -- local-update path (lines 2-14 of Algorithm 1) -----------------------
 
@@ -545,6 +562,9 @@ class UniDriveClient:
         A cloud whose version file does not download or parse is one we
         cannot poll; when files exist but none parses, the round fails
         (:class:`SyncError`) — a rotted folder is not an empty one.
+        A due heartbeat (the version this device has applied, paper
+        §6.2) rides in the same gather, best effort: it is a lower
+        bound, so one round late only delays a reclaim.
         """
 
         def poll(conn):
@@ -558,9 +578,14 @@ class UniDriveClient:
             self.metadata_bytes += len(blob)
             return stamp
 
-        outcomes = yield from gather_safe(
-            self.sim, [poll(conn) for conn in self.connections]
-        )
+        requests = [poll(conn) for conn in self.connections]
+        if self._heartbeat_due:
+            self._heartbeat_due = False
+            blob = serialize_heartbeat(self.device, self.image.version.counter)
+            requests += [conn.upload(self._heartbeat_path, blob)
+                         for conn in self.connections]
+        # The heartbeat's outcomes trail the polls' and are not read.
+        outcomes = yield from gather_safe(self.sim, requests)
         best: Optional[VersionStamp] = None
         counters: Dict[str, Optional[int]] = {}
         for conn, (_ok, stamp) in zip(self.connections, outcomes):
@@ -606,7 +631,8 @@ class UniDriveClient:
     # -- metadata transport -------------------------------------------------
 
     def _fetch_metadata(self, expect: Optional[int] = None):
-        """Download delta + base from a *fresh* reachable cloud.
+        """Download delta + base from a *fresh* reachable cloud, trying
+        replicas in :meth:`_replicas` order.
 
         The delta comes first: when its :func:`op_base_version` marker
         names the base this device holds (:attr:`_held`), the delta
@@ -630,7 +656,7 @@ class UniDriveClient:
                 expect=expect,
             )
         last_error: Optional[object] = None
-        for conn in self.connections:
+        for conn in self._replicas(expect):
             if self._budget is not None and self._budget.expired:
                 last_error = "round deadline budget exhausted"
                 break
@@ -684,6 +710,18 @@ class UniDriveClient:
         if span is not None:
             OBS.end(span, t=self.sim.now, error="SyncError")
         raise SyncError(f"{self.device}: no cloud served metadata ({last_error})")
+
+    def _replicas(self, expect: Optional[int] = None) -> List[CloudAPI]:
+        """The order metadata reads try clouds in: fastest download
+        estimate first (stable; unprobed clouds lead), then those whose
+        polled counter is known to be below ``expect``."""
+        def stale(cloud_id):
+            counter = self._poll_counters.get(cloud_id)
+            return None not in (expect, counter) and counter < expect
+
+        ids = [conn.cloud_id for conn in self.connections]
+        return [self._connection(cid) for cid in
+                sorted(self.estimator.rank(ids, DOWNLOAD), key=stale)]
 
     def _read_replica(self, conn: CloudAPI, path: str, parse,
                       retried: bool = True, budget=None):
@@ -747,11 +785,8 @@ class UniDriveClient:
         delta_blob = fresh_delta.to_bytes(self.config.metadata_key)
         version_blob = serialize_version(image.version)
         yield from self._replicate(
-            [
-                (self._base_path, base_blob),
-                (self._delta_path, delta_blob),
-                (self._version_path, version_blob),
-            ]
+            [(self._base_path, base_blob), (self._delta_path, delta_blob)],
+            [(self._version_path, version_blob)],
         )
         # What we sealed ourselves we need not unseal when it comes back
         # (the caller goes on to mutate ``image``, hence the copy).
@@ -762,24 +797,30 @@ class UniDriveClient:
         """Append ops to the cloud delta, or fold into a new base at λ.
 
         ``image`` carries the *new* (already incremented) version, so
-        the delta being extended must reconstruct exactly
-        ``image.version.counter - 1``.  The donor cloud is chosen from
-        the version counters of the poll that ran moments ago under the
-        same lock hold (:meth:`_check_cloud_update`): only clouds whose
-        version file matched the previous commit are candidates, since
-        a replica that missed commits would drop their operations from
-        the log.  When no reachable cloud holds a fresh pair, fall back
-        to folding: publishing a full base from our own image is always
-        safe and heals stale replicas.
+        the delta being extended must reconstruct exactly ``expected =
+        image.version.counter - 1``, which the poll that ran moments
+        ago under the same lock hold (:meth:`_check_cloud_update`) found
+        newest on the *fresh* clouds.  When the delta this device holds
+        reaches ``expected`` over the held base it names, it is that
+        pair: it is extended with no download, and the held base gives
+        the fold threshold its size.  Otherwise the delta comes from a
+        fresh cloud (a replica that missed commits would drop their
+        operations from the log) and the size from its listing.  With
+        no fresh pair anywhere, fold: publishing a full base from our
+        own image is always safe and heals stale replicas.
         """
         expected = image.version.counter - 1
         fresh = [
             conn
-            for conn in self.connections
+            for conn in self._replicas()
             if self._poll_counters.get(conn.cloud_id) == expected
         ]
         existing: Optional[DeltaLog] = None
         base_size = 0
+        base, held = self._held.get("base"), self._held.get("delta")
+        if (fresh and base and held and _reaches(held[1]) == expected
+                and held[1].named_base() == base_name(base[0])):
+            existing, base_size, fresh = held[1].copy(), len(base[0]), []
         for conn in fresh:
             try:
                 blob, candidate = yield from self._read_replica(
@@ -789,9 +830,7 @@ class UniDriveClient:
                 # Defense in depth: the pair must actually reconstruct
                 # the previous commit (version files only witness the
                 # write).
-                reaches = max(
-                    candidate.latest_version(), candidate.base_marker(), 0
-                )
+                reaches = _reaches(candidate)
                 if expected > 0 and reaches != expected:
                     raise MetadataError(
                         f"{conn.cloud_id}: delta reaches v{reaches}, "
@@ -829,15 +868,14 @@ class UniDriveClient:
         delta_blob = existing.to_bytes(self.config.metadata_key)
         version_blob = serialize_version(image.version)
         yield from self._replicate(
-            [
-                (self._delta_path, delta_blob),
-                (self._version_path, version_blob),
-            ]
+            [(self._delta_path, delta_blob)],
+            [(self._version_path, version_blob)],
         )
         self._held["delta"] = (delta_blob, existing)
 
-    def _replicate(self, payloads: List[Tuple[str, bytes]]):
-        """Upload each (path, blob) to every cloud; need a write quorum.
+    def _replicate(self, *hops: List[Tuple[str, bytes]]):
+        """Upload each hop's (path, blob)s to every cloud, a hop's files
+        concurrently, the next hop once they landed; need a write quorum.
 
         Individual requests run under the unified :class:`RetryPolicy`:
         transient failures back off (with jitter) and retry — metadata
@@ -867,13 +905,19 @@ class UniDriveClient:
             self.degrade.note_dispatch(conn.cloud_id, now)
 
         def upload_all(conn):
-            for path, blob in payloads:
-                yield from self.retry.run(
-                    self.sim,
-                    lambda c=conn, p=path, b=blob: c.upload(p, b),
-                    rng=self.rng,
-                    budget=self._budget,
-                )
+            for hop in hops:
+                outcomes = yield from gather_safe(self.sim, [
+                    self.retry.run(
+                        self.sim,
+                        lambda c=conn, p=path, b=blob: c.upload(p, b),
+                        rng=self.rng,
+                        budget=self._budget,
+                    )
+                    for path, blob in hop
+                ])
+                for ok, exc in outcomes:
+                    if not ok:
+                        raise exc
             return True
 
         outcomes = yield from gather_safe(
@@ -894,7 +938,8 @@ class UniDriveClient:
                 f"{self.device}: metadata write reached only "
                 f"{successes}/{len(self.connections)} clouds"
             )
-        self.metadata_bytes += successes * sum(len(b) for _p, b in payloads)
+        self.metadata_bytes += successes * sum(
+            len(blob) for hop in hops for _path, blob in hop)
 
     # -- materializing remote state locally ---------------------------------
 
@@ -902,11 +947,13 @@ class UniDriveClient:
                           current: SyncFolderImage, report: SyncReport):
         changes = diff_images(previous, current)
         to_fetch: List[str] = []
+        deleted: List[str] = []
         for path, (kind, snapshot) in sorted(changes.items()):
             if kind == "delete":
                 if self.fs.exists(path):
                     self.fs.delete_file(path)
                     report.deleted_files.append(path)
+                    deleted.append(path)
                 continue
             if snapshot.device == self.device and self._disk_matches(snapshot):
                 # Our own commit, fresh from this folder — already local.
@@ -917,7 +964,7 @@ class UniDriveClient:
                 # would leave this folder diverged from the image.
                 continue
             to_fetch.append(path)
-        yield from self._materialize(current, to_fetch, report)
+        yield from self._materialize(current, to_fetch, report, deleted)
 
     def _disk_matches(self, snapshot: FileSnapshot) -> bool:
         """Is the folder's copy of this path the snapshot's content?"""
@@ -931,7 +978,9 @@ class UniDriveClient:
         return [s.segment_id for s in segments] == snapshot.segment_ids
 
     def _materialize(self, image: SyncFolderImage, paths: List[str],
-                     report: SyncReport):
+                     report: SyncReport, wrote: Sequence[str] = ()):
+        """Download ``paths`` of ``image``; the watcher then absorbs
+        these writes and ``wrote`` (the round's others), nothing else."""
         wants = []
         for path in paths:
             entry = image.files.get(path)
@@ -969,6 +1018,7 @@ class UniDriveClient:
                 failed_requests=batch.failed_requests,
             )
         report.download_report = batch
+        wrote = list(wrote)
         for file_report in batch.files:
             if file_report.content is None:
                 # Not enough clouds right now; retry on a later sync.
@@ -980,8 +1030,8 @@ class UniDriveClient:
             )
             self.block_bytes += len(file_report.content)
             report.downloaded_files.append(file_report.path)
-        # Swallow the watcher events our own writes just generated.
-        self._absorb_own_writes()
+            wrote.append(file_report.path)
+        self.watcher.absorb(wrote)
 
     def _handle_conflict_copies(self, conflicts: List[str],
                                 image: SyncFolderImage) -> None:
@@ -999,30 +1049,10 @@ class UniDriveClient:
             copy_path = f"{path}.conflict-{self.device}"
             self.fs.write_file(copy_path, local_content, mtime=self.sim.now)
             copies.add(copy_path)
-        for change in self.watcher.poll():
-            if change.path in copies:
-                self._pending_changes[change.path] = change.kind
-
-    def _absorb_own_writes(self, keep_new_files: bool = False) -> None:
-        for change in self.watcher.poll():
-            if keep_new_files and change.kind is ChangeKind.ADD:
-                self._pending_changes[change.path] = change.kind
+        for change in self.watcher.absorb(copies):
+            self._pending_changes[change.path] = change.kind
 
     # -- device heartbeats & fully-synced GC ---------------------------------
-
-    def _publish_heartbeat(self):
-        """Advertise the metadata version this device has applied.
-
-        Heartbeat files let any device tell when a version has reached
-        *every* device — the paper's trigger for reclaiming
-        over-provisioned blocks (§6.2).  Best effort: a stale heartbeat
-        only delays garbage collection, never correctness.
-        """
-        blob = serialize_heartbeat(self.device, self.image.version.counter)
-        yield from gather_safe(
-            self.sim,
-            [conn.upload(self._heartbeat_path, blob) for conn in self.connections],
-        )
 
     def fleet_applied_versions(self):
         """Read every device's heartbeat; returns {device: version}.
@@ -1145,7 +1175,7 @@ class UniDriveClient:
                         f"{self.device}: cannot fetch conflict copy of {path}"
                     )
                 self.fs.write_file(path, content, mtime=self.sim.now)
-                self._absorb_own_writes()
+                self.watcher.absorb([path])
             image.resolve_conflict(path, keep_index)
             image.version = VersionStamp(
                 image.version.counter + 1, self.device

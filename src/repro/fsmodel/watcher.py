@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from .virtual_fs import FileStat
 
@@ -68,3 +68,13 @@ class FolderWatcher:
         changes = diff_snapshots(self._last, current)
         self._last = current
         return changes
+
+    def absorb(self, paths: Iterable[str]) -> List[Change]:
+        """Advance past the changes to ``paths`` alone (a sync round's
+        own writes) and return them; any other change, such as a user's
+        edit made while the round ran, is left for the next poll."""
+        paths, current = set(paths), self.filesystem.scan()
+        old = {p: self._last.pop(p) for p in paths if p in self._last}
+        new = {p: current[p] for p in paths if p in current}
+        self._last.update(new)
+        return diff_snapshots(old, new)

@@ -389,3 +389,27 @@ def test_version_poll_ignores_unparseable_version_files():
         "cloud0": None, "cloud1": None, "cloud2": None, "cloud3": None,
         "cloud4": 1,
     }
+
+
+
+def test_an_edit_made_while_a_round_downloads_is_not_swallowed():
+    """The reader's user writes /mine while the reader's round is
+    downloading /a.  The round takes in only the writes it made itself;
+    the edit stays a change, and the next round commits it."""
+    env = make_fleet(2, config=CONFIG)
+    writer, reader = env.devices
+    write(env, 0, "/a", content_bytes(1))
+    sync(env, 0)
+    conn = reader.connections[0]
+
+    def download(path, *args, _raw=conn.download, **kwargs):
+        if path.startswith(CONFIG.blocks_dir) and not reader.fs.exists("/mine"):
+            write(env, 1, "/mine", content_bytes(2))
+        return (yield from _raw(path, *args, **kwargs))
+
+    conn.download = download
+    report = sync(env, 1)
+    assert report.downloaded_files == ["/a"] and reader.fs.exists("/mine")
+    assert sync(env, 1).uploaded_files == ["/mine"]
+    sync(env, 0)
+    assert writer.fs.read_file("/mine") == content_bytes(2)

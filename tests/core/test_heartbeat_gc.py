@@ -21,11 +21,21 @@ def total_blocks(clouds):
     )
 
 
+def publish_heartbeats(sim, *clients):
+    """One more round each: its version poll carries the heartbeat the
+    last round left due."""
+    for client in clients:
+        sim.run_process(client.sync())
+
+
 def test_heartbeats_published_after_sync():
     sim, clouds, clients = make_fleet(2, config=CONFIG)
     clients[0].fs.write_file("/f", payload(1), mtime=sim.now)
     sim.run_process(clients[0].sync())
     sim.run_process(clients[1].sync())
+    # Due, not yet published: no round waits on its own heartbeat.
+    assert sim.run_process(clients[0].fleet_applied_versions()) == {}
+    publish_heartbeats(sim, *clients)
     versions = sim.run_process(clients[0].fleet_applied_versions())
     assert versions == {"device0": 1, "device1": 1}
 
@@ -36,9 +46,11 @@ def lagging_fleet():
     clients[0].fs.write_file("/f", payload(2), mtime=sim.now)
     sim.run_process(clients[0].sync())
     sim.run_process(clients[1].sync())  # both at version 1
+    publish_heartbeats(sim, clients[1])
     # Device 0 commits version 2; device 1 has not applied it yet.
     clients[0].fs.write_file("/g", payload(3), mtime=sim.now)
     sim.run_process(clients[0].sync())
+    publish_heartbeats(sim, clients[0])
     return sim, clouds, clients
 
 
@@ -49,6 +61,8 @@ def test_gc_waits_for_lagging_device():
     before = total_blocks(clouds)
     # Once device 1 catches up, GC proceeds and reclaims extras.
     sim.run_process(clients[1].sync())
+    assert sim.run_process(clients[0].gc_if_fully_synced()) is False
+    publish_heartbeats(sim, clients[1])
     ran = sim.run_process(clients[0].gc_if_fully_synced())
     assert ran is True
     sim.run()
@@ -80,6 +94,7 @@ def test_gc_keeps_data_recoverable():
     clients[0].fs.write_file("/keep", data, mtime=sim.now)
     sim.run_process(clients[0].sync())
     sim.run_process(clients[1].sync())
+    publish_heartbeats(sim, *clients)
     assert sim.run_process(clients[0].gc_if_fully_synced())
     sim.run()
     # After reclaiming extras only fair shares remain: exactly one

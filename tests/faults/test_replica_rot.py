@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cloud.errors import QuotaExceededError, RequestFailedError
 from repro.core import UniDriveConfig
 from repro.core.client import SyncError
+from repro.core.probing import DOWNLOAD
 from repro.crypto import decrypt_cbc, encrypt_cbc, synthetic_iv
 from repro.workloads import make_fleet
 
@@ -99,6 +101,14 @@ def heartbeat_path(device):
     return f"{META}/device_{device}"
 
 
+def synced_heartbeats(env):
+    """The reader bootstraps to version 2; one more round each publishes
+    the heartbeats those rounds left due (a poll carries them)."""
+    writer, reader = env.devices
+    for device in (reader, reader, writer):
+        env.sim.run_process(device.sync())
+
+
 def assert_bootstrapped(reader):
     assert reader.image.version.counter == 2
     assert reader.fs.read_file("/one") == payload(1)
@@ -111,7 +121,7 @@ def test_one_rotted_replica_is_skipped(kind, how):
     env = committed_fleet()
     writer, reader = env.devices
     if kind == "heartbeat":
-        env.sim.run_process(reader.sync())
+        synced_heartbeats(env)
         damage(env.clouds[0], kind, heartbeat_path(reader.device), how)
         versions = env.sim.run_process(writer.fleet_applied_versions())
         assert versions == {"device0": 2, "device1": 2}
@@ -142,7 +152,7 @@ def test_rot_on_every_replica_fails_the_round_cleanly(kind, how):
     env = committed_fleet()
     writer, reader = env.devices
     if kind == "heartbeat":
-        env.sim.run_process(reader.sync())
+        synced_heartbeats(env)
         for cloud in env.clouds:
             damage(cloud, kind, heartbeat_path(reader.device), how)
         versions = env.sim.run_process(writer.fleet_applied_versions())
@@ -197,7 +207,7 @@ def test_infinite_heartbeat_is_unknown_not_a_crash():
     waits for it."""
     env = committed_fleet()
     writer, reader = env.devices
-    env.sim.run_process(reader.sync())
+    synced_heartbeats(env)
     blob = b'{"device": "device1", "applied": Infinity}'
     for cloud in env.clouds:
         cloud.store.put(heartbeat_path("device1"), blob, mtime=0.0)
@@ -223,6 +233,16 @@ def base_downloads(device):
     return started
 
 
+def read_order(env, reader):
+    """The clouds in the order ``reader``'s metadata reads try them:
+    fastest download estimate first (every replica here is fresh)."""
+    ranked = reader.estimator.rank(
+        [cloud.cloud_id for cloud in env.clouds], DOWNLOAD
+    )
+    by_id = {cloud.cloud_id: cloud for cloud in env.clouds}
+    return [by_id[cloud_id] for cloud_id in ranked]
+
+
 def commit(device, sim, name, seed):
     device.fs.write_file(name, payload(seed), mtime=sim.now)
     sim.run_process(device.sync())
@@ -230,21 +250,22 @@ def commit(device, sim, name, seed):
 
 def test_a_rotted_base_the_reader_holds_is_not_read():
     """The reader holds base v1; device0's third commit extends it, so
-    the reader fetches only cloud0's delta and never meets the garbage
-    on cloud0's base replica."""
+    the reader fetches only the delta of the replica it reads first and
+    never meets the garbage on that cloud's base replica."""
     env = committed_fleet()
     writer, reader = env.devices
     env.sim.run_process(reader.sync())
     held = reader._held["base"][0]
     commit(writer, env.sim, "/three", 3)
-    env.clouds[0].store.put(f"{META}/base", b"\x00" * len(held), mtime=0.0)
+    first = read_order(env, reader)[0]
+    first.store.put(f"{META}/base", b"\x00" * len(held), mtime=0.0)
     started = base_downloads(reader)
     with obs.isolated(sim=env.sim) as (_tracer, metrics):
         env.sim.run_process(reader.sync())
     assert reader.image.version.counter == 3
     assert reader.fs.read_file("/three") == payload(3)
     assert started == []
-    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+    assert metrics.counter_value("metadata_skips", cloud=first.cloud_id,
                                  reason="undecodable") == 0
     assert reader._held["base"][0] == held
 
@@ -252,8 +273,8 @@ def test_a_rotted_base_the_reader_holds_is_not_read():
 def test_a_rotted_base_after_a_fold_is_skipped():
     """The reader holds base v1, and a merge folded the folder into base
     v4 since: the marker names a base the reader lacks, so it downloads
-    cloud0's rotted base, skips that cloud as undecodable and reads
-    cloud1's pair."""
+    the rotted base of the replica it reads first, skips that cloud as
+    undecodable and reads the next one's pair."""
     env = make_fleet(3, config=CONFIG)
     writer, reader, other = env.devices
     for name, seed in (("/one", 1), ("/two", 2)):
@@ -263,35 +284,38 @@ def test_a_rotted_base_after_a_fold_is_skipped():
     commit(writer, env.sim, "/three", 3)
     commit(other, env.sim, "/four", 4)  # v3 is news: a merge, a new base
     assert other.image.version.counter == 4
-    damage(env.clouds[0], "base", f"{META}/base", "bit-flipped")
+    first, second = read_order(env, reader)[:2]
+    damage(first, "base", f"{META}/base", "bit-flipped")
     started = base_downloads(reader)
     with obs.isolated(sim=env.sim) as (_tracer, metrics):
         env.sim.run_process(reader.sync())
     assert reader.image.version.counter == 4
     assert reader.fs.read_file("/four") == payload(4)
-    assert started == ["cloud0", "cloud1"]
-    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+    assert started == [first.cloud_id, second.cloud_id]
+    assert metrics.counter_value("metadata_skips", cloud=first.cloud_id,
                                  reason="undecodable") == 1
-    assert reader._held["base"][0] == env.clouds[1].store.get(f"{META}/base")
+    assert reader._held["base"][0] == second.store.get(f"{META}/base")
 
 
 @pytest.mark.parametrize("counter, skipped", [(1, 0), (0, 1)],
                          ids=["pair-ok", "corrupt-pair"])
 def test_a_marker_naming_another_base_downloads_the_base(counter, skipped):
-    """cloud0's delta is resealed with a marker that names a base the
-    reader does not hold: the reader downloads cloud0's base and runs
-    the pair check on it — it passes when the marker's counter matches
-    that base, and skips the cloud as a corrupt pair when not."""
+    """The delta of the replica the reader reads first is resealed with
+    a marker that names a base the reader does not hold: the reader
+    downloads that cloud's base and runs the pair check on it — it
+    passes when the marker's counter matches that base, and skips the
+    cloud as a corrupt pair when not."""
     env = committed_fleet()
     writer, reader = env.devices
     env.sim.run_process(reader.sync())
     commit(writer, env.sim, "/three", 3)
+    first = read_order(env, reader)[0]
     path = f"{META}/delta"
     ops = [json.loads(line) for line in
-           decrypt_cbc(KEY, env.clouds[0].store.get(path)).splitlines()]
+           decrypt_cbc(KEY, first.store.get(path)).splitlines()]
     assert ops[0]["op"] == "base_version"
     ops[0].update(counter=counter, base="0123456789abcdef")
-    env.clouds[0].store.put(
+    first.store.put(
         path, seal("\n".join(json.dumps(op) for op in ops).encode()),
         mtime=0.0,
     )
@@ -300,6 +324,51 @@ def test_a_marker_naming_another_base_downloads_the_base(counter, skipped):
         env.sim.run_process(reader.sync())
     assert reader.image.version.counter == 3
     assert reader.fs.read_file("/three") == payload(3)
-    assert started == ["cloud0"]
-    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+    assert started == [first.cloud_id]
+    assert metrics.counter_value("metadata_skips", cloud=first.cloud_id,
                                  reason="corrupt-pair") == skipped
+
+
+@pytest.mark.parametrize("torn", ["delta", "base"])
+def test_a_torn_fold_is_skipped_as_a_corrupt_pair(torn):
+    """A fold uploads base ∥ delta, then the version file.  On cloud0
+    one of the pair's writes fails for good while the other lands, so
+    cloud0 pairs a v4 file with a v3 one, and its version file, written
+    last, still says v3.  A fresh reader that cannot poll cloud0 does
+    not know that replica is stale, reads it first, and skips it as a
+    corrupt pair."""
+    env = make_fleet(3, config=CONFIG)
+    writer, reader, other = env.devices
+    for name, seed in (("/one", 1), ("/two", 2)):
+        commit(writer, env.sim, name, seed)
+    env.sim.run_process(other.sync())
+    commit(writer, env.sim, "/three", 3)
+    before = {kind: env.clouds[0].store.get(f"{META}/{kind}")
+              for kind in ("base", "delta", "version")}
+
+    def refuse(conn, path, error):
+        def request(name, *args, _raw=getattr(conn, error[0]), **kwargs):
+            if name == path:
+                raise error[1](conn.cloud_id, "refused")
+            return (yield from _raw(name, *args, **kwargs))
+        setattr(conn, error[0], request)
+
+    refuse(other.connections[0], f"{META}/{torn}",
+           ("upload", QuotaExceededError))
+    commit(other, env.sim, "/four", 4)  # v3 is news: a merge, a new base
+    assert other.image.version.counter == 4
+    after = {kind: env.clouds[0].store.get(f"{META}/{kind}")
+             for kind in ("base", "delta", "version")}
+    assert after[torn] == before[torn] and after["version"] == before["version"]
+    kept = "base" if torn == "delta" else "delta"
+    assert after[kept] == env.clouds[1].store.get(f"{META}/{kept}")
+
+    refuse(reader.connections[0], f"{META}/version",
+           ("download", RequestFailedError))
+    with obs.isolated(sim=env.sim) as (_tracer, metrics):
+        env.sim.run_process(reader.sync())
+    assert reader._poll_counters["cloud0"] is None
+    assert metrics.counter_value("metadata_skips", cloud="cloud0",
+                                 reason="corrupt-pair") == 1
+    assert reader.image.version.counter == 4
+    assert reader.fs.read_file("/four") == payload(4)

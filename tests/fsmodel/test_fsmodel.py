@@ -82,6 +82,27 @@ def test_watcher_poll_advances_baseline():
     assert watcher.poll() == []
 
 
+def test_watcher_absorb_takes_only_the_named_paths():
+    """A sync round's own writes are absorbed; a user's edit made
+    meanwhile is still reported by the next poll."""
+    fs = VirtualFileSystem()
+    fs.write_file("/old", b"0", mtime=0.0)
+    fs.write_file("/same", b"s", mtime=0.0)
+    watcher = FolderWatcher(fs)
+    watcher.prime()
+    fs.write_file("/mine", b"1", mtime=1.0)
+    fs.delete_file("/old")
+    fs.write_file("/same", b"s", mtime=1.0)
+    fs.write_file("/user", b"2", mtime=1.0)
+    absorbed = watcher.absorb(["/mine", "/old", "/same"])
+    assert {c.path: c.kind for c in absorbed} == {
+        "/mine": ChangeKind.ADD, "/old": ChangeKind.DELETE,
+    }
+    assert [(c.kind, c.path) for c in watcher.poll()] == [
+        (ChangeKind.ADD, "/user"),
+    ]
+
+
 def test_watcher_prime_swallows_existing_files():
     fs = VirtualFileSystem()
     fs.write_file("/pre", b"x", mtime=0.0)

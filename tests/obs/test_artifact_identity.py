@@ -37,9 +37,9 @@ LINK_MBPS = (5.0, 10.0, 20.0, 40.0, 80.0)
 #: sha256 of each artifact.  Regenerate only for a change that means to
 #: alter what is reported, and say so in CHANGES.md.
 EXPECTED = {
-    "jsonl": "765df87404d180d4d23a731f73efbee239686f2e69889a0ec86cb96700a287b6",
-    "chrome": "5bbf1925b474941d7ab56c355b2b7d5595e82863ade17657dc5ab954f3be64f7",
-    "telemetry": "474d3d3f3a3454a78c0ac3239a4a7915bc0e418ef653386bd4737ec185e198cd",
+    "jsonl": "fe7e99b3159f17cf6f9121817b20ec0d1375dd437959e44f0ca5152a8118332f",
+    "chrome": "996da2fb0b1572b8d1ae13cf9c9c260e377b7ec814db955a90c5a8f2f9befc6c",
+    "telemetry": "ad69f0c838fb7ea8f4cbeeb188266927da9a03a0805cf898edde91168b220131",
 }
 
 
