@@ -180,6 +180,10 @@ class UniDriveClient:
         self._poll_counters: Dict[str, Optional[int]] = {}
         #: Set by a round that changed something; the next poll pays it.
         self._heartbeat_due = False
+        #: ``(conn, (ok, delta blob or CloudError))`` a reader poll that
+        #: found news downloaded beside the version files; the
+        #: :meth:`_fetch_metadata` that follows uses it for ``conn``.
+        self._prefetched = None
         #: This device's decoded metadata, one slot per cloud file:
         #: ``"base" -> (blob, SyncFolderImage)``, ``"delta" -> (blob,
         #: DeltaLog)``.  Keyed by the blob *bytes* this device downloaded
@@ -273,7 +277,11 @@ class UniDriveClient:
         if self._pending_changes:
             yield from self._commit_local_update(report)
         elif not bootstrap:  # a bootstrap has just polled
-            remote = yield from self._check_cloud_update()
+            # After a round that brought news, the next is likely too:
+            # the poll then carries the delta read.
+            remote = yield from self._check_cloud_update(
+                prefetch=self._heartbeat_due
+            )
             if remote is not None:
                 yield from self._apply_cloud_only_update(report, remote)
         if self.journal.active and not self._pending_changes:
@@ -556,7 +564,7 @@ class UniDriveClient:
 
     # -- cloud-update path (lines 15-19 of Algorithm 1) ---------------------
 
-    def _check_cloud_update(self):
+    def _check_cloud_update(self, prefetch: bool = False):
         """Poll version files; returns the newest stamp if it is news.
 
         A cloud whose version file does not download or parse is one we
@@ -564,7 +572,11 @@ class UniDriveClient:
         (:class:`SyncError`) — a rotted folder is not an empty one.
         A due heartbeat (the version this device has applied, paper
         §6.2) rides in the same gather, best effort: it is a lower
-        bound, so one round late only delays a reclaim.
+        bound, so one round late only delays a reclaim.  With
+        ``prefetch``, one unretried GET of the delta from the first
+        admitted replica in :meth:`_replicas` order rides there too;
+        when the poll finds news, :meth:`_fetch_metadata` checks and
+        uses those bytes instead of a second round trip.
         """
 
         def poll(conn):
@@ -584,8 +596,18 @@ class UniDriveClient:
             blob = serialize_heartbeat(self.device, self.image.version.counter)
             requests += [conn.upload(self._heartbeat_path, blob)
                          for conn in self.connections]
-        # The heartbeat's outcomes trail the polls' and are not read.
+        now = self.sim.now
+        source = next((conn for conn in self._replicas()
+                       if self.degrade.admits(conn.cloud_id, now)),
+                      None) if prefetch else None
+        if source is not None:
+            requests.append(source.download(self._delta_path))
+        # The heartbeat's outcomes trail the polls' and are not read;
+        # the prefetch's comes last.
         outcomes = yield from gather_safe(self.sim, requests)
+        self._prefetched = None
+        if source is not None and outcomes[-1][0]:
+            self.metadata_bytes += len(outcomes[-1][1])
         best: Optional[VersionStamp] = None
         counters: Dict[str, Optional[int]] = {}
         for conn, (_ok, stamp) in zip(self.connections, outcomes):
@@ -606,6 +628,8 @@ class UniDriveClient:
         # Commit counters strictly increase under the quorum lock, so a
         # higher counter than our last-synced image is exactly "news".
         if best.counter > self.image.version.counter:
+            if source is not None:
+                self._prefetched = (source, outcomes[-1])
             return best
         return None
 
@@ -637,7 +661,12 @@ class UniDriveClient:
         The delta comes first: when its :func:`op_base_version` marker
         names the base this device holds (:attr:`_held`), the delta
         extends a copy of that image and the base is not downloaded —
-        between folds, a reader fetches only the delta.
+        between folds, a reader fetches only the delta.  A device that
+        holds no base downloads base ∥ delta.  A delta the poll
+        prefetched (:meth:`_check_cloud_update`) stands in for that
+        replica's delta download, unless the prefetch failed (reported,
+        and the replica is read again in turn) or the poll showed the
+        replica stale; it passes every check a downloaded one does.
 
         ``expect`` is the version counter the caller just observed in
         the version-file poll.  A reachable cloud can still be stale —
@@ -655,6 +684,14 @@ class UniDriveClient:
                 "metadata_fetch", t=self.sim.now, track=self.device,
                 expect=expect,
             )
+        source, prefetched = None, None
+        if self._prefetched is not None:
+            source, (ok, prefetched) = self._prefetched
+            self._prefetched = None
+            if not ok:
+                self._skip(source, prefetched)
+            if not ok or self._stale(source.cloud_id, expect):
+                source = None
         last_error: Optional[object] = None
         for conn in self._replicas(expect):
             if self._budget is not None and self._budget.expired:
@@ -663,26 +700,9 @@ class UniDriveClient:
             if not self.degrade.admits(conn.cloud_id, self.sim.now):
                 continue  # breaker open: don't burn a retry budget here
             try:
-                try:
-                    delta_blob, delta = yield from self._read_replica(
-                        conn, self._delta_path,
-                        lambda blob: self._decode("delta", blob),
-                        budget=self._budget,
-                    )
-                    self.metadata_bytes += len(delta_blob)
-                except NotFoundError:
-                    delta = None  # never folded: the base is the image
-                held = self._held.get("base")
-                if (delta is not None and held is not None
-                        and delta.named_base() == base_name(held[0])):
-                    image = held[1].copy()
-                else:
-                    base_blob, image = yield from self._read_replica(
-                        conn, self._base_path,
-                        lambda blob: self._decode("base", blob),
-                        budget=self._budget,
-                    )
-                    self.metadata_bytes += len(base_blob)
+                delta, image = yield from self._read_pair(
+                    conn, prefetched if conn is source else None
+                )
                 if delta is not None:
                     marker = delta.base_marker()
                     if marker >= 0 and marker != image.version.counter:
@@ -711,33 +731,78 @@ class UniDriveClient:
             OBS.end(span, t=self.sim.now, error="SyncError")
         raise SyncError(f"{self.device}: no cloud served metadata ({last_error})")
 
+    def _read_pair(self, conn: CloudAPI, delta_blob: Optional[bytes]):
+        """``(delta, base image)`` of ``conn``'s replica; ``delta`` is
+        None when the folder was never folded (the base is the image).
+
+        ``delta_blob`` is the delta already downloaded from ``conn``
+        (None: download it).  A device that holds no base downloads it
+        in the same gather as the delta; one that holds the base the
+        delta names does not download it at all.
+        """
+        held = self._held.get("base")
+        paths = [] if delta_blob is not None else [self._delta_path]
+        if held is None:
+            paths.append(self._base_path)
+        outcomes = yield from gather_safe(
+            self.sim, [self._get(conn, path, self._budget) for path in paths]
+        )
+        got = dict(zip(paths, outcomes))
+        for ok, blob in outcomes:
+            if ok:
+                self.metadata_bytes += len(blob)
+        ok, blob = got.get(self._delta_path, (True, delta_blob))
+        if ok:
+            delta = self._decode("delta", blob)
+        elif isinstance(blob, NotFoundError):
+            delta = None
+        else:
+            raise blob
+        if held is None:
+            ok, blob = got[self._base_path]
+            if not ok:
+                raise blob
+        elif delta is not None and delta.named_base() == base_name(held[0]):
+            return delta, held[1].copy()
+        else:
+            blob = yield from self._get(conn, self._base_path, self._budget)
+            self.metadata_bytes += len(blob)
+        return delta, self._decode("base", blob)
+
+    def _stale(self, cloud_id: str, expect: Optional[int]) -> bool:
+        """Did the last poll show ``cloud_id`` below ``expect``?"""
+        counter = self._poll_counters.get(cloud_id)
+        return None not in (expect, counter) and counter < expect
+
     def _replicas(self, expect: Optional[int] = None) -> List[CloudAPI]:
         """The order metadata reads try clouds in: fastest download
         estimate first (stable; unprobed clouds lead), then those whose
         polled counter is known to be below ``expect``."""
-        def stale(cloud_id):
-            counter = self._poll_counters.get(cloud_id)
-            return None not in (expect, counter) and counter < expect
-
         ids = [conn.cloud_id for conn in self.connections]
         return [self._connection(cid) for cid in
-                sorted(self.estimator.rank(ids, DOWNLOAD), key=stale)]
+                sorted(self.estimator.rank(ids, DOWNLOAD),
+                       key=lambda cid: self._stale(cid, expect))]
+
+    def _get(self, conn: CloudAPI, path: str, budget=None):
+        """``conn``'s ``path`` under the retry policy, stopped by
+        ``budget``."""
+        return self.retry.run(
+            self.sim, lambda: conn.download(path), rng=self.rng,
+            budget=budget,
+        )
 
     def _read_replica(self, conn: CloudAPI, path: str, parse,
                       retried: bool = True, budget=None):
         """``(blob, parse(blob))`` for one cloud's replica of ``path``.
 
         Every metadata file this client reads from a cloud comes through
-        here, and fails only with :class:`CloudError` or
-        :class:`MetadataError`.  ``retried`` downloads under the retry
-        policy (stopped by ``budget``); polls and heartbeat reads send
-        one request.
+        here or :meth:`_get` (whose caller parses), and fails only with
+        :class:`CloudError` or :class:`MetadataError`.  ``retried``
+        downloads under the retry policy (stopped by ``budget``); polls
+        and heartbeat reads send one request.
         """
         if retried:
-            blob = yield from self.retry.run(
-                self.sim, lambda: conn.download(path), rng=self.rng,
-                budget=budget,
-            )
+            blob = yield from self._get(conn, path, budget)
         else:
             blob = yield from conn.download(path)
         return blob, parse(blob)
@@ -996,6 +1061,7 @@ class UniDriveClient:
                 continue
             wants.append(FileDownload(path=path, segments=records))
         if not wants:
+            self.watcher.absorb(wrote)
             return
         span = batch_ctx = None
         if OBS.enabled:

@@ -73,7 +73,10 @@ class FolderWatcher:
         """Advance past the changes to ``paths`` alone (a sync round's
         own writes) and return them; any other change, such as a user's
         edit made while the round ran, is left for the next poll."""
-        paths, current = set(paths), self.filesystem.scan()
+        paths = set(paths)
+        if not paths:
+            return []
+        current = self.filesystem.scan()
         old = {p: self._last.pop(p) for p in paths if p in self._last}
         new = {p: current[p] for p in paths if p in current}
         self._last.update(new)

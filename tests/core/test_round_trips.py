@@ -4,13 +4,19 @@ Per-round request counts on five clouds over quiet 5/10/20/40/80 Mbps
 links.  A reader round makes one version poll per cloud, carries the
 heartbeat a changing round left due in that same gather, and downloads
 one delta (from the fastest replica it knows to be fresh) and the
-blocks it applies.  A committer that holds the delta the clouds hold
-extends it without downloading it or listing ``meta/``.
+blocks it applies.  After a round that brought news, the poll's gather
+also carries that delta read, so such a reader round is poll ∥ delta,
+then blocks.  A device that holds no base downloads base ∥ delta.  A
+committer that holds the delta the clouds hold extends it without
+downloading it or listing ``meta/``.
 """
 
 import numpy as np
+import pytest
 
 from _sched_env import profile
+from repro import obs
+from repro.cloud.errors import RequestFailedError
 from repro.core.config import UniDriveConfig
 from repro.core.probing import DOWNLOAD, ThroughputEstimator
 from repro.workloads import make_device, make_fleet
@@ -77,6 +83,23 @@ def edit(device, sim, path, seed):
     device.fs.write_file(path, payload(seed), mtime=sim.now)
 
 
+def delta_reads(requests):
+    return [cloud for _t, cloud, method, path in requests
+            if (method, path) == ("GET", f"{META}/delta")]
+
+
+def news_fleet():
+    """A writer that committed /a and a reader that bootstrapped from
+    it, so the reader's next poll carries a delta read."""
+    fleet = make_fleet(2, link=LINKS, config=CONFIG)
+    writer, reader = fleet.devices
+    edit(writer, fleet.sim, "/a", 1)
+    fleet.sim.run_process(writer.sync())
+    fleet.sim.run_process(reader.sync())
+    assert reader._heartbeat_due
+    return fleet
+
+
 def test_a_first_sync_polls_once():
     """A bootstrap polls; the round does not poll again after it."""
     fleet = make_fleet(2, link=LINKS, config=CONFIG)
@@ -98,12 +121,14 @@ def test_a_reader_round_pays_a_heartbeat_only_when_one_is_due():
     rec.sync(reader)  # bootstraps: its heartbeat is now due
     heartbeat = f"device_{reader.device}"
 
-    # Nothing new: N polls carry the due heartbeat in one gather.
+    # Nothing new: N polls carry the due heartbeat in one gather, and
+    # the delta read a poll after news carries (2N + 1: the bootstrap
+    # brought news).
     report, requests = rec.sync(reader)
     assert not report.changed_anything
     assert count(requests, "GET", "version") == N
     assert count(requests, "PUT", heartbeat) == N
-    assert len(requests) == 2 * N
+    assert len(requests) == 2 * N + 1
     assert len({start for start, *_ in requests}) == 1
 
     # A commit to apply, no heartbeat due: N polls, one delta, blocks.
@@ -117,10 +142,11 @@ def test_a_reader_round_pays_a_heartbeat_only_when_one_is_due():
     blocks = block_gets(requests)
     assert blocks and len(requests) == N + 1 + len(blocks)
 
-    # That round changed something: the next poll carries its heartbeat.
+    # That round changed something: the next poll carries its heartbeat
+    # and a delta read.
     _, requests = rec.sync(reader)
     assert count(requests, "PUT", heartbeat) == N
-    assert len(requests) == 2 * N
+    assert len(requests) == 2 * N + 1
 
 
 def test_a_commit_extends_the_delta_it_holds():
@@ -164,10 +190,6 @@ def test_the_metadata_read_goes_to_the_fastest_fresh_replica():
     rec.sync(writer)
     rec.sync(reader)
 
-    def delta_reads(requests):
-        return [cloud for _t, cloud, method, path in requests
-                if (method, path) == ("GET", f"{META}/delta")]
-
     def probe(speeds):
         """Every cloud probed once at ``speeds`` (bytes/s); returns the
         clouds fastest-first."""
@@ -187,7 +209,9 @@ def test_the_metadata_read_goes_to_the_fastest_fresh_replica():
     assert reader.fs.read_file("/b") == payload(2)
 
     # The fastest replica's version file says it missed the next
-    # commit: it is tried last, and the next fastest serves.
+    # commit: it is tried last, and the next fastest serves.  (The poll
+    # after the news of /b prefetched cloud3's delta before it showed
+    # cloud3 stale; those bytes are dropped.)
     old = fleet.clouds[3].store.get(f"{META}/version")
     edit(writer, fleet.sim, "/c", 3)
     rec.sync(writer)
@@ -195,7 +219,7 @@ def test_the_metadata_read_goes_to_the_fastest_fresh_replica():
     probe([1e5, 2e5, 3e5, 8e5, 4e5])
     _, requests = rec.sync(reader)
     assert reader._poll_counters["cloud3"] == 2
-    assert delta_reads(requests) == ["cloud4"]
+    assert delta_reads(requests) == ["cloud3", "cloud4"]
     assert reader.image.version.counter == 3
 
 
@@ -219,3 +243,162 @@ def test_a_path_whose_blocks_are_gone_is_reported_unfetched():
         assert reader.fs.read_file("/kept") == payload(2)
         assert not reader.fs.exists("/gone")
     assert fleet.sim.run_process(writer.sync()).unfetched == []
+
+
+def test_a_reader_round_after_news_is_poll_and_delta_then_blocks():
+    fleet = news_fleet()
+    writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    first = reader._replicas()[0].cloud_id
+    report, requests = rec.sync(reader)
+    assert report.downloaded_files == ["/b"]
+    blocks = block_gets(requests)
+    meta = [r for r in requests if r not in blocks]
+    assert len(meta) == 2 * N + 1
+    assert len({start for start, *_ in meta}) == 1
+    assert delta_reads(requests) == [first]
+    # The blocks wait for the poll's gather, and nothing else does.
+    assert len({start for start, *_ in blocks}) == 1
+    assert blocks[0][0] > meta[0][0]
+
+
+def test_an_idle_streak_pays_one_delta_read_then_polls_only():
+    fleet = news_fleet()
+    _writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    heartbeat = f"device_{reader.device}"
+    report, requests = rec.sync(reader)
+    assert not report.changed_anything
+    assert count(requests, "GET", "version") == N
+    assert count(requests, "PUT", heartbeat) == N
+    assert count(requests, "GET", "delta") == 1
+    assert len(requests) == 2 * N + 1
+    for _round in range(2):
+        report, requests = rec.sync(reader)
+        assert not report.changed_anything
+        assert count(requests, "GET", "version") == N
+        assert len(requests) == N
+
+
+def test_a_stale_prefetched_replica_is_dropped_for_a_fresh_one():
+    """The replica the poll prefetches from missed the commit (its
+    version file and delta are the old ones): its bytes are dropped
+    unchecked, and the next replica in order serves the news."""
+    fleet = news_fleet()
+    writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    first, second = (conn.cloud_id for conn in reader._replicas()[:2])
+    store = fleet.clouds[int(first[-1])].store
+    old = {name: store.get(f"{META}/{name}") for name in ("version", "delta")}
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    for name, blob in old.items():
+        store.put(f"{META}/{name}", blob, mtime=fleet.sim.now)
+    with obs.isolated(sim=fleet.sim) as (_tracer, metrics):
+        report, requests = rec.sync(reader)
+    assert reader._poll_counters[first] == 1
+    assert delta_reads(requests) == [first, second]
+    assert report.downloaded_files == ["/b"]
+    assert reader.image.version.counter == 2
+    assert metrics.counter_value("metadata_skips", cloud=first,
+                                 reason="stale") == 0
+
+
+@pytest.mark.parametrize("how, reason, reads", [
+    ("failed", "RequestFailedError", [0, 0]),
+    ("missing", "NotFoundError", [0, 0, 1]),
+    ("undecodable", "undecodable", [0, 1]),
+])
+def test_a_bad_prefetch_falls_back_to_the_retried_reads(how, reason, reads):
+    """A prefetch that failed is reported and its replica read again,
+    under the retry policy; a missing delta is reported, and the
+    replica read again is a lone base, stale, so the next one serves;
+    undecodable bytes are skipped like a downloaded replica's."""
+    fleet = news_fleet()
+    writer, reader = fleet.devices
+    order = [conn.cloud_id for conn in reader._replicas()]
+    top = reader._connection(order[0])
+    armed = []
+    raw = top.download
+
+    def download(path, *args, **kwargs):
+        if armed and path == f"{META}/delta":
+            armed.clear()
+            raise RequestFailedError(f"{top.cloud_id}: injected")
+        return (yield from raw(path, *args, **kwargs))
+
+    top.download = download
+    rec = Recorder(fleet)
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    store = fleet.clouds[int(order[0][-1])].store
+    if how == "failed":
+        armed.append(True)
+    elif how == "missing":
+        store.delete(f"{META}/delta")
+    else:
+        store.put(f"{META}/delta", b"\x00" * 64, mtime=fleet.sim.now)
+    with obs.isolated(sim=fleet.sim) as (_tracer, metrics):
+        report, requests = rec.sync(reader)
+    assert delta_reads(requests) == [order[i] for i in reads]
+    assert metrics.counter_value("metadata_skips", cloud=order[0],
+                                 reason=reason) == 1
+    assert report.downloaded_files == ["/b"]
+    assert reader.image.version.counter == 2
+
+
+def test_a_breaker_open_replica_is_not_prefetched_from():
+    fleet = news_fleet()
+    writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    first, second = (conn.cloud_id for conn in reader._replicas()[:2])
+    reader.degrade.on_failure(first, fleet.sim.now, fatal=True)
+    assert not reader.degrade.admits(first, fleet.sim.now)
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    report, requests = rec.sync(reader)
+    assert delta_reads(requests) == [second]
+    assert [r[0] for r in requests if r[2:] == ("GET", f"{META}/delta")] \
+        == [requests[0][0]]
+    assert report.downloaded_files == ["/b"]
+
+
+def test_a_device_holding_no_base_reads_base_and_delta_at_once():
+    """A new device bootstraps from a folder whose second commit
+    appended a delta: both files come from one replica in one gather."""
+    fleet = make_fleet(2, link=LINKS, config=CONFIG)
+    writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    edit(writer, fleet.sim, "/a", 1)
+    rec.sync(writer)
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    report, requests = rec.sync(reader)
+    assert sorted(report.downloaded_files) == ["/a", "/b"]
+    reads = [r for r in requests if r[2:] in
+             (("GET", f"{META}/base"), ("GET", f"{META}/delta"))]
+    assert len(reads) == 2
+    assert len({(start, cloud) for start, cloud, *_ in reads}) == 1
+
+
+def test_applying_a_delete_leaves_nothing_to_commit():
+    """The reader's round that only deletes a file absorbs that delete:
+    its next round commits nothing and sends no lock request."""
+    fleet = make_fleet(2, link=LINKS, config=CONFIG)
+    writer, reader = fleet.devices
+    rec = Recorder(fleet)
+    edit(writer, fleet.sim, "/a", 1)
+    edit(writer, fleet.sim, "/b", 2)
+    rec.sync(writer)
+    rec.sync(reader)
+    writer.fs.delete_file("/a")
+    rec.sync(writer)
+    report, _ = rec.sync(reader)
+    assert report.deleted_files == ["/a"]
+    assert report.downloaded_files == []
+    report, requests = rec.sync(reader)
+    assert report.committed_version is None
+    assert [r for r in requests if r[3].startswith(CONFIG.lock_dir)] == []
+    assert reader.image.version.counter == writer.image.version.counter
